@@ -192,9 +192,6 @@ def cmd_validate(args) -> int:
     )
 
     violations = []
-    counts = ds.votes_per_condition()
-    if counts.min() < 1:
-        violations.append("a condition has no votes")
     from .data import empirical_user_prob
 
     for cond in ds.conditions:

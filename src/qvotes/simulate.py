@@ -17,7 +17,8 @@ Metrics
     average percentile-bootstrap CI width of the per-condition MOS.
 ``irr``
     inter-rater reliability: each sampled user's per-condition means
-    rank-correlated against everyone else's, averaged over users.
+    rank-correlated against everyone else's, averaged over users, in one
+    grouped rank correlation per run.
 
 Reproducibility
 ---------------
@@ -46,7 +47,7 @@ from scipy.stats import t as _student_t
 from . import stats
 from .bootstrap import bootstrap_ci_mos
 from .data import RatingDataset, ReferenceMos
-from .errors import ConfigError, DataError, DegenerateDataError
+from .errors import ConfigError, DataError
 
 VALIDITY_SRCC = "validity_srcc"
 VALIDITY_RMSE = "validity_rmse"
@@ -234,22 +235,26 @@ class _RefContext:
     values: np.ndarray
 
 
-def _irr_from_pairs(pairs: dict[int, list[tuple[float, float]]], min_conditions: int):
-    """Mean leave-one-out SRCC over users with enough usable conditions."""
-    min_conditions = max(3, min_conditions)
-    values = []
-    for _, pair_list in pairs.items():
-        if len(pair_list) < min_conditions:
-            continue
-        own = np.array([p[0] for p in pair_list])
-        others = np.array([p[1] for p in pair_list])
-        try:
-            values.append(stats.srcc(own, others))
-        except DegenerateDataError:
-            continue
-    if not values:
+def _irr(users: list, own: list, others: list, min_conditions: int):
+    """Mean leave-one-out SRCC over users with enough usable conditions.
+
+    The lists hold one array per condition, with an entry per user on it:
+    the user's index, their own mean on the condition and everyone else's.
+    Users with fewer than ``min_conditions`` conditions, or whose rank
+    correlation is undefined (fewer than 3 conditions, or constant own or
+    others' means), are skipped; None if no user is left.
+    """
+    if not users:
         return None
-    return float(np.mean(values))
+    users, own, others = (np.concatenate(x) for x in (users, own, others))
+    _, first, labels = np.unique(users, return_index=True, return_inverse=True)
+    values = stats.grouped_srcc(labels, own, others)
+    keep = (np.bincount(labels) >= min_conditions) & ~np.isnan(values)
+    if not keep.any():
+        return None
+    # Average in order of first appearance, as a per-user loop over the
+    # conditions would, so the floating-point sum is the same.
+    return float(np.mean(values[keep][np.argsort(first[keep])]))
 
 
 def _simulate_run(
@@ -267,7 +272,7 @@ def _simulate_run(
     want_ci = CI_WIDTH in metrics
     want_irr = IRR in metrics
     width_sum = 0.0
-    pairs: dict[int, list[tuple[float, float]]] = {}
+    pair_users, pair_own, pair_others = [], [], []
 
     for j in range(k):
         rng = _substream(cfg.master_seed, _PURPOSE_SAMPLE, n, run_index, j)
@@ -288,11 +293,9 @@ def _simulate_run(
                     rows, weights=scores.astype(float), minlength=cache.user_prob.size
                 )
                 per_user = sums[present] / counts[present]
-                others = (per_user.sum() - per_user) / (present.size - 1)
-                for g, own_mean, other_mean in zip(
-                    cache.user_rows[present], per_user, others
-                ):
-                    pairs.setdefault(int(g), []).append((float(own_mean), float(other_mean)))
+                pair_users.append(cache.user_rows[present])
+                pair_own.append(per_user)
+                pair_others.append((per_user.sum() - per_user) / (present.size - 1))
 
     out: dict[str, float | None] = {}
     if VALIDITY_SRCC in metrics or VALIDITY_RMSE in metrics:
@@ -312,7 +315,7 @@ def _simulate_run(
     if want_ci:
         out[CI_WIDTH] = width_sum / k
     if want_irr:
-        out[IRR] = _irr_from_pairs(pairs, irr_min_conditions)
+        out[IRR] = _irr(pair_users, pair_own, pair_others, irr_min_conditions)
     return out
 
 
@@ -476,17 +479,17 @@ def irr_full(ds: RatingDataset, min_conditions_per_user: int = 3) -> float:
     against the user-balanced mean of everyone else on the same
     conditions; the result is the average over eligible users.
     """
-    pairs: dict[int, list[tuple[float, float]]] = {}
+    users, own, others = [], [], []
     for j in range(len(ds.conditions)):
         cache = ds.condition_votes(j)
         m = cache.user_rows.size
         if m < 2:
             continue
         per_user = (cache.counts @ stats.SCORE_VALUES) / cache.row_totals
-        others = (per_user.sum() - per_user) / (m - 1)
-        for g, own_mean, other_mean in zip(cache.user_rows, per_user, others):
-            pairs.setdefault(int(g), []).append((float(own_mean), float(other_mean)))
-    value = _irr_from_pairs(pairs, min_conditions_per_user)
+        users.append(cache.user_rows)
+        own.append(per_user)
+        others.append((per_user.sum() - per_user) / (m - 1))
+    value = _irr(users, own, others, min_conditions_per_user)
     if value is None:
         raise DataError("no user has enough rated conditions for reliability")
     return value

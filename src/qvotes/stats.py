@@ -135,6 +135,50 @@ def srcc(a, b) -> float:
     return float(np.clip((ra @ rb) / denom, -1.0, 1.0))
 
 
+def _grouped_ranks(groups: np.ndarray, values: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Fractional ranks (1-based) of ``values`` within each group, ties
+    receiving their group average, as :func:`average_ranks` per group."""
+    order = np.lexsort((values, groups))
+    g = groups[order]
+    v = values[order]
+    boundaries = np.flatnonzero(np.r_[True, (g[1:] != g[:-1]) | (v[1:] != v[:-1]), True])
+    tie_ranks = (boundaries[:-1] + boundaries[1:] + 1) / 2.0
+    group_starts = np.cumsum(sizes) - sizes
+    ranks = np.empty(values.size)
+    ranks[order] = np.repeat(tie_ranks, np.diff(boundaries)) - group_starts[g]
+    return ranks
+
+
+def grouped_srcc(groups, a, b) -> np.ndarray:
+    """Spearman rank correlation of ``a`` against ``b`` within each group.
+
+    ``groups`` labels every point with an integer in [0, G).  Entry g of
+    the result equals ``srcc(a[groups == g], b[groups == g])``, or is NaN
+    where that call would raise: fewer than 3 points or a constant
+    vector.  Ranks are half-integers, so their centred sums are exact and
+    each defined entry is bitwise equal to the scalar call's result.
+    """
+    a, b = _as_pair(a, b, min_len=0)
+    groups = np.asarray(groups, dtype=np.int64)
+    if groups.shape != a.shape:
+        raise DataError(f"length mismatch: {groups.size} group labels for {a.size} points")
+    if groups.size and groups.min() < 0:
+        raise DataError("group labels must be non-negative")
+    sizes = np.bincount(groups)
+    centre = (sizes[groups] + 1) / 2.0
+    ra = _grouped_ranks(groups, a, sizes) - centre
+    rb = _grouped_ranks(groups, b, sizes) - centre
+    saa = np.bincount(groups, ra * ra, minlength=sizes.size)
+    sbb = np.bincount(groups, rb * rb, minlength=sizes.size)
+    sab = np.bincount(groups, ra * rb, minlength=sizes.size)
+    defined = (sizes >= 3) & (saa > 0.0) & (sbb > 0.0)
+    out = np.full(sizes.size, np.nan)
+    out[defined] = np.clip(
+        sab[defined] / np.sqrt(saa[defined] * sbb[defined]), -1.0, 1.0
+    )
+    return out
+
+
 def rmse(a, b) -> float:
     """Root mean squared difference of two equally long vectors."""
     a, b = _as_pair(a, b, min_len=1)

@@ -6,11 +6,14 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_dataset, synthetic_dataset, two_point_dataset, two_stage_pmf
 from qvotes import (
     ConfigError,
     DataError,
+    DegenerateDataError,
     MetricCurve,
     ReferenceMos,
     SweepConfig,
@@ -25,10 +28,11 @@ from qvotes import (
     read_curves_json,
     run_sweep,
     sample_condition,
+    srcc,
     write_curves_csv,
     write_curves_json,
 )
-from qvotes.simulate import CurvePoint
+from qvotes.simulate import CurvePoint, _irr
 
 
 def three_user_toy():
@@ -408,3 +412,103 @@ class TestCurveSerialization:
         curve = MetricCurve("m", "d", (CurvePoint(10, 1.0, 0.5, 1.5, 0.1),))
         with pytest.raises(DataError):
             curve.point_at(99)
+
+
+def irr_by_rater_loop(users, own, others, min_conditions):
+    """IRR as one scalar SRCC per rater: the per-rater reference the
+    batched computation must reproduce."""
+    pairs = {}
+    for g, a, b in zip(users, own, others):
+        pairs.setdefault(int(g), []).append((a, b))
+    values = []
+    for pair_list in pairs.values():
+        if len(pair_list) < max(3, min_conditions):
+            continue
+        try:
+            values.append(srcc([p[0] for p in pair_list], [p[1] for p in pair_list]))
+        except DegenerateDataError:
+            continue
+    return float(np.mean(values)) if values else None
+
+
+def run_pairs(ds, n, run_index, seed):
+    """Flat (rater, own mean, others' mean) pairs of one sampled run."""
+    users, own, others = [], [], []
+    sample = draw_run_sample(ds, n, run_index, seed)
+    for scores, raters in sample.per_condition_votes.values():
+        present = sorted(set(raters), key=ds.users.index)
+        if len(present) < 2:
+            continue
+        means = np.array([scores[[r == u for r in raters]].mean() for u in present])
+        users += [ds.users.index(u) for u in present]
+        own += means.tolist()
+        others += ((means.sum() - means) / (len(present) - 1)).tolist()
+    return np.array(users, dtype=np.int64), np.array(own), np.array(others)
+
+
+small_studies = st.lists(
+    st.tuples(st.integers(0, 5), st.integers(0, 6), st.integers(1, 5)), min_size=1, max_size=60
+)
+
+
+class TestBatchedIrr:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        pairs=st.lists(
+            st.tuples(st.integers(0, 6), st.sampled_from([1.0, 2.5, 3.0, 4.0]),
+                      st.sampled_from([2.0, 3.0, 3.5])),
+            max_size=40,
+        ),
+        min_conditions=st.integers(0, 5),
+    )
+    def test_matches_rater_loop_on_flat_pairs(self, pairs, min_conditions):
+        # few distinct values: ties, constant raters and short raters abound
+        users = np.array([p[0] for p in pairs], dtype=np.int64)
+        own = np.array([p[1] for p in pairs])
+        others = np.array([p[2] for p in pairs])
+        want = irr_by_rater_loop(users, own, others, min_conditions)
+        got = _irr([users], [own], [others], min_conditions)
+        assert (got is None) == (want is None)
+        if want is not None:
+            assert got == pytest.approx(want, abs=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        rows=small_studies,
+        n=st.integers(2, 12),
+        seed=st.integers(0, 2**16),
+        min_conditions=st.integers(3, 4),
+    )
+    def test_sweep_matches_rater_loop(self, rows, n, seed, min_conditions):
+        ds = make_dataset([(f"c{c}", f"u{u}", s) for c, u, s in rows])
+        want = irr_by_rater_loop(*run_pairs(ds, n, 0, seed), min_conditions)
+        cfg = SweepConfig(n_values=(n,), repetitions=1, master_seed=seed, metrics=("irr",))
+        if want is None:
+            with pytest.raises(DataError):
+                irr_curve(ds, cfg, min_conditions_per_user=min_conditions)
+        else:
+            got = irr_curve(ds, cfg, min_conditions_per_user=min_conditions).point_at(n).mean
+            assert got == pytest.approx(want, abs=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(rows=small_studies, min_conditions=st.integers(3, 4))
+    def test_full_dataset_matches_rater_loop(self, rows, min_conditions):
+        ds = make_dataset([(f"c{c}", f"u{u}", s) for c, u, s in rows])
+        users, own, others = [], [], []
+        for cond in ds.conditions:
+            raters = ds.users_for(cond)
+            if len(raters) < 2:
+                continue
+            means = np.array([
+                np.mean([s for s in range(1, 6) for _ in range(ds.count(cond, u, s))])
+                for u in raters
+            ])
+            users += [ds.users.index(u) for u in raters]
+            own += means.tolist()
+            others += ((means.sum() - means) / (len(raters) - 1)).tolist()
+        want = irr_by_rater_loop(users, own, others, min_conditions)
+        if want is None:
+            with pytest.raises(DataError):
+                irr_full(ds, min_conditions)
+        else:
+            assert irr_full(ds, min_conditions) == pytest.approx(want, abs=1e-12)

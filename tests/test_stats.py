@@ -25,6 +25,7 @@ from qvotes import (
     rmse,
     srcc,
 )
+from qvotes.stats import grouped_srcc
 
 finite_floats = st.floats(min_value=-100, max_value=100, allow_nan=False)
 
@@ -156,6 +157,45 @@ class TestSrcc:
         a = rng.integers(1, 6, 30).astype(float)
         b = a + rng.normal(0, 1, 30)
         assert srcc(a, b) == pytest.approx(spearmanr(a, b).statistic, abs=1e-12)
+
+
+class TestGroupedSrcc:
+    @given(
+        points=st.lists(
+            st.tuples(st.integers(0, 5), st.integers(0, 4), st.floats(-3, 3, allow_nan=False)),
+            max_size=50,
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_each_group_equals_scalar_srcc(self, points):
+        groups = np.array([p[0] for p in points], dtype=np.int64)
+        a = np.array([p[1] for p in points], dtype=float)
+        b = np.array([p[2] for p in points])
+        got = grouped_srcc(groups, a, b)
+        assert got.size == (groups.max() + 1 if groups.size else 0)
+        for g in range(got.size):
+            sel = groups == g
+            try:
+                want = srcc(a[sel], b[sel])
+            except (DataError, DegenerateDataError):
+                assert np.isnan(got[g])
+            else:
+                assert got[g] == want
+
+    def test_ties_and_degenerate_groups(self):
+        groups = [0, 0, 0, 0, 1, 1, 1, 2, 2, 3, 3, 3]
+        a = [1, 2, 2, 4, 5, 5, 5, 1, 2, 3, 1, 2]
+        b = [1, 3, 2, 4, 1, 2, 3, 2, 1, 1, 2, 3]
+        got = grouped_srcc(groups, a, b)
+        assert got[0] == pytest.approx(brute_force_srcc(a[:4], b[:4]), abs=1e-12)
+        assert np.isnan(got[1]) and np.isnan(got[2])
+        assert got[3] == pytest.approx(-0.5)
+
+    def test_validation(self):
+        with pytest.raises(DataError, match="length mismatch"):
+            grouped_srcc([0, 0], [1.0, 2.0, 3.0], [1.0, 2.0, 3.0])
+        with pytest.raises(DataError):
+            grouped_srcc([0, -1, 0], [1.0, 2.0, 3.0], [1.0, 2.0, 3.0])
 
 
 class TestRmse:
