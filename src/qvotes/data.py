@@ -52,6 +52,13 @@ class RatingRecord:
             )
 
 
+def _first_appearance_index(values: list) -> tuple[dict, np.ndarray]:
+    """Position of each distinct value in first-appearance order, and
+    every value's position."""
+    pos = {v: i for i, v in enumerate(dict.fromkeys(values))}
+    return pos, np.fromiter(map(pos.__getitem__, values), dtype=np.int32, count=len(values))
+
+
 @dataclass(frozen=True)
 class _ConditionVotes:
     """Per-condition vote counts in sampling-friendly form.
@@ -65,17 +72,23 @@ class _ConditionVotes:
     counts: np.ndarray      # (m, 5) score counts
     row_totals: np.ndarray  # (m,) votes per contributing user
     user_prob: np.ndarray   # (m,) stage-1 draw probabilities
+    user_cdf: np.ndarray    # (m,) cumulative user_prob, last entry exactly 1
     score_cdf: np.ndarray   # (m, 5) per-user cumulative score distribution
     n_votes: int
     score_sum: int
 
     def sample(self, n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
         """Draw ``n`` votes: user first, then a score from that user's
-        empirical distribution.  Returns (scores, local user rows)."""
-        rows = rng.choice(self.user_prob.size, size=n, p=self.user_prob)
-        thresholds = rng.random(n)
-        scores = 1 + np.sum(self.score_cdf[rows] <= thresholds[:, None], axis=1)
-        return scores.astype(np.int64), rows
+        empirical distribution.  Returns (scores, local user rows).
+
+        The first n uniforms pick the users by inverse CDF and the next n
+        the scores; this draws exactly what ``rng.choice(m, size=n,
+        p=user_prob)`` followed by ``rng.random(n)`` draws.
+        """
+        u = rng.random(2 * n)
+        rows = self.user_cdf.searchsorted(u[:n], side="right")
+        scores = 1 + (self.score_cdf[rows] <= u[n:, None]).sum(axis=1)
+        return scores, rows
 
 
 class RatingDataset:
@@ -87,67 +100,85 @@ class RatingDataset:
 
     def __init__(self, records: Iterable[RatingRecord], label: str = ""):
         records = list(records)
-        if not records:
+        self._init_columns(
+            [r.condition_id for r in records],
+            [r.user_id for r in records],
+            [int(r.score) for r in records],
+            [r.stimulus_id for r in records],
+            label,
+        )
+
+    @classmethod
+    def _from_columns(cls, conditions, users, scores, stimuli, label: str = ""):
+        """A dataset from parallel per-vote lists of validated values
+        (``stimuli`` holds None where a vote has no stimulus id)."""
+        ds = cls.__new__(cls)
+        ds._init_columns(conditions, users, scores, stimuli, label)
+        return ds
+
+    def _init_columns(self, conditions, users, scores, stimuli, label):
+        n = len(conditions)
+        if not n:
             raise DataError("dataset needs at least one rating")
         self.label = label
-
-        cond_pos: dict[str, int] = {}
-        user_pos: dict[str, int] = {}
-        stim_pos: dict[str, int] = {}
-        with_stim = sum(1 for r in records if r.stimulus_id is not None)
-        if 0 < with_stim < len(records):
+        with_stim = n - stimuli.count(None)
+        if 0 < with_stim < n:
             raise DataError(
                 "stimulus_id must be present on every vote or on none "
-                f"(found {with_stim} of {len(records)})"
+                f"(found {with_stim} of {n})"
             )
-        has_stimuli = with_stim == len(records)
+        self._cond_pos, self._cond_idx = _first_appearance_index(conditions)
+        self._user_pos, self._user_idx = _first_appearance_index(users)
+        self._scores = np.array(scores, dtype=np.int64)
+        self.conditions: tuple[str, ...] = tuple(self._cond_pos)
+        self.users: tuple[str, ...] = tuple(self._user_pos)
+        self.stimuli: tuple[str, ...] | None = None
+        self._stim_idx = None
+        if with_stim:
+            stim_pos, self._stim_idx = _first_appearance_index(stimuli)
+            self.stimuli = tuple(stim_pos)
+        self._per_condition = self._build_conditions()
 
-        cond_idx = np.empty(len(records), dtype=np.int32)
-        user_idx = np.empty(len(records), dtype=np.int32)
-        scores = np.empty(len(records), dtype=np.int64)
-        stim_idx = np.empty(len(records), dtype=np.int32) if has_stimuli else None
-        for i, rec in enumerate(records):
-            cond_idx[i] = cond_pos.setdefault(rec.condition_id, len(cond_pos))
-            user_idx[i] = user_pos.setdefault(rec.user_id, len(user_pos))
-            scores[i] = int(rec.score)
-            if has_stimuli:
-                stim_idx[i] = stim_pos.setdefault(rec.stimulus_id, len(stim_pos))
-
-        self.conditions: tuple[str, ...] = tuple(cond_pos)
-        self.users: tuple[str, ...] = tuple(user_pos)
-        self.stimuli: tuple[str, ...] | None = tuple(stim_pos) if has_stimuli else None
-        self._cond_idx = cond_idx
-        self._user_idx = user_idx
-        self._scores = scores
-        self._stim_idx = stim_idx
-        self._cond_pos = cond_pos
-        self._user_pos = user_pos
-        self._per_condition = [
-            self._build_condition(j) for j in range(len(self.conditions))
-        ]
-
-    def _build_condition(self, j: int) -> _ConditionVotes:
-        sel = np.flatnonzero(self._cond_idx == j)
-        users = self._user_idx[sel]
-        scores = self._scores[sel]
-        rows, local = np.unique(users, return_inverse=True)
-        m = rows.size
+    def _build_conditions(self) -> list[_ConditionVotes]:
+        """Every condition's cache, from one grouping of the votes by
+        (condition, user); users ascend within a condition."""
+        n_users = len(self.users)
+        pairs, pair_of_vote = np.unique(
+            self._cond_idx.astype(np.int64) * n_users + self._user_idx,
+            return_inverse=True,
+        )
         counts = np.bincount(
-            local * NUM_SCORES + (scores - SCORE_MIN), minlength=m * NUM_SCORES
-        ).reshape(m, NUM_SCORES)
+            pair_of_vote * NUM_SCORES + (self._scores - SCORE_MIN),
+            minlength=pairs.size * NUM_SCORES,
+        ).reshape(pairs.size, NUM_SCORES)
         row_totals = counts.sum(axis=1)
-        user_prob = row_totals / row_totals.sum()
+        bounds = np.searchsorted(pairs // n_users, np.arange(len(self.conditions) + 1))
+        cond_totals = np.add.reduceat(row_totals, bounds[:-1])
+        score_sums = np.add.reduceat(counts @ np.arange(SCORE_MIN, SCORE_MAX + 1), bounds[:-1])
+        user_prob = row_totals / np.repeat(cond_totals, np.diff(bounds))
         score_cdf = np.cumsum(counts / row_totals[:, None], axis=1)
         score_cdf[:, -1] = 1.0
-        return _ConditionVotes(
-            user_rows=rows,
-            counts=counts,
-            row_totals=row_totals,
-            user_prob=user_prob,
-            score_cdf=score_cdf,
-            n_votes=int(row_totals.sum()),
-            score_sum=int(scores.sum()),
-        )
+        user_rows = (pairs % n_users).astype(np.int32)
+        out = []
+        for a, b, total, score_sum in zip(
+            bounds[:-1].tolist(), bounds[1:].tolist(), cond_totals.tolist(), score_sums.tolist()
+        ):
+            # Normalised as Generator.choice normalises its cumulative p.
+            user_cdf = user_prob[a:b].cumsum()
+            user_cdf /= user_cdf[-1]
+            out.append(
+                _ConditionVotes(
+                    user_rows=user_rows[a:b],
+                    counts=counts[a:b],
+                    row_totals=row_totals[a:b],
+                    user_prob=user_prob[a:b],
+                    user_cdf=user_cdf,
+                    score_cdf=score_cdf[a:b],
+                    n_votes=total,
+                    score_sum=score_sum,
+                )
+            )
+        return out
 
     # -- basic accessors -------------------------------------------------
 
@@ -344,28 +375,29 @@ def load_ratings(
             header, RATING_COLUMNS + (STIMULUS_COLUMN,), column_map, RATING_COLUMNS
         )
         stim_col = index.get(STIMULUS_COLUMN)
-        records = []
+        cond_col, user_col, score_col = (index[c] for c in RATING_COLUMNS)
+        needed = max(cond_col, user_col, score_col)
+        conds, users, scores, stims = [], [], [], []
         for row in reader:
-            if not row or all(not cell.strip() for cell in row):
+            if not "".join(row).strip():
                 continue
-            line = reader.line_num
-            needed = max(index[c] for c in RATING_COLUMNS)
             if len(row) <= needed:
-                raise DataError(f"missing field at line {line}")
-            cond = row[index["condition_id"]].strip()
-            user = row[index["user_id"]].strip()
+                raise DataError(f"missing field at line {reader.line_num}")
+            cond = row[cond_col].strip()
+            user = row[user_col].strip()
             if not cond or not user:
-                raise DataError(f"empty condition_id or user_id at line {line}")
-            score = _parse_score(row[index["score"]].strip(), line)
-            stim = None
-            if stim_col is not None and len(row) > stim_col:
-                stim = row[stim_col].strip() or None
-            records.append(
-                RatingRecord(condition_id=cond, user_id=user, score=score, stimulus_id=stim)
+                raise DataError(f"empty condition_id or user_id at line {reader.line_num}")
+            scores.append(_parse_score(row[score_col].strip(), reader.line_num))
+            conds.append(cond)
+            users.append(user)
+            stims.append(
+                row[stim_col].strip() or None
+                if stim_col is not None and len(row) > stim_col
+                else None
             )
-        if not records:
+        if not conds:
             raise DataError("no rating rows found")
-        return RatingDataset(records, label=label)
+        return RatingDataset._from_columns(conds, users, scores, stims, label=label)
     finally:
         if needs_close:
             fh.close()

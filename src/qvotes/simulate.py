@@ -24,10 +24,12 @@ Reproducibility
 ---------------
 Run i at vote count n touching condition j draws from the substream
 ``SeedSequence(master_seed, spawn_key=(purpose, n, i, j))`` where purpose
-0 is vote sampling and 1 is bootstrap resampling.  Outputs are therefore
-bitwise identical for a fixed (dataset, config, seed) triple regardless
-of worker count or scheduling, and adding metrics to a sweep never
-perturbs the votes drawn for the others.
+0 is vote sampling and 1 is bootstrap resampling.  The substream states of
+a whole run are computed at once (``_substreams``), bit for bit those of
+that ``SeedSequence`` seeding a ``PCG64``; an oracle test pins this.
+Outputs are therefore bitwise identical for a fixed (dataset, config,
+seed) triple regardless of worker count or scheduling, and adding metrics
+to a sweep never perturbs the votes drawn for the others.
 """
 
 from __future__ import annotations
@@ -175,9 +177,103 @@ class CertaintyGain:
     delta_rmse: MetricCurve | None
 
 
-def _substream(master_seed: int, purpose: int, n: int, run_index: int, cond: int):
-    ss = np.random.SeedSequence(master_seed, spawn_key=(purpose, n, run_index, cond))
-    return np.random.Generator(np.random.PCG64(ss))
+# -- substreams ------------------------------------------------------------
+#
+# ``Generator(PCG64(SeedSequence(master_seed, spawn_key=(purpose, n, run, j))))``
+# for every condition j of one run at once, with numpy's constants and
+# steps.  The pool hash mixes the entropy words (the master seed's 32-bit
+# words, padded to four, then the spawn key's) in order.  Only the last word
+# depends on j, so all rounds before it are one scalar computation and only
+# the last round runs over a uint32 array.
+
+_MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _uint32_words(value: int) -> list[int]:
+    if value < 0:
+        raise ConfigError(f"seeds and run indices must be non-negative, got {value}")
+    words = [value & _MASK32]
+    value >>= 32
+    while value:
+        words.append(value & _MASK32)
+        value >>= 32
+    return words
+
+
+# _hashmix and _mix take Python ints or uint32 arrays (which wrap by themselves).
+def _hashmix(value, hash_const: int):
+    """SeedSequence's hashmix; returns (mixed value, next hash constant)."""
+    next_const = (hash_const * _MULT_A) & _MASK32
+    value = ((value ^ hash_const) * next_const) & _MASK32
+    return value ^ (value >> 16), next_const
+
+
+def _mix(x, y):
+    result = (((_MIX_MULT_L * x) & _MASK32) - ((_MIX_MULT_R * y) & _MASK32)) & _MASK32
+    return result ^ (result >> 16)
+
+
+def _seed_words(master_seed: int, key: tuple[int, ...], k: int) -> np.ndarray:
+    """``SeedSequence(master_seed, spawn_key=key + (j,)).generate_state(4,
+    np.uint64)`` for j = 0..k-1, as a (k, 4) array."""
+    entropy: list = _uint32_words(master_seed)
+    entropy += [0] * (_POOL_SIZE - len(entropy))
+    for part in key:
+        entropy += _uint32_words(part)
+    entropy.append(np.arange(k, dtype=np.uint32))
+    hash_const = _INIT_A
+    pool = []
+    for word in entropy[:_POOL_SIZE]:
+        value, hash_const = _hashmix(word, hash_const)
+        pool.append(value)
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                value, hash_const = _hashmix(pool[src], hash_const)
+                pool[dst] = _mix(pool[dst], value)
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            value, hash_const = _hashmix(word, hash_const)
+            pool[dst] = _mix(pool[dst], value)
+    # generate_state: eight uint32 words cycled out of the pool, paired
+    # little-endian into four uint64 words.
+    hash_const = _INIT_B
+    words = []
+    for i in range(8):
+        value = pool[i % _POOL_SIZE] ^ hash_const
+        hash_const = (hash_const * _MULT_B) & _MASK32
+        value = (value * hash_const) & _MASK32
+        words.append((value ^ (value >> 16)).astype(np.uint64))
+    return np.stack(
+        [words[2 * w] | (words[2 * w + 1] << np.uint64(32)) for w in range(4)], axis=1
+    )
+
+
+def _substreams(master_seed: int, purpose: int, n: int, run_index: int, k: int):
+    """Generators of the substreams ``(purpose, n, run_index, j)`` for
+    j = 0..k-1, in order; each is bit for bit
+    ``Generator(PCG64(SeedSequence(master_seed, spawn_key=(purpose, n, run_index, j))))``.
+
+    One generator is re-seeded for each j, so the caller must be done with
+    one before it takes the next.
+    """
+    bitgen = np.random.PCG64(0)
+    rng = np.random.Generator(bitgen)
+    pcg = {"state": 0, "inc": 0}
+    state = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
+    for s_hi, s_lo, q_hi, q_lo in _seed_words(master_seed, (purpose, n, run_index), k).tolist():
+        # PCG64 seeding: initstate and initseq are (high, low) word pairs.
+        inc = ((((q_hi << 64) | q_lo) << 1) | 1) & _MASK128
+        pcg["inc"] = inc
+        pcg["state"] = ((inc + ((s_hi << 64) | s_lo)) * _PCG_MULT + inc) & _MASK128
+        bitgen.state = state
+        yield rng
 
 
 def resolve_workers(workers: int | None = None) -> int:
@@ -204,8 +300,7 @@ def sample_condition(
 ) -> tuple[np.ndarray, list[str]]:
     """Draw ``n`` votes for one condition, with replacement, user first
     then score.  Returns the scores and the drawn users' ids."""
-    if n < 1:
-        raise ConfigError(f"n must be positive, got {n}")
+    _check_votes(n)
     cache = ds.condition_votes(ds.condition_index(condition_id))
     scores, rows = cache.sample(n, rng)
     users = [ds.users[g] for g in cache.user_rows[rows]]
@@ -218,12 +313,25 @@ def draw_run_sample(
     """The full per-condition sample for run ``run_index`` at vote count
     ``n``, exactly as the sweep engine would draw it."""
     votes: dict[str, tuple[np.ndarray, tuple[str, ...]]] = {}
-    for j, cond in enumerate(ds.conditions):
-        rng = _substream(master_seed, _PURPOSE_SAMPLE, n, run_index, j)
-        cache = ds.condition_votes(j)
-        scores, rows = cache.sample(n, rng)
-        votes[cond] = (scores, tuple(ds.users[g] for g in cache.user_rows[rows]))
+    for j, scores, rows in _run_votes(ds, n, run_index, master_seed):
+        user_rows = ds.condition_votes(j).user_rows[rows].tolist()
+        votes[ds.conditions[j]] = (scores, tuple(map(ds.users.__getitem__, user_rows)))
     return RunSample(run_index=run_index, per_condition_votes=votes)
+
+
+def _check_votes(n: int) -> None:
+    if n < 1:
+        raise ConfigError(f"n must be positive, got {n}")
+
+
+def _run_votes(ds: RatingDataset, n: int, run_index: int, master_seed: int):
+    """The one sampling path of a run: yields (j, scores, local user rows)
+    for every condition j in order, each drawn from its own substream."""
+    _check_votes(n)
+    streams = _substreams(master_seed, _PURPOSE_SAMPLE, n, run_index, len(ds.conditions))
+    for j, rng in enumerate(streams):
+        scores, rows = ds.condition_votes(j).sample(n, rng)
+        yield j, scores, rows
 
 
 # -- per-run metric evaluation ---------------------------------------------
@@ -274,18 +382,19 @@ def _simulate_run(
     width_sum = 0.0
     pair_users, pair_own, pair_others = [], [], []
 
-    for j in range(k):
-        rng = _substream(cfg.master_seed, _PURPOSE_SAMPLE, n, run_index, j)
-        cache = ds.condition_votes(j)
-        scores, rows = cache.sample(n, rng)
-        means[j] = scores.mean()
+    boot_streams = (
+        _substreams(cfg.master_seed, _PURPOSE_BOOT, n, run_index, k) if want_ci else None
+    )
+    for j, scores, rows in _run_votes(ds, n, run_index, cfg.master_seed):
+        # The integer sum is exact, so this is the float mean of the votes.
+        means[j] = scores.sum() / n
         if want_ci:
-            boot_rng = _substream(cfg.master_seed, _PURPOSE_BOOT, n, run_index, j)
             interval = bootstrap_ci_mos(
-                scores, cfg.bootstrap_resamples, cfg.ci_level, boot_rng
+                scores, cfg.bootstrap_resamples, cfg.ci_level, next(boot_streams)
             )
             width_sum += interval.width
         if want_irr:
+            cache = ds.condition_votes(j)
             counts = np.bincount(rows, minlength=cache.user_prob.size)
             present = np.flatnonzero(counts)
             if present.size >= 2:

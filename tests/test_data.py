@@ -141,6 +141,54 @@ class TestLoadRatings:
         assert make_dataset(rows).counts() == make_dataset(shuffled).counts()
 
 
+    @given(rows=st.lists(
+        st.tuples(st.integers(0, 4), st.integers(0, 6), st.integers(1, 5), st.integers(0, 2)),
+        min_size=1, max_size=50,
+    ), with_stimuli=st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_same_dataset_as_records(self, rows, with_stimuli):
+        rows = [(f"c{c}", f"u{u}", s, f"f{f}" if with_stimuli else None) for c, u, s, f in rows]
+        header = "condition_id,user_id,score" + (",stimulus_id" if with_stimuli else "")
+        lines = [",".join(str(x) for x in row if x is not None) for row in rows]
+        loaded = load_ratings(ratings_csv("\n".join([header, *lines]) + "\n"))
+        built = make_dataset(rows)
+        assert loaded.conditions == built.conditions == tuple(dict.fromkeys(r[0] for r in rows))
+        assert loaded.users == built.users == tuple(dict.fromkeys(r[1] for r in rows))
+        assert loaded.stimuli == built.stimuli
+        assert loaded.to_records() == built.to_records()
+
+
+class TestConditionCaches:
+    @given(rows=st.lists(
+        st.tuples(st.integers(0, 5), st.integers(0, 7), st.integers(1, 5)), min_size=1, max_size=80
+    ))
+    @settings(max_examples=80, deadline=None)
+    def test_grouped_build_matches_per_condition_scan(self, rows):
+        labelled = [(f"c{c}", f"u{u}", s) for c, u, s in rows]
+        ds = make_dataset(labelled)
+        for j, cond in enumerate(ds.conditions):
+            # the condition's votes as (first-appearance user index, score)
+            votes = [(ds.users.index(u), s) for c, u, s in labelled if c == cond]
+            user_rows = sorted({g for g, _ in votes})
+            counts = np.zeros((len(user_rows), 5), dtype=np.int64)
+            for g, s in votes:
+                counts[user_rows.index(g), s - 1] += 1
+            row_totals = counts.sum(axis=1)
+            user_prob = row_totals / row_totals.sum()
+            score_cdf = np.cumsum(counts / row_totals[:, None], axis=1)
+            score_cdf[:, -1] = 1.0
+            user_cdf = user_prob.cumsum()
+            user_cdf /= user_cdf[-1]
+            cache = ds.condition_votes(j)
+            assert cache.user_rows.tolist() == user_rows
+            for got, want in ((cache.counts, counts), (cache.row_totals, row_totals),
+                              (cache.user_prob, user_prob), (cache.score_cdf, score_cdf),
+                              (cache.user_cdf, user_cdf)):
+                assert np.array_equal(got, want)
+            assert cache.n_votes == len(votes)
+            assert cache.score_sum == sum(s for _, s in votes)
+
+
 class TestLoadReference:
     def test_basic(self):
         ref = load_reference(ratings_csv("condition_id,mos\nc1,3.2\nc2,4.5\n"))

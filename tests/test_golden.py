@@ -1,8 +1,11 @@
-"""Golden regression: a fixed ``qvotes simulate --delta`` sweep over all six
-metrics must keep reproducing ``tests/data/golden_sweep.csv``.
+"""Golden regression: fixed ``qvotes simulate --delta`` sweeps must keep
+reproducing their recorded CSV files byte for byte.
 
-The golden file was written by qvotes 0.1.0, before IRR became one grouped
-rank correlation per run; every byte must stay the same.
+``golden_sweep.csv`` (all six metrics, n >= 10) was written by qvotes 0.1.0,
+before IRR became one grouped rank correlation per run.
+``golden_sweep_lown.csv`` (a wide, sparse study at n = 2..20 with ``--fom``)
+was written by qvotes 0.2.0, before sampling moved to per-run vectorised
+substreams and the loader became columnar.
 """
 
 from __future__ import annotations
@@ -10,18 +13,52 @@ from __future__ import annotations
 import math
 from pathlib import Path
 
-from conftest import synthetic_dataset
-from qvotes import dataset_mos
+import numpy as np
+import pytest
+
+from conftest import make_dataset, synthetic_dataset
+from qvotes import RatingDataset, dataset_mos
 from qvotes.cli import main
 
-GOLDEN = Path(__file__).resolve().parent / "data" / "golden_sweep.csv"
-GOLDEN_ARGS = ("--n", "10:50:10", "--runs", "8", "--seed", "2020", "--delta")
+DATA = Path(__file__).resolve().parent / "data"
 
 
-def write_inputs(directory: Path) -> tuple[Path, Path]:
-    """Ratings of a fixed synthetic study and a reference table offset
-    from its own MOS by a deterministic wiggle."""
-    ds = synthetic_dataset(seed=41, n_conditions=12, n_users=24, label="golden")
+def sparse_dataset() -> RatingDataset:
+    """A wide, sparse study: 40 conditions, each rated by 2 to 5 of 16
+    raters, and about a third of those raters vote twice."""
+    rng = np.random.default_rng(43)
+    quality = np.linspace(1.3, 4.7, 40)
+    bias = rng.normal(0.0, 0.3, 16)
+    rows = []
+    for c in range(40):
+        for u in rng.choice(16, size=2 + c % 4, replace=False):
+            for _ in range(1 + int(rng.random() < 0.3)):
+                score = int(np.clip(round(quality[c] + bias[u] + rng.normal(0.0, 0.8)), 1, 5))
+                rows.append((f"s{c:02d}", f"r{u:02d}", score))
+    ds = make_dataset(rows, label="golden")
+    raters = [len(ds.users_for(c)) for c in ds.conditions]
+    assert min(raters) == 2 and raters.count(2) >= 5
+    return ds
+
+
+CASES = {
+    "all_metrics": (
+        lambda: synthetic_dataset(seed=41, n_conditions=12, n_users=24, label="golden"),
+        ("--n", "10:50:10", "--runs", "8", "--seed", "2020", "--delta"),
+        "golden_sweep.csv",
+    ),
+    "wide_lown": (
+        sparse_dataset,
+        ("--n", "2:20:2", "--runs", "6", "--seed", "2021", "--fom", "--delta",
+         "--metrics", "validity_srcc,validity_rmse,gain_srcc,gain_rmse"),
+        "golden_sweep_lown.csv",
+    ),
+}
+
+
+def write_inputs(directory: Path, ds: RatingDataset) -> tuple[Path, Path]:
+    """The dataset's ratings, and a reference table offset from its own MOS
+    by a deterministic wiggle."""
     ratings = directory / "golden.csv"
     lines = ["condition_id,user_id,score"]
     lines += [f"{r.condition_id},{r.user_id},{r.score}" for r in ds.to_records()]
@@ -37,14 +74,17 @@ def write_inputs(directory: Path) -> tuple[Path, Path]:
     return ratings, reference
 
 
-def run_golden_sweep(directory: Path, *extra: str) -> Path:
-    ratings, reference = write_inputs(directory)
+def run_golden_sweep(directory: Path, case: str, *extra: str) -> Path:
+    make, args, _ = CASES[case]
+    ratings, reference = write_inputs(directory, make())
     out = directory / "sweep"
-    argv = ["simulate", str(ratings), "--ref", str(reference), *GOLDEN_ARGS, *extra,
+    argv = ["simulate", str(ratings), "--ref", str(reference), *args, *extra,
             "--out", str(out)]
     assert main(argv) == 0
     return out.with_suffix(".csv")
 
 
-def test_sweep_matches_golden(tmp_path):
-    assert run_golden_sweep(tmp_path).read_text() == GOLDEN.read_text()
+@pytest.mark.parametrize("case", CASES)
+def test_sweep_matches_golden(tmp_path, case):
+    golden = DATA / CASES[case][2]
+    assert run_golden_sweep(tmp_path, case).read_text() == golden.read_text()

@@ -6,7 +6,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_dataset, synthetic_dataset, two_point_dataset, two_stage_pmf
@@ -32,7 +32,7 @@ from qvotes import (
     write_curves_csv,
     write_curves_json,
 )
-from qvotes.simulate import CurvePoint, _irr
+from qvotes.simulate import CurvePoint, _irr, _substreams
 
 
 def three_user_toy():
@@ -98,6 +98,11 @@ class TestSampleCondition:
         ds = three_user_toy()
         with pytest.raises(ConfigError):
             sample_condition(ds, "x", 0, np.random.default_rng(0))
+        with pytest.raises(ConfigError):
+            sample_condition(ds, "nope", 0, np.random.default_rng(0))
+        for n, run_index, master_seed in [(0, 0, 0), (-1, 0, 0), (3, -1, 0), (3, 0, -1)]:
+            with pytest.raises(ConfigError):
+                draw_run_sample(ds, n, run_index=run_index, master_seed=master_seed)
 
     def test_unknown_condition(self):
         ds = three_user_toy()
@@ -512,3 +517,45 @@ class TestBatchedIrr:
                 irr_full(ds, min_conditions)
         else:
             assert irr_full(ds, min_conditions) == pytest.approx(want, abs=1e-12)
+
+
+keys = st.integers(0, 2**40)
+
+
+class TestSubstreams:
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2**140), key=st.tuples(keys, keys, keys), k=st.integers(1, 6))
+    @example(seed=0, key=(0, 0, 0), k=3)
+    @example(seed=2**32, key=(1, 2**32, 2**40), k=2)
+    @example(seed=2**128 + 7, key=(0, 10, 249), k=1)
+    def test_bitwise_equal_to_seed_sequence(self, seed, key, k):
+        # multi-word seeds and keys change the entropy layout before the
+        # condition word; every state and draw must still be numpy's
+        drawn = 0
+        for j, rng in enumerate(_substreams(seed, *key, k)):
+            ss = np.random.SeedSequence(seed, spawn_key=(*key, j))
+            want = np.random.Generator(np.random.PCG64(ss))
+            assert rng.bit_generator.state == want.bit_generator.state
+            assert np.array_equal(rng.random(5), want.random(5))
+            assert np.array_equal(rng.multinomial(7, [0.5, 0.5], 3), want.multinomial(7, [0.5, 0.5], 3))
+            drawn += 1
+        assert drawn == k
+
+
+class TestConditionSampler:
+    @settings(max_examples=150, deadline=None)
+    @given(rows=small_studies, n=st.integers(1, 40), seed=st.integers(0, 2**32))
+    def test_matches_choice_then_random(self, rows, n, seed):
+        ds = make_dataset([(f"c{c}", f"u{u}", s) for c, u, s in rows])
+        for j in range(len(ds.conditions)):
+            cache = ds.condition_votes(j)
+            scores, picked = cache.sample(n, np.random.default_rng(seed))
+            # qvotes 0.2.0: users through Generator.choice, then one
+            # uniform per vote against the user's score CDF
+            rng = np.random.default_rng(seed)
+            want_rows = rng.choice(cache.user_prob.size, size=n, p=cache.user_prob)
+            thresholds = rng.random(n)
+            want_scores = 1 + np.sum(cache.score_cdf[want_rows] <= thresholds[:, None], axis=1)
+            assert np.array_equal(picked, want_rows)
+            assert np.array_equal(scores, want_scores.astype(np.int64))
+            assert scores.dtype == np.int64
