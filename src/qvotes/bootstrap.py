@@ -6,7 +6,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import beta
 
 from .errors import ConfigError, DataError
 
@@ -65,9 +64,15 @@ def bootstrap_ci_mos(
 def clopper_pearson(successes: int, n: int, level: float = 0.95) -> tuple[float, float]:
     """Exact binomial proportion interval via the inverse incomplete beta.
 
+    The beta quantiles come from ``scipy.special.betaincinv``, bit for bit
+    what the ``ppf`` of scipy's beta distribution returns; scipy is
+    imported at first use.
+
     Edge cases: lower bound 0 when successes = 0, upper bound 1 when
     successes = n.
     """
+    from scipy.special import betaincinv
+
     if n < 1:
         raise ConfigError(f"n must be positive, got {n}")
     if not 0 <= successes <= n:
@@ -75,8 +80,8 @@ def clopper_pearson(successes: int, n: int, level: float = 0.95) -> tuple[float,
     if not 0.0 < level < 1.0:
         raise ConfigError(f"level must be in (0, 1), got {level}")
     alpha = 1.0 - level
-    low = 0.0 if successes == 0 else float(beta.ppf(alpha / 2.0, successes, n - successes + 1))
-    high = 1.0 if successes == n else float(beta.ppf(1.0 - alpha / 2.0, successes + 1, n - successes))
+    low = 0.0 if successes == 0 else float(betaincinv(successes, n - successes + 1, alpha / 2.0))
+    high = 1.0 if successes == n else float(betaincinv(successes + 1, n - successes, 1.0 - alpha / 2.0))
     return low, high
 
 

@@ -483,27 +483,44 @@ def remove_outliers_iqr(
     else:
         raise ConfigError(f"scope must be 'condition' or 'stimulus', got {scope!r}")
 
-    keep = np.ones(ds.n_votes, dtype=bool)
+    # One grouping: votes sorted by (group, score), so group g's order
+    # statistics are the slice starts[g]:starts[g] + sizes[g].  Votes are
+    # small integers, so these linear interpolations are exact and equal
+    # np.median and np.percentile of each group.
     scores = ds._scores
-    for g in range(n_groups):
-        sel = np.flatnonzero(group_idx == g)
-        votes = scores[sel].astype(float)
-        median = np.median(votes)
-        q25, q75 = np.percentile(votes, [25.0, 75.0])
-        iqr = q75 - q25
-        if iqr == 0.0:
-            outlier = votes != median
-        else:
-            outlier = np.abs(votes - median) >= k * iqr
-        keep[sel[outlier]] = False
+    sorted_votes = scores[np.lexsort((scores, group_idx))].astype(float)
+    sizes = np.bincount(group_idx, minlength=n_groups)
+    starts = np.cumsum(sizes) - sizes
 
-    removed = int(ds.n_votes - keep.sum())
-    if removed == 0:
+    def quantile(q: float) -> np.ndarray:
+        pos = q * (sizes - 1)
+        below = np.floor(pos).astype(np.int64)
+        low = sorted_votes[starts + below]
+        high = sorted_votes[starts + np.minimum(below + 1, sizes - 1)]
+        return low + (high - low) * (pos - below)
+
+    median = quantile(0.5)[group_idx]
+    iqr = (quantile(0.75) - quantile(0.25))[group_idx]
+    distance = np.abs(scores - median)
+    keep = ~np.where(iqr == 0.0, distance != 0.0, distance >= k * iqr)
+
+    kept = int(keep.sum())
+    if kept == ds.n_votes:
         return ds, 0
-    survivors = [rec for rec, ok in zip(ds.to_records(), keep) if ok]
-    if not survivors:
+    if not kept:
         raise DataError("outlier removal deleted every vote")
-    return RatingDataset(survivors, label=ds.label), removed
+    stimuli = (
+        [None] * kept
+        if ds.stimuli is None
+        else [ds.stimuli[i] for i in ds._stim_idx[keep].tolist()]
+    )
+    return RatingDataset._from_columns(
+        [ds.conditions[i] for i in ds._cond_idx[keep].tolist()],
+        [ds.users[i] for i in ds._user_idx[keep].tolist()],
+        scores[keep].tolist(),
+        stimuli,
+        label=ds.label,
+    ), ds.n_votes - kept
 
 
 # -- empirical distributions ----------------------------------------------

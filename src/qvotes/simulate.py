@@ -44,12 +44,11 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.stats import t as _student_t
 
 from . import stats
 from .bootstrap import bootstrap_ci_mos
 from .data import RatingDataset, ReferenceMos
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, DegenerateDataError
 
 VALIDITY_SRCC = "validity_srcc"
 VALIDITY_RMSE = "validity_rmse"
@@ -365,6 +364,19 @@ def _irr(users: list, own: list, others: list, min_conditions: int):
     return float(np.mean(values[keep][np.argsort(first[keep])]))
 
 
+def _unless_degenerate(statistic, *args) -> float | None:
+    """``statistic(*args)``, or None where it is mathematically undefined."""
+    try:
+        return statistic(*args)
+    except DegenerateDataError:
+        return None
+
+
+def _mapped_rmse(x: np.ndarray, y: np.ndarray) -> float:
+    """RMSE of ``y`` against ``x`` after a first-order map of ``x`` onto ``y``."""
+    return stats.rmse(stats.fit_line(x, y).apply(x), y)
+
+
 def _simulate_run(
     ds: RatingDataset,
     cfg: SweepConfig,
@@ -406,19 +418,20 @@ def _simulate_run(
                 pair_own.append(per_user)
                 pair_others.append((per_user.sum() - per_user) / (present.size - 1))
 
+    # A statistic undefined for this run's votes (a constant MOS vector) is
+    # a missing value, as for IRR: run_sweep averages the runs that have one.
     out: dict[str, float | None] = {}
     if VALIDITY_SRCC in metrics or VALIDITY_RMSE in metrics:
         sub = means[ref_ctx.local_idx]
         if VALIDITY_SRCC in metrics:
-            out[VALIDITY_SRCC] = stats.srcc(sub, ref_ctx.values)
+            out[VALIDITY_SRCC] = _unless_degenerate(stats.srcc, sub, ref_ctx.values)
         if VALIDITY_RMSE in metrics:
             if cfg.apply_first_order_map:
-                line = stats.fit_line(sub, ref_ctx.values)
-                out[VALIDITY_RMSE] = stats.rmse(line.apply(sub), ref_ctx.values)
+                out[VALIDITY_RMSE] = _unless_degenerate(_mapped_rmse, sub, ref_ctx.values)
             else:
                 out[VALIDITY_RMSE] = stats.rmse(sub, ref_ctx.values)
     if GAIN_SRCC in metrics:
-        out[GAIN_SRCC] = stats.srcc(means, full_mos)
+        out[GAIN_SRCC] = _unless_degenerate(stats.srcc, means, full_mos)
     if GAIN_RMSE in metrics:
         out[GAIN_RMSE] = stats.rmse(means, full_mos)
     if want_ci:
@@ -429,12 +442,22 @@ def _simulate_run(
 
 
 def _aggregate(values: list[float], level: float) -> tuple[float, float, float, float]:
+    """Mean, Student-t CI bounds and standard deviation across runs.
+
+    The t quantile comes from ``scipy.special.stdtrit``, the function that
+    the ``ppf`` of scipy's Student t distribution wraps, so it is bit for
+    bit that ``ppf``.  It is imported here, at first use: a one-run sweep
+    never loads scipy.
+    """
     arr = np.asarray(values, dtype=float)
     mean = float(arr.mean())
     if arr.size == 1:
         return mean, mean, mean, 0.0
+    from scipy.special import stdtrit
+
     sd = float(arr.std(ddof=1))
-    half = float(_student_t.ppf(1.0 - (1.0 - level) / 2.0, arr.size - 1)) * sd / math.sqrt(arr.size)
+    t_quantile = float(stdtrit(arr.size - 1, 1.0 - (1.0 - level) / 2.0))
+    half = t_quantile * sd / math.sqrt(arr.size)
     return mean, mean - half, mean + half, sd
 
 
@@ -448,7 +471,9 @@ def run_sweep(
     """Run the full sweep and return one curve per configured metric.
 
     Validity metrics require ``ref``; the configuration is rejected
-    before any sampling happens otherwise.
+    before any sampling happens otherwise.  A run whose statistic is
+    undefined (a constant MOS vector, no eligible IRR rater) is left out
+    of that point; a point with no valid run raises :class:`DataError`.
     """
     needs_ref = [m for m in cfg.metrics if m in REFERENCE_METRICS]
     if needs_ref and ref is None:

@@ -97,6 +97,19 @@ class TestClopperPearson:
         assert high == 1.0
         assert low == pytest.approx(0.025 ** (1 / 50), abs=1e-12)
 
+    @pytest.mark.parametrize("level", [0.9, 0.95])
+    def test_bitwise_equal_to_beta_ppf(self, level):
+        from scipy.stats import beta
+
+        alpha = 1.0 - level
+        n, s = np.array([(n, s) for n in range(1, 201) for s in range(n + 1)]).T
+        # beta.ppf applied elementwise; the edge values are fixed, not computed
+        low = np.where(s == 0, 0.0, beta.ppf(alpha / 2.0, s, n - s + 1))
+        high = np.where(s == n, 1.0, beta.ppf(1.0 - alpha / 2.0, s + 1, n - s))
+        got = np.array([clopper_pearson(int(a), int(b), level) for a, b in zip(s, n)])
+        assert np.array_equal(got[:, 0], low)
+        assert np.array_equal(got[:, 1], high)
+
     def test_validation(self):
         with pytest.raises(ConfigError):
             clopper_pearson(5, 4)

@@ -3,11 +3,16 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import synthetic_dataset
+import qvotes
 from qvotes import ConfigError, dataset_mos, write_curves_csv
 from qvotes.cli import main, parse_col_map, parse_metrics, parse_sweep
 from qvotes.simulate import CurvePoint, MetricCurve
@@ -308,3 +313,51 @@ class TestMaxci:
 
     def test_mos_out_of_range(self, capsys):
         assert main(["maxci", "--mos", "7", "--n", "10:10:10"]) == 1
+
+
+COLD_START_SCRIPT = """
+import json, sys
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+import qvotes.cli
+ratings, reference, out, report = sys.argv[1:]
+loaded = {"import qvotes.cli": [0, scipy_modules()]}
+sweep = ["--ref", reference, "--n", "10:40:10", "--seed", "3", "--boot", "100"]
+steps = {
+    "validate": ["validate", ratings, "--ref", reference],
+    "compare": ["compare", ratings, reference, "--fom"],
+    "simulate --runs 1": ["simulate", ratings, *sweep, "--runs", "1", "--out", out],
+    "fit": ["fit", out + ".csv", "--metric", "gain_rmse"],
+    "simulate --runs 2": ["simulate", ratings, *sweep, "--runs", "2", "--out", out],
+    "maxci": ["maxci", "--mos", "3", "--n", "10:20:10"],
+}
+for name, argv in steps.items():
+    loaded[name] = [qvotes.cli.main(argv), scipy_modules()]
+with open(report, "w") as fh:
+    json.dump(loaded, fh)
+"""
+
+
+class TestColdStart:
+    def test_scipy_is_imported_only_for_quantiles(self, toy_files, tmp_path):
+        # A fresh interpreter: this test process has scipy loaded already.
+        ratings, reference = toy_files
+        report = tmp_path / "modules.json"
+        env = dict(os.environ)
+        src = str(Path(qvotes.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", COLD_START_SCRIPT, str(ratings), str(reference),
+             str(tmp_path / "sweep"), str(report)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        loaded = json.loads(report.read_text())
+        assert all(code == 0 for code, _ in loaded.values()), loaded
+        for step in ("import qvotes.cli", "validate", "compare", "simulate --runs 1", "fit"):
+            assert loaded[step][1] == [], step
+        # The across-run t quantile and the beta quantiles of maxci come
+        # from scipy.special alone.
+        for step in ("simulate --runs 2", "maxci"):
+            assert "scipy.special" in loaded[step][1], step
+            assert not any(m.startswith("scipy.stats") for m in loaded[step][1]), step

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import io
 
 import numpy as np
@@ -338,6 +339,68 @@ class TestOutlierRemoval:
         ds = make_dataset([("x", f"u{i}", v) for i, v in enumerate(votes)], label="mine")
         cleaned, _ = remove_outliers_iqr(ds)
         assert cleaned.label == "mine"
+
+
+def outliers_by_group_scan(ds, k, scope):
+    """remove_outliers_iqr as one scan of the votes per group, rebuilt
+    through records: the reference for the grouped implementation."""
+    group_idx = ds._cond_idx if scope == "condition" else ds._stim_idx
+    keep = np.ones(ds.n_votes, dtype=bool)
+    for g in range(group_idx.max() + 1):
+        sel = np.flatnonzero(group_idx == g)
+        votes = ds._scores[sel].astype(float)
+        median = np.median(votes)
+        q25, q75 = np.percentile(votes, [25.0, 75.0])
+        iqr = q75 - q25
+        if iqr == 0.0:
+            outlier = votes != median
+        else:
+            outlier = np.abs(votes - median) >= k * iqr
+        keep[sel[outlier]] = False
+    removed = int(ds.n_votes - keep.sum())
+    if removed == 0:
+        return ds, 0
+    survivors = [rec for rec, ok in zip(ds.to_records(), keep) if ok]
+    if not survivors:
+        raise DataError("outlier removal deleted every vote")
+    return RatingDataset(survivors, label=ds.label), removed
+
+
+class TestOutlierRemovalOracle:
+    @given(
+        rows=st.lists(
+            st.tuples(st.integers(0, 3), st.integers(0, 6), st.integers(1, 5), st.integers(0, 2)),
+            min_size=1,
+            max_size=80,
+        ),
+        k=st.sampled_from([0.25, 0.5, 1.0, 1.5, 3.0]),
+        scope=st.sampled_from(["condition", "stimulus", None]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_per_group_scan(self, rows, k, scope):
+        # scope None: per-condition groups on a dataset without stimulus ids
+        if scope is None:
+            ds = make_dataset([(f"c{c}", f"u{u}", s) for c, u, s, _ in rows], label="o")
+            scope = "condition"
+        else:
+            ds = make_dataset([(f"c{c}", f"u{u}", s, f"s{t}") for c, u, s, t in rows], label="o")
+        try:
+            want, want_removed = outliers_by_group_scan(ds, k, scope)
+        except DataError:
+            with pytest.raises(DataError, match="deleted every vote"):
+                remove_outliers_iqr(ds, k=k, scope=scope)
+            return
+        got, removed = remove_outliers_iqr(ds, k=k, scope=scope)
+        assert removed == want_removed
+        assert (got.label, got.conditions, got.users, got.stimuli) == (
+            want.label, want.conditions, want.users, want.stimuli
+        )
+        for attr in ("_cond_idx", "_user_idx", "_stim_idx", "_scores"):
+            assert np.array_equal(getattr(got, attr), getattr(want, attr))
+        for j in range(len(want.conditions)):
+            a, b = got.condition_votes(j), want.condition_votes(j)
+            for field in dataclasses.fields(a):
+                assert np.array_equal(getattr(a, field.name), getattr(b, field.name))
 
 
 class TestDatasetBasics:

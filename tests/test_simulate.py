@@ -32,7 +32,7 @@ from qvotes import (
     write_curves_csv,
     write_curves_json,
 )
-from qvotes.simulate import CurvePoint, _irr, _substreams
+from qvotes.simulate import CurvePoint, _aggregate, _irr, _substreams
 
 
 def three_user_toy():
@@ -220,6 +220,69 @@ class TestRunSweep:
             ds, ref, dataclasses.replace(cfg, apply_first_order_map=True)
         )[0].point_at(40).mean
         assert mapped < plain
+
+
+def near_unanimous_dataset():
+    """Six raters vote 3 on a, b and c; a seventh votes 4 on a and 2 on c.
+    Every run whose votes all come from the six has a constant MOS vector."""
+    rows = [(c, f"u{i}", 3) for c in "abc" for i in range(6)]
+    return make_dataset(rows + [("a", "u6", 4), ("c", "u6", 2)])
+
+
+def run_mos(ds, n, run_index, seed):
+    sample = draw_run_sample(ds, n, run_index, seed)
+    return np.array([mos_plain(v) for v, _ in sample.per_condition_votes.values()])
+
+
+class TestDegenerateRuns:
+    def test_constant_mos_run_is_missing_not_fatal(self):
+        ds = near_unanimous_dataset()
+        cfg = SweepConfig(
+            n_values=(1, 2, 3, 4), repetitions=20, metrics=("gain_srcc", "gain_rmse")
+        )
+        gain_srcc, gain_rmse = run_sweep(ds, None, cfg)
+        assert gain_srcc.n_values == gain_rmse.n_values == (1, 2, 3, 4)
+        # rmse is defined for every run; at n=1 the runs that drew only 3s
+        # are missing from srcc, so the two curves average different runs
+        full = dataset_mos(ds).values
+        runs = [run_mos(ds, 1, i, 0) for i in range(20)]
+        rmses = [float(np.sqrt(np.mean((m - full) ** 2))) for m in runs]
+        srccs = [srcc(m, full) for m in runs if np.ptp(m) > 0]
+        assert 0 < len(srccs) < len(runs)
+        assert gain_rmse.point_at(1).mean == pytest.approx(np.mean(rmses), abs=1e-12)
+        assert gain_srcc.point_at(1).mean == pytest.approx(np.mean(srccs), abs=1e-12)
+
+    def test_validity_with_mapping_skips_constant_runs(self):
+        ds = near_unanimous_dataset()
+        ref = ReferenceMos({"a": 3.5, "b": 3.0, "c": 2.5})
+        cfg = SweepConfig(
+            n_values=(1, 2),
+            repetitions=20,
+            metrics=("validity_srcc", "validity_rmse"),
+            apply_first_order_map=True,
+        )
+        for curve in run_sweep(ds, ref, cfg):
+            assert curve.n_values == (1, 2)
+
+    def test_point_without_a_valid_run_is_an_error(self):
+        ds = make_dataset([(c, f"u{i}", 3) for c in "abc" for i in range(4)])
+        cfg = SweepConfig(n_values=(2,), repetitions=3, metrics=("gain_srcc",))
+        with pytest.raises(DataError, match="no run produced a value for gain_srcc"):
+            run_sweep(ds, None, cfg)
+
+
+class TestAggregate:
+    @pytest.mark.parametrize("level", [0.5, 0.8, 0.9, 0.95, 0.99])
+    def test_half_width_is_student_t_ppf_bit_for_bit(self, level):
+        from scipy.stats import t
+
+        rng = np.random.default_rng(5)
+        for df in range(1, 301):
+            values = rng.normal(0.5, 0.2, size=df + 1).tolist()
+            arr = np.asarray(values)
+            mean, sd = float(arr.mean()), float(arr.std(ddof=1))
+            half = float(t.ppf(1.0 - (1.0 - level) / 2.0, df)) * sd / np.sqrt(df + 1)
+            assert _aggregate(values, level) == (mean, mean - half, mean + half, sd)
 
 
 class TestCertaintyGain:
