@@ -64,9 +64,10 @@ def bootstrap_ci_mos(
 def clopper_pearson(successes: int, n: int, level: float = 0.95) -> tuple[float, float]:
     """Exact binomial proportion interval via the inverse incomplete beta.
 
-    The beta quantiles come from ``scipy.special.betaincinv``, bit for bit
-    what the ``ppf`` of scipy's beta distribution returns; scipy is
-    imported at first use.
+    The beta quantiles come from ``scipy.special.betaincinv``, imported at
+    first use.  It is not the routine the ``ppf`` of scipy's beta
+    distribution calls, but on scipy 1.17.1 the two agree bit for bit at
+    every argument used here for n <= 400 (tests check n <= 200).
 
     Edge cases: lower bound 0 when successes = 0, upper bound 1 when
     successes = n.

@@ -483,26 +483,21 @@ def remove_outliers_iqr(
     else:
         raise ConfigError(f"scope must be 'condition' or 'stimulus', got {scope!r}")
 
-    # One grouping: votes sorted by (group, score), so group g's order
-    # statistics are the slice starts[g]:starts[g] + sizes[g].  Votes are
-    # small integers, so these linear interpolations are exact and equal
-    # np.median and np.percentile of each group.
+    # One grouping: a stable sort lists each group's votes in file order.
     scores = ds._scores
-    sorted_votes = scores[np.lexsort((scores, group_idx))].astype(float)
-    sizes = np.bincount(group_idx, minlength=n_groups)
-    starts = np.cumsum(sizes) - sizes
-
-    def quantile(q: float) -> np.ndarray:
-        pos = q * (sizes - 1)
-        below = np.floor(pos).astype(np.int64)
-        low = sorted_votes[starts + below]
-        high = sorted_votes[starts + np.minimum(below + 1, sizes - 1)]
-        return low + (high - low) * (pos - below)
-
-    median = quantile(0.5)[group_idx]
-    iqr = (quantile(0.75) - quantile(0.25))[group_idx]
-    distance = np.abs(scores - median)
-    keep = ~np.where(iqr == 0.0, distance != 0.0, distance >= k * iqr)
+    order = np.argsort(group_idx, kind="stable")
+    ends = np.cumsum(np.bincount(group_idx, minlength=n_groups))
+    keep = np.ones(ds.n_votes, dtype=bool)
+    for sel in np.split(order, ends[:-1]):
+        votes = scores[sel].astype(float)
+        median = np.median(votes)
+        q25, q75 = np.percentile(votes, [25.0, 75.0])
+        iqr = q75 - q25
+        if iqr == 0.0:
+            outlier = votes != median
+        else:
+            outlier = np.abs(votes - median) >= k * iqr
+        keep[sel[outlier]] = False
 
     kept = int(keep.sum())
     if kept == ds.n_votes:

@@ -474,6 +474,9 @@ def run_sweep(
     before any sampling happens otherwise.  A run whose statistic is
     undefined (a constant MOS vector, no eligible IRR rater) is left out
     of that point; a point with no valid run raises :class:`DataError`.
+    A rank correlation against a constant reference or full-dataset MOS
+    is undefined for every run and raises :class:`DegenerateDataError`
+    before any sampling.
     """
     needs_ref = [m for m in cfg.metrics if m in REFERENCE_METRICS]
     if needs_ref and ref is None:
@@ -492,12 +495,22 @@ def run_sweep(
             local_idx=np.asarray(local, dtype=np.int64),
             values=np.array([ref[ds.conditions[j]] for j in local]),
         )
+        if VALIDITY_SRCC in cfg.metrics and np.ptp(ref_ctx.values) == 0.0:
+            raise DegenerateDataError(
+                f"{VALIDITY_SRCC} is undefined: the reference MOS is the same "
+                "for every shared condition"
+            )
 
     full_mos = None
     if GAIN_SRCC in cfg.metrics or GAIN_RMSE in cfg.metrics:
         if len(ds.conditions) < 3:
             raise DataError("gain metrics need at least 3 conditions")
         full_mos = stats.dataset_mos(ds, method="user_balanced").values
+        if GAIN_SRCC in cfg.metrics and np.ptp(full_mos) == 0.0:
+            raise DegenerateDataError(
+                f"{GAIN_SRCC} is undefined: every condition has the same "
+                "full-dataset MOS"
+            )
 
     r = cfg.repetitions
     tasks = [(n_idx, i) for n_idx in range(len(cfg.n_values)) for i in range(r)]

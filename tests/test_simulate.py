@@ -32,6 +32,7 @@ from qvotes import (
     write_curves_csv,
     write_curves_json,
 )
+from qvotes import simulate
 from qvotes.simulate import CurvePoint, _aggregate, _irr, _substreams
 
 
@@ -265,10 +266,39 @@ class TestDegenerateRuns:
             assert curve.n_values == (1, 2)
 
     def test_point_without_a_valid_run_is_an_error(self):
-        ds = make_dataset([(c, f"u{i}", 3) for c in "abc" for i in range(4)])
-        cfg = SweepConfig(n_values=(2,), repetitions=3, metrics=("gain_srcc",))
-        with pytest.raises(DataError, match="no run produced a value for gain_srcc"):
+        # each rater rates two conditions, fewer than IRR's minimum of three
+        ds = make_dataset([("a", "u1", 2), ("b", "u1", 4), ("b", "u2", 3), ("c", "u2", 5)])
+        cfg = SweepConfig(n_values=(2,), repetitions=3, metrics=("gain_rmse", "irr"))
+        with pytest.raises(DataError, match="no run produced a value for irr at n=2"):
             run_sweep(ds, None, cfg)
+
+    @pytest.mark.parametrize(
+        "metric, rows, ref, message",
+        [
+            (
+                "gain_srcc",
+                [(c, f"u{i}", 3) for c in "abc" for i in range(4)],
+                None,
+                "same full-dataset MOS",
+            ),
+            (
+                "validity_srcc",
+                [(c, "u1", s) for c, s in zip("abc", (2, 3, 4))],
+                ReferenceMos({"a": 4.0, "b": 4.0, "c": 4.0}),
+                "reference MOS is the same",
+            ),
+        ],
+    )
+    def test_srcc_against_a_constant_vector_fails_before_sampling(
+        self, monkeypatch, metric, rows, ref, message
+    ):
+        def no_sampling(*args):
+            raise AssertionError("sampled a run")
+
+        monkeypatch.setattr(simulate, "_simulate_run", no_sampling)
+        cfg = SweepConfig(n_values=(2,), repetitions=3, metrics=(metric,))
+        with pytest.raises(DegenerateDataError, match=f"{metric} is undefined: .*{message}"):
+            run_sweep(make_dataset(rows), ref, cfg)
 
 
 class TestAggregate:
