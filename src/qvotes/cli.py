@@ -292,6 +292,8 @@ def cmd_simulate(args) -> int:
         ci_level=args.ci_level,
         apply_first_order_map=args.fom,
     )
+    if args.delta:
+        simulate.require_delta_baseline(cfg)
     curves = run_sweep(ds, ref, cfg, workers=args.workers)
 
     if args.delta:

@@ -59,6 +59,45 @@ def _first_appearance_index(values: list) -> tuple[dict, np.ndarray]:
     return pos, np.fromiter(map(pos.__getitem__, values), dtype=np.int32, count=len(values))
 
 
+# Inverse-CDF sampling of many conditions at once.  Every uniform a numpy
+# Generator draws is u = a * 2^-53 for a 53-bit integer a, and cdf <= u
+# exactly when ceil(cdf * 2^53) <= a (scaling by 2^53 is exact).  Tagging
+# each user CDF entry's integer cut with its condition's position in a
+# block, in bits 54 and up, makes the cuts of the whole block one ascending
+# array, so one searchsorted picks the users of every condition.  A tag
+# <= 1023 * 2^54 plus a cut <= 2^53 stays below 2^64.
+UNIT_BITS = 53
+_TAG_SHIFT = 54
+MAX_BLOCK = 1024
+
+
+def _invert(user_cdf: np.ndarray, sizes: np.ndarray, score_cdf: np.ndarray, draws: np.ndarray):
+    """Votes of a block of at most MAX_BLOCK conditions from their 53-bit
+    draws.
+
+    ``user_cdf`` and ``score_cdf`` hold the CDFs of the block's consecutive
+    rows and ``sizes`` each condition's number of rows.  Row i of the
+    (conditions, 2n) ``draws`` picks n users with its first n entries and
+    then their scores with the next n, exactly as
+    ``searchsorted(side="right")`` on the float CDFs does.  Returns
+    (scores, rows local to each condition), both (conditions, n).
+    """
+    n = draws.shape[1] // 2
+    first = np.cumsum(sizes) - sizes
+    tags = np.arange(sizes.size, dtype=np.uint64) << np.uint64(_TAG_SHIFT)
+    keys = user_cdf * 2.0**UNIT_BITS
+    np.ceil(keys, out=keys)
+    keys = keys.astype(np.uint64)
+    keys |= np.repeat(tags, sizes)
+    pos = keys.searchsorted(draws[:, :n] + tags[:, None], side="right")
+    u = draws[:, n:] * 2.0**-UNIT_BITS
+    scores = np.ones(pos.shape, np.int64)
+    # The last CDF entry is 1.0, above every u.
+    for column in range(NUM_SCORES - 1):
+        scores += score_cdf[:, column][pos] <= u
+    return scores, pos - first[:, None]
+
+
 @dataclass(frozen=True)
 class _ConditionVotes:
     """Per-condition vote counts in sampling-friendly form.
@@ -85,10 +124,9 @@ class _ConditionVotes:
         the scores; this draws exactly what ``rng.choice(m, size=n,
         p=user_prob)`` followed by ``rng.random(n)`` draws.
         """
-        u = rng.random(2 * n)
-        rows = self.user_cdf.searchsorted(u[:n], side="right")
-        scores = 1 + (self.score_cdf[rows] <= u[n:, None]).sum(axis=1)
-        return scores, rows
+        draws = (rng.random(2 * n) * 2.0**UNIT_BITS).astype(np.uint64)
+        scores, rows = _invert(self.user_cdf, np.array([self.user_cdf.size]), self.score_cdf, draws[None])
+        return scores[0], rows[0]
 
 
 class RatingDataset:
@@ -141,7 +179,9 @@ class RatingDataset:
 
     def _build_conditions(self) -> list[_ConditionVotes]:
         """Every condition's cache, from one grouping of the votes by
-        (condition, user); users ascend within a condition."""
+        (condition, user); users ascend within a condition.  Also keeps
+        the CDFs of all conditions, row after row, for sampling blocks of
+        conditions at once."""
         n_users = len(self.users)
         pairs, pair_of_vote = np.unique(
             self._cond_idx.astype(np.int64) * n_users + self._user_idx,
@@ -159,20 +199,26 @@ class RatingDataset:
         score_cdf = np.cumsum(counts / row_totals[:, None], axis=1)
         score_cdf[:, -1] = 1.0
         user_rows = (pairs % n_users).astype(np.int32)
+        user_cdf = np.empty_like(user_prob)
+        for a, b in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+            # Normalised as Generator.choice normalises its cumulative p.
+            np.cumsum(user_prob[a:b], out=user_cdf[a:b])
+            user_cdf[a:b] /= user_cdf[b - 1]
+        self._row_bounds = bounds
+        self._user_rows = user_rows
+        self._user_cdf = user_cdf
+        self._score_cdf = score_cdf
         out = []
         for a, b, total, score_sum in zip(
             bounds[:-1].tolist(), bounds[1:].tolist(), cond_totals.tolist(), score_sums.tolist()
         ):
-            # Normalised as Generator.choice normalises its cumulative p.
-            user_cdf = user_prob[a:b].cumsum()
-            user_cdf /= user_cdf[-1]
             out.append(
                 _ConditionVotes(
                     user_rows=user_rows[a:b],
                     counts=counts[a:b],
                     row_totals=row_totals[a:b],
                     user_prob=user_prob[a:b],
-                    user_cdf=user_cdf,
+                    user_cdf=user_cdf[a:b],
                     score_cdf=score_cdf[a:b],
                     n_votes=total,
                     score_sum=score_sum,
@@ -194,6 +240,13 @@ class RatingDataset:
 
     def condition_votes(self, index: int) -> _ConditionVotes:
         return self._per_condition[index]
+
+    def _sample_block(self, start: int, stop: int, draws: np.ndarray):
+        """Votes of conditions ``start..stop-1`` (at most MAX_BLOCK) from
+        their (stop - start, 2n) 53-bit draws; see :func:`_invert`."""
+        r0, r1 = self._row_bounds[start], self._row_bounds[stop]
+        sizes = np.diff(self._row_bounds[start : stop + 1])
+        return _invert(self._user_cdf[r0:r1], sizes, self._score_cdf[r0:r1], draws)
 
     def votes_per_condition(self) -> np.ndarray:
         return np.array([c.n_votes for c in self._per_condition], dtype=np.int64)

@@ -24,12 +24,19 @@ Reproducibility
 ---------------
 Run i at vote count n touching condition j draws from the substream
 ``SeedSequence(master_seed, spawn_key=(purpose, n, i, j))`` where purpose
-0 is vote sampling and 1 is bootstrap resampling.  The substream states of
-a whole run are computed at once (``_substreams``), bit for bit those of
-that ``SeedSequence`` seeding a ``PCG64``; an oracle test pins this.
-Outputs are therefore bitwise identical for a fixed (dataset, config,
-seed) triple regardless of worker count or scheduling, and adding metrics
-to a sweep never perturbs the votes drawn for the others.
+0 is vote sampling and 1 is bootstrap resampling.  The seed states of a
+whole run are computed at once (``_seed_words``).  Vote draws then need no
+generator at all: PCG64 is a 128-bit LCG, so its state after t steps is
+``M^t * s_0 + inc * (M^0 + ... + M^(t-1)) mod 2^128`` (LCG jump-ahead), and
+one array expression gives the first 2n draws of every condition's stream
+(``_pcg64_block``).  The first n pick users and the next n their scores,
+by inverse CDF on the draws' 53-bit integers.  Bootstrap resampling runs
+one re-seeded ``Generator`` per condition (``_substreams``).  Both are bit
+for bit what ``PCG64(SeedSequence(master_seed, spawn_key=(purpose, n, i,
+j)))`` draws; oracle tests pin this.  Outputs are therefore bitwise
+identical for a fixed (dataset, config, seed) triple regardless of worker
+count or scheduling, and adding metrics to a sweep never perturbs the
+votes drawn for the others.
 """
 
 from __future__ import annotations
@@ -47,7 +54,7 @@ import numpy as np
 
 from . import stats
 from .bootstrap import bootstrap_ci_mos
-from .data import RatingDataset, ReferenceMos
+from .data import MAX_BLOCK, RatingDataset, ReferenceMos
 from .errors import ConfigError, DataError, DegenerateDataError
 
 VALIDITY_SRCC = "validity_srcc"
@@ -183,7 +190,7 @@ class CertaintyGain:
 # steps.  The pool hash mixes the entropy words (the master seed's 32-bit
 # words, padded to four, then the spawn key's) in order.  Only the last word
 # depends on j, so all rounds before it are one scalar computation and only
-# the last round runs over a uint32 array.
+# the last word's rounds and the output run over uint32 arrays.
 
 _MASK32 = 0xFFFFFFFF
 _MASK128 = (1 << 128) - 1
@@ -218,14 +225,24 @@ def _mix(x, y):
     return result ^ (result >> 16)
 
 
-def _seed_words(master_seed: int, key: tuple[int, ...], k: int) -> np.ndarray:
+def _round_consts(hash_const: int, mult: int, rounds: int):
+    """The (xor, multiplier) constants of ``rounds`` successive hash rounds
+    from ``hash_const``, as two (rounds, 1) uint32 columns."""
+    consts = []
+    for _ in range(rounds):
+        next_const = (hash_const * mult) & _MASK32
+        consts.append((hash_const, next_const))
+        hash_const = next_const
+    return np.array(consts, dtype=np.uint32).T[:, :, None]
+
+
+def _seed_words(master_seed: int, key: tuple[int, ...], start: int, stop: int) -> np.ndarray:
     """``SeedSequence(master_seed, spawn_key=key + (j,)).generate_state(4,
-    np.uint64)`` for j = 0..k-1, as a (k, 4) array."""
-    entropy: list = _uint32_words(master_seed)
+    np.uint64)`` for j = start..stop-1, as a (stop - start, 4) array."""
+    entropy = _uint32_words(master_seed)
     entropy += [0] * (_POOL_SIZE - len(entropy))
     for part in key:
         entropy += _uint32_words(part)
-    entropy.append(np.arange(k, dtype=np.uint32))
     hash_const = _INIT_A
     pool = []
     for word in entropy[:_POOL_SIZE]:
@@ -240,18 +257,17 @@ def _seed_words(master_seed: int, key: tuple[int, ...], k: int) -> np.ndarray:
         for dst in range(_POOL_SIZE):
             value, hash_const = _hashmix(word, hash_const)
             pool[dst] = _mix(pool[dst], value)
+    # The last word, j, mixes into each pool entry in its own round: the
+    # four rounds are one (4, k) array expression.
+    xor, mult = _round_consts(hash_const, _MULT_A, _POOL_SIZE)
+    value = (np.arange(start, stop, dtype=np.uint32) ^ xor) * mult
+    pool = _mix(np.array(pool, dtype=np.uint32)[:, None], value ^ (value >> 16))
     # generate_state: eight uint32 words cycled out of the pool, paired
     # little-endian into four uint64 words.
-    hash_const = _INIT_B
-    words = []
-    for i in range(8):
-        value = pool[i % _POOL_SIZE] ^ hash_const
-        hash_const = (hash_const * _MULT_B) & _MASK32
-        value = (value * hash_const) & _MASK32
-        words.append((value ^ (value >> 16)).astype(np.uint64))
-    return np.stack(
-        [words[2 * w] | (words[2 * w + 1] << np.uint64(32)) for w in range(4)], axis=1
-    )
+    xor, mult = _round_consts(_INIT_B, _MULT_B, 2 * _POOL_SIZE)
+    value = (np.concatenate([pool, pool]) ^ xor) * mult
+    words = (value ^ (value >> 16)).astype(np.uint64)
+    return (words[0::2] | (words[1::2] << np.uint64(32))).T
 
 
 def _substreams(master_seed: int, purpose: int, n: int, run_index: int, k: int):
@@ -266,13 +282,104 @@ def _substreams(master_seed: int, purpose: int, n: int, run_index: int, k: int):
     rng = np.random.Generator(bitgen)
     pcg = {"state": 0, "inc": 0}
     state = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
-    for s_hi, s_lo, q_hi, q_lo in _seed_words(master_seed, (purpose, n, run_index), k).tolist():
+    for s_hi, s_lo, q_hi, q_lo in _seed_words(master_seed, (purpose, n, run_index), 0, k).tolist():
         # PCG64 seeding: initstate and initseq are (high, low) word pairs.
         inc = ((((q_hi << 64) | q_lo) << 1) | 1) & _MASK128
         pcg["inc"] = inc
         pcg["state"] = ((inc + ((s_hi << 64) | s_lo)) * _PCG_MULT + inc) & _MASK128
         bitgen.state = state
         yield rng
+
+
+# -- batched draws -----------------------------------------------------------
+#
+# PCG64 is a 128-bit LCG, s' = M*s + inc (mod 2^128), whose every draw first
+# steps and then outputs XSL-RR of the new state.  Seeding leaves
+# s_0 = M*x + inc with x = inc + initstate, so draw d of a stream outputs
+#     s_(d+1) = M^(d+2) * x + (M^0 + ... + M^(d+1)) * inc   (mod 2^128)
+# in closed form (LCG jump-ahead, Brown 1994): a (streams, T) block of draws
+# is two outer products of per-draw constants with per-stream words.  Words
+# are (high, low) uint64 pairs; the high half of a low-by-low product comes
+# from 32-bit limbs, the cross terms only need their wrapped low halves.
+
+_MASK64 = (1 << 64) - 1
+
+
+def _jump_table(T: int) -> tuple[np.ndarray, ...]:
+    """(P_hi, P_lo, S_hi, S_lo) for draws d = 0..T-1, where P = M^(d+2) and
+    S = M^0 + ... + M^(d+1).  Rows do not depend on T: the first rows of a
+    longer table serve a shorter block."""
+    p, s, words = _PCG_MULT, 1, []
+    for _ in range(T):
+        s = (s + p) & _MASK128
+        p = (p * _PCG_MULT) & _MASK128
+        words += (p >> 64, p & _MASK64, s >> 64, s & _MASK64)
+    return tuple(np.array(words, dtype=np.uint64).reshape(T, 4).T.copy())
+
+
+def _mul128(a_hi, a_lo, b_hi, b_lo):
+    """(hi, lo) words of a*b mod 2^128, broadcasting the uint64 words."""
+    a0, a1 = a_lo & _MASK32, a_lo >> 32
+    b0, b1 = b_lo & _MASK32, b_lo >> 32
+    mid = a0 * b0
+    mid >>= 32
+    hi = a1 * b1
+    for cross in (a0 * b1, a1 * b0):
+        mid += cross & _MASK32
+        cross >>= 32
+        hi += cross
+    mid >>= 32
+    hi += mid
+    hi += a_lo * b_hi
+    hi += a_hi * b_lo
+    return hi, a_lo * b_lo
+
+
+def _pcg64_block(seed_words: np.ndarray, jumps) -> np.ndarray:
+    """The first T raw 64-bit outputs of the PCG64 streams seeded with the
+    rows of ``seed_words`` (see ``_seed_words``), as a (streams, T) uint64
+    array, where ``jumps`` is ``_jump_table(T)``."""
+    s_hi, s_lo, q_hi, q_lo = (w[:, None] for w in seed_words.T)
+    inc_hi = (q_hi << 1) | (q_lo >> 63)
+    inc_lo = (q_lo << 1) | 1
+    x_lo = inc_lo + s_lo
+    x_hi = inc_hi + s_hi + (x_lo < inc_lo)
+    p_hi, p_lo, c_hi, c_lo = jumps
+    hi, lo = _mul128(p_hi, p_lo, x_hi, x_lo)
+    add_hi, add_lo = _mul128(c_hi, c_lo, inc_hi, inc_lo)
+    lo += add_lo
+    hi += add_hi
+    hi += lo < add_lo
+    # XSL-RR: the xor of the halves rotated right by the top six bits.
+    rot = hi >> 58
+    lo ^= hi
+    return (lo >> rot) | (lo << ((64 - rot) & 63))
+
+
+# Draws per chunk of conditions: bounds each (chunk, 2n) uint64 temporary
+# to 32 KB.
+_CHUNK_DRAWS = 1 << 12
+
+
+def _draw_votes(ds: RatingDataset, n: int, run_index: int, master_seed: int, jumps=None):
+    """Every condition's votes for run ``run_index`` at vote count ``n``:
+    (scores, local user rows), each a (conditions, n) matrix.  Row j is
+    drawn from the substream (0, n, run_index, j), its first n uniforms
+    picking the users and the next n their scores.  ``jumps`` is a
+    ``_jump_table`` of at least 2n rows, made here if not given."""
+    _check_votes(n)
+    k = len(ds.conditions)
+    jumps = tuple(col[: 2 * n] for col in jumps or _jump_table(2 * n))
+    words = _seed_words(master_seed, (_PURPOSE_SAMPLE, n, run_index), 0, k)
+    step = min(MAX_BLOCK, max(1, _CHUNK_DRAWS // (2 * n)))
+    blocks = []
+    for start in range(0, k, step):
+        stop = min(k, start + step)
+        bits = _pcg64_block(words[start:stop], jumps)
+        blocks.append(ds._sample_block(start, stop, bits >> 11))
+    if len(blocks) == 1:
+        return blocks[0]
+    return tuple(np.concatenate(parts) for parts in zip(*blocks))
 
 
 def resolve_workers(workers: int | None = None) -> int:
@@ -311,26 +418,17 @@ def draw_run_sample(
 ) -> RunSample:
     """The full per-condition sample for run ``run_index`` at vote count
     ``n``, exactly as the sweep engine would draw it."""
+    scores, rows = _draw_votes(ds, n, run_index, master_seed)
     votes: dict[str, tuple[np.ndarray, tuple[str, ...]]] = {}
-    for j, scores, rows in _run_votes(ds, n, run_index, master_seed):
-        user_rows = ds.condition_votes(j).user_rows[rows].tolist()
-        votes[ds.conditions[j]] = (scores, tuple(map(ds.users.__getitem__, user_rows)))
+    for j, condition in enumerate(ds.conditions):
+        user_rows = ds.condition_votes(j).user_rows[rows[j]].tolist()
+        votes[condition] = (scores[j], tuple(map(ds.users.__getitem__, user_rows)))
     return RunSample(run_index=run_index, per_condition_votes=votes)
 
 
 def _check_votes(n: int) -> None:
     if n < 1:
         raise ConfigError(f"n must be positive, got {n}")
-
-
-def _run_votes(ds: RatingDataset, n: int, run_index: int, master_seed: int):
-    """The one sampling path of a run: yields (j, scores, local user rows)
-    for every condition j in order, each drawn from its own substream."""
-    _check_votes(n)
-    streams = _substreams(master_seed, _PURPOSE_SAMPLE, n, run_index, len(ds.conditions))
-    for j, rng in enumerate(streams):
-        scores, rows = ds.condition_votes(j).sample(n, rng)
-        yield j, scores, rows
 
 
 # -- per-run metric evaluation ---------------------------------------------
@@ -364,6 +462,30 @@ def _irr(users: list, own: list, others: list, min_conditions: int):
     return float(np.mean(values[keep][np.argsort(first[keep])]))
 
 
+def _sampled_irr(ds: RatingDataset, scores: np.ndarray, rows: np.ndarray, min_conditions: int):
+    """IRR of one run's votes: every (user, condition) pair with votes, on
+    conditions where at least two users have some."""
+    bounds = ds._row_bounds
+    flat = (rows + bounds[:-1, None]).ravel()
+    counts = np.bincount(flat, minlength=bounds[-1])
+    sums = np.bincount(flat, weights=scores.ravel().astype(float), minlength=bounds[-1])
+    present = np.flatnonzero(counts)
+    per_user = sums[present] / counts[present]
+    # Where each condition's present users start in ``present``.
+    edges = np.searchsorted(present, bounds)
+    sizes = np.diff(edges)
+    # Each condition's total is a sum of its own slice, in numpy's own
+    # summation order, as the others' mean of a per-condition loop has it.
+    totals = np.array([per_user[a:b].sum() for a, b in zip(edges[:-1].tolist(), edges[1:].tolist())])
+    cond = np.repeat(np.arange(sizes.size), sizes)
+    keep = np.flatnonzero(sizes[cond] >= 2)
+    if not keep.size:
+        return None
+    cond, own = cond[keep], per_user[keep]
+    others = (totals[cond] - own) / (sizes[cond] - 1)
+    return _irr([ds._user_rows[present[keep]]], [own], [others], min_conditions)
+
+
 def _unless_degenerate(statistic, *args) -> float | None:
     """``statistic(*args)``, or None where it is mathematically undefined."""
     try:
@@ -385,38 +507,13 @@ def _simulate_run(
     ref_ctx: _RefContext | None,
     full_mos: np.ndarray | None,
     irr_min_conditions: int,
+    jumps: tuple[np.ndarray, ...],
 ) -> dict[str, float | None]:
     metrics = cfg.metrics
     k = len(ds.conditions)
-    means = np.empty(k)
-    want_ci = CI_WIDTH in metrics
-    want_irr = IRR in metrics
-    width_sum = 0.0
-    pair_users, pair_own, pair_others = [], [], []
-
-    boot_streams = (
-        _substreams(cfg.master_seed, _PURPOSE_BOOT, n, run_index, k) if want_ci else None
-    )
-    for j, scores, rows in _run_votes(ds, n, run_index, cfg.master_seed):
-        # The integer sum is exact, so this is the float mean of the votes.
-        means[j] = scores.sum() / n
-        if want_ci:
-            interval = bootstrap_ci_mos(
-                scores, cfg.bootstrap_resamples, cfg.ci_level, next(boot_streams)
-            )
-            width_sum += interval.width
-        if want_irr:
-            cache = ds.condition_votes(j)
-            counts = np.bincount(rows, minlength=cache.user_prob.size)
-            present = np.flatnonzero(counts)
-            if present.size >= 2:
-                sums = np.bincount(
-                    rows, weights=scores.astype(float), minlength=cache.user_prob.size
-                )
-                per_user = sums[present] / counts[present]
-                pair_users.append(cache.user_rows[present])
-                pair_own.append(per_user)
-                pair_others.append((per_user.sum() - per_user) / (present.size - 1))
+    scores, rows = _draw_votes(ds, n, run_index, cfg.master_seed, jumps)
+    # The integer sums are exact, so these are the float means of the votes.
+    means = scores.sum(axis=1) / n
 
     # A statistic undefined for this run's votes (a constant MOS vector) is
     # a missing value, as for IRR: run_sweep averages the runs that have one.
@@ -434,10 +531,14 @@ def _simulate_run(
         out[GAIN_SRCC] = _unless_degenerate(stats.srcc, means, full_mos)
     if GAIN_RMSE in metrics:
         out[GAIN_RMSE] = stats.rmse(means, full_mos)
-    if want_ci:
+    if CI_WIDTH in metrics:
+        streams = _substreams(cfg.master_seed, _PURPOSE_BOOT, n, run_index, k)
+        width_sum = 0.0
+        for votes, rng in zip(scores, streams):
+            width_sum += bootstrap_ci_mos(votes, cfg.bootstrap_resamples, cfg.ci_level, rng).width
         out[CI_WIDTH] = width_sum / k
-    if want_irr:
-        out[IRR] = _irr(pair_users, pair_own, pair_others, irr_min_conditions)
+    if IRR in metrics:
+        out[IRR] = _sampled_irr(ds, scores, rows, irr_min_conditions)
     return out
 
 
@@ -518,10 +619,12 @@ def run_sweep(
         [None] * r for _ in cfg.n_values
     ]
 
+    jumps = _jump_table(2 * cfg.n_values[-1])
+
     def run_task(task):
         n_idx, i = task
         return _simulate_run(
-            ds, cfg, cfg.n_values[n_idx], i, ref_ctx, full_mos, irr_min_conditions
+            ds, cfg, cfg.n_values[n_idx], i, ref_ctx, full_mos, irr_min_conditions, jumps
         )
 
     n_workers = resolve_workers(workers)
@@ -559,6 +662,15 @@ def _shift_curve(curve: MetricCurve, baseline: float, suffix: str) -> MetricCurv
     return MetricCurve(metric=curve.metric + suffix, dataset_label=curve.dataset_label, points=points)
 
 
+def require_delta_baseline(cfg: SweepConfig) -> None:
+    """Raise :class:`ConfigError` unless the sweep has the n=10 point that
+    baseline-shifted curves subtract."""
+    if DELTA_BASELINE_N not in cfg.n_values:
+        raise ConfigError(
+            f"baseline-shifted gain curves need n={DELTA_BASELINE_N} in the sweep"
+        )
+
+
 def certainty_gain(
     ds: RatingDataset,
     cfg: SweepConfig,
@@ -571,10 +683,8 @@ def certainty_gain(
     With ``with_delta`` the curves shifted by their value at n=10 are also
     returned; the sweep must then include n=10.
     """
-    if with_delta and DELTA_BASELINE_N not in cfg.n_values:
-        raise ConfigError(
-            f"baseline-shifted gain curves need n={DELTA_BASELINE_N} in the sweep"
-        )
+    if with_delta:
+        require_delta_baseline(cfg)
     gain_cfg = dataclasses.replace(cfg, metrics=(GAIN_SRCC, GAIN_RMSE))
     srcc_curve, rmse_curve = run_sweep(ds, None, gain_cfg, workers=workers)
     delta_srcc = delta_rmse = None

@@ -15,6 +15,7 @@ from conftest import synthetic_dataset
 import qvotes
 from qvotes import ConfigError, dataset_mos, write_curves_csv
 from qvotes.cli import main, parse_col_map, parse_metrics, parse_sweep
+from qvotes import simulate
 from qvotes.simulate import CurvePoint, MetricCurve
 
 
@@ -214,6 +215,21 @@ class TestSimulate:
             ["simulate", str(ratings), "--metrics", "kappa", "--out", str(tmp_path / "x")]
         )
         assert code == 2
+
+    def test_delta_without_baseline_fails_before_sampling(self, toy_files, tmp_path, monkeypatch, capsys):
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("votes were drawn before the --delta grid was checked")
+
+        monkeypatch.setattr(simulate, "_draw_votes", no_sampling)
+        ratings, reference = toy_files
+        out = tmp_path / "x"
+        code = main(
+            ["simulate", str(ratings), "--ref", str(reference), "--n", "20:40:10",
+             "--runs", "2", "--delta", "--out", str(out)]
+        )
+        assert code == 2
+        assert "n=10" in capsys.readouterr().err
+        assert not list(tmp_path.glob("x*"))
 
     def test_bad_sweep_is_config_error(self, toy_files, tmp_path):
         ratings, _ = toy_files

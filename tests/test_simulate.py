@@ -652,3 +652,84 @@ class TestConditionSampler:
             assert np.array_equal(picked, want_rows)
             assert np.array_equal(scores, want_scores.astype(np.int64))
             assert scores.dtype == np.int64
+
+
+def numpy_stream(seed, key, j):
+    """The substream (key..., j) as numpy itself seeds it."""
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(*key, j))))
+
+
+class TestPcg64Block:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        seed=st.integers(0, 2**140),
+        key=st.tuples(keys, keys, keys),
+        start=st.integers(0, 3000),
+        k=st.integers(1, 8),
+        T=st.integers(1, 64),
+    )
+    @example(seed=0, key=(0, 0, 0), start=0, k=3, T=400)
+    @example(seed=2**32, key=(1, 2**32, 2**40), start=1023, k=2, T=401)
+    @example(seed=2**128 + 7, key=(0, 200, 249), start=0, k=1, T=1000)
+    def test_bitwise_equal_to_numpy_streams(self, seed, key, start, k, T):
+        words = simulate._seed_words(seed, key, start, start + k)
+        bits = simulate._pcg64_block(words, simulate._jump_table(T))
+        assert bits.shape == (k, T) and bits.dtype == np.uint64
+        for j in range(k):
+            want = numpy_stream(seed, key, start + j).random(T)
+            assert np.array_equal((bits[j] >> 11) * 2.0**-53, want)
+
+
+def cdf_votes(cache, u):
+    """The float inverse-CDF votes of uniforms ``u`` (users, then scores)."""
+    n = u.size // 2
+    rows = cache.user_cdf.searchsorted(u[:n], side="right")
+    return 1 + (cache.score_cdf[rows] <= u[n:, None]).sum(axis=1), rows
+
+
+class TestInversion:
+    def test_draws_on_cdf_steps(self):
+        # u1 never votes 1 or 2, so its score CDF starts 0.0, 0.0; the
+        # three users' CDF steps are 1/4 and 3/4, both exact in binary
+        ds = make_dataset([("x", "u0", 1), ("x", "u1", 3), ("x", "u1", 5), ("x", "u2", 2)])
+        cache = ds.condition_votes(0)
+        steps = np.concatenate([[0.0], cache.user_cdf[:-1], cache.score_cdf[:, :-1].ravel()])
+        # every uniform is a multiple of 2^-53: the steps and their neighbours
+        steps = np.unique(np.concatenate([steps, steps - 2.0**-53, steps + 2.0**-53]))
+        steps = steps[(steps >= 0.0) & (steps < 1.0)]
+        users, scores = (a.ravel() for a in np.meshgrid(steps, steps))
+        u = np.concatenate([users, scores])
+        draws = (u * 2.0**53).astype(np.uint64)
+        got_scores, got_rows = ds._sample_block(0, 1, draws[None])
+        want_scores, want_rows = cdf_votes(cache, u)
+        assert np.array_equal(got_rows[0], want_rows)
+        assert np.array_equal(got_scores[0], want_scores)
+        # a draw of exactly 0.0 passes u1's zero CDF entries: it votes 3
+        on_u1 = got_rows[0] == 1
+        assert set(got_scores[0][on_u1 & (scores == 0.0)]) == {3}
+
+    def test_single_user_condition(self):
+        ds = make_dataset([("a", "u0", 4), ("a", "u0", 2), ("b", "u1", 1), ("b", "u0", 5)])
+        scores, rows = simulate._draw_votes(ds, 30, 0, 5)
+        assert not rows[0].any()
+        assert set(scores[0]) == {2, 4}
+        assert set(rows[1]) == {0, 1}
+
+    @pytest.mark.parametrize("chunk_draws", [1 << 20, 7 * 2 * 3])
+    def test_matches_condition_sampler_across_blocks(self, monkeypatch, chunk_draws):
+        # with a large budget the 1024-condition cap on a block splits the
+        # 1100 conditions; the small one cuts them into chunks of 7
+        monkeypatch.setattr(simulate, "_CHUNK_DRAWS", chunk_draws)
+        rng = np.random.default_rng(11)
+        rows = []
+        for c in range(1100):
+            for u in rng.choice(40, size=rng.integers(1, 6), replace=False):
+                rows += [(f"c{c}", f"u{u}", s) for s in rng.integers(1, 6, size=rng.integers(1, 3))]
+        ds = make_dataset(rows)
+        n, run, seed = 3, 2, 77
+        scores, picked = simulate._draw_votes(ds, n, run, seed)
+        assert scores.shape == picked.shape == (1100, n)
+        for j in range(1100):
+            s, r = ds.condition_votes(j).sample(n, numpy_stream(seed, (0, n, run), j))
+            assert np.array_equal(scores[j], s), j
+            assert np.array_equal(picked[j], r), j
