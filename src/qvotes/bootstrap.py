@@ -1,5 +1,13 @@
-"""Interval mathematics: percentile-bootstrap MOS confidence intervals
-and the analytic worst-case width bound from exact binomial intervals."""
+"""Interval mathematics: exact percentile-bootstrap MOS confidence
+intervals and the analytic worst-case width bound from exact binomial
+intervals.
+
+The bootstrap interval is the ideal bootstrap (Efron and Tibshirani 1993):
+the distribution of a resampled mean of n votes on 1..5 is the n-fold
+convolution of the sample's vote pmf, computed by FFT, so no resampling
+and no random stream are involved.  Each bound is the smallest lattice
+mean whose CDF reaches its quantile less 1e-9 (see ``bootstrap_ci_mos``).
+"""
 
 from __future__ import annotations
 
@@ -27,37 +35,58 @@ class Interval:
         return self.high - self.low
 
 
-def bootstrap_ci_mos(
-    votes,
-    resamples: int = 1000,
-    level: float = 0.95,
-    rng: np.random.Generator | None = None,
-) -> Interval:
+def bootstrap_ci_mos(votes, level: float = 0.95) -> Interval:
     """Percentile-bootstrap confidence interval for the mean of a vote
-    multiset.
+    multiset, computed exactly rather than by resampling.
 
-    Draws ``resamples`` same-size resamples with replacement and takes the
-    empirical (alpha/2, 1-alpha/2) quantiles of their means.  Votes take
-    few distinct values, so each resample's value counts are drawn in one
-    multinomial step; the resulting means are distributed exactly as under
-    one-by-one resampling.  The interval need not be symmetric around the
-    sample mean, and always lies within [min(votes), max(votes)].
+    Votes are integers in 1..5, so the mean of n votes resampled with
+    replacement lies on the lattice min(votes) + i/n, and its distribution
+    is the n-fold self-convolution of the sample's vote pmf: Efron and
+    Tibshirani's (1993) ideal bootstrap, the limit of infinitely many
+    resamples.  The convolution is one real FFT of the pmf, trimmed to the
+    [min, max] vote support and zero-padded to the smallest power of two
+    above span * n (the sum has span * n + 1 support points, so nothing
+    wraps), raised to the n-th power by repeated squaring.
+
+    Each bound is the smallest lattice mean whose CDF reaches its quantile
+    q = alpha/2 or 1 - alpha/2 less 1e-9; the slack absorbs FFT rounding, so
+    a CDF that equals q exactly counts as reaching it.  The interval need
+    not be symmetric around the sample mean, and always lies within
+    [min(votes), max(votes)]; constant votes give a zero-width interval.
     """
-    if resamples < 100:
-        raise ConfigError(f"resamples must be >= 100, got {resamples}")
     if not 0.0 < level < 1.0:
         raise ConfigError(f"level must be in (0, 1), got {level}")
-    arr = np.asarray(votes, dtype=float)
-    if arr.size < 2:
-        raise DataError(f"need at least 2 votes for a CI, got {arr.size}")
-    if rng is None:
-        rng = np.random.default_rng()
-    distinct, counts = np.unique(arr, return_counts=True)
-    probs = counts / arr.size
-    draws = rng.multinomial(arr.size, probs, size=resamples)
-    means = (draws @ distinct) / arr.size
-    alpha = 1.0 - level
-    low, high = np.quantile(means, [alpha / 2.0, 1.0 - alpha / 2.0])
+    arr = np.asarray(votes).ravel()
+    n = arr.size
+    if n < 2:
+        raise DataError(f"need at least 2 votes for a CI, got {n}")
+    with np.errstate(invalid="ignore"):  # NaN and inf fail the checks below
+        ints = arr.astype(np.int64)
+    lo, hi = int(ints.min()), int(ints.max())
+    if lo < 1 or hi > 5 or (arr.dtype.kind not in "iu" and not np.array_equal(ints, arr)):
+        raise DataError("votes must be integers in 1..5")
+    if lo == hi:
+        return Interval(low=float(lo), high=float(lo), level=level)
+    # Loaded at first use, so that commands without a CI never import it.
+    from numpy import fft
+
+    last = (hi - lo) * n
+    size = 1 << last.bit_length()
+    spectrum = fft.rfft(np.bincount(ints - lo) / n, size)
+    # Repeated squaring: numpy's complex ``**`` is slower for large n.
+    power = None
+    exponent = n
+    while True:
+        if exponent & 1:
+            power = spectrum if power is None else power * spectrum
+        exponent >>= 1
+        if not exponent:
+            break
+        spectrum = spectrum * spectrum
+    cdf = np.cumsum(fft.irfft(power, size)[: last + 1])
+    q = (1.0 - level) / 2.0
+    steps = cdf.searchsorted([q - 1e-9, 1.0 - q - 1e-9])
+    low, high = (lo * n + steps) / n
     return Interval(low=float(low), high=float(high), level=level)
 
 

@@ -288,7 +288,6 @@ def cmd_simulate(args) -> int:
         repetitions=args.runs,
         master_seed=args.seed,
         metrics=metrics,
-        bootstrap_resamples=args.boot,
         ci_level=args.ci_level,
         apply_first_order_map=args.fom,
     )
@@ -426,7 +425,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fom", action="store_true",
                    help="refit a first-order map per run before validity RMSE")
     p.add_argument("--ci-level", type=float, default=0.95, dest="ci_level")
-    p.add_argument("--boot", type=int, default=1000, help="bootstrap resamples (default 1000)")
     p.add_argument("--delta", action="store_true",
                    help="also emit gain curves shifted by their n=10 value")
     p.add_argument("--workers", type=int, default=None,

@@ -14,7 +14,8 @@ Metrics
     agreement of the run's MOS vector with the full dataset's own
     (user-balanced) MOS vector.
 ``ci_width``
-    average percentile-bootstrap CI width of the per-condition MOS.
+    average width of the per-condition MOS's percentile-bootstrap CI,
+    computed exactly from the votes without resampling (``bootstrap_ci_mos``).
 ``irr``
     inter-rater reliability: each sampled user's per-condition means
     rank-correlated against everyone else's, averaged over users, in one
@@ -22,21 +23,20 @@ Metrics
 
 Reproducibility
 ---------------
-Run i at vote count n touching condition j draws from the substream
-``SeedSequence(master_seed, spawn_key=(purpose, n, i, j))`` where purpose
-0 is vote sampling and 1 is bootstrap resampling.  The seed states of a
-whole run are computed at once (``_seed_words``).  Vote draws then need no
-generator at all: PCG64 is a 128-bit LCG, so its state after t steps is
-``M^t * s_0 + inc * (M^0 + ... + M^(t-1)) mod 2^128`` (LCG jump-ahead), and
-one array expression gives the first 2n draws of every condition's stream
-(``_pcg64_block``).  The first n pick users and the next n their scores,
-by inverse CDF on the draws' 53-bit integers.  Bootstrap resampling runs
-one re-seeded ``Generator`` per condition (``_substreams``).  Both are bit
-for bit what ``PCG64(SeedSequence(master_seed, spawn_key=(purpose, n, i,
-j)))`` draws; oracle tests pin this.  Outputs are therefore bitwise
-identical for a fixed (dataset, config, seed) triple regardless of worker
-count or scheduling, and adding metrics to a sweep never perturbs the
-votes drawn for the others.
+Run i at vote count n touching condition j draws its votes from the
+substream ``SeedSequence(master_seed, spawn_key=(0, n, i, j))``; the
+leading 0 is the vote-sampling purpose, the only one there is.  The seed
+states of a whole run are computed at once (``_seed_words``).  Vote draws
+then need no generator at all: PCG64 is a 128-bit LCG, so its state after
+t steps is ``M^t * s_0 + inc * (M^0 + ... + M^(t-1)) mod 2^128`` (LCG
+jump-ahead), and one array expression gives the first 2n draws of every
+condition's stream (``_pcg64_block``).  The first n pick users and the
+next n their scores, by inverse CDF on the draws' 53-bit integers.  This
+is bit for bit what ``PCG64(SeedSequence(master_seed, spawn_key=(0, n, i,
+j)))`` draws; oracle tests pin it.  Every metric is a deterministic
+function of the drawn votes, so outputs are bitwise identical for a fixed
+(dataset, config, seed) triple regardless of worker count or scheduling,
+and adding metrics to a sweep never perturbs the others.
 """
 
 from __future__ import annotations
@@ -70,7 +70,6 @@ REFERENCE_METRICS = frozenset((VALIDITY_SRCC, VALIDITY_RMSE))
 DELTA_BASELINE_N = 10
 
 _PURPOSE_SAMPLE = 0
-_PURPOSE_BOOT = 1
 
 THREADS_ENV = "QVOTES_THREADS"
 
@@ -89,7 +88,6 @@ class SweepConfig:
     repetitions: int = 250
     master_seed: int = 0
     metrics: tuple[str, ...] = (GAIN_SRCC, GAIN_RMSE, CI_WIDTH, IRR)
-    bootstrap_resamples: int = 1000
     ci_level: float = 0.95
     apply_first_order_map: bool = False
 
@@ -115,10 +113,6 @@ class SweepConfig:
             )
         if len(set(self.metrics)) != len(self.metrics):
             raise ConfigError("metrics must not repeat")
-        if self.bootstrap_resamples < 100:
-            raise ConfigError(
-                f"bootstrap_resamples must be >= 100, got {self.bootstrap_resamples}"
-            )
         if not 0.0 < self.ci_level < 1.0:
             raise ConfigError(f"ci_level must be in (0, 1), got {self.ci_level}")
 
@@ -183,10 +177,10 @@ class CertaintyGain:
     delta_rmse: MetricCurve | None
 
 
-# -- substreams ------------------------------------------------------------
+# -- seeding ----------------------------------------------------------------
 #
-# ``Generator(PCG64(SeedSequence(master_seed, spawn_key=(purpose, n, run, j))))``
-# for every condition j of one run at once, with numpy's constants and
+# ``PCG64(SeedSequence(master_seed, spawn_key=(purpose, n, run, j)))``'s seed
+# words for every condition j of one run at once, with numpy's constants and
 # steps.  The pool hash mixes the entropy words (the master seed's 32-bit
 # words, padded to four, then the spawn key's) in order.  Only the last word
 # depends on j, so all rounds before it are one scalar computation and only
@@ -268,27 +262,6 @@ def _seed_words(master_seed: int, key: tuple[int, ...], start: int, stop: int) -
     value = (np.concatenate([pool, pool]) ^ xor) * mult
     words = (value ^ (value >> 16)).astype(np.uint64)
     return (words[0::2] | (words[1::2] << np.uint64(32))).T
-
-
-def _substreams(master_seed: int, purpose: int, n: int, run_index: int, k: int):
-    """Generators of the substreams ``(purpose, n, run_index, j)`` for
-    j = 0..k-1, in order; each is bit for bit
-    ``Generator(PCG64(SeedSequence(master_seed, spawn_key=(purpose, n, run_index, j))))``.
-
-    One generator is re-seeded for each j, so the caller must be done with
-    one before it takes the next.
-    """
-    bitgen = np.random.PCG64(0)
-    rng = np.random.Generator(bitgen)
-    pcg = {"state": 0, "inc": 0}
-    state = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
-    for s_hi, s_lo, q_hi, q_lo in _seed_words(master_seed, (purpose, n, run_index), 0, k).tolist():
-        # PCG64 seeding: initstate and initseq are (high, low) word pairs.
-        inc = ((((q_hi << 64) | q_lo) << 1) | 1) & _MASK128
-        pcg["inc"] = inc
-        pcg["state"] = ((inc + ((s_hi << 64) | s_lo)) * _PCG_MULT + inc) & _MASK128
-        bitgen.state = state
-        yield rng
 
 
 # -- batched draws -----------------------------------------------------------
@@ -532,10 +505,9 @@ def _simulate_run(
     if GAIN_RMSE in metrics:
         out[GAIN_RMSE] = stats.rmse(means, full_mos)
     if CI_WIDTH in metrics:
-        streams = _substreams(cfg.master_seed, _PURPOSE_BOOT, n, run_index, k)
         width_sum = 0.0
-        for votes, rng in zip(scores, streams):
-            width_sum += bootstrap_ci_mos(votes, cfg.bootstrap_resamples, cfg.ci_level, rng).width
+        for votes in scores:
+            width_sum += bootstrap_ci_mos(votes, cfg.ci_level).width
         out[CI_WIDTH] = width_sum / k
     if IRR in metrics:
         out[IRR] = _sampled_irr(ds, scores, rows, irr_min_conditions)
@@ -571,8 +543,9 @@ def run_sweep(
 ) -> list[MetricCurve]:
     """Run the full sweep and return one curve per configured metric.
 
-    Validity metrics require ``ref``; the configuration is rejected
-    before any sampling happens otherwise.  A run whose statistic is
+    Validity metrics require ``ref``, and ``ci_width`` and ``irr`` at
+    least 2 votes per condition; the configuration is rejected before any
+    sampling happens otherwise.  A run whose statistic is
     undefined (a constant MOS vector, no eligible IRR rater) is left out
     of that point; a point with no valid run raises :class:`DataError`.
     A rank correlation against a constant reference or full-dataset MOS
@@ -583,6 +556,14 @@ def run_sweep(
     if needs_ref and ref is None:
         raise ConfigError(
             f"metric(s) {', '.join(needs_ref)} need a reference MOS table"
+        )
+    # One vote per condition has no spread to bootstrap and gives no rater
+    # another on the same condition to compare with.
+    needs_two = [m for m in (CI_WIDTH, IRR) if m in cfg.metrics]
+    if needs_two and cfg.n_values[0] < 2:
+        raise ConfigError(
+            f"metric(s) {', '.join(needs_two)} need at least 2 votes per "
+            f"condition; the sweep starts at n={cfg.n_values[0]}"
         )
 
     ref_ctx = None

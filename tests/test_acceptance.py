@@ -146,7 +146,6 @@ def test_criterion_03_ci_width_thresholds(tag):
         repetitions=acceptance_runs(),
         master_seed=102,
         metrics=("ci_width",),
-        bootstrap_resamples=1000,
     )
     curve = ci_width_curve(ds, cfg)
     above_60 = {p.n: p.mean for p in curve.points if p.n > 60}
@@ -260,7 +259,7 @@ def test_criterion_08_bootstrap_coverage():
     hits = 0
     for _ in range(trials):
         votes = rng.choice(np.arange(1, 6), size=100, p=probs)
-        interval = bootstrap_ci_mos(votes, resamples=1000, rng=rng)
+        interval = bootstrap_ci_mos(votes)
         hits += interval.low <= true_mean <= interval.high
     coverage = hits / trials
     ok = 0.93 <= coverage <= 0.97
@@ -331,8 +330,6 @@ def test_criterion_11_determinism_across_workers(tmp_path):
                 "8",
                 "--seed",
                 "42",
-                "--boot",
-                "200",
                 "--workers",
                 str(workers),
                 "--out",
@@ -359,7 +356,6 @@ def test_criterion_12_analytic_bound_dominates_bootstrap():
             repetitions=60,
             master_seed=112,
             metrics=("ci_width",),
-            bootstrap_resamples=1000,
         )
         curve = ci_width_curve(ds, cfg)
         for point in curve.points:

@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import functools
+import itertools
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -27,56 +32,140 @@ class TestInterval:
             Interval(1.0, 2.0, 1.5)
 
 
+def monte_carlo_ci_mos(votes, resamples, level, rng):
+    """qvotes 0.2.0's Monte Carlo percentile bootstrap: ``resamples``
+    multinomial value counts, then linearly interpolated quantiles of the
+    resampled means."""
+    arr = np.asarray(votes, dtype=float)
+    distinct, counts = np.unique(arr, return_counts=True)
+    draws = rng.multinomial(arr.size, counts / arr.size, size=resamples)
+    means = (draws @ distinct) / arr.size
+    alpha = 1.0 - level
+    return np.quantile(means, [alpha / 2.0, 1.0 - alpha / 2.0])
+
+
+def compositions(n, parts):
+    """Every tuple of ``parts`` non-negative integers summing to ``n``."""
+    if parts == 1:
+        yield (n,)
+        return
+    for k in range(n + 1):
+        for rest in compositions(n - k, parts - 1):
+            yield (k, *rest)
+
+
+@functools.lru_cache(maxsize=None)
+def enumerated_sum_weights(votes):
+    """n^n times the probability of each resample sum, by multinomial
+    enumeration: value counts k have weight n! / prod(k!) * prod(c^k)."""
+    n = len(votes)
+    values = sorted(set(votes))
+    counts = [votes.count(v) for v in values]
+    weights: dict[int, int] = {}
+    for ks in compositions(n, len(values)):
+        coefficient = math.factorial(n)
+        for k in ks:
+            coefficient //= math.factorial(k)
+        total = sum(k * v for k, v in zip(ks, values))
+        weights[total] = weights.get(total, 0) + coefficient * math.prod(
+            c**k for k, c in zip(ks, counts)
+        )
+    return weights
+
+
+def enumerated_ci_mos(votes, level):
+    """The exact percentile interval in exact arithmetic: each bound is the
+    smallest resample mean whose CDF reaches its quantile.
+
+    Every CDF value is a multiple of n^-n, so for n <= 8 and a quantile of
+    denominator at most 40 it is either exactly the quantile or at least
+    1/(40 * 8^8) = 1.5e-9 away from it: the kernel's 1e-9 slack changes
+    nothing there, and its bounds must equal these."""
+    n = len(votes)
+    weights = enumerated_sum_weights(tuple(votes))
+    q = (1 - Fraction(str(level))) / 2
+    bounds = []
+    for target in (q, 1 - q):
+        cumulative = 0
+        for total in sorted(weights):
+            cumulative += weights[total]
+            if Fraction(cumulative, n**n) >= target:
+                bounds.append(Fraction(total, n))
+                break
+    return tuple(bounds)
+
+
 class TestBootstrapCiMos:
     def test_constant_votes(self):
-        rng = np.random.default_rng(0)
-        interval = bootstrap_ci_mos([4, 4, 4, 4], rng=rng)
+        interval = bootstrap_ci_mos([4, 4, 4, 4])
         assert (interval.low, interval.high) == (4.0, 4.0)
         assert interval.width == 0.0
 
     def test_needs_two_votes(self):
         with pytest.raises(DataError):
-            bootstrap_ci_mos([3], rng=np.random.default_rng(0))
+            bootstrap_ci_mos([3])
 
-    def test_resample_floor(self):
-        with pytest.raises(ConfigError):
-            bootstrap_ci_mos([1, 5], resamples=10, rng=np.random.default_rng(0))
+    @pytest.mark.parametrize("votes", [[1, 0, 3], [5, 6], [2.5, 3], [3, 3.5, 4], [4, np.nan]])
+    def test_votes_must_be_integers_from_one_to_five(self, votes):
+        with pytest.raises(DataError):
+            bootstrap_ci_mos(votes)
+
+    def test_level_must_lie_in_unit_interval(self):
+        for level in (0.0, 1.0, 1.5):
+            with pytest.raises(ConfigError):
+                bootstrap_ci_mos([1, 5], level=level)
 
     def test_two_point_width_matches_normal_theory(self):
         # {1,5} half and half at n=100: sigma = 2, normal-theory 95% width
-        # is 2 * 1.96 * 2 / sqrt(100) = 0.784; average over many streams
+        # is 2 * 1.96 * 2 / sqrt(100) = 0.784
         votes = [1] * 50 + [5] * 50
-        widths = [
-            bootstrap_ci_mos(votes, resamples=1000, rng=np.random.default_rng(seed)).width
-            for seed in range(100)
-        ]
         expected = 2 * 1.959964 * 2.0 / np.sqrt(100)
-        assert np.mean(widths) == pytest.approx(expected, rel=0.10)
+        assert bootstrap_ci_mos(votes).width == pytest.approx(expected, rel=0.10)
 
     def test_width_halves_when_n_quadruples(self):
         widths = {}
         for n in (100, 400):
             votes = [1] * (n // 2) + [5] * (n // 2)
-            widths[n] = np.mean(
-                [
-                    bootstrap_ci_mos(votes, resamples=1000, rng=np.random.default_rng(s)).width
-                    for s in range(60)
-                ]
-            )
+            widths[n] = bootstrap_ci_mos(votes).width
         assert widths[400] == pytest.approx(widths[100] / 2, rel=0.15)
 
     def test_interval_within_vote_range(self):
         rng = np.random.default_rng(42)
         for _ in range(50):
             votes = rng.integers(1, 6, size=int(rng.integers(2, 40)))
-            interval = bootstrap_ci_mos(votes, resamples=200, rng=rng)
+            interval = bootstrap_ci_mos(votes)
             assert votes.min() <= interval.low <= interval.high <= votes.max()
 
     def test_deterministic_for_fixed_stream(self):
+        # No random stream is involved: the same votes give the same bounds.
         votes = [1, 2, 3, 4, 5, 5, 4]
-        one = bootstrap_ci_mos(votes, rng=np.random.default_rng(7))
-        two = bootstrap_ci_mos(votes, rng=np.random.default_rng(7))
+        one = bootstrap_ci_mos(votes)
+        two = bootstrap_ci_mos(np.array(votes, dtype=float))
         assert (one.low, one.high) == (two.low, two.high)
+
+    @pytest.mark.parametrize("level", [0.5, 0.8, 0.875, 0.9, 0.95])
+    def test_equals_multinomial_enumeration(self, level):
+        # Many CDFs land exactly on a quantile: with votes {1, 5} at level
+        # 0.5 the lowest mean has CDF 1/4, and with {1, 1, 2, 2} at level
+        # 0.875 it has CDF 1/16, which the FFT gives as 0.06249999999999999.
+        for n in range(2, 9):
+            for votes in map(list, itertools.combinations_with_replacement(range(1, 6), n)):
+                interval = bootstrap_ci_mos(votes, level)
+                low, high = enumerated_ci_mos(votes, level)
+                assert (interval.low, interval.high) == (float(low), float(high)), votes
+
+    @pytest.mark.parametrize("n", [50, 100, 200])
+    def test_agrees_with_monte_carlo_bootstrap(self, n):
+        # 20000 resamples put the Monte Carlo quantiles within one lattice
+        # step of the exact ones (plus rounding of the lattice means)
+        rng = np.random.default_rng(n)
+        step = 1.0 / n + 1e-12
+        for probs in ([0.1, 0.2, 0.3, 0.25, 0.15], [0.35, 0.1, 0.1, 0.1, 0.35], [0, 0.3, 0.4, 0.3, 0]):
+            votes = rng.choice(np.arange(1, 6), size=n, p=probs)
+            interval = bootstrap_ci_mos(votes)
+            low, high = monte_carlo_ci_mos(votes, 20000, 0.95, rng)
+            assert abs(interval.low - low) <= step
+            assert abs(interval.high - high) <= step
 
 
 class TestClopperPearson:
@@ -159,5 +248,5 @@ class TestMaxCiWidth:
             widths = []
             for _ in range(40):
                 scores, _ = cache.sample(n, rng)
-                widths.append(bootstrap_ci_mos(scores, resamples=500, rng=rng).width)
+                widths.append(bootstrap_ci_mos(scores).width)
             assert np.mean(widths) <= max_ci_width(3.0, n)

@@ -134,8 +134,6 @@ class TestSimulate:
                 "4",
                 "--seed",
                 "7",
-                "--boot",
-                "100",
                 "--out",
                 str(out),
                 *extra,
@@ -192,8 +190,7 @@ class TestSimulate:
         ratings, _ = toy_files
         out = tmp_path / "noref"
         code = main(
-            ["simulate", str(ratings), "--n", "10:20:10", "--runs", "2",
-             "--boot", "100", "--out", str(out)]
+            ["simulate", str(ratings), "--n", "10:20:10", "--runs", "2", "--out", str(out)]
         )
         assert code == 0
         doc = json.loads(out.with_suffix(".json").read_text())
@@ -230,6 +227,31 @@ class TestSimulate:
         assert code == 2
         assert "n=10" in capsys.readouterr().err
         assert not list(tmp_path.glob("x*"))
+
+    @pytest.mark.parametrize("metrics", [(), ("--metrics", "irr"), ("--metrics", "gain_rmse,ci_width")])
+    def test_one_vote_fails_before_sampling(self, toy_files, tmp_path, monkeypatch, capsys, metrics):
+        # One vote per condition has no bootstrap CI and no second rater to
+        # compare with: a configuration error, not a failure mid-sweep.
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("votes were drawn before the vote count was checked")
+
+        monkeypatch.setattr(simulate, "_draw_votes", no_sampling)
+        ratings, _ = toy_files
+        code = main(
+            ["simulate", str(ratings), "--n", "1:5:1", "--runs", "2", *metrics,
+             "--out", str(tmp_path / "x")]
+        )
+        assert code == 2
+        assert "at least 2 votes" in capsys.readouterr().err
+        assert not list(tmp_path.glob("x*"))
+
+    def test_one_vote_is_enough_for_gain(self, toy_files, tmp_path):
+        ratings, _ = toy_files
+        code = main(
+            ["simulate", str(ratings), "--n", "1:5:1", "--runs", "2", "--metrics",
+             "gain_srcc,gain_rmse", "--out", str(tmp_path / "x")]
+        )
+        assert code == 0
 
     def test_bad_sweep_is_config_error(self, toy_files, tmp_path):
         ratings, _ = toy_files
@@ -282,8 +304,7 @@ class TestFit:
     def test_fit_from_json(self, toy_files, tmp_path):
         ratings, _ = toy_files
         out = tmp_path / "sim"
-        main(["simulate", str(ratings), "--n", "10:60:10", "--runs", "3",
-              "--boot", "100", "--out", str(out)])
+        main(["simulate", str(ratings), "--n", "10:60:10", "--runs", "3", "--out", str(out)])
         assert main(["fit", str(out) + ".json", "--metric", "ci_width"]) == 0
 
 
@@ -333,47 +354,64 @@ class TestMaxci:
 
 COLD_START_SCRIPT = """
 import json, sys
-def scipy_modules():
-    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+def probed_modules():
+    scipy = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+    return [scipy, "numpy.fft" in sys.modules]
 import qvotes.cli
-ratings, reference, out, report = sys.argv[1:]
-loaded = {"import qvotes.cli": [0, scipy_modules()]}
-sweep = ["--ref", reference, "--n", "10:40:10", "--seed", "3", "--boot", "100"]
+ratings, reference, curves, out, report = sys.argv[1:]
+loaded = {"import qvotes.cli": [0, *probed_modules()]}
+sweep = ["--ref", reference, "--n", "10:40:10", "--seed", "3"]
 steps = {
     "validate": ["validate", ratings, "--ref", reference],
     "compare": ["compare", ratings, reference, "--fom"],
+    "fit": ["fit", curves, "--metric", "gain_rmse"],
     "simulate --runs 1": ["simulate", ratings, *sweep, "--runs", "1", "--out", out],
-    "fit": ["fit", out + ".csv", "--metric", "gain_rmse"],
     "simulate --runs 2": ["simulate", ratings, *sweep, "--runs", "2", "--out", out],
     "maxci": ["maxci", "--mos", "3", "--n", "10:20:10"],
 }
 for name, argv in steps.items():
-    loaded[name] = [qvotes.cli.main(argv), scipy_modules()]
+    loaded[name] = [qvotes.cli.main(argv), *probed_modules()]
 with open(report, "w") as fh:
     json.dump(loaded, fh)
 """
 
 
 class TestColdStart:
-    def test_scipy_is_imported_only_for_quantiles(self, toy_files, tmp_path):
-        # A fresh interpreter: this test process has scipy loaded already.
+    """Which optional modules each command loads, step by step in one fresh
+    interpreter (this test process has scipy and numpy.fft loaded already).
+    ``fit`` reads a committed curve file so that it runs before any sweep."""
+
+    def _loaded(self, toy_files, tmp_path):
         ratings, reference = toy_files
+        curves = Path(__file__).resolve().parent / "data" / "golden_sweep.csv"
         report = tmp_path / "modules.json"
         env = dict(os.environ)
         src = str(Path(qvotes.__file__).resolve().parents[1])
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-c", COLD_START_SCRIPT, str(ratings), str(reference),
-             str(tmp_path / "sweep"), str(report)],
+             str(curves), str(tmp_path / "sweep"), str(report)],
             env=env, capture_output=True, text=True, timeout=120,
         )
         assert proc.returncode == 0, proc.stderr
         loaded = json.loads(report.read_text())
-        assert all(code == 0 for code, _ in loaded.values()), loaded
-        for step in ("import qvotes.cli", "validate", "compare", "simulate --runs 1", "fit"):
+        assert all(code == 0 for code, _, _ in loaded.values()), loaded
+        return loaded
+
+    def test_scipy_is_imported_only_for_quantiles(self, toy_files, tmp_path):
+        loaded = self._loaded(toy_files, tmp_path)
+        for step in ("import qvotes.cli", "validate", "compare", "fit", "simulate --runs 1"):
             assert loaded[step][1] == [], step
         # The across-run t quantile and the beta quantiles of maxci come
         # from scipy.special alone.
         for step in ("simulate --runs 2", "maxci"):
             assert "scipy.special" in loaded[step][1], step
             assert not any(m.startswith("scipy.stats") for m in loaded[step][1]), step
+
+    def test_fft_is_imported_only_for_ci_width(self, toy_files, tmp_path):
+        loaded = self._loaded(toy_files, tmp_path)
+        for step in ("import qvotes.cli", "validate", "compare", "fit"):
+            assert not loaded[step][2], step
+        # The default sweep computes ci_width, whose exact bootstrap is the
+        # only user of numpy.fft.
+        assert loaded["simulate --runs 1"][2]

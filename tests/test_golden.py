@@ -1,11 +1,12 @@
 """Golden regression: fixed ``qvotes simulate --delta`` sweeps must keep
 reproducing their recorded CSV files byte for byte.
 
-``golden_sweep.csv`` (all six metrics, n >= 10) was written by qvotes 0.1.0,
-before IRR became one grouped rank correlation per run.
-``golden_sweep_lown.csv`` (a wide, sparse study at n = 2..20 with ``--fom``)
-was written by qvotes 0.2.0, before sampling moved to per-run vectorised
-substreams and the loader became columnar.
+``golden_sweep.csv`` (all six metrics, n >= 10) was written by qvotes 0.3.0,
+whose ci_width is the exact bootstrap; its other rows are unchanged since
+qvotes 0.1.0 wrote them, before IRR became one grouped rank correlation per
+run.  ``golden_sweep_lown.csv`` (a wide, sparse study at n = 2..20 with
+``--fom``, no ci_width) was written by qvotes 0.2.0, before sampling moved
+to per-run vectorised substreams and the loader became columnar.
 """
 
 from __future__ import annotations

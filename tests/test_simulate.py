@@ -33,7 +33,7 @@ from qvotes import (
     write_curves_json,
 )
 from qvotes import simulate
-from qvotes.simulate import CurvePoint, _aggregate, _irr, _substreams
+from qvotes.simulate import CurvePoint, _aggregate, _irr
 
 
 def three_user_toy():
@@ -58,7 +58,6 @@ class TestSweepConfig:
         cfg = SweepConfig()
         assert cfg.n_values == tuple(range(10, 201, 10))
         assert cfg.repetitions == 250
-        assert cfg.bootstrap_resamples == 1000
 
     def test_validation(self):
         with pytest.raises(ConfigError):
@@ -75,8 +74,6 @@ class TestSweepConfig:
             SweepConfig(metrics=("irr", "irr"))
         with pytest.raises(ConfigError):
             SweepConfig(ci_level=1.0)
-        with pytest.raises(ConfigError):
-            SweepConfig(bootstrap_resamples=10)
         with pytest.raises(ConfigError):
             SweepConfig(master_seed=-1)
 
@@ -144,9 +141,7 @@ class TestRunSweep:
     def test_single_run_constant_votes(self):
         rows = [("x", "u1", 3)] * 12
         ds = make_dataset(rows)
-        cfg = SweepConfig(
-            n_values=(12,), repetitions=1, metrics=("ci_width",), bootstrap_resamples=100
-        )
+        cfg = SweepConfig(n_values=(12,), repetitions=1, metrics=("ci_width",))
         curve = run_sweep(ds, None, cfg)[0]
         point = curve.point_at(12)
         assert point.mean == 0.0
@@ -162,7 +157,6 @@ class TestRunSweep:
             repetitions=6,
             master_seed=11,
             metrics=("gain_srcc", "gain_rmse", "ci_width", "irr"),
-            bootstrap_resamples=100,
         )
         runs = [run_sweep(ds, None, cfg, workers=w) for w in (1, 4)]
         assert runs[0] == runs[1]
@@ -170,9 +164,7 @@ class TestRunSweep:
     def test_metric_selection_does_not_perturb_sampling(self):
         ds = synthetic_dataset(seed=3, n_conditions=5, n_users=8)
         cfg_small = SweepConfig(n_values=(15,), repetitions=4, metrics=("gain_srcc",))
-        cfg_big = dataclasses.replace(
-            cfg_small, metrics=("gain_srcc", "ci_width"), bootstrap_resamples=100
-        )
+        cfg_big = dataclasses.replace(cfg_small, metrics=("gain_srcc", "ci_width"))
         small = run_sweep(ds, None, cfg_small)[0]
         big = run_sweep(ds, None, cfg_big)[0]
         assert small == big
@@ -199,7 +191,6 @@ class TestRunSweep:
                 n_values=(10,),
                 repetitions=r,
                 metrics=("gain_srcc", "ci_width", "irr"),
-                bootstrap_resamples=100,
             )
             curves = run_sweep(ds, None, cfg)
             widths[r] = {
@@ -355,9 +346,7 @@ class TestCertaintyGain:
 class TestCiWidthCurve:
     def test_zero_for_constant_votes(self):
         ds = make_dataset([("x", "u1", 4)] * 10 + [("y", "u2", 4)] * 10)
-        cfg = SweepConfig(
-            n_values=(10, 20), repetitions=3, metrics=("ci_width",), bootstrap_resamples=100
-        )
+        cfg = SweepConfig(n_values=(10, 20), repetitions=3, metrics=("ci_width",))
         curve = ci_width_curve(ds, cfg)
         assert all(p.mean == 0.0 for p in curve.points)
 
@@ -370,7 +359,6 @@ class TestCiWidthCurve:
             repetitions=120,
             master_seed=5,
             metrics=("ci_width",),
-            bootstrap_resamples=400,
         )
         curve = ci_width_curve(ds, cfg)
         w = {p.n: p.mean for p in curve.points}
@@ -432,7 +420,6 @@ class TestEndToEndPipeline:
             repetitions=15,
             master_seed=17,
             metrics=("validity_srcc", "validity_rmse", "ci_width", "irr"),
-            bootstrap_resamples=200,
         )
         curves = {c.metric: c for c in run_sweep(ds, ref, cfg)}
 
@@ -613,26 +600,6 @@ class TestBatchedIrr:
 
 
 keys = st.integers(0, 2**40)
-
-
-class TestSubstreams:
-    @settings(max_examples=300, deadline=None)
-    @given(seed=st.integers(0, 2**140), key=st.tuples(keys, keys, keys), k=st.integers(1, 6))
-    @example(seed=0, key=(0, 0, 0), k=3)
-    @example(seed=2**32, key=(1, 2**32, 2**40), k=2)
-    @example(seed=2**128 + 7, key=(0, 10, 249), k=1)
-    def test_bitwise_equal_to_seed_sequence(self, seed, key, k):
-        # multi-word seeds and keys change the entropy layout before the
-        # condition word; every state and draw must still be numpy's
-        drawn = 0
-        for j, rng in enumerate(_substreams(seed, *key, k)):
-            ss = np.random.SeedSequence(seed, spawn_key=(*key, j))
-            want = np.random.Generator(np.random.PCG64(ss))
-            assert rng.bit_generator.state == want.bit_generator.state
-            assert np.array_equal(rng.random(5), want.random(5))
-            assert np.array_equal(rng.multinomial(7, [0.5, 0.5], 3), want.multinomial(7, [0.5, 0.5], 3))
-            drawn += 1
-        assert drawn == k
 
 
 class TestConditionSampler:
