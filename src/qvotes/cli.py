@@ -293,10 +293,10 @@ def cmd_simulate(args) -> int:
     )
     if args.delta:
         simulate.require_delta_baseline(cfg)
-    curves = run_sweep(ds, ref, cfg, workers=args.workers)
+    curves = run_sweep(ds, ref, cfg)
 
     if args.delta:
-        gain = simulate.certainty_gain(ds, cfg, with_delta=True, workers=args.workers)
+        gain = simulate.certainty_gain(ds, cfg, with_delta=True)
         curves = curves + [gain.delta_srcc, gain.delta_rmse]
 
     base = _out_base(args.out)
@@ -427,8 +427,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ci-level", type=float, default=0.95, dest="ci_level")
     p.add_argument("--delta", action="store_true",
                    help="also emit gain curves shifted by their n=10 value")
-    p.add_argument("--workers", type=int, default=None,
-                   help="worker threads (default: QVOTES_THREADS or CPU count)")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("fit", help="fit a saturating power model to a stored metric curve")
@@ -458,10 +456,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (DataError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except QvotesError as exc:
+    except (QvotesError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

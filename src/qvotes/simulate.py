@@ -35,8 +35,9 @@ next n their scores, by inverse CDF on the draws' 53-bit integers.  This
 is bit for bit what ``PCG64(SeedSequence(master_seed, spawn_key=(0, n, i,
 j)))`` draws; oracle tests pin it.  Every metric is a deterministic
 function of the drawn votes, so outputs are bitwise identical for a fixed
-(dataset, config, seed) triple regardless of worker count or scheduling,
-and adding metrics to a sweep never perturbs the others.
+(dataset, config, seed) triple.  A curve point depends only on (dataset,
+n, runs, seed, config), not on the rest of the n grid, and adding metrics
+to a sweep never perturbs the others.
 """
 
 from __future__ import annotations
@@ -45,8 +46,6 @@ import csv
 import dataclasses
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -70,8 +69,6 @@ REFERENCE_METRICS = frozenset((VALIDITY_SRCC, VALIDITY_RMSE))
 DELTA_BASELINE_N = 10
 
 _PURPOSE_SAMPLE = 0
-
-THREADS_ENV = "QVOTES_THREADS"
 
 CURVE_CSV_COLUMNS = ("metric", "dataset", "n", "mean", "ci_low", "ci_high", "std_dev")
 
@@ -355,22 +352,6 @@ def _draw_votes(ds: RatingDataset, n: int, run_index: int, master_seed: int, jum
     return tuple(np.concatenate(parts) for parts in zip(*blocks))
 
 
-def resolve_workers(workers: int | None = None) -> int:
-    """Worker count: explicit argument, else QVOTES_THREADS, else CPUs."""
-    if workers is None:
-        env = os.environ.get(THREADS_ENV)
-        if env:
-            try:
-                workers = int(env)
-            except ValueError:
-                raise ConfigError(f"{THREADS_ENV} must be an integer, got {env!r}") from None
-        else:
-            workers = os.cpu_count() or 1
-    if workers < 1:
-        raise ConfigError(f"worker count must be >= 1, got {workers}")
-    return workers
-
-
 def sample_condition(
     ds: RatingDataset,
     condition_id: str,
@@ -538,7 +519,6 @@ def run_sweep(
     ds: RatingDataset,
     ref: ReferenceMos | None,
     cfg: SweepConfig,
-    workers: int | None = None,
     irr_min_conditions: int = 3,
 ) -> list[MetricCurve]:
     """Run the full sweep and return one curve per configured metric.
@@ -595,27 +575,14 @@ def run_sweep(
             )
 
     r = cfg.repetitions
-    tasks = [(n_idx, i) for n_idx in range(len(cfg.n_values)) for i in range(r)]
-    results: list[list[dict[str, float | None] | None]] = [
-        [None] * r for _ in cfg.n_values
-    ]
-
     jumps = _jump_table(2 * cfg.n_values[-1])
-
-    def run_task(task):
-        n_idx, i = task
-        return _simulate_run(
-            ds, cfg, cfg.n_values[n_idx], i, ref_ctx, full_mos, irr_min_conditions, jumps
-        )
-
-    n_workers = resolve_workers(workers)
-    if n_workers == 1 or len(tasks) == 1:
-        for task in tasks:
-            results[task[0]][task[1]] = run_task(task)
-    else:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            for task, outcome in zip(tasks, pool.map(run_task, tasks)):
-                results[task[0]][task[1]] = outcome
+    results = [
+        [
+            _simulate_run(ds, cfg, n, i, ref_ctx, full_mos, irr_min_conditions, jumps)
+            for i in range(r)
+        ]
+        for n in cfg.n_values
+    ]
 
     curves = []
     for metric in cfg.metrics:
@@ -656,7 +623,6 @@ def certainty_gain(
     ds: RatingDataset,
     cfg: SweepConfig,
     with_delta: bool = True,
-    workers: int | None = None,
 ) -> CertaintyGain:
     """Agreement of subsample MOS vectors with the full dataset's MOS, as
     a function of vote count.
@@ -667,7 +633,7 @@ def certainty_gain(
     if with_delta:
         require_delta_baseline(cfg)
     gain_cfg = dataclasses.replace(cfg, metrics=(GAIN_SRCC, GAIN_RMSE))
-    srcc_curve, rmse_curve = run_sweep(ds, None, gain_cfg, workers=workers)
+    srcc_curve, rmse_curve = run_sweep(ds, None, gain_cfg)
     delta_srcc = delta_rmse = None
     if with_delta:
         delta_srcc = _shift_curve(
@@ -684,19 +650,16 @@ def certainty_gain(
     )
 
 
-def ci_width_curve(
-    ds: RatingDataset, cfg: SweepConfig, workers: int | None = None
-) -> MetricCurve:
+def ci_width_curve(ds: RatingDataset, cfg: SweepConfig) -> MetricCurve:
     """Average per-condition bootstrap CI width as a function of vote count."""
     width_cfg = dataclasses.replace(cfg, metrics=(CI_WIDTH,))
-    return run_sweep(ds, None, width_cfg, workers=workers)[0]
+    return run_sweep(ds, None, width_cfg)[0]
 
 
 def irr_curve(
     ds: RatingDataset,
     cfg: SweepConfig,
     min_conditions_per_user: int = 3,
-    workers: int | None = None,
 ) -> MetricCurve:
     """Inter-rater reliability as a function of vote count.
 
@@ -705,9 +668,7 @@ def irr_curve(
     count; ineligible users are skipped, not scored as zero.
     """
     irr_cfg = dataclasses.replace(cfg, metrics=(IRR,))
-    return run_sweep(
-        ds, None, irr_cfg, workers=workers, irr_min_conditions=min_conditions_per_user
-    )[0]
+    return run_sweep(ds, None, irr_cfg, irr_min_conditions=min_conditions_per_user)[0]
 
 
 def irr_full(ds: RatingDataset, min_conditions_per_user: int = 3) -> float:
@@ -789,6 +750,17 @@ def write_curves_json(
         fh.write("\n")
 
 
+def _curve_point(fields) -> CurvePoint:
+    """A curve point from a CSV row or a JSON point object."""
+    return CurvePoint(
+        int(fields["n"]),
+        float(fields["mean"]),
+        float(fields["ci_low"]),
+        float(fields["ci_high"]),
+        float(fields["std_dev"]),
+    )
+
+
 def read_curves_csv(path) -> list[MetricCurve]:
     grouped: dict[tuple[str, str], list[CurvePoint]] = {}
     with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -796,17 +768,11 @@ def read_curves_csv(path) -> list[MetricCurve]:
         missing = set(CURVE_CSV_COLUMNS) - set(reader.fieldnames or ())
         if missing:
             raise DataError(f"curve file missing column(s): {', '.join(sorted(missing))}")
-        for row in reader:
-            key = (row["metric"], row["dataset"])
-            grouped.setdefault(key, []).append(
-                CurvePoint(
-                    int(row["n"]),
-                    float(row["mean"]),
-                    float(row["ci_low"]),
-                    float(row["ci_high"]),
-                    float(row["std_dev"]),
-                )
-            )
+        try:
+            for row in reader:
+                grouped.setdefault((row["metric"], row["dataset"]), []).append(_curve_point(row))
+        except (TypeError, ValueError) as exc:
+            raise DataError(f"malformed curve CSV at line {reader.line_num}: {exc}") from None
     if not grouped:
         raise DataError("curve file has no rows")
     return [
@@ -816,25 +782,16 @@ def read_curves_csv(path) -> list[MetricCurve]:
 
 
 def read_curves_json(path) -> list[MetricCurve]:
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
     try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
         return [
             MetricCurve(
                 metric=c["metric"],
                 dataset_label=c["dataset"],
-                points=tuple(
-                    CurvePoint(
-                        int(p["n"]),
-                        float(p["mean"]),
-                        float(p["ci_low"]),
-                        float(p["ci_high"]),
-                        float(p["std_dev"]),
-                    )
-                    for p in c["points"]
-                ),
+                points=tuple(_curve_point(p) for p in c["points"]),
             )
             for c in doc["curves"]
         ]
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"malformed curve JSON: {exc}") from None

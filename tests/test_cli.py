@@ -307,25 +307,22 @@ class TestFit:
         main(["simulate", str(ratings), "--n", "10:60:10", "--runs", "3", "--out", str(out)])
         assert main(["fit", str(out) + ".json", "--metric", "ci_width"]) == 0
 
-
-class TestWorkerResolution:
-    def test_env_variable_caps_workers(self, monkeypatch):
-        from qvotes.simulate import resolve_workers
-
-        monkeypatch.setenv("QVOTES_THREADS", "3")
-        assert resolve_workers() == 3
-        assert resolve_workers(2) == 2
-        monkeypatch.setenv("QVOTES_THREADS", "zero")
-        with pytest.raises(ConfigError):
-            resolve_workers()
-        monkeypatch.delenv("QVOTES_THREADS")
-        assert resolve_workers() >= 1
-
-    def test_rejects_nonpositive(self):
-        from qvotes.simulate import resolve_workers
-
-        with pytest.raises(ConfigError):
-            resolve_workers(0)
+    @pytest.mark.parametrize(
+        "name, text",
+        [
+            ("bad_number.csv", "metric,dataset,n,mean,ci_low,ci_high,std_dev\nirr,toy,10,abc,0.1,0.2,0.0\n"),
+            ("bad_n.json", '{"curves": [{"metric": "irr", "dataset": "toy", "points": '
+                           '[{"n": "ten", "mean": 0.5, "ci_low": 0.5, "ci_high": 0.5, "std_dev": 0.0}]}]}'),
+            ("broken.json", "{not json"),
+        ],
+    )
+    def test_malformed_curve_file_is_data_error(self, tmp_path, capsys, name, text):
+        path = tmp_path / name
+        path.write_text(text)
+        assert main(["fit", str(path), "--metric", "irr"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "Traceback" not in err
 
 
 class TestMaxci:
@@ -356,7 +353,7 @@ COLD_START_SCRIPT = """
 import json, sys
 def probed_modules():
     scipy = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
-    return [scipy, "numpy.fft" in sys.modules]
+    return [scipy, "numpy.fft" in sys.modules, "concurrent.futures" in sys.modules]
 import qvotes.cli
 ratings, reference, curves, out, report = sys.argv[1:]
 loaded = {"import qvotes.cli": [0, *probed_modules()]}
@@ -395,7 +392,7 @@ class TestColdStart:
         )
         assert proc.returncode == 0, proc.stderr
         loaded = json.loads(report.read_text())
-        assert all(code == 0 for code, _, _ in loaded.values()), loaded
+        assert all(code == 0 for code, *_ in loaded.values()), loaded
         return loaded
 
     def test_scipy_is_imported_only_for_quantiles(self, toy_files, tmp_path):
@@ -415,3 +412,10 @@ class TestColdStart:
         # The default sweep computes ci_width, whose exact bootstrap is the
         # only user of numpy.fft.
         assert loaded["simulate --runs 1"][2]
+
+    def test_no_thread_pool_is_imported(self, toy_files, tmp_path):
+        loaded = self._loaded(toy_files, tmp_path)
+        # scipy.special pulls concurrent.futures in through numpy.testing;
+        # qvotes itself never imports it.
+        for step, (_, scipy, _, futures) in loaded.items():
+            assert not futures or scipy, step
