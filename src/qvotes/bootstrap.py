@@ -7,6 +7,12 @@ the distribution of a resampled mean of n votes on 1..5 is the n-fold
 convolution of the sample's vote pmf, computed by FFT, so no resampling
 and no random stream are involved.  Each bound is the smallest lattice
 mean whose CDF reaches its quantile less 1e-9 (see ``bootstrap_ci_mos``).
+
+``bootstrap_ci_mos`` takes one vote multiset as a 1-D array, or k of them
+as the rows of a (k, n) matrix, and then returns (k,) arrays of bounds.  A
+single multiset is the one-row case of the same kernel, which groups rows
+by their vote span (max - min) and batches the FFTs of each group, so row i
+of a matrix gives bit for bit the interval of row i on its own.
 """
 
 from __future__ import annotations
@@ -17,27 +23,39 @@ import numpy as np
 
 from .errors import ConfigError, DataError
 
+# Spectrum points per batch of rows in ``bootstrap_ci_mos`` (8 rows at
+# n = 200): small batches keep the temporaries in cache whatever k is.
+_CHUNK_POINTS = 1 << 13
+
 
 @dataclass(frozen=True)
 class Interval:
-    low: float
-    high: float
+    """Confidence bounds: floats, or equal-shaped arrays of them."""
+
+    low: float | np.ndarray
+    high: float | np.ndarray
     level: float
 
     def __post_init__(self):
         if not 0.0 < self.level < 1.0:
             raise ConfigError(f"level must be in (0, 1), got {self.level}")
-        if self.low > self.high:
+        if np.any(np.greater(self.low, self.high)):
             raise DataError(f"interval bounds out of order: [{self.low}, {self.high}]")
 
     @property
-    def width(self) -> float:
+    def width(self) -> float | np.ndarray:
         return self.high - self.low
 
 
 def bootstrap_ci_mos(votes, level: float = 0.95) -> Interval:
     """Percentile-bootstrap confidence interval for the mean of a vote
     multiset, computed exactly rather than by resampling.
+
+    ``votes`` is one multiset of n votes, shape (n,), which gives an
+    Interval of floats, or k multisets as the rows of a (k, n) matrix, which
+    gives an Interval of (k,) arrays whose entry i is bit for bit the
+    interval of row i alone.  Every vote of every row must be an integer in
+    1..5, and n at least 2.
 
     Votes are integers in 1..5, so the mean of n votes resampled with
     replacement lies on the lattice min(votes) + i/n, and its distribution
@@ -46,7 +64,9 @@ def bootstrap_ci_mos(votes, level: float = 0.95) -> Interval:
     resamples.  The convolution is one real FFT of the pmf, trimmed to the
     [min, max] vote support and zero-padded to the smallest power of two
     above span * n (the sum has span * n + 1 support points, so nothing
-    wraps), raised to the n-th power by repeated squaring.
+    wraps), raised to the n-th power by repeated squaring.  Rows are grouped
+    by span, 0 to 4, so each group shares one FFT size and runs as batched
+    FFTs over a few rows at a time; span 0 needs no FFT.
 
     Each bound is the smallest lattice mean whose CDF reaches its quantile
     q = alpha/2 or 1 - alpha/2 less 1e-9; the slack absorbs FFT rounding, so
@@ -56,38 +76,64 @@ def bootstrap_ci_mos(votes, level: float = 0.95) -> Interval:
     """
     if not 0.0 < level < 1.0:
         raise ConfigError(f"level must be in (0, 1), got {level}")
-    arr = np.asarray(votes).ravel()
-    n = arr.size
+    arr = np.asarray(votes)
+    if arr.ndim > 2:
+        raise DataError(f"votes must be one multiset or a matrix of them, got shape {arr.shape}")
+    rows = arr if arr.ndim == 2 else arr.reshape(1, -1)
+    k, n = rows.shape
     if n < 2:
         raise DataError(f"need at least 2 votes for a CI, got {n}")
     with np.errstate(invalid="ignore"):  # NaN and inf fail the checks below
-        ints = arr.astype(np.int64)
-    lo, hi = int(ints.min()), int(ints.max())
-    if lo < 1 or hi > 5 or (arr.dtype.kind not in "iu" and not np.array_equal(ints, arr)):
+        ints = rows.astype(np.int64)
+    lo, hi = ints.min(axis=1), ints.max(axis=1)
+    if (
+        (lo < 1).any()
+        or (hi > 5).any()
+        or (rows.dtype.kind not in "iu" and not np.array_equal(ints, rows))
+    ):
         raise DataError("votes must be integers in 1..5")
-    if lo == hi:
-        return Interval(low=float(lo), high=float(lo), level=level)
-    # Loaded at first use, so that commands without a CI never import it.
-    from numpy import fft
-
-    last = (hi - lo) * n
-    size = 1 << last.bit_length()
-    spectrum = fft.rfft(np.bincount(ints - lo) / n, size)
-    # Repeated squaring: numpy's complex ``**`` is slower for large n.
-    power = None
-    exponent = n
-    while True:
-        if exponent & 1:
-            power = spectrum if power is None else power * spectrum
-        exponent >>= 1
-        if not exponent:
-            break
-        spectrum = spectrum * spectrum
-    cdf = np.cumsum(fft.irfft(power, size)[: last + 1])
+    # Each row's vote counts on its own support [lo, hi], in one bincount.
+    offsets = ints - lo[:, None] + 5 * np.arange(k)[:, None]
+    counts = np.bincount(offsets.ravel(), minlength=5 * k).reshape(k, 5)
     q = (1.0 - level) / 2.0
-    steps = cdf.searchsorted([q - 1e-9, 1.0 - q - 1e-9])
+    targets = (q - 1e-9, 1.0 - q - 1e-9)
+    steps = np.zeros((2, k), np.int64)
+    span = hi - lo
+    for s in range(1, 5):
+        group = np.flatnonzero(span == s)
+        if not group.size:
+            continue
+        # Loaded at first use, so that commands without a CI never import it.
+        from numpy import fft
+
+        last = s * n
+        size = 1 << last.bit_length()
+        batch = max(1, _CHUNK_POINTS // size)
+        for start in range(0, group.size, batch):
+            part = group[start : start + batch]
+            spectrum = fft.rfft(counts[part, : s + 1] / n, size, axis=-1)
+            # Repeated squaring: numpy's complex ``**`` is slower for large n.
+            power = None
+            exponent = n
+            while True:
+                if exponent & 1:
+                    if power is None:
+                        power = spectrum.copy()
+                    else:
+                        power *= spectrum
+                exponent >>= 1
+                if not exponent:
+                    break
+                spectrum *= spectrum
+            cdf = np.cumsum(fft.irfft(power, size, axis=-1)[:, : last + 1], axis=-1)
+            # Each CDF ends at 1 up to rounding, above both targets, so
+            # argmax always finds the first index that reaches one.
+            for bound, target in enumerate(targets):
+                steps[bound, part] = (cdf >= target).argmax(axis=1)
     low, high = (lo * n + steps) / n
-    return Interval(low=float(low), high=float(high), level=level)
+    if arr.ndim < 2:
+        return Interval(low=float(low[0]), high=float(high[0]), level=level)
+    return Interval(low=low, high=high, level=level)
 
 
 def clopper_pearson(successes: int, n: int, level: float = 0.95) -> tuple[float, float]:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import csv
 import io
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
@@ -362,6 +363,27 @@ def _open_text(source):
     raise ConfigError(f"unsupported source type: {type(source).__name__}")
 
 
+@contextmanager
+def _csv_rows(source, delimiter: str):
+    """A ``csv.reader`` over ``source`` (a path or an open stream), closed
+    on exit if opened here.  A delimiter ``csv`` rejects raises
+    :class:`ConfigError`; bytes that are not UTF-8 raise :class:`DataError`
+    naming the source."""
+    fh, needs_close = _open_text(source)
+    try:
+        try:
+            reader = csv.reader(fh, delimiter=delimiter)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"invalid delimiter {delimiter!r}: {exc}") from None
+        yield reader
+    except UnicodeDecodeError as exc:
+        name = source if isinstance(source, (str, Path)) else getattr(source, "name", "input")
+        raise DataError(f"{name} is not UTF-8 text: {exc.reason}") from None
+    finally:
+        if needs_close:
+            fh.close()
+
+
 def _resolve_columns(header, wanted, column_map, required):
     names = [h.strip() for h in header]
     index = {}
@@ -417,9 +439,7 @@ def load_ratings(
     naming the offending line for malformed rows.
     """
     column_map = _check_column_map(column_map, RATING_COLUMNS + (STIMULUS_COLUMN,))
-    fh, needs_close = _open_text(source)
-    try:
-        reader = csv.reader(fh, delimiter=delimiter)
+    with _csv_rows(source, delimiter) as reader:
         try:
             header = next(reader)
         except StopIteration:
@@ -448,12 +468,9 @@ def load_ratings(
                 if stim_col is not None and len(row) > stim_col
                 else None
             )
-        if not conds:
-            raise DataError("no rating rows found")
-        return RatingDataset._from_columns(conds, users, scores, stims, label=label)
-    finally:
-        if needs_close:
-            fh.close()
+    if not conds:
+        raise DataError("no rating rows found")
+    return RatingDataset._from_columns(conds, users, scores, stims, label=label)
 
 
 def load_reference(
@@ -466,9 +483,7 @@ def load_reference(
     Duplicate condition ids and MOS values outside [1, 5] are errors.
     """
     column_map = _check_column_map(column_map, REFERENCE_COLUMNS)
-    fh, needs_close = _open_text(source)
-    try:
-        reader = csv.reader(fh, delimiter=delimiter)
+    with _csv_rows(source, delimiter) as reader:
         try:
             header = next(reader)
         except StopIteration:
@@ -494,12 +509,9 @@ def load_reference(
             if not 1.0 <= value <= 5.0:
                 raise DataError(f"mos out of range at line {line}: {raw}")
             mos[cond] = value
-        if not mos:
-            raise DataError("no reference rows found")
-        return ReferenceMos(mos)
-    finally:
-        if needs_close:
-            fh.close()
+    if not mos:
+        raise DataError("no reference rows found")
+    return ReferenceMos(mos)
 
 
 # -- cleaning ------------------------------------------------------------

@@ -15,7 +15,8 @@ Metrics
     (user-balanced) MOS vector.
 ``ci_width``
     average width of the per-condition MOS's percentile-bootstrap CI,
-    computed exactly from the votes without resampling (``bootstrap_ci_mos``).
+    computed exactly from the votes without resampling; one
+    ``bootstrap_ci_mos`` call per run covers every condition.
 ``irr``
     inter-rater reliability: each sampled user's per-condition means
     rank-correlated against everyone else's, averaged over users, in one
@@ -486,9 +487,12 @@ def _simulate_run(
     if GAIN_RMSE in metrics:
         out[GAIN_RMSE] = stats.rmse(means, full_mos)
     if CI_WIDTH in metrics:
+        # Left to right in Python floats, as one call per condition added
+        # them, so ci_width keeps its bytes: np.sum adds pairwise, and the
+        # built-in sum compensates on Python 3.12 and later.
         width_sum = 0.0
-        for votes in scores:
-            width_sum += bootstrap_ci_mos(votes, cfg.ci_level).width
+        for width in bootstrap_ci_mos(scores, cfg.ci_level).width.tolist():
+            width_sum += width
         out[CI_WIDTH] = width_sum / k
     if IRR in metrics:
         out[IRR] = _sampled_irr(ds, scores, rows, irr_min_conditions)
@@ -765,12 +769,14 @@ def read_curves_csv(path) -> list[MetricCurve]:
     grouped: dict[tuple[str, str], list[CurvePoint]] = {}
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
-        missing = set(CURVE_CSV_COLUMNS) - set(reader.fieldnames or ())
-        if missing:
-            raise DataError(f"curve file missing column(s): {', '.join(sorted(missing))}")
         try:
+            missing = set(CURVE_CSV_COLUMNS) - set(reader.fieldnames or ())
+            if missing:
+                raise DataError(f"curve file missing column(s): {', '.join(sorted(missing))}")
             for row in reader:
                 grouped.setdefault((row["metric"], row["dataset"]), []).append(_curve_point(row))
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path} is not UTF-8 text: {exc.reason}") from None
         except (TypeError, ValueError) as exc:
             raise DataError(f"malformed curve CSV at line {reader.line_num}: {exc}") from None
     if not grouped:

@@ -9,6 +9,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import cp_bounds_bisect, two_point_dataset
 from qvotes import (
@@ -19,6 +21,7 @@ from qvotes import (
     clopper_pearson,
     max_ci_width,
 )
+from qvotes import bootstrap
 
 
 class TestInterval:
@@ -30,6 +33,12 @@ class TestInterval:
             Interval(2.0, 1.0, 0.95)
         with pytest.raises(ConfigError):
             Interval(1.0, 2.0, 1.5)
+
+    def test_array_bounds(self):
+        interval = Interval(np.array([1.0, 2.0]), np.array([1.5, 2.0]), 0.95)
+        assert interval.width.tolist() == [0.5, 0.0]
+        with pytest.raises(DataError):
+            Interval(np.array([1.0, 2.0]), np.array([1.5, 1.9]), 0.95)
 
 
 def monte_carlo_ci_mos(votes, resamples, level, rng):
@@ -166,6 +175,94 @@ class TestBootstrapCiMos:
             low, high = monte_carlo_ci_mos(votes, 20000, 0.95, rng)
             assert abs(interval.low - low) <= step
             assert abs(interval.high - high) <= step
+
+
+def per_row_ci_mos(votes, level):
+    """qvotes 0.3.0's one-multiset kernel: the FFT convolution of one row's
+    pmf, and each bound by ``searchsorted`` on its CDF."""
+    ints = np.asarray(votes).astype(np.int64)
+    n = ints.size
+    lo, hi = int(ints.min()), int(ints.max())
+    if lo == hi:
+        return float(lo), float(lo)
+    last = (hi - lo) * n
+    size = 1 << last.bit_length()
+    spectrum = np.fft.rfft(np.bincount(ints - lo) / n, size)
+    power = None
+    exponent = n
+    while True:
+        if exponent & 1:
+            power = spectrum if power is None else power * spectrum
+        exponent >>= 1
+        if not exponent:
+            break
+        spectrum = spectrum * spectrum
+    cdf = np.cumsum(np.fft.irfft(power, size)[: last + 1])
+    q = (1.0 - level) / 2.0
+    low, high = (lo * n + cdf.searchsorted([q - 1e-9, 1.0 - q - 1e-9])) / n
+    return float(low), float(high)
+
+
+def vote_matrix(seed, k, n, dtype):
+    """k rows of n votes, each row on a random [lo, lo + span] with every
+    span 0..4 equally likely."""
+    rng = np.random.default_rng(seed)
+    span = rng.integers(0, 5, size=(k, 1))
+    lo = rng.integers(1, 6 - span)
+    return (lo + rng.integers(0, span + 1, size=(k, n))).astype(dtype)
+
+
+class TestBatchedBootstrapCiMos:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        k=st.integers(1, 60),
+        n=st.integers(2, 60),
+        dtype=st.sampled_from([np.int64, np.int32, np.uint8, np.float64, np.float32]),
+        level=st.sampled_from([0.5, 0.8, 0.9, 0.95, 0.99]),
+    )
+    def test_rows_equal_one_dimensional_calls(self, seed, k, n, dtype, level):
+        votes = vote_matrix(seed, k, n, dtype)
+        batched = bootstrap_ci_mos(votes, level)
+        assert batched.low.shape == batched.high.shape == (k,)
+        for i, row in enumerate(votes):
+            single = bootstrap_ci_mos(row, level)
+            assert isinstance(single.low, float) and isinstance(single.high, float)
+            assert (batched.low[i], batched.high[i]) == (single.low, single.high)
+            assert (single.low, single.high) == per_row_ci_mos(row, level)
+
+    @pytest.mark.parametrize("bad", [0, 6, 2.5, np.nan])
+    def test_one_bad_row_fails_the_call(self, bad):
+        votes = vote_matrix(3, 12, 20, np.float64)
+        votes[7, 11] = bad
+        with pytest.raises(DataError):
+            bootstrap_ci_mos(votes)
+
+    @pytest.mark.parametrize("level", [0.5, 0.875, 0.95])
+    def test_stacked_multisets_equal_enumeration(self, level):
+        for n in range(2, 9):
+            rows = list(itertools.combinations_with_replacement(range(1, 6), n))
+            interval = bootstrap_ci_mos(np.array(rows), level)
+            for i, votes in enumerate(rows):
+                low, high = enumerated_ci_mos(list(votes), level)
+                assert (interval.low[i], interval.high[i]) == (float(low), float(high)), votes
+
+    def test_row_batch_size_does_not_change_bits(self, monkeypatch):
+        votes = vote_matrix(5, 40, 200, np.int64)
+        whole = bootstrap_ci_mos(votes)
+        monkeypatch.setattr(bootstrap, "_CHUNK_POINTS", 1)
+        one_by_one = bootstrap_ci_mos(votes)
+        assert np.array_equal(whole.low, one_by_one.low)
+        assert np.array_equal(whole.high, one_by_one.high)
+
+    def test_shapes(self):
+        assert bootstrap_ci_mos(np.array([[1, 5]])).low.shape == (1,)
+        empty = bootstrap_ci_mos(np.ones((0, 4), dtype=int))
+        assert empty.low.shape == empty.high.shape == (0,)
+        with pytest.raises(DataError):
+            bootstrap_ci_mos(np.ones((3, 1), dtype=int))
+        with pytest.raises(DataError):
+            bootstrap_ci_mos(np.ones((2, 2, 2), dtype=int))
 
 
 class TestClopperPearson:

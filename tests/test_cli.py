@@ -325,6 +325,45 @@ class TestFit:
         assert "Traceback" not in err
 
 
+class TestUnreadableInput:
+    """A bad delimiter is a configuration error (exit 2) and bytes that are
+    not UTF-8 a data error (exit 1), each one ``error:`` line."""
+
+    def _fails(self, argv, code, capsys):
+        assert main(argv) == code
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+        return err
+
+    @pytest.mark.parametrize("command", ["validate", "simulate"])
+    def test_delimiter_of_two_characters(self, toy_files, tmp_path, capsys, command):
+        ratings, _ = toy_files
+        extra = ["--out", str(tmp_path / "sim")] if command == "simulate" else []
+        err = self._fails([command, str(ratings), "--delimiter", ",,", *extra], 2, capsys)
+        assert "delimiter" in err
+
+    @pytest.mark.parametrize("command", ["validate", "simulate"])
+    def test_ratings_not_utf8(self, tmp_path, capsys, command):
+        ratings = tmp_path / "ratings.csv"
+        ratings.write_bytes(b"condition_id,user_id,score\nc1,u1,4\nc1,\xff,3\n")
+        extra = ["--out", str(tmp_path / "sim")] if command == "simulate" else []
+        err = self._fails([command, str(ratings), *extra], 1, capsys)
+        assert "ratings.csv is not UTF-8" in err
+
+    def test_reference_not_utf8(self, toy_files, capsys):
+        ratings, reference = toy_files
+        reference.write_bytes(reference.read_bytes() + b"c\xff,3.0\n")
+        err = self._fails(["validate", str(ratings), "--ref", str(reference)], 1, capsys)
+        assert "reference.csv is not UTF-8" in err
+
+    def test_curve_csv_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "curves.csv"
+        path.write_bytes(b"metric,dataset,n,mean,ci_low,ci_high,std_dev\nirr,t\xffy,10,0.5,0.5,0.5,0.0\n")
+        err = self._fails(["fit", str(path), "--metric", "irr"], 1, capsys)
+        assert "curves.csv is not UTF-8" in err
+
+
 class TestMaxci:
     def test_single_row_value(self, capsys):
         assert main(["maxci", "--mos", "3", "--n", "10:10:10"]) == 0

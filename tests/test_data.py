@@ -103,6 +103,19 @@ class TestLoadRatings:
         )
         assert ds.count("c1", "u1", 3) == 1
 
+    @pytest.mark.parametrize("delimiter", [",,", ""])
+    def test_delimiter_must_be_one_character(self, delimiter):
+        with pytest.raises(ConfigError, match="delimiter"):
+            load_ratings(ratings_csv("condition_id,user_id,score\nc1,u1,4\n"), delimiter=delimiter)
+
+    def test_bytes_that_are_not_utf8(self, tmp_path):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"condition_id,user_id,score\nc1,u\xff,4\n")
+        with pytest.raises(DataError, match="latin1.csv is not UTF-8"):
+            load_ratings(path)
+        with pytest.raises(DataError, match="not UTF-8"):
+            load_ratings(io.BytesIO(path.read_bytes()))
+
     def test_binary_stream(self):
         ds = load_ratings(io.BytesIO(b"condition_id,user_id,score\nc1,u1,4\n"))
         assert ds.count("c1", "u1", 4) == 1
@@ -207,6 +220,16 @@ class TestLoadReference:
     def test_non_numeric(self):
         with pytest.raises(DataError, match="non-numeric mos"):
             load_reference(ratings_csv("condition_id,mos\nc1,good\n"))
+
+    def test_delimiter_must_be_one_character(self):
+        with pytest.raises(ConfigError, match="delimiter"):
+            load_reference(ratings_csv("condition_id,mos\nc1,3.2\n"), delimiter=";;")
+
+    def test_bytes_that_are_not_utf8(self, tmp_path):
+        path = tmp_path / "ref.csv"
+        path.write_bytes(b"condition_id,mos\nc\xff1,3.2\n")
+        with pytest.raises(DataError, match="ref.csv is not UTF-8"):
+            load_reference(path)
 
     def test_coverage(self):
         ds = make_dataset([("c1", "u1", 3), ("c2", "u1", 4)])

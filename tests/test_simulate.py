@@ -17,6 +17,7 @@ from qvotes import (
     MetricCurve,
     ReferenceMos,
     SweepConfig,
+    bootstrap_ci_mos,
     certainty_gain,
     ci_width_curve,
     dataset_mos,
@@ -372,6 +373,19 @@ class TestCiWidthCurve:
         assert w[160] < w[80]
         assert w[40] / w[160] == pytest.approx(2.0, rel=0.15)
         assert w[10] / w[40] == pytest.approx(2.0, rel=0.15)
+
+    def test_point_is_left_to_right_sum_of_row_widths(self):
+        # ci_width's bytes depend on this summation order: one condition at
+        # a time, in Python floats, then divided by the condition count.
+        ds = synthetic_dataset(seed=8, n_conditions=40, n_users=30)
+        cfg = SweepConfig(n_values=(10, 37, 50), repetitions=1, master_seed=21, metrics=("ci_width",))
+        curve = ci_width_curve(ds, cfg)
+        for n in cfg.n_values:
+            sample = draw_run_sample(ds, n, 0, cfg.master_seed)
+            total = 0.0
+            for votes, _ in sample.per_condition_votes.values():
+                total += bootstrap_ci_mos(votes, cfg.ci_level).width
+            assert curve.point_at(n).mean == total / len(ds.conditions)
 
 
 class TestIrr:
