@@ -10,7 +10,15 @@ Input files are UTF-8 delimited text (comma by default) with a header
 row.  Ratings need ``condition_id,user_id,score`` columns (plus an
 optional ``stimulus_id``), reference tables need ``condition_id,mos``.
 Unknown extra columns are ignored; ``column_map`` renames the canonical
-columns to whatever the file actually uses.
+columns to whatever the file actually uses.  A leading UTF-8 byte-order
+mark, as spreadsheet programs write, is dropped: paths and binary
+streams are decoded as ``utf-8-sig``, and a text stream's header loses a
+leading U+FEFF.
+
+The ratings loader reads each row once and keeps only the cells it
+needs.  Ids are stripped of surrounding whitespace and coded in order of
+first appearance, and scores parsed, once per distinct cell value rather
+than once per row; a malformed row still fails with its own line number.
 """
 
 from __future__ import annotations
@@ -37,7 +45,11 @@ REFERENCE_COLUMNS = ("condition_id", "mos")
 
 @dataclass(frozen=True)
 class RatingRecord:
-    """A single quality vote by one user on one condition."""
+    """A single quality vote by one user on one condition.
+
+    ``score`` follows the loader's rule: an integral value in [1, 5],
+    where ``4.0`` is stored as 4.
+    """
 
     condition_id: str
     user_id: str
@@ -47,17 +59,39 @@ class RatingRecord:
     def __post_init__(self):
         if not self.condition_id or not self.user_id:
             raise DataError("condition_id and user_id must be non-empty")
-        if not SCORE_MIN <= int(self.score) <= SCORE_MAX:
+        try:
+            value = float(self.score)
+        except (TypeError, ValueError, OverflowError):
+            raise DataError(f"score must be a number, got {self.score!r}") from None
+        if not value.is_integer():
+            raise DataError(f"score must be an integer, got {self.score!r}")
+        if not SCORE_MIN <= value <= SCORE_MAX:
             raise DataError(
                 f"score must be in [{SCORE_MIN}, {SCORE_MAX}], got {self.score!r}"
             )
+        object.__setattr__(self, "score", int(value))
 
 
-def _first_appearance_index(values: list) -> tuple[dict, np.ndarray]:
-    """Position of each distinct value in first-appearance order, and
-    every value's position."""
-    pos = {v: i for i, v in enumerate(dict.fromkeys(values))}
-    return pos, np.fromiter(map(pos.__getitem__, values), dtype=np.int32, count=len(values))
+def _codes(column: list, clean=None) -> tuple[tuple, np.ndarray]:
+    """Distinct values of ``column`` in first-appearance order, and each
+    entry's position among them.  With ``clean``, entries are grouped by
+    ``clean(entry)``, which runs once per distinct entry."""
+    names: dict = {}
+    pos = {
+        raw: names.setdefault(raw if clean is None else clean(raw), len(names))
+        for raw in dict.fromkeys(column)
+    }
+    return tuple(names), np.fromiter(map(pos.__getitem__, column), np.int32, count=len(column))
+
+
+def _recode(names: tuple, codes: np.ndarray) -> tuple[tuple, np.ndarray]:
+    """``(names, codes)`` renumbered in order of first appearance in
+    ``codes``, dropping names no code uses."""
+    used, first = np.unique(codes, return_index=True)
+    order = used[np.argsort(first)]
+    new = np.empty(len(names), np.int32)
+    new[order] = np.arange(order.size, dtype=np.int32)
+    return tuple(names[i] for i in order.tolist()), new[codes]
 
 
 # Inverse-CDF sampling of many conditions at once.  Every uniform a numpy
@@ -139,50 +173,55 @@ class RatingDataset:
 
     def __init__(self, records: Iterable[RatingRecord], label: str = ""):
         records = list(records)
-        self._init_columns(
-            [r.condition_id for r in records],
-            [r.user_id for r in records],
-            [int(r.score) for r in records],
-            [r.stimulus_id for r in records],
+        self._init_codes(
+            _codes([r.condition_id for r in records]),
+            _codes([r.user_id for r in records]),
+            np.array([r.score for r in records], dtype=np.int64),
+            _codes([r.stimulus_id for r in records]),
             label,
         )
 
     @classmethod
-    def _from_columns(cls, conditions, users, scores, stimuli, label: str = ""):
-        """A dataset from parallel per-vote lists of validated values
-        (``stimuli`` holds None where a vote has no stimulus id)."""
+    def _from_codes(cls, conditions, users, scores, stimuli, label: str = ""):
+        """A dataset from per-vote columns: ``conditions``, ``users`` and
+        ``stimuli`` are (names, codes) pairs with names in first-appearance
+        order of the codes, ``scores`` validated integer scores.  A stimulus
+        name is None where a vote has no stimulus id, and ``stimuli`` is
+        None when no vote has one."""
         ds = cls.__new__(cls)
-        ds._init_columns(conditions, users, scores, stimuli, label)
+        ds._init_codes(conditions, users, scores, stimuli, label)
         return ds
 
-    def _init_columns(self, conditions, users, scores, stimuli, label):
-        n = len(conditions)
+    def _init_codes(self, conditions, users, scores, stimuli, label):
+        n = scores.size
         if not n:
             raise DataError("dataset needs at least one rating")
         self.label = label
-        with_stim = n - stimuli.count(None)
-        if 0 < with_stim < n:
-            raise DataError(
-                "stimulus_id must be present on every vote or on none "
-                f"(found {with_stim} of {n})"
-            )
-        self._cond_pos, self._cond_idx = _first_appearance_index(conditions)
-        self._user_pos, self._user_idx = _first_appearance_index(users)
-        self._scores = np.array(scores, dtype=np.int64)
-        self.conditions: tuple[str, ...] = tuple(self._cond_pos)
-        self.users: tuple[str, ...] = tuple(self._user_pos)
+        self.conditions: tuple[str, ...]
+        self.users: tuple[str, ...]
+        self.conditions, self._cond_idx = conditions
+        self.users, self._user_idx = users
+        self._scores = scores
+        self._cond_pos = {c: j for j, c in enumerate(self.conditions)}
+        self._user_pos = {u: g for g, u in enumerate(self.users)}
         self.stimuli: tuple[str, ...] | None = None
         self._stim_idx = None
-        if with_stim:
-            stim_pos, self._stim_idx = _first_appearance_index(stimuli)
-            self.stimuli = tuple(stim_pos)
-        self._per_condition = self._build_conditions()
+        if stimuli is not None:
+            names, codes = stimuli
+            if None not in names:
+                self.stimuli, self._stim_idx = names, codes
+            elif with_stim := n - int(np.count_nonzero(codes == names.index(None))):
+                raise DataError(
+                    "stimulus_id must be present on every vote or on none "
+                    f"(found {with_stim} of {n})"
+                )
+        self._build_conditions()
 
-    def _build_conditions(self) -> list[_ConditionVotes]:
-        """Every condition's cache, from one grouping of the votes by
-        (condition, user); users ascend within a condition.  Also keeps
-        the CDFs of all conditions, row after row, for sampling blocks of
-        conditions at once."""
+    def _build_conditions(self) -> None:
+        """Every condition's counts and CDFs, row after row, from one
+        grouping of the votes by (condition, user); users ascend within a
+        condition.  Rows ``_row_bounds[j]:_row_bounds[j + 1]`` belong to
+        condition j, so blocks of conditions sample at once."""
         n_users = len(self.users)
         pairs, pair_of_vote = np.unique(
             self._cond_idx.astype(np.int64) * n_users + self._user_idx,
@@ -194,38 +233,38 @@ class RatingDataset:
         ).reshape(pairs.size, NUM_SCORES)
         row_totals = counts.sum(axis=1)
         bounds = np.searchsorted(pairs // n_users, np.arange(len(self.conditions) + 1))
-        cond_totals = np.add.reduceat(row_totals, bounds[:-1])
-        score_sums = np.add.reduceat(counts @ np.arange(SCORE_MIN, SCORE_MAX + 1), bounds[:-1])
-        user_prob = row_totals / np.repeat(cond_totals, np.diff(bounds))
-        score_cdf = np.cumsum(counts / row_totals[:, None], axis=1)
-        score_cdf[:, -1] = 1.0
-        user_rows = (pairs % n_users).astype(np.int32)
-        user_cdf = np.empty_like(user_prob)
-        for a, b in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
-            # Normalised as Generator.choice normalises its cumulative p.
-            np.cumsum(user_prob[a:b], out=user_cdf[a:b])
-            user_cdf[a:b] /= user_cdf[b - 1]
         self._row_bounds = bounds
-        self._user_rows = user_rows
+        cond_totals = np.add.reduceat(row_totals, bounds[:-1])
+        user_prob = row_totals / np.repeat(cond_totals, np.diff(bounds))
+        score_cdf = counts / row_totals[:, None]
+        np.cumsum(score_cdf, axis=1, out=score_cdf)
+        score_cdf[:, -1] = 1.0
+        # Each condition's CDF is normalised as Generator.choice normalises
+        # its cumulative p.  A row's cumsum along axis 1 adds in the same
+        # order as the 1-D cumsum of that condition alone.
+        user_cdf = np.empty_like(user_prob)
+        for _, rows in self._equal_size_blocks():
+            block = np.cumsum(user_prob[rows], axis=1)
+            block /= block[:, -1:]
+            user_cdf[rows] = block
+        self._user_rows = (pairs % n_users).astype(np.int32)
+        self._counts = counts
+        self._row_totals = row_totals
+        self._user_prob = user_prob
         self._user_cdf = user_cdf
         self._score_cdf = score_cdf
-        out = []
-        for a, b, total, score_sum in zip(
-            bounds[:-1].tolist(), bounds[1:].tolist(), cond_totals.tolist(), score_sums.tolist()
-        ):
-            out.append(
-                _ConditionVotes(
-                    user_rows=user_rows[a:b],
-                    counts=counts[a:b],
-                    row_totals=row_totals[a:b],
-                    user_prob=user_prob[a:b],
-                    user_cdf=user_cdf[a:b],
-                    score_cdf=score_cdf[a:b],
-                    n_votes=total,
-                    score_sum=score_sum,
-                )
-            )
-        return out
+        self._cond_totals = cond_totals
+        row_sums = counts @ np.arange(SCORE_MIN, SCORE_MAX + 1)
+        self._score_sums = np.add.reduceat(row_sums, bounds[:-1])
+        self._user_means = row_sums / row_totals
+
+    def _equal_size_blocks(self):
+        """For each number m of users per condition: the conditions with m
+        users and the (conditions, m) matrix of their rows."""
+        sizes = np.diff(self._row_bounds)
+        for m in np.flatnonzero(np.bincount(sizes)).tolist():
+            group = np.flatnonzero(sizes == m)
+            yield group, self._row_bounds[group][:, None] + np.arange(m)
 
     # -- basic accessors -------------------------------------------------
 
@@ -240,7 +279,17 @@ class RatingDataset:
             raise DataError(f"unknown condition {condition_id!r}") from None
 
     def condition_votes(self, index: int) -> _ConditionVotes:
-        return self._per_condition[index]
+        a, b = self._row_bounds[index : index + 2].tolist()
+        return _ConditionVotes(
+            user_rows=self._user_rows[a:b],
+            counts=self._counts[a:b],
+            row_totals=self._row_totals[a:b],
+            user_prob=self._user_prob[a:b],
+            user_cdf=self._user_cdf[a:b],
+            score_cdf=self._score_cdf[a:b],
+            n_votes=int(self._cond_totals[index]),
+            score_sum=int(self._score_sums[index]),
+        )
 
     def _sample_block(self, start: int, stop: int, draws: np.ndarray):
         """Votes of conditions ``start..stop-1`` (at most MAX_BLOCK) from
@@ -250,7 +299,7 @@ class RatingDataset:
         return _invert(self._user_cdf[r0:r1], sizes, self._score_cdf[r0:r1], draws)
 
     def votes_per_condition(self) -> np.ndarray:
-        return np.array([c.n_votes for c in self._per_condition], dtype=np.int64)
+        return self._cond_totals.copy()
 
     def condition_scores(self, condition_id: str) -> np.ndarray:
         """All scores given to one condition, in vote order."""
@@ -264,20 +313,21 @@ class RatingDataset:
             return 0
         if not SCORE_MIN <= score <= SCORE_MAX:
             return 0
-        cache = self._per_condition[j]
+        cache = self.condition_votes(j)
         pos = np.searchsorted(cache.user_rows, self._user_pos[user_id])
         if pos == cache.user_rows.size or cache.user_rows[pos] != self._user_pos[user_id]:
             return 0
         return int(cache.counts[pos, score - SCORE_MIN])
 
     def users_for(self, condition_id: str) -> tuple[str, ...]:
-        cache = self._per_condition[self.condition_index(condition_id)]
+        cache = self.condition_votes(self.condition_index(condition_id))
         return tuple(self.users[g] for g in cache.user_rows)
 
     def counts(self) -> dict[tuple[str, str, int], int]:
         """All nonzero (condition, user, score) counts as a dict."""
         out: dict[tuple[str, str, int], int] = {}
-        for cond, cache in zip(self.conditions, self._per_condition):
+        for j, cond in enumerate(self.conditions):
+            cache = self.condition_votes(j)
             for row, g in enumerate(cache.user_rows):
                 for q in range(NUM_SCORES):
                     c = int(cache.counts[row, q])
@@ -353,13 +403,14 @@ def reference_coverage(
 
 
 def _open_text(source):
-    """Returns (text file object, needs_close)."""
+    """Returns (text file object, needs_close).  Paths and binary streams
+    are decoded as UTF-8 without a leading byte-order mark."""
     if isinstance(source, (str, Path)):
-        return open(source, "r", encoding="utf-8", newline=""), True
+        return open(source, "r", encoding="utf-8-sig", newline=""), True
     if hasattr(source, "read"):
         if isinstance(source, io.TextIOBase):
             return source, False
-        return io.TextIOWrapper(source, encoding="utf-8", newline=""), False
+        return io.TextIOWrapper(source, encoding="utf-8-sig", newline=""), False
     raise ConfigError(f"unsupported source type: {type(source).__name__}")
 
 
@@ -386,6 +437,9 @@ def _csv_rows(source, delimiter: str):
 
 def _resolve_columns(header, wanted, column_map, required):
     names = [h.strip() for h in header]
+    if names:
+        # A text stream keeps a byte-order mark as U+FEFF.
+        names[0] = names[0].removeprefix("\ufeff").strip()
     index = {}
     missing = []
     for canonical in wanted:
@@ -438,6 +492,8 @@ def load_ratings(
     (condition, user, score) rows accumulate.  Raises :class:`DataError`
     naming the offending line for malformed rows.
     """
+    from array import array  # not loaded by ``import qvotes``
+
     column_map = _check_column_map(column_map, RATING_COLUMNS + (STIMULUS_COLUMN,))
     with _csv_rows(source, delimiter) as reader:
         try:
@@ -450,27 +506,64 @@ def load_ratings(
         stim_col = index.get(STIMULUS_COLUMN)
         cond_col, user_col, score_col = (index[c] for c in RATING_COLUMNS)
         needed = max(cond_col, user_col, score_col)
-        conds, users, scores, stims = [], [], [], []
+        # Line numbers as machine integers: one int object per row raised
+        # the peak memory of a whole sweep by about 1.5 MB at 18k rows.
+        lines = array("q")
+        conds, users, scores = [], [], []
+        stims = None if stim_col is None else []
+        fault = None  # error of a row rejected while reading, which ends it
         for row in reader:
-            if not "".join(row).strip():
-                continue
-            if len(row) <= needed:
-                raise DataError(f"missing field at line {reader.line_num}")
-            cond = row[cond_col].strip()
-            user = row[user_col].strip()
-            if not cond or not user:
-                raise DataError(f"empty condition_id or user_id at line {reader.line_num}")
-            scores.append(_parse_score(row[score_col].strip(), reader.line_num))
-            conds.append(cond)
-            users.append(user)
-            stims.append(
-                row[stim_col].strip() or None
-                if stim_col is not None and len(row) > stim_col
-                else None
-            )
+            # A row whose condition cell is blank may be a blank row, which
+            # only its other cells can tell; it takes the slow branch.
+            if len(row) > needed and row[cond_col].strip():
+                conds.append(row[cond_col])
+                users.append(row[user_col])
+                scores.append(row[score_col])
+                lines.append(reader.line_num)
+                if stims is not None:
+                    stims.append(row[stim_col] if len(row) > stim_col else "")
+            elif "".join(row).strip():
+                what = "missing field" if len(row) <= needed else "empty condition_id or user_id"
+                fault = f"{what} at line {reader.line_num}"
+                break
+    return _dataset_from_cells(conds, users, scores, stims, lines, fault, label)
+
+
+def _dataset_from_cells(conds, users, scores, stims, lines, fault, label) -> RatingDataset:
+    """The dataset of the raw cells of ``load_ratings``'s accepted rows,
+    or the :class:`DataError` of the first bad row in file order.
+
+    Ids and scores are stripped and checked once per distinct cell.
+    ``fault`` is the row that ended reading, after every accepted row; a
+    row with several faults reports an empty id before its score.
+    """
+    conditions = _codes(conds, str.strip)
+    users = _codes(users, str.strip)
+    value = {}  # 0 marks a bad score; its first row raises again with its line
+    for raw in dict.fromkeys(scores):
+        try:
+            value[raw] = _parse_score(raw.strip(), 0)
+        except DataError:
+            value[raw] = 0
+    score_values = np.fromiter(map(value.__getitem__, scores), np.int64, count=len(scores))
+    faults = []
+    if "" in users[0]:
+        row = int(np.argmax(users[1] == users[0].index("")))
+        faults.append((row, f"empty condition_id or user_id at line {lines[row]}"))
+    bad = np.flatnonzero(score_values == 0)
+    if bad.size:
+        faults.append((int(bad[0]), None))
+    if fault is not None:
+        faults.append((len(lines), fault))
+    if faults:
+        row, message = min(faults, key=lambda f: f[0])
+        if message is None:
+            _parse_score(scores[row].strip(), lines[row])
+        raise DataError(message)
     if not conds:
         raise DataError("no rating rows found")
-    return RatingDataset._from_columns(conds, users, scores, stims, label=label)
+    stimuli = None if stims is None else _codes(stims, lambda s: s.strip() or None)
+    return RatingDataset._from_codes(conditions, users, score_values, stimuli, label=label)
 
 
 def load_reference(
@@ -569,15 +662,11 @@ def remove_outliers_iqr(
         return ds, 0
     if not kept:
         raise DataError("outlier removal deleted every vote")
-    stimuli = (
-        [None] * kept
-        if ds.stimuli is None
-        else [ds.stimuli[i] for i in ds._stim_idx[keep].tolist()]
-    )
-    return RatingDataset._from_columns(
-        [ds.conditions[i] for i in ds._cond_idx[keep].tolist()],
-        [ds.users[i] for i in ds._user_idx[keep].tolist()],
-        scores[keep].tolist(),
+    stimuli = None if ds.stimuli is None else _recode(ds.stimuli, ds._stim_idx[keep])
+    return RatingDataset._from_codes(
+        _recode(ds.conditions, ds._cond_idx[keep]),
+        _recode(ds.users, ds._user_idx[keep]),
+        scores[keep],
         stimuli,
         label=ds.label,
     ), ds.n_votes - kept

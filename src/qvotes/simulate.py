@@ -374,10 +374,11 @@ def draw_run_sample(
     """The full per-condition sample for run ``run_index`` at vote count
     ``n``, exactly as the sweep engine would draw it."""
     scores, rows = _draw_votes(ds, n, run_index, master_seed)
-    votes: dict[str, tuple[np.ndarray, tuple[str, ...]]] = {}
-    for j, condition in enumerate(ds.conditions):
-        user_rows = ds.condition_votes(j).user_rows[rows[j]].tolist()
-        votes[condition] = (scores[j], tuple(map(ds.users.__getitem__, user_rows)))
+    user_rows = ds._user_rows[rows + ds._row_bounds[:-1, None]].tolist()
+    votes = {
+        condition: (scores[j], tuple(map(ds.users.__getitem__, user_rows[j])))
+        for j, condition in enumerate(ds.conditions)
+    }
     return RunSample(run_index=run_index, per_condition_votes=votes)
 
 
@@ -767,7 +768,7 @@ def _curve_point(fields) -> CurvePoint:
 
 def read_curves_csv(path) -> list[MetricCurve]:
     grouped: dict[tuple[str, str], list[CurvePoint]] = {}
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.DictReader(fh)
         try:
             missing = set(CURVE_CSV_COLUMNS) - set(reader.fieldnames or ())

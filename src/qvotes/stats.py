@@ -83,17 +83,15 @@ def dataset_mos(ds: RatingDataset, method: str = "user_balanced") -> MosVector:
     """Per-condition MOS vector for the whole dataset."""
     if method not in MOS_METHODS:
         raise ConfigError(f"method must be one of {MOS_METHODS}, got {method!r}")
-    k = len(ds.conditions)
-    values = np.empty(k)
-    counts = np.empty(k, dtype=np.int64)
-    for j in range(k):
-        cache = ds.condition_votes(j)
-        counts[j] = cache.n_votes
-        if method == "plain":
-            values[j] = cache.score_sum / cache.n_votes
-        else:
-            per_user = (cache.counts @ SCORE_VALUES) / cache.row_totals
-            values[j] = per_user.mean()
+    counts = ds.votes_per_condition()
+    if method == "plain":
+        values = ds._score_sums / counts
+    else:
+        values = np.empty(counts.size)
+        # A row's mean along axis 1 sums pairwise in the same order as the
+        # mean of that condition's users alone.
+        for group, rows in ds._equal_size_blocks():
+            values[group] = ds._user_means[rows].mean(axis=1)
     return MosVector(conditions=ds.conditions, values=values, vote_counts=counts)
 
 

@@ -110,6 +110,20 @@ class TestCompare:
         assert manifest["tool_version"]
         assert manifest["invocation"][0] == "qvotes"
 
+    def test_byte_order_marks_keep_raw_digests(self, toy_files, tmp_path):
+        import hashlib
+
+        inputs = []
+        for path in toy_files:
+            marked = tmp_path / f"bom_{path.name}"
+            marked.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+            inputs.append(marked)
+        out = tmp_path / "bom.json"
+        assert main(["compare", *map(str, inputs), "--json", str(out)]) == 0
+        assert json.loads(out.read_text())["srcc"] == pytest.approx(1.0)
+        digests = json.loads((tmp_path / "bom.manifest.json").read_text())["input_digests"]
+        assert digests == {str(p): hashlib.sha256(p.read_bytes()).hexdigest() for p in inputs}
+
     def test_too_few_shared_conditions(self, toy_files, tmp_path, capsys):
         ratings, _ = toy_files
         ref = tmp_path / "short.csv"
@@ -285,6 +299,11 @@ class TestFit:
         assert doc["n_points"] == 20
         assert (tmp_path / "model.manifest.json").is_file()
         assert "asymptote" in capsys.readouterr().out
+
+    def test_curve_csv_with_byte_order_mark(self, tmp_path):
+        path = self._write_curve(tmp_path)
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        assert main(["fit", str(path), "--metric", "validity_srcc"]) == 0
 
     def test_metric_alias(self, tmp_path):
         path = self._write_curve(tmp_path)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import dataclasses
 import io
 
@@ -23,6 +24,7 @@ from qvotes import (
     reference_coverage,
     remove_outliers_iqr,
 )
+from qvotes.data import _parse_score
 
 
 def ratings_csv(text: str) -> io.StringIO:
@@ -170,6 +172,147 @@ class TestLoadRatings:
         assert loaded.users == built.users == tuple(dict.fromkeys(r[1] for r in rows))
         assert loaded.stimuli == built.stimuli
         assert loaded.to_records() == built.to_records()
+
+
+BOM = "\ufeff"
+
+
+def bom_source(kind, text, tmp_path):
+    """``text`` behind a UTF-8 byte-order mark, as a path, a binary stream
+    or a text stream."""
+    raw = (BOM + text).encode("utf-8")
+    if kind == "path":
+        path = tmp_path / "bom.csv"
+        path.write_bytes(raw)
+        return path
+    return io.BytesIO(raw) if kind == "bytes" else io.StringIO(BOM + text)
+
+
+class TestByteOrderMark:
+    @pytest.mark.parametrize("kind", ["path", "bytes", "text"])
+    def test_ratings(self, kind, tmp_path):
+        text = "condition_id,user_id,score\nc1,u1,4\nc1,u2,3\n"
+        ds = load_ratings(bom_source(kind, text, tmp_path))
+        assert ds.to_records() == load_ratings(ratings_csv(text)).to_records()
+
+    @pytest.mark.parametrize("kind", ["path", "bytes", "text"])
+    def test_reference(self, kind, tmp_path):
+        ref = load_reference(bom_source(kind, "condition_id,mos\nc1,3.2\n", tmp_path))
+        assert ref.mos == {"c1": 3.2}
+
+    @pytest.mark.parametrize("kind", ["path", "bytes"])
+    def test_quoted_first_column(self, kind, tmp_path):
+        text = '"condition_id",user_id,score\nc1,u1,4\n'
+        assert load_ratings(bom_source(kind, text, tmp_path)).conditions == ("c1",)
+
+
+# -- row-by-row reference loader ------------------------------------------------
+
+COLUMNS = ("condition_id", "user_id", "score", "stimulus_id", "note")
+
+
+def load_ratings_by_row(text: str):
+    """``load_ratings`` as one loop over the rows, checking each row in
+    turn (blank, missing field, empty id, score): the reference for the
+    columnar loader.  Returns (conditions, users, stimuli, records)."""
+    reader = csv.reader(io.StringIO(text))
+    header = [h.strip() for h in next(reader)]
+    cond_col, user_col, score_col = (header.index(c) for c in COLUMNS[:3])
+    stim_col = header.index("stimulus_id") if "stimulus_id" in header else None
+    needed = max(cond_col, user_col, score_col)
+    records = []
+    for row in reader:
+        if not "".join(row).strip():
+            continue
+        if len(row) <= needed:
+            raise DataError(f"missing field at line {reader.line_num}")
+        cond = row[cond_col].strip()
+        user = row[user_col].strip()
+        if not cond or not user:
+            raise DataError(f"empty condition_id or user_id at line {reader.line_num}")
+        score = _parse_score(row[score_col].strip(), reader.line_num)
+        stim = row[stim_col].strip() or None if stim_col is not None and len(row) > stim_col else None
+        records.append(RatingRecord(cond, user, score, stim))
+    if not records:
+        raise DataError("no rating rows found")
+    ds = RatingDataset(records)
+    return ds.conditions, ds.users, ds.stimuli, ds.to_records()
+
+
+def padded(values):
+    return st.sampled_from([v for x in values for v in (x, f" {x}", f"{x}\t ")])
+
+
+QUOTED_IDS = ["a,b", "two\nlines", 'say "hi"']
+
+
+@st.composite
+def rating_files(draw):
+    """CSV text with shuffled columns, an optional stimulus column (full or
+    partly empty) and an optional extra column; blank, whitespace-only and
+    all-empty rows; padded and quoted cells; and up to two bad rows, where
+    a row with an empty id may also have a bad score."""
+    stim_mode = draw(st.sampled_from(["absent", "full", "partly empty"]))
+    columns = list(COLUMNS[:3]) + (["stimulus_id"] if stim_mode != "absent" else [])
+    columns += ["note"] if draw(st.booleans()) else []
+    columns = draw(st.permutations(columns))
+    conds = padded(["c1", "c2", "c3"]) | st.sampled_from(QUOTED_IDS)
+    users = padded(["u1", "u2", "u3", "u4"]) | st.sampled_from(QUOTED_IDS)
+    scores = padded(["1", "2", "3", "4", "5", "4.0", "5.0"])
+    stims = padded(["s1", "s2"]) | st.sampled_from(QUOTED_IDS)
+    blank_rows = st.sampled_from(
+        [[], [" "], ["\t", ""], [""] * len(columns), [" "] * len(columns)]
+    )
+
+    def vote(stim_blank):
+        cells = {
+            "condition_id": draw(conds),
+            "user_id": draw(users),
+            "score": draw(scores),
+            "stimulus_id": " " if stim_blank else draw(stims),
+            "note": draw(st.sampled_from(["", "x", " ", "y,z"])),
+        }
+        return [cells[c] for c in columns]
+
+    rows = []
+    for _ in range(draw(st.integers(0, 12))):
+        if draw(st.integers(0, 4)) == 0:
+            rows.append(draw(blank_rows))
+        else:
+            rows.append(vote(stim_mode == "partly empty" and draw(st.integers(0, 5)) == 0))
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
+        bad = draw(st.sampled_from(["short", "empty condition", "empty user", "4.5", "0", "x"]))
+        row = vote(False)
+        if bad == "short":
+            row = row[: draw(st.integers(1, max(columns.index(c) for c in COLUMNS[:3])))]
+        elif bad.startswith("empty"):
+            field = "condition_id" if bad == "empty condition" else "user_id"
+            row[columns.index(field)] = draw(st.sampled_from(["", "  "]))
+            if draw(st.booleans()):
+                row[columns.index("score")] = "x"
+        else:
+            row[columns.index("score")] = bad
+        rows.insert(draw(st.integers(0, len(rows))), row)
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(columns)
+    writer.writerows(rows)
+    return out.getvalue()
+
+
+class TestLoaderOracle:
+    @given(text=rating_files())
+    @settings(max_examples=400, deadline=None)
+    def test_matches_row_by_row_loader(self, text):
+        try:
+            want = load_ratings_by_row(text)
+        except DataError as exc:
+            with pytest.raises(DataError) as got:
+                load_ratings(ratings_csv(text))
+            assert str(got.value) == str(exc)
+            return
+        ds = load_ratings(ratings_csv(text))
+        assert (ds.conditions, ds.users, ds.stimuli, ds.to_records()) == want
 
 
 class TestConditionCaches:
@@ -436,6 +579,20 @@ class TestDatasetBasics:
             RatingRecord("c", "u", 6)
         with pytest.raises(DataError):
             RatingRecord("", "u", 3)
+
+    def test_record_integral_float_score_is_int(self):
+        record = RatingRecord("c", "u", 4.0)
+        assert record.score == 4 and type(record.score) is int
+        assert RatingDataset([record]).to_records() == [RatingRecord("c", "u", 4)]
+
+    @pytest.mark.parametrize(
+        "score, match",
+        [(4.5, "integer"), (5.9, "integer"), (float("nan"), "integer"),
+         (float("inf"), "integer"), (6.0, r"\[1, 5\]"), ("x", "number"), (None, "number")],
+    )
+    def test_record_score_follows_loader_rule(self, score, match):
+        with pytest.raises(DataError, match=match):
+            RatingRecord("c", "u", score)
 
     def test_to_records_round_trip(self):
         rows = [("c1", "u1", 5), ("c2", "u2", 1), ("c1", "u2", 3)]

@@ -87,6 +87,38 @@ class TestMos:
         with pytest.raises(ConfigError):
             dataset_mos(ds, "median")
 
+    @given(
+        sizes=st.lists(st.sampled_from([1, 2, 7, 8, 9, 127, 128, 130]), min_size=1, max_size=8),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_dataset_mos_equals_per_condition_loop(self, sizes, seed):
+        # Conditions of 1, >= 8 and >= 128 users (where numpy's pairwise
+        # sum changes blocks), several sharing one user count.
+        rng = np.random.default_rng(seed)
+        rows = [
+            (f"c{j}", f"u{u}", int(rng.integers(1, 6)))
+            for j, m in enumerate(sizes)
+            for u in rng.choice(300, size=m, replace=False).tolist()
+            for _ in range(int(rng.integers(1, 4)))
+        ]
+        rng.shuffle(rows)
+        ds = make_dataset(rows)
+        plain, balanced = [], []
+        for cond in ds.conditions:
+            votes = {}
+            for c, u, s in rows:
+                if c == cond:
+                    votes.setdefault(ds.users.index(u), []).append(s)
+            scores = [s for g in votes for s in votes[g]]
+            plain.append(sum(scores) / len(scores))
+            balanced.append(np.mean([sum(votes[g]) / len(votes[g]) for g in sorted(votes)]))
+        got_plain = dataset_mos(ds, "plain")
+        got_balanced = dataset_mos(ds, "user_balanced")
+        assert got_plain.values.tolist() == plain
+        assert got_balanced.values.tolist() == balanced
+        assert got_plain.vote_counts.tolist() == [sum(c == cond for c, _, _ in rows) for cond in ds.conditions]
+
     def test_mos_vector_validation(self):
         with pytest.raises(DataError):
             MosVector(("a",), np.array([6.0]), np.array([1]))
