@@ -18,6 +18,8 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__, simulate
 from .bootstrap import max_ci_width
 from .data import (
@@ -191,13 +193,11 @@ def cmd_validate(args) -> int:
         f"min {info['votes_per_condition_min']}, max {info['votes_per_condition_max']})"
     )
 
-    violations = []
-    from .data import empirical_user_prob
-
-    for cond in ds.conditions:
-        total = sum(empirical_user_prob(ds, cond).values())
-        if abs(total - 1.0) > 1e-12:
-            violations.append(f"user probabilities for {cond} sum to {total!r}")
+    totals = np.add.reduceat(ds._user_prob, ds._row_bounds[:-1])
+    violations = [
+        f"user probabilities for {ds.conditions[j]} sum to {float(totals[j])!r}"
+        for j in np.flatnonzero(np.abs(totals - 1.0) > 1e-12).tolist()
+    ]
 
     if args.reference:
         ref = load_reference(

@@ -1,10 +1,10 @@
 """Rating data ingestion, cleaning, and empirical distributions.
 
 The core container is :class:`RatingDataset`: a collection of individual
-1-5 votes indexed by (condition, user, score), with per-condition caches
-for the two-stage resampling used elsewhere in the package.  Conditions
-and users keep first-appearance order so downstream vectors have a
-stable, reproducible layout.
+1-5 votes indexed by (condition, user, score), with per-condition counts
+and the votes themselves laid out for resampling.  Conditions, users and
+stimuli are kept in sorted-id order, so downstream vectors have a stable
+layout that does not depend on the order of the input rows.
 
 Input files are UTF-8 delimited text (comma by default) with a header
 row.  Ratings need ``condition_id,user_id,score`` columns (plus an
@@ -12,19 +12,20 @@ optional ``stimulus_id``), reference tables need ``condition_id,mos``.
 Unknown extra columns are ignored; ``column_map`` renames the canonical
 columns to whatever the file actually uses.  A leading UTF-8 byte-order
 mark, as spreadsheet programs write, is dropped: paths and binary
-streams are decoded as ``utf-8-sig``, and a text stream's header loses a
-leading U+FEFF.
+streams are decoded as ``utf-8-sig``, and a text stream loses a leading
+U+FEFF before its first row is parsed.
 
 The ratings loader reads each row once and keeps only the cells it
-needs.  Ids are stripped of surrounding whitespace and coded in order of
-first appearance, and scores parsed, once per distinct cell value rather
-than once per row; a malformed row still fails with its own line number.
+needs.  Ids are stripped of surrounding whitespace and coded, and scores
+parsed, once per distinct cell value rather than once per row; a
+malformed row still fails with its own line number.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import itertools
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -84,58 +85,23 @@ def _codes(column: list, clean=None) -> tuple[tuple, np.ndarray]:
     return tuple(names), np.fromiter(map(pos.__getitem__, column), np.int32, count=len(column))
 
 
+def _sorted(names: tuple, codes: np.ndarray) -> tuple[tuple, np.ndarray]:
+    """``(names, codes)`` renumbered so that the names ascend."""
+    order = sorted(range(len(names)), key=names.__getitem__)
+    rank = np.empty(len(names), np.int32)
+    rank[order] = np.arange(len(names), dtype=np.int32)
+    return tuple(names[i] for i in order), rank[codes]
+
+
 def _recode(names: tuple, codes: np.ndarray) -> tuple[tuple, np.ndarray]:
-    """``(names, codes)`` renumbered in order of first appearance in
-    ``codes``, dropping names no code uses."""
-    used, first = np.unique(codes, return_index=True)
-    order = used[np.argsort(first)]
-    new = np.empty(len(names), np.int32)
-    new[order] = np.arange(order.size, dtype=np.int32)
-    return tuple(names[i] for i in order.tolist()), new[codes]
-
-
-# Inverse-CDF sampling of many conditions at once.  Every uniform a numpy
-# Generator draws is u = a * 2^-53 for a 53-bit integer a, and cdf <= u
-# exactly when ceil(cdf * 2^53) <= a (scaling by 2^53 is exact).  Tagging
-# each user CDF entry's integer cut with its condition's position in a
-# block, in bits 54 and up, makes the cuts of the whole block one ascending
-# array, so one searchsorted picks the users of every condition.  A tag
-# <= 1023 * 2^54 plus a cut <= 2^53 stays below 2^64.
-UNIT_BITS = 53
-_TAG_SHIFT = 54
-MAX_BLOCK = 1024
-
-
-def _invert(user_cdf: np.ndarray, sizes: np.ndarray, score_cdf: np.ndarray, draws: np.ndarray):
-    """Votes of a block of at most MAX_BLOCK conditions from their 53-bit
-    draws.
-
-    ``user_cdf`` and ``score_cdf`` hold the CDFs of the block's consecutive
-    rows and ``sizes`` each condition's number of rows.  Row i of the
-    (conditions, 2n) ``draws`` picks n users with its first n entries and
-    then their scores with the next n, exactly as
-    ``searchsorted(side="right")`` on the float CDFs does.  Returns
-    (scores, rows local to each condition), both (conditions, n).
-    """
-    n = draws.shape[1] // 2
-    first = np.cumsum(sizes) - sizes
-    tags = np.arange(sizes.size, dtype=np.uint64) << np.uint64(_TAG_SHIFT)
-    keys = user_cdf * 2.0**UNIT_BITS
-    np.ceil(keys, out=keys)
-    keys = keys.astype(np.uint64)
-    keys |= np.repeat(tags, sizes)
-    pos = keys.searchsorted(draws[:, :n] + tags[:, None], side="right")
-    u = draws[:, n:] * 2.0**-UNIT_BITS
-    scores = np.ones(pos.shape, np.int64)
-    # The last CDF entry is 1.0, above every u.
-    for column in range(NUM_SCORES - 1):
-        scores += score_cdf[:, column][pos] <= u
-    return scores, pos - first[:, None]
+    """``(names, codes)`` without the names no code uses."""
+    used, codes = np.unique(codes, return_inverse=True)
+    return tuple(names[i] for i in used.tolist()), codes
 
 
 @dataclass(frozen=True)
 class _ConditionVotes:
-    """Per-condition vote counts in sampling-friendly form.
+    """One condition's vote counts.
 
     ``user_rows`` holds the global user indices of contributing users in
     ascending order; ``counts`` is the (users x 5) score count matrix
@@ -145,23 +111,9 @@ class _ConditionVotes:
     user_rows: np.ndarray   # (m,) global user index per contributing user
     counts: np.ndarray      # (m, 5) score counts
     row_totals: np.ndarray  # (m,) votes per contributing user
-    user_prob: np.ndarray   # (m,) stage-1 draw probabilities
-    user_cdf: np.ndarray    # (m,) cumulative user_prob, last entry exactly 1
-    score_cdf: np.ndarray   # (m, 5) per-user cumulative score distribution
+    user_prob: np.ndarray   # (m,) each user's share of the votes
     n_votes: int
     score_sum: int
-
-    def sample(self, n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-        """Draw ``n`` votes: user first, then a score from that user's
-        empirical distribution.  Returns (scores, local user rows).
-
-        The first n uniforms pick the users by inverse CDF and the next n
-        the scores; this draws exactly what ``rng.choice(m, size=n,
-        p=user_prob)`` followed by ``rng.random(n)`` draws.
-        """
-        draws = (rng.random(2 * n) * 2.0**UNIT_BITS).astype(np.uint64)
-        scores, rows = _invert(self.user_cdf, np.array([self.user_cdf.size]), self.score_cdf, draws[None])
-        return scores[0], rows[0]
 
 
 class RatingDataset:
@@ -184,8 +136,8 @@ class RatingDataset:
     @classmethod
     def _from_codes(cls, conditions, users, scores, stimuli, label: str = ""):
         """A dataset from per-vote columns: ``conditions``, ``users`` and
-        ``stimuli`` are (names, codes) pairs with names in first-appearance
-        order of the codes, ``scores`` validated integer scores.  A stimulus
+        ``stimuli`` are (names, codes) pairs whose names are distinct and
+        all used, ``scores`` validated integer scores.  A stimulus
         name is None where a vote has no stimulus id, and ``stimuli`` is
         None when no vote has one."""
         ds = cls.__new__(cls)
@@ -199,8 +151,8 @@ class RatingDataset:
         self.label = label
         self.conditions: tuple[str, ...]
         self.users: tuple[str, ...]
-        self.conditions, self._cond_idx = conditions
-        self.users, self._user_idx = users
+        self.conditions, self._cond_idx = _sorted(*conditions)
+        self.users, self._user_idx = _sorted(*users)
         self._scores = scores
         self._cond_pos = {c: j for j, c in enumerate(self.conditions)}
         self._user_pos = {u: g for g, u in enumerate(self.users)}
@@ -209,7 +161,7 @@ class RatingDataset:
         if stimuli is not None:
             names, codes = stimuli
             if None not in names:
-                self.stimuli, self._stim_idx = names, codes
+                self.stimuli, self._stim_idx = _sorted(names, codes)
             elif with_stim := n - int(np.count_nonzero(codes == names.index(None))):
                 raise DataError(
                     "stimulus_id must be present on every vote or on none "
@@ -218,10 +170,14 @@ class RatingDataset:
         self._build_conditions()
 
     def _build_conditions(self) -> None:
-        """Every condition's counts and CDFs, row after row, from one
-        grouping of the votes by (condition, user); users ascend within a
-        condition.  Rows ``_row_bounds[j]:_row_bounds[j + 1]`` belong to
-        condition j, so blocks of conditions sample at once."""
+        """Every condition's counts, row after row, from one grouping of
+        the votes by (condition, user); users ascend within a condition.
+        Rows ``_row_bounds[j]:_row_bounds[j + 1]`` belong to condition j.
+
+        The votes themselves, ordered by (condition, user, score), are
+        what a run resamples: condition j's are entries
+        ``_vote_bounds[j]:_vote_bounds[j + 1]`` of ``_vote_scores`` and of
+        ``_vote_rows``, each vote's (condition, user) row."""
         n_users = len(self.users)
         pairs, pair_of_vote = np.unique(
             self._cond_idx.astype(np.int64) * n_users + self._user_idx,
@@ -235,25 +191,15 @@ class RatingDataset:
         bounds = np.searchsorted(pairs // n_users, np.arange(len(self.conditions) + 1))
         self._row_bounds = bounds
         cond_totals = np.add.reduceat(row_totals, bounds[:-1])
-        user_prob = row_totals / np.repeat(cond_totals, np.diff(bounds))
-        score_cdf = counts / row_totals[:, None]
-        np.cumsum(score_cdf, axis=1, out=score_cdf)
-        score_cdf[:, -1] = 1.0
-        # Each condition's CDF is normalised as Generator.choice normalises
-        # its cumulative p.  A row's cumsum along axis 1 adds in the same
-        # order as the 1-D cumsum of that condition alone.
-        user_cdf = np.empty_like(user_prob)
-        for _, rows in self._equal_size_blocks():
-            block = np.cumsum(user_prob[rows], axis=1)
-            block /= block[:, -1:]
-            user_cdf[rows] = block
         self._user_rows = (pairs % n_users).astype(np.int32)
         self._counts = counts
         self._row_totals = row_totals
-        self._user_prob = user_prob
-        self._user_cdf = user_cdf
-        self._score_cdf = score_cdf
+        self._user_prob = row_totals / np.repeat(cond_totals, np.diff(bounds))
         self._cond_totals = cond_totals
+        self._vote_bounds = np.concatenate([[0], np.cumsum(cond_totals)])
+        scale = np.tile(np.arange(SCORE_MIN, SCORE_MAX + 1), pairs.size)
+        self._vote_scores = np.repeat(scale, counts.ravel())
+        self._vote_rows = np.repeat(np.arange(pairs.size), row_totals)
         row_sums = counts @ np.arange(SCORE_MIN, SCORE_MAX + 1)
         self._score_sums = np.add.reduceat(row_sums, bounds[:-1])
         self._user_means = row_sums / row_totals
@@ -285,18 +231,9 @@ class RatingDataset:
             counts=self._counts[a:b],
             row_totals=self._row_totals[a:b],
             user_prob=self._user_prob[a:b],
-            user_cdf=self._user_cdf[a:b],
-            score_cdf=self._score_cdf[a:b],
             n_votes=int(self._cond_totals[index]),
             score_sum=int(self._score_sums[index]),
         )
-
-    def _sample_block(self, start: int, stop: int, draws: np.ndarray):
-        """Votes of conditions ``start..stop-1`` (at most MAX_BLOCK) from
-        their (stop - start, 2n) 53-bit draws; see :func:`_invert`."""
-        r0, r1 = self._row_bounds[start], self._row_bounds[stop]
-        sizes = np.diff(self._row_bounds[start : stop + 1])
-        return _invert(self._user_cdf[r0:r1], sizes, self._score_cdf[r0:r1], draws)
 
     def votes_per_condition(self) -> np.ndarray:
         return self._cond_totals.copy()
@@ -422,8 +359,14 @@ def _csv_rows(source, delimiter: str):
     naming the source."""
     fh, needs_close = _open_text(source)
     try:
+        lines = iter(fh)
+        # A text stream keeps a byte-order mark as U+FEFF; dropped before
+        # parsing, it cannot hide a quote that opens the first cell.
+        first = next(lines, "").removeprefix("\ufeff")
+        if first:
+            lines = itertools.chain([first], lines)
         try:
-            reader = csv.reader(fh, delimiter=delimiter)
+            reader = csv.reader(lines, delimiter=delimiter)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"invalid delimiter {delimiter!r}: {exc}") from None
         yield reader
@@ -437,9 +380,6 @@ def _csv_rows(source, delimiter: str):
 
 def _resolve_columns(header, wanted, column_map, required):
     names = [h.strip() for h in header]
-    if names:
-        # A text stream keeps a byte-order mark as U+FEFF.
-        names[0] = names[0].removeprefix("\ufeff").strip()
     index = {}
     missing = []
     for canonical in wanted:

@@ -94,10 +94,10 @@ def fit_power_model(points) -> PowerModel:
         raise DataError("points must be (x, y) pairs")
     x = pts[:, 0]
     y = pts[:, 1]
-    if np.unique(x).size < 4:
-        raise DataError(
-            f"need at least 4 distinct x values, got {np.unique(x).size}"
-        )
+    # Counted without np.unique, which imports numpy.ma.
+    distinct = len(set(x.tolist()))
+    if distinct < 4:
+        raise DataError(f"need at least 4 distinct x values, got {distinct}")
     if np.any(x <= 0):
         raise DataError("x values must be positive")
     if np.all(y == y[0]):

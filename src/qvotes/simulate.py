@@ -1,9 +1,12 @@
-"""Two-stage Monte Carlo resampling engine for vote-count sweeps.
+"""Monte Carlo resampling engine for vote-count sweeps.
 
 For each vote count n and repetition i, every condition gets n fresh
-votes drawn in two stages: first a user according to the empirical
-probability that this user rated the condition, then a score from that
-user's empirical score distribution.  Vote-count-dependent metrics are
+votes, each drawn uniformly, with replacement, from that condition's
+votes.  That is the two-stage draw of the paper: a user with the
+probability that they cast a condition's vote, P(u) = N_u / N_c, then a
+score from that user's empirical distribution, P(s | u) = N_us / N_u,
+picks (user, score) with probability N_us / N_c, the share of the
+condition's votes that are theirs.  Vote-count-dependent metrics are
 evaluated per run and aggregated into mean/CI curves over the runs.
 
 Metrics
@@ -24,21 +27,19 @@ Metrics
 
 Reproducibility
 ---------------
-Run i at vote count n touching condition j draws its votes from the
-substream ``SeedSequence(master_seed, spawn_key=(0, n, i, j))``; the
-leading 0 is the vote-sampling purpose, the only one there is.  The seed
-states of a whole run are computed at once (``_seed_words``).  Vote draws
-then need no generator at all: PCG64 is a 128-bit LCG, so its state after
-t steps is ``M^t * s_0 + inc * (M^0 + ... + M^(t-1)) mod 2^128`` (LCG
-jump-ahead), and one array expression gives the first 2n draws of every
-condition's stream (``_pcg64_block``).  The first n pick users and the
-next n their scores, by inverse CDF on the draws' 53-bit integers.  This
-is bit for bit what ``PCG64(SeedSequence(master_seed, spawn_key=(0, n, i,
-j)))`` draws; oracle tests pin it.  Every metric is a deterministic
-function of the drawn votes, so outputs are bitwise identical for a fixed
-(dataset, config, seed) triple.  A curve point depends only on (dataset,
-n, runs, seed, config), not on the rest of the n grid, and adding metrics
-to a sweep never perturbs the others.
+Run i at vote count n draws all of its votes from one stream,
+``Generator(PCG64(SeedSequence(master_seed, spawn_key=(n, i))))``, in one
+``random((conditions, n))`` call: vote t of condition j is entry
+``floor(u[j, t] * N_j)`` of the condition's N_j votes, ordered by (user,
+score).  Conditions and users are in sorted-id order (see
+:mod:`qvotes.data`), so the rows of that call, each condition's vote
+order, and the order in which IRR averages its raters do not depend on
+the order of the input rows.  Every metric is a deterministic function
+of the drawn votes, so outputs are bitwise identical for a fixed
+(dataset, config, seed) triple, and for any row order of the dataset's
+file.  A curve point depends only on (dataset, n, runs, seed, config),
+not on the rest of the n grid, and adding metrics to a sweep never
+perturbs the others.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ import numpy as np
 
 from . import stats
 from .bootstrap import bootstrap_ci_mos
-from .data import MAX_BLOCK, RatingDataset, ReferenceMos
+from .data import RatingDataset, ReferenceMos
 from .errors import ConfigError, DataError, DegenerateDataError
 
 VALIDITY_SRCC = "validity_srcc"
@@ -68,8 +69,6 @@ ALL_METRICS = (VALIDITY_SRCC, VALIDITY_RMSE, GAIN_SRCC, GAIN_RMSE, CI_WIDTH, IRR
 REFERENCE_METRICS = frozenset((VALIDITY_SRCC, VALIDITY_RMSE))
 
 DELTA_BASELINE_N = 10
-
-_PURPOSE_SAMPLE = 0
 
 CURVE_CSV_COLUMNS = ("metric", "dataset", "n", "mean", "ci_low", "ci_high", "std_dev")
 
@@ -175,182 +174,30 @@ class CertaintyGain:
     delta_rmse: MetricCurve | None
 
 
-# -- seeding ----------------------------------------------------------------
-#
-# ``PCG64(SeedSequence(master_seed, spawn_key=(purpose, n, run, j)))``'s seed
-# words for every condition j of one run at once, with numpy's constants and
-# steps.  The pool hash mixes the entropy words (the master seed's 32-bit
-# words, padded to four, then the spawn key's) in order.  Only the last word
-# depends on j, so all rounds before it are one scalar computation and only
-# the last word's rounds and the output run over uint32 arrays.
-
-_MASK32 = 0xFFFFFFFF
-_MASK128 = (1 << 128) - 1
-_POOL_SIZE = 4
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+# -- sampling ----------------------------------------------------------------
 
 
-def _uint32_words(value: int) -> list[int]:
-    if value < 0:
-        raise ConfigError(f"seeds and run indices must be non-negative, got {value}")
-    words = [value & _MASK32]
-    value >>= 32
-    while value:
-        words.append(value & _MASK32)
-        value >>= 32
-    return words
+def _draw_votes(ds: RatingDataset, n: int, rng: np.random.Generator, conditions=slice(None)):
+    """``n`` votes for each of ``conditions`` (all by default), each one
+    uniform over its condition's votes, from one ``rng.random((k, n))``
+    call.  Returns (scores, vote rows), each a (k, n) matrix; a vote's row
+    is its (condition, user) row of the dataset."""
+    sizes = ds._cond_totals[conditions]
+    # u < 1 and N below 2^53, so the rounded product stays below N.
+    index = (rng.random((sizes.size, n)) * sizes[:, None]).astype(np.intp)
+    index += ds._vote_bounds[:-1][conditions, None]
+    return ds._vote_scores[index], ds._vote_rows[index]
 
 
-# _hashmix and _mix take Python ints or uint32 arrays (which wrap by themselves).
-def _hashmix(value, hash_const: int):
-    """SeedSequence's hashmix; returns (mixed value, next hash constant)."""
-    next_const = (hash_const * _MULT_A) & _MASK32
-    value = ((value ^ hash_const) * next_const) & _MASK32
-    return value ^ (value >> 16), next_const
-
-
-def _mix(x, y):
-    result = (((_MIX_MULT_L * x) & _MASK32) - ((_MIX_MULT_R * y) & _MASK32)) & _MASK32
-    return result ^ (result >> 16)
-
-
-def _round_consts(hash_const: int, mult: int, rounds: int):
-    """The (xor, multiplier) constants of ``rounds`` successive hash rounds
-    from ``hash_const``, as two (rounds, 1) uint32 columns."""
-    consts = []
-    for _ in range(rounds):
-        next_const = (hash_const * mult) & _MASK32
-        consts.append((hash_const, next_const))
-        hash_const = next_const
-    return np.array(consts, dtype=np.uint32).T[:, :, None]
-
-
-def _seed_words(master_seed: int, key: tuple[int, ...], start: int, stop: int) -> np.ndarray:
-    """``SeedSequence(master_seed, spawn_key=key + (j,)).generate_state(4,
-    np.uint64)`` for j = start..stop-1, as a (stop - start, 4) array."""
-    entropy = _uint32_words(master_seed)
-    entropy += [0] * (_POOL_SIZE - len(entropy))
-    for part in key:
-        entropy += _uint32_words(part)
-    hash_const = _INIT_A
-    pool = []
-    for word in entropy[:_POOL_SIZE]:
-        value, hash_const = _hashmix(word, hash_const)
-        pool.append(value)
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                value, hash_const = _hashmix(pool[src], hash_const)
-                pool[dst] = _mix(pool[dst], value)
-    for word in entropy[_POOL_SIZE:]:
-        for dst in range(_POOL_SIZE):
-            value, hash_const = _hashmix(word, hash_const)
-            pool[dst] = _mix(pool[dst], value)
-    # The last word, j, mixes into each pool entry in its own round: the
-    # four rounds are one (4, k) array expression.
-    xor, mult = _round_consts(hash_const, _MULT_A, _POOL_SIZE)
-    value = (np.arange(start, stop, dtype=np.uint32) ^ xor) * mult
-    pool = _mix(np.array(pool, dtype=np.uint32)[:, None], value ^ (value >> 16))
-    # generate_state: eight uint32 words cycled out of the pool, paired
-    # little-endian into four uint64 words.
-    xor, mult = _round_consts(_INIT_B, _MULT_B, 2 * _POOL_SIZE)
-    value = (np.concatenate([pool, pool]) ^ xor) * mult
-    words = (value ^ (value >> 16)).astype(np.uint64)
-    return (words[0::2] | (words[1::2] << np.uint64(32))).T
-
-
-# -- batched draws -----------------------------------------------------------
-#
-# PCG64 is a 128-bit LCG, s' = M*s + inc (mod 2^128), whose every draw first
-# steps and then outputs XSL-RR of the new state.  Seeding leaves
-# s_0 = M*x + inc with x = inc + initstate, so draw d of a stream outputs
-#     s_(d+1) = M^(d+2) * x + (M^0 + ... + M^(d+1)) * inc   (mod 2^128)
-# in closed form (LCG jump-ahead, Brown 1994): a (streams, T) block of draws
-# is two outer products of per-draw constants with per-stream words.  Words
-# are (high, low) uint64 pairs; the high half of a low-by-low product comes
-# from 32-bit limbs, the cross terms only need their wrapped low halves.
-
-_MASK64 = (1 << 64) - 1
-
-
-def _jump_table(T: int) -> tuple[np.ndarray, ...]:
-    """(P_hi, P_lo, S_hi, S_lo) for draws d = 0..T-1, where P = M^(d+2) and
-    S = M^0 + ... + M^(d+1).  Rows do not depend on T: the first rows of a
-    longer table serve a shorter block."""
-    p, s, words = _PCG_MULT, 1, []
-    for _ in range(T):
-        s = (s + p) & _MASK128
-        p = (p * _PCG_MULT) & _MASK128
-        words += (p >> 64, p & _MASK64, s >> 64, s & _MASK64)
-    return tuple(np.array(words, dtype=np.uint64).reshape(T, 4).T.copy())
-
-
-def _mul128(a_hi, a_lo, b_hi, b_lo):
-    """(hi, lo) words of a*b mod 2^128, broadcasting the uint64 words."""
-    a0, a1 = a_lo & _MASK32, a_lo >> 32
-    b0, b1 = b_lo & _MASK32, b_lo >> 32
-    mid = a0 * b0
-    mid >>= 32
-    hi = a1 * b1
-    for cross in (a0 * b1, a1 * b0):
-        mid += cross & _MASK32
-        cross >>= 32
-        hi += cross
-    mid >>= 32
-    hi += mid
-    hi += a_lo * b_hi
-    hi += a_hi * b_lo
-    return hi, a_lo * b_lo
-
-
-def _pcg64_block(seed_words: np.ndarray, jumps) -> np.ndarray:
-    """The first T raw 64-bit outputs of the PCG64 streams seeded with the
-    rows of ``seed_words`` (see ``_seed_words``), as a (streams, T) uint64
-    array, where ``jumps`` is ``_jump_table(T)``."""
-    s_hi, s_lo, q_hi, q_lo = (w[:, None] for w in seed_words.T)
-    inc_hi = (q_hi << 1) | (q_lo >> 63)
-    inc_lo = (q_lo << 1) | 1
-    x_lo = inc_lo + s_lo
-    x_hi = inc_hi + s_hi + (x_lo < inc_lo)
-    p_hi, p_lo, c_hi, c_lo = jumps
-    hi, lo = _mul128(p_hi, p_lo, x_hi, x_lo)
-    add_hi, add_lo = _mul128(c_hi, c_lo, inc_hi, inc_lo)
-    lo += add_lo
-    hi += add_hi
-    hi += lo < add_lo
-    # XSL-RR: the xor of the halves rotated right by the top six bits.
-    rot = hi >> 58
-    lo ^= hi
-    return (lo >> rot) | (lo << ((64 - rot) & 63))
-
-
-# Draws per chunk of conditions: bounds each (chunk, 2n) uint64 temporary
-# to 32 KB.
-_CHUNK_DRAWS = 1 << 12
-
-
-def _draw_votes(ds: RatingDataset, n: int, run_index: int, master_seed: int, jumps=None):
-    """Every condition's votes for run ``run_index`` at vote count ``n``:
-    (scores, local user rows), each a (conditions, n) matrix.  Row j is
-    drawn from the substream (0, n, run_index, j), its first n uniforms
-    picking the users and the next n their scores.  ``jumps`` is a
-    ``_jump_table`` of at least 2n rows, made here if not given."""
-    _check_votes(n)
-    k = len(ds.conditions)
-    jumps = tuple(col[: 2 * n] for col in jumps or _jump_table(2 * n))
-    words = _seed_words(master_seed, (_PURPOSE_SAMPLE, n, run_index), 0, k)
-    step = min(MAX_BLOCK, max(1, _CHUNK_DRAWS // (2 * n)))
-    blocks = []
-    for start in range(0, k, step):
-        stop = min(k, start + step)
-        bits = _pcg64_block(words[start:stop], jumps)
-        blocks.append(ds._sample_block(start, stop, bits >> 11))
-    if len(blocks) == 1:
-        return blocks[0]
-    return tuple(np.concatenate(parts) for parts in zip(*blocks))
+def _run_stream(master_seed: int, n: int, run_index: int) -> np.random.Generator:
+    """The stream of run ``run_index`` at vote count ``n``."""
+    if master_seed < 0 or run_index < 0:
+        raise ConfigError(
+            f"seeds and run indices must be non-negative, got {master_seed} and {run_index}"
+        )
+    return np.random.Generator(
+        np.random.PCG64(np.random.SeedSequence(master_seed, spawn_key=(n, run_index)))
+    )
 
 
 def sample_condition(
@@ -359,13 +206,12 @@ def sample_condition(
     n: int,
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, list[str]]:
-    """Draw ``n`` votes for one condition, with replacement, user first
-    then score.  Returns the scores and the drawn users' ids."""
+    """Draw ``n`` votes for one condition, with replacement.  Returns the
+    scores and the ids of the users who cast them."""
     _check_votes(n)
-    cache = ds.condition_votes(ds.condition_index(condition_id))
-    scores, rows = cache.sample(n, rng)
-    users = [ds.users[g] for g in cache.user_rows[rows]]
-    return scores, users
+    j = ds.condition_index(condition_id)
+    scores, rows = _draw_votes(ds, n, rng, [j])
+    return scores[0], [ds.users[g] for g in ds._user_rows[rows[0]].tolist()]
 
 
 def draw_run_sample(
@@ -373,8 +219,9 @@ def draw_run_sample(
 ) -> RunSample:
     """The full per-condition sample for run ``run_index`` at vote count
     ``n``, exactly as the sweep engine would draw it."""
-    scores, rows = _draw_votes(ds, n, run_index, master_seed)
-    user_rows = ds._user_rows[rows + ds._row_bounds[:-1, None]].tolist()
+    _check_votes(n)
+    scores, rows = _draw_votes(ds, n, _run_stream(master_seed, n, run_index))
+    user_rows = ds._user_rows[rows].tolist()
     votes = {
         condition: (scores[j], tuple(map(ds.users.__getitem__, user_rows[j])))
         for j, condition in enumerate(ds.conditions)
@@ -396,50 +243,51 @@ class _RefContext:
     values: np.ndarray
 
 
-def _irr(users: list, own: list, others: list, min_conditions: int):
+def _irr(users: np.ndarray, own: np.ndarray, others: np.ndarray, min_conditions: int):
     """Mean leave-one-out SRCC over users with enough usable conditions.
 
-    The lists hold one array per condition, with an entry per user on it:
-    the user's index, their own mean on the condition and everyone else's.
-    Users with fewer than ``min_conditions`` conditions, or whose rank
-    correlation is undefined (fewer than 3 conditions, or constant own or
-    others' means), are skipped; None if no user is left.
+    Entry t of the arrays is one (user, condition) pair: the user's index,
+    their own mean on the condition and everyone else's.  Users with fewer
+    than ``min_conditions`` conditions, or whose rank correlation is
+    undefined (fewer than 3 conditions, or constant own or others' means),
+    are skipped; None if no user is left.  The rest are averaged in order
+    of user index.
     """
-    if not users:
+    if not users.size:
         return None
-    users, own, others = (np.concatenate(x) for x in (users, own, others))
-    _, first, labels = np.unique(users, return_index=True, return_inverse=True)
+    _, labels = np.unique(users, return_inverse=True)
     values = stats.grouped_srcc(labels, own, others)
     keep = (np.bincount(labels) >= min_conditions) & ~np.isnan(values)
     if not keep.any():
         return None
-    # Average in order of first appearance, as a per-user loop over the
-    # conditions would, so the floating-point sum is the same.
-    return float(np.mean(values[keep][np.argsort(first[keep])]))
+    return float(np.mean(values[keep]))
 
 
-def _sampled_irr(ds: RatingDataset, scores: np.ndarray, rows: np.ndarray, min_conditions: int):
-    """IRR of one run's votes: every (user, condition) pair with votes, on
-    conditions where at least two users have some."""
-    bounds = ds._row_bounds
-    flat = (rows + bounds[:-1, None]).ravel()
-    counts = np.bincount(flat, minlength=bounds[-1])
-    sums = np.bincount(flat, weights=scores.ravel().astype(float), minlength=bounds[-1])
-    present = np.flatnonzero(counts)
-    per_user = sums[present] / counts[present]
-    # Where each condition's present users start in ``present``.
-    edges = np.searchsorted(present, bounds)
+def _pair_irr(ds: RatingDataset, rows: np.ndarray, means: np.ndarray, min_conditions: int):
+    """IRR of the ascending (condition, user) rows ``rows`` with their
+    mean scores ``means``, on conditions where at least two users have a
+    row."""
+    edges = np.searchsorted(rows, ds._row_bounds)
     sizes = np.diff(edges)
     # Each condition's total is a sum of its own slice, in numpy's own
     # summation order, as the others' mean of a per-condition loop has it.
-    totals = np.array([per_user[a:b].sum() for a, b in zip(edges[:-1].tolist(), edges[1:].tolist())])
+    totals = np.array([means[a:b].sum() for a, b in zip(edges[:-1].tolist(), edges[1:].tolist())])
     cond = np.repeat(np.arange(sizes.size), sizes)
     keep = np.flatnonzero(sizes[cond] >= 2)
     if not keep.size:
         return None
-    cond, own = cond[keep], per_user[keep]
+    cond, own = cond[keep], means[keep]
     others = (totals[cond] - own) / (sizes[cond] - 1)
-    return _irr([ds._user_rows[present[keep]]], [own], [others], min_conditions)
+    return _irr(ds._user_rows[rows[keep]], own, others, min_conditions)
+
+
+def _sampled_irr(ds: RatingDataset, scores: np.ndarray, rows: np.ndarray, min_conditions: int):
+    """IRR of one run's votes, given with their (condition, user) rows."""
+    flat = rows.ravel()
+    counts = np.bincount(flat, minlength=ds._row_bounds[-1])
+    sums = np.bincount(flat, weights=scores.ravel().astype(float), minlength=counts.size)
+    present = np.flatnonzero(counts)
+    return _pair_irr(ds, present, sums[present] / counts[present], min_conditions)
 
 
 def _unless_degenerate(statistic, *args) -> float | None:
@@ -463,11 +311,10 @@ def _simulate_run(
     ref_ctx: _RefContext | None,
     full_mos: np.ndarray | None,
     irr_min_conditions: int,
-    jumps: tuple[np.ndarray, ...],
 ) -> dict[str, float | None]:
     metrics = cfg.metrics
     k = len(ds.conditions)
-    scores, rows = _draw_votes(ds, n, run_index, cfg.master_seed, jumps)
+    scores, rows = _draw_votes(ds, n, _run_stream(cfg.master_seed, n, run_index))
     # The integer sums are exact, so these are the float means of the votes.
     means = scores.sum(axis=1) / n
 
@@ -580,12 +427,8 @@ def run_sweep(
             )
 
     r = cfg.repetitions
-    jumps = _jump_table(2 * cfg.n_values[-1])
     results = [
-        [
-            _simulate_run(ds, cfg, n, i, ref_ctx, full_mos, irr_min_conditions, jumps)
-            for i in range(r)
-        ]
+        [_simulate_run(ds, cfg, n, i, ref_ctx, full_mos, irr_min_conditions) for i in range(r)]
         for n in cfg.n_values
     ]
 
@@ -683,17 +526,8 @@ def irr_full(ds: RatingDataset, min_conditions_per_user: int = 3) -> float:
     against the user-balanced mean of everyone else on the same
     conditions; the result is the average over eligible users.
     """
-    users, own, others = [], [], []
-    for j in range(len(ds.conditions)):
-        cache = ds.condition_votes(j)
-        m = cache.user_rows.size
-        if m < 2:
-            continue
-        per_user = (cache.counts @ stats.SCORE_VALUES) / cache.row_totals
-        users.append(cache.user_rows)
-        own.append(per_user)
-        others.append((per_user.sum() - per_user) / (m - 1))
-    value = _irr(users, own, others, min_conditions_per_user)
+    rows = np.arange(ds._row_bounds[-1])
+    value = _pair_irr(ds, rows, ds._user_means, min_conditions_per_user)
     if value is None:
         raise DataError("no user has enough rated conditions for reliability")
     return value

@@ -9,8 +9,6 @@ import numpy as np
 from .data import RatingDataset, ReferenceMos
 from .errors import ConfigError, DataError, DegenerateDataError
 
-SCORE_VALUES = np.arange(1.0, 6.0)
-
 MOS_METHODS = ("user_balanced", "plain")
 
 
@@ -74,9 +72,9 @@ def mos_user_balanced(ds: RatingDataset, condition_id: str) -> float:
     Weighs every contributing user equally regardless of how many votes
     they cast, unlike the plain mean over all votes.
     """
-    cache = ds.condition_votes(ds.condition_index(condition_id))
-    per_user = (cache.counts @ SCORE_VALUES) / cache.row_totals
-    return float(per_user.mean())
+    j = ds.condition_index(condition_id)
+    a, b = ds._row_bounds[j : j + 2].tolist()
+    return float(ds._user_means[a:b].mean())
 
 
 def dataset_mos(ds: RatingDataset, method: str = "user_balanced") -> MosVector:

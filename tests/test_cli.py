@@ -411,7 +411,8 @@ COLD_START_SCRIPT = """
 import json, sys
 def probed_modules():
     scipy = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
-    return [scipy, "numpy.fft" in sys.modules, "concurrent.futures" in sys.modules]
+    return [scipy, "numpy.fft" in sys.modules, "concurrent.futures" in sys.modules,
+            "numpy.ma" in sys.modules]
 import qvotes.cli
 ratings, reference, curves, out, report = sys.argv[1:]
 loaded = {"import qvotes.cli": [0, *probed_modules()]}
@@ -475,5 +476,10 @@ class TestColdStart:
         loaded = self._loaded(toy_files, tmp_path)
         # scipy.special pulls concurrent.futures in through numpy.testing;
         # qvotes itself never imports it.
-        for step, (_, scipy, _, futures) in loaded.items():
+        for step, (_, scipy, _, futures, _) in loaded.items():
             assert not futures or scipy, step
+
+    def test_masked_arrays_are_not_imported(self, toy_files, tmp_path):
+        loaded = self._loaded(toy_files, tmp_path)
+        for step in ("import qvotes.cli", "validate", "compare", "fit"):
+            assert not loaded[step][4], step

@@ -168,8 +168,8 @@ class TestLoadRatings:
         lines = [",".join(str(x) for x in row if x is not None) for row in rows]
         loaded = load_ratings(ratings_csv("\n".join([header, *lines]) + "\n"))
         built = make_dataset(rows)
-        assert loaded.conditions == built.conditions == tuple(dict.fromkeys(r[0] for r in rows))
-        assert loaded.users == built.users == tuple(dict.fromkeys(r[1] for r in rows))
+        assert loaded.conditions == built.conditions == tuple(sorted({r[0] for r in rows}))
+        assert loaded.users == built.users == tuple(sorted({r[1] for r in rows}))
         assert loaded.stimuli == built.stimuli
         assert loaded.to_records() == built.to_records()
 
@@ -200,7 +200,7 @@ class TestByteOrderMark:
         ref = load_reference(bom_source(kind, "condition_id,mos\nc1,3.2\n", tmp_path))
         assert ref.mos == {"c1": 3.2}
 
-    @pytest.mark.parametrize("kind", ["path", "bytes"])
+    @pytest.mark.parametrize("kind", ["path", "bytes", "text"])
     def test_quoted_first_column(self, kind, tmp_path):
         text = '"condition_id",user_id,score\nc1,u1,4\n'
         assert load_ratings(bom_source(kind, text, tmp_path)).conditions == ("c1",)
@@ -214,7 +214,8 @@ COLUMNS = ("condition_id", "user_id", "score", "stimulus_id", "note")
 def load_ratings_by_row(text: str):
     """``load_ratings`` as one loop over the rows, checking each row in
     turn (blank, missing field, empty id, score): the reference for the
-    columnar loader.  Returns (conditions, users, stimuli, records)."""
+    columnar loader.  Returns (conditions, users, stimuli, records), with
+    the ids in sorted order."""
     reader = csv.reader(io.StringIO(text))
     header = [h.strip() for h in next(reader)]
     cond_col, user_col, score_col = (header.index(c) for c in COLUMNS[:3])
@@ -235,8 +236,14 @@ def load_ratings_by_row(text: str):
         records.append(RatingRecord(cond, user, score, stim))
     if not records:
         raise DataError("no rating rows found")
-    ds = RatingDataset(records)
-    return ds.conditions, ds.users, ds.stimuli, ds.to_records()
+    RatingDataset(records)  # raises on stimulus ids on only some votes
+    stimuli = {r.stimulus_id for r in records}
+    return (
+        tuple(sorted({r.condition_id for r in records})),
+        tuple(sorted({r.user_id for r in records})),
+        None if stimuli == {None} else tuple(sorted(stimuli)),
+        records,
+    )
 
 
 def padded(values):
@@ -324,7 +331,7 @@ class TestConditionCaches:
         labelled = [(f"c{c}", f"u{u}", s) for c, u, s in rows]
         ds = make_dataset(labelled)
         for j, cond in enumerate(ds.conditions):
-            # the condition's votes as (first-appearance user index, score)
+            # the condition's votes as (user index, score)
             votes = [(ds.users.index(u), s) for c, u, s in labelled if c == cond]
             user_rows = sorted({g for g, _ in votes})
             counts = np.zeros((len(user_rows), 5), dtype=np.int64)
@@ -332,16 +339,16 @@ class TestConditionCaches:
                 counts[user_rows.index(g), s - 1] += 1
             row_totals = counts.sum(axis=1)
             user_prob = row_totals / row_totals.sum()
-            score_cdf = np.cumsum(counts / row_totals[:, None], axis=1)
-            score_cdf[:, -1] = 1.0
-            user_cdf = user_prob.cumsum()
-            user_cdf /= user_cdf[-1]
             cache = ds.condition_votes(j)
             assert cache.user_rows.tolist() == user_rows
             for got, want in ((cache.counts, counts), (cache.row_totals, row_totals),
-                              (cache.user_prob, user_prob), (cache.score_cdf, score_cdf),
-                              (cache.user_cdf, user_cdf)):
+                              (cache.user_prob, user_prob)):
                 assert np.array_equal(got, want)
+            # the votes a run resamples, ordered by (user, score)
+            a, b = ds._vote_bounds[j : j + 2]
+            votes.sort()
+            assert [(ds._user_rows[r], s) for r, s in
+                    zip(ds._vote_rows[a:b], ds._vote_scores[a:b])] == votes
             assert cache.n_votes == len(votes)
             assert cache.score_sum == sum(s for _, s in votes)
 

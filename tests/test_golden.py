@@ -1,12 +1,13 @@
 """Golden regression: fixed ``qvotes simulate --delta`` sweeps must keep
-reproducing their recorded CSV files byte for byte.
+reproducing their recorded CSV files byte for byte, whatever the order of
+the rows of the ratings file.
 
-``golden_sweep.csv`` (all six metrics, n >= 10) was written by qvotes 0.3.0,
-whose ci_width is the exact bootstrap; its other rows are unchanged since
-qvotes 0.1.0 wrote them, before IRR became one grouped rank correlation per
-run.  ``golden_sweep_lown.csv`` (a wide, sparse study at n = 2..20 with
-``--fom``, no ci_width) was written by qvotes 0.2.0, before sampling moved
-to per-run vectorised substreams and the loader became columnar.
+Both files were written by qvotes 0.4.0, the first version to draw each
+vote as a uniform index into its condition's votes from one stream per
+(n, run), with conditions and users in sorted-id order:
+``golden_sweep.csv`` (all six metrics, n >= 10) and
+``golden_sweep_lown.csv`` (a wide, sparse study at n = 2..20 with
+``--fom``, no ci_width).
 """
 
 from __future__ import annotations
@@ -57,13 +58,15 @@ CASES = {
 }
 
 
-def write_inputs(directory: Path, ds: RatingDataset) -> tuple[Path, Path]:
-    """The dataset's ratings, and a reference table offset from its own MOS
-    by a deterministic wiggle."""
+def write_inputs(directory: Path, ds: RatingDataset, order=None) -> tuple[Path, Path]:
+    """The dataset's ratings, their rows permuted by ``order`` if given,
+    and a reference table offset from its own MOS by a deterministic
+    wiggle."""
     ratings = directory / "golden.csv"
-    lines = ["condition_id,user_id,score"]
-    lines += [f"{r.condition_id},{r.user_id},{r.score}" for r in ds.to_records()]
-    ratings.write_text("\n".join(lines) + "\n")
+    rows = [f"{r.condition_id},{r.user_id},{r.score}" for r in ds.to_records()]
+    if order is not None:
+        rows = [rows[i] for i in order(len(rows))]
+    ratings.write_text("\n".join(["condition_id,user_id,score", *rows]) + "\n")
     reference = directory / "golden_ref.csv"
     mos = dataset_mos(ds, "user_balanced").as_dict()
     ref_lines = ["condition_id,mos"]
@@ -75,9 +78,9 @@ def write_inputs(directory: Path, ds: RatingDataset) -> tuple[Path, Path]:
     return ratings, reference
 
 
-def run_golden_sweep(directory: Path, case: str, *extra: str) -> Path:
+def run_golden_sweep(directory: Path, case: str, *extra: str, order=None) -> Path:
     make, args, _ = CASES[case]
-    ratings, reference = write_inputs(directory, make())
+    ratings, reference = write_inputs(directory, make(), order)
     out = directory / "sweep"
     argv = ["simulate", str(ratings), "--ref", str(reference), *args, *extra,
             "--out", str(out)]
@@ -89,3 +92,17 @@ def run_golden_sweep(directory: Path, case: str, *extra: str) -> Path:
 def test_sweep_matches_golden(tmp_path, case):
     golden = DATA / CASES[case][2]
     assert run_golden_sweep(tmp_path, case).read_text() == golden.read_text()
+
+
+ROW_ORDERS = {
+    "reversed": lambda size: range(size - 1, -1, -1),
+    "shuffled": lambda size: np.random.default_rng(5).permutation(size),
+}
+
+
+@pytest.mark.parametrize("order", ROW_ORDERS)
+@pytest.mark.parametrize("case", CASES)
+def test_row_order_does_not_change_the_sweep(tmp_path, case, order):
+    golden = DATA / CASES[case][2]
+    out = run_golden_sweep(tmp_path, case, order=ROW_ORDERS[order])
+    assert out.read_text() == golden.read_text()

@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import dataclasses
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_dataset, synthetic_dataset, two_point_dataset, two_stage_pmf
@@ -34,6 +36,7 @@ from qvotes import (
     write_curves_json,
 )
 from qvotes import simulate
+from qvotes.cli import main
 from qvotes.simulate import CurvePoint, _aggregate, _irr
 
 
@@ -570,7 +573,7 @@ class TestBatchedIrr:
         own = np.array([p[1] for p in pairs])
         others = np.array([p[2] for p in pairs])
         want = irr_by_rater_loop(users, own, others, min_conditions)
-        got = _irr([users], [own], [others], min_conditions)
+        got = _irr(users, own, others, min_conditions)
         assert (got is None) == (want is None)
         if want is not None:
             assert got == pytest.approx(want, abs=1e-12)
@@ -617,104 +620,155 @@ class TestBatchedIrr:
             assert irr_full(ds, min_conditions) == pytest.approx(want, abs=1e-12)
 
 
-keys = st.integers(0, 2**40)
+class StubStream:
+    """Stands in for a Generator: every row of uniforms it draws is ``u``."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self, shape):
+        return np.full(shape, self.u)
+
+
+def vote_shares(ds, j):
+    """Each of condition j's (user row, score) cells' share of its votes,
+    N_us / N_c."""
+    a, b = ds._row_bounds[j : j + 2]
+    return ds._counts[a:b].ravel() / ds._cond_totals[j]
+
+
+def drawn_cells(ds, j, scores, rows):
+    """How often each of condition j's (user row, score) cells was drawn."""
+    a, b = ds._row_bounds[j : j + 2]
+    return np.bincount((rows - a) * 5 + scores - 1, minlength=(b - a) * 5)
+
+
+uneven_study = [("a", "u1", 5), ("a", "u1", 5), ("a", "u2", 1), ("a", "u3", 3), ("a", "u3", 2),
+                ("b", "u2", 4), ("c", "u3", 1), ("c", "u1", 2), ("c", "u1", 2)]
 
 
 class TestConditionSampler:
-    @settings(max_examples=150, deadline=None)
-    @given(rows=small_studies, n=st.integers(1, 40), seed=st.integers(0, 2**32))
-    def test_matches_choice_then_random(self, rows, n, seed):
-        ds = make_dataset([(f"c{c}", f"u{u}", s) for c, u, s in rows])
+    def test_hits_each_vote_with_equal_probability(self):
+        # chi-square goodness of fit of the drawn (user, score) cells against
+        # their vote shares: each of N_c votes has probability 1 / N_c
+        from scipy.stats import chisquare
+
+        ds = make_dataset(uneven_study)
+        n = 20_000
+        scores, rows = simulate._draw_votes(ds, n, np.random.default_rng(2024))
         for j in range(len(ds.conditions)):
-            cache = ds.condition_votes(j)
-            scores, picked = cache.sample(n, np.random.default_rng(seed))
-            # qvotes 0.2.0: users through Generator.choice, then one
-            # uniform per vote against the user's score CDF
-            rng = np.random.default_rng(seed)
-            want_rows = rng.choice(cache.user_prob.size, size=n, p=cache.user_prob)
-            thresholds = rng.random(n)
-            want_scores = 1 + np.sum(cache.score_cdf[want_rows] <= thresholds[:, None], axis=1)
-            assert np.array_equal(picked, want_rows)
-            assert np.array_equal(scores, want_scores.astype(np.int64))
-            assert scores.dtype == np.int64
+            observed = drawn_cells(ds, j, scores[j], rows[j])
+            expected = n * vote_shares(ds, j)
+            assert not observed[expected == 0].any()
+            used = expected > 0
+            if used.sum() > 1:
+                assert chisquare(observed[used], expected[used]).pvalue > 1e-3
 
+    def test_equal_strata_of_the_unit_interval_hit_each_vote_equally(self):
+        # exact: M = L * N_c midpoints of equal strata of [0, 1) give every
+        # vote exactly L draws, so every cell L times its vote count
+        ds = make_dataset(uneven_study)
+        for j in range(len(ds.conditions)):
+            m = 7 * int(ds._cond_totals[j])
+            grid = (np.arange(m) + 0.5) / m
+            scores, rows = simulate._draw_votes(ds, m, StubStream(grid), [j])
+            assert np.array_equal(drawn_cells(ds, j, scores[0], rows[0]), m * vote_shares(ds, j))
 
-def numpy_stream(seed, key, j):
-    """The substream (key..., j) as numpy itself seeds it."""
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(*key, j))))
-
-
-class TestPcg64Block:
-    @settings(max_examples=300, deadline=None)
-    @given(
-        seed=st.integers(0, 2**140),
-        key=st.tuples(keys, keys, keys),
-        start=st.integers(0, 3000),
-        k=st.integers(1, 8),
-        T=st.integers(1, 64),
-    )
-    @example(seed=0, key=(0, 0, 0), start=0, k=3, T=400)
-    @example(seed=2**32, key=(1, 2**32, 2**40), start=1023, k=2, T=401)
-    @example(seed=2**128 + 7, key=(0, 200, 249), start=0, k=1, T=1000)
-    def test_bitwise_equal_to_numpy_streams(self, seed, key, start, k, T):
-        words = simulate._seed_words(seed, key, start, start + k)
-        bits = simulate._pcg64_block(words, simulate._jump_table(T))
-        assert bits.shape == (k, T) and bits.dtype == np.uint64
-        for j in range(k):
-            want = numpy_stream(seed, key, start + j).random(T)
-            assert np.array_equal((bits[j] >> 11) * 2.0**-53, want)
-
-
-def cdf_votes(cache, u):
-    """The float inverse-CDF votes of uniforms ``u`` (users, then scores)."""
-    n = u.size // 2
-    rows = cache.user_cdf.searchsorted(u[:n], side="right")
-    return 1 + (cache.score_cdf[rows] <= u[n:, None]).sum(axis=1), rows
+    def test_samples_are_scores_of_actual_votes(self):
+        ds = make_dataset(uneven_study)
+        scores, users = sample_condition(ds, "c", 50, np.random.default_rng(1))
+        assert scores.dtype == np.int64
+        assert set(zip(users, scores.tolist())) <= {("u3", 1), ("u1", 2)}
 
 
 class TestInversion:
-    def test_draws_on_cdf_steps(self):
-        # u1 never votes 1 or 2, so its score CDF starts 0.0, 0.0; the
-        # three users' CDF steps are 1/4 and 3/4, both exact in binary
-        ds = make_dataset([("x", "u0", 1), ("x", "u1", 3), ("x", "u1", 5), ("x", "u2", 2)])
-        cache = ds.condition_votes(0)
-        steps = np.concatenate([[0.0], cache.user_cdf[:-1], cache.score_cdf[:, :-1].ravel()])
-        # every uniform is a multiple of 2^-53: the steps and their neighbours
-        steps = np.unique(np.concatenate([steps, steps - 2.0**-53, steps + 2.0**-53]))
-        steps = steps[(steps >= 0.0) & (steps < 1.0)]
-        users, scores = (a.ravel() for a in np.meshgrid(steps, steps))
-        u = np.concatenate([users, scores])
-        draws = (u * 2.0**53).astype(np.uint64)
-        got_scores, got_rows = ds._sample_block(0, 1, draws[None])
-        want_scores, want_rows = cdf_votes(cache, u)
-        assert np.array_equal(got_rows[0], want_rows)
-        assert np.array_equal(got_scores[0], want_scores)
-        # a draw of exactly 0.0 passes u1's zero CDF entries: it votes 3
-        on_u1 = got_rows[0] == 1
-        assert set(got_scores[0][on_u1 & (scores == 0.0)]) == {3}
+    """A vote is the inverse CDF of the uniform distribution on its
+    condition's votes: index floor(u * N_c)."""
+
+    def test_index_stays_below_vote_count(self):
+        # the largest uniform, 1 - 2^-53, picks each condition's last vote
+        # (its largest user row and score) and 0.0 its first
+        sizes = (1, 2, 3, 5, 7, 8, 1000, 4097)
+        rows = [(f"c{j}", f"u{v % 3}", 1 + v % 5) for j, size in enumerate(sizes) for v in range(size)]
+        ds = make_dataset(rows)
+        last = ds._vote_bounds[1:] - 1
+        for u, want in ((1.0 - 2.0**-53, last), (0.0, ds._vote_bounds[:-1])):
+            scores, picked = simulate._draw_votes(ds, 3, StubStream(u))
+            assert np.array_equal(picked, np.repeat(ds._vote_rows[want][:, None], 3, axis=1))
+            assert np.array_equal(scores, np.repeat(ds._vote_scores[want][:, None], 3, axis=1))
 
     def test_single_user_condition(self):
         ds = make_dataset([("a", "u0", 4), ("a", "u0", 2), ("b", "u1", 1), ("b", "u0", 5)])
-        scores, rows = simulate._draw_votes(ds, 30, 0, 5)
-        assert not rows[0].any()
+        scores, rows = simulate._draw_votes(ds, 30, np.random.default_rng(5))
+        users = ds._user_rows[rows]
+        assert not users[0].any()
         assert set(scores[0]) == {2, 4}
-        assert set(rows[1]) == {0, 1}
+        assert set(users[1]) == {0, 1}
 
-    @pytest.mark.parametrize("chunk_draws", [1 << 20, 7 * 2 * 3])
-    def test_matches_condition_sampler_across_blocks(self, monkeypatch, chunk_draws):
-        # with a large budget the 1024-condition cap on a block splits the
-        # 1100 conditions; the small one cuts them into chunks of 7
-        monkeypatch.setattr(simulate, "_CHUNK_DRAWS", chunk_draws)
+    def test_run_sample_is_condition_draws_in_turn(self):
+        # one path: a run's stream, spent one condition at a time in
+        # sorted-id order, gives the run's votes
+        ds = synthetic_dataset(seed=5, n_conditions=7, n_users=9)
+        n, run, seed = 13, 2, 77
+        sample = draw_run_sample(ds, n, run, seed)
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(n, run))))
+        assert list(sample.per_condition_votes) == sorted(ds.conditions)
+        for cond, (want_scores, want_users) in sample.per_condition_votes.items():
+            scores, users = sample_condition(ds, cond, n, rng)
+            assert np.array_equal(scores, want_scores)
+            assert tuple(users) == want_users
+
+    @pytest.mark.parametrize("seed", [1 << 20, 7 * 2 * 3])
+    def test_matches_condition_sampler_across_blocks(self, seed):
+        # one (k, n) matrix draw over 1100 conditions of uneven sizes gives
+        # each condition the votes of its own draw from the same stream
         rng = np.random.default_rng(11)
         rows = []
         for c in range(1100):
             for u in rng.choice(40, size=rng.integers(1, 6), replace=False):
                 rows += [(f"c{c}", f"u{u}", s) for s in rng.integers(1, 6, size=rng.integers(1, 3))]
         ds = make_dataset(rows)
-        n, run, seed = 3, 2, 77
-        scores, picked = simulate._draw_votes(ds, n, run, seed)
+        n, run = 3, 2
+        scores, picked = simulate._draw_votes(ds, n, simulate._run_stream(seed, n, run))
         assert scores.shape == picked.shape == (1100, n)
+        stream = simulate._run_stream(seed, n, run)
         for j in range(1100):
-            s, r = ds.condition_votes(j).sample(n, numpy_stream(seed, (0, n, run), j))
-            assert np.array_equal(scores[j], s), j
-            assert np.array_equal(picked[j], r), j
+            s, r = simulate._draw_votes(ds, n, stream, [j])
+            assert np.array_equal(scores[j], s[0]), j
+            assert np.array_equal(picked[j], r[0]), j
+
+
+def ratings_text(lines):
+    return "\n".join(["condition_id,user_id,score", *lines]) + "\n"
+
+
+def simulate_bytes(directory, text, *args):
+    """Exit code and the curve CSV and JSON bytes of one ``qvotes
+    simulate`` of the ratings ``text``."""
+    directory.mkdir()
+    ratings = directory / "ratings.csv"
+    ratings.write_text(text)
+    out = directory / "curves"
+    code = main(["simulate", str(ratings), *args, "--out", str(out)])
+    if code:
+        return code, None, None
+    return code, out.with_suffix(".csv").read_bytes(), out.with_suffix(".json").read_bytes()
+
+
+class TestRowOrder:
+    @settings(max_examples=25, deadline=None)
+    @given(
+        rows=st.lists(st.tuples(st.integers(0, 4), st.integers(0, 5), st.integers(1, 5)),
+                      min_size=1, max_size=40),
+        data=st.data(),
+    )
+    def test_permuted_rows_give_identical_curves(self, rows, data):
+        # four conditions with the same four raters each, so most sweeps succeed
+        rows = [(c, u, 1 + (c + u) % 5) for c in range(4) for u in range(4)] + rows
+        lines = [f"{' ' * (u % 2)}c{c},u{u},{s}" for c, u, s in rows]
+        permuted = data.draw(st.permutations(lines))
+        args = ("--n", "2:6:2", "--runs", "3", "--seed", "9")
+        with tempfile.TemporaryDirectory() as tmp:
+            first = simulate_bytes(Path(tmp) / "a", ratings_text(lines), *args)
+            second = simulate_bytes(Path(tmp) / "b", ratings_text(permuted), *args)
+        assert first == second
