@@ -6,7 +6,7 @@ MOS confidence width) depend on the number of votes per condition, and
 fits saturating power models to the resulting curves.
 """
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"
 
 from .bootstrap import Interval, bootstrap_ci_mos, clopper_pearson, max_ci_width
 from .data import (
@@ -29,14 +29,11 @@ from .simulate import (
     RunSample,
     SweepConfig,
     certainty_gain,
-    ci_width_curve,
     draw_run_sample,
-    irr_curve,
     irr_full,
     read_curves_csv,
     read_curves_json,
     run_sweep,
-    sample_condition,
     write_curves_csv,
     write_curves_json,
 )
@@ -77,7 +74,6 @@ __all__ = [
     "average_ranks",
     "bootstrap_ci_mos",
     "certainty_gain",
-    "ci_width_curve",
     "clopper_pearson",
     "compare_to_reference",
     "dataset_mos",
@@ -88,7 +84,6 @@ __all__ = [
     "fit_first_order_map",
     "fit_line",
     "fit_power_model",
-    "irr_curve",
     "irr_full",
     "load_ratings",
     "load_reference",
@@ -101,7 +96,6 @@ __all__ = [
     "remove_outliers_iqr",
     "rmse",
     "run_sweep",
-    "sample_condition",
     "srcc",
     "votes_for_target",
     "write_curves_csv",

@@ -296,7 +296,7 @@ def cmd_simulate(args) -> int:
     curves = run_sweep(ds, ref, cfg)
 
     if args.delta:
-        gain = simulate.certainty_gain(ds, cfg, with_delta=True)
+        gain = simulate.certainty_gain(ds, cfg)
         curves = curves + [gain.delta_srcc, gain.delta_rmse]
 
     base = _out_base(args.out)

@@ -99,28 +99,11 @@ def _recode(names: tuple, codes: np.ndarray) -> tuple[tuple, np.ndarray]:
     return tuple(names[i] for i in used.tolist()), codes
 
 
-@dataclass(frozen=True)
-class _ConditionVotes:
-    """One condition's vote counts.
-
-    ``user_rows`` holds the global user indices of contributing users in
-    ascending order; ``counts`` is the (users x 5) score count matrix
-    restricted to those users.
-    """
-
-    user_rows: np.ndarray   # (m,) global user index per contributing user
-    counts: np.ndarray      # (m, 5) score counts
-    row_totals: np.ndarray  # (m,) votes per contributing user
-    user_prob: np.ndarray   # (m,) each user's share of the votes
-    n_votes: int
-    score_sum: int
-
-
 class RatingDataset:
     """Immutable set of votes with per-(condition, user, score) counts.
 
-    Safe to share read-only across threads once constructed; all caches
-    are built eagerly by the constructor.
+    The constructor lays the counts out once, as flat arrays with one row
+    per (condition, user) pair; every accessor reads those arrays.
     """
 
     def __init__(self, records: Iterable[RatingRecord], label: str = ""):
@@ -224,16 +207,20 @@ class RatingDataset:
         except KeyError:
             raise DataError(f"unknown condition {condition_id!r}") from None
 
-    def condition_votes(self, index: int) -> _ConditionVotes:
-        a, b = self._row_bounds[index : index + 2].tolist()
-        return _ConditionVotes(
-            user_rows=self._user_rows[a:b],
-            counts=self._counts[a:b],
-            row_totals=self._row_totals[a:b],
-            user_prob=self._user_prob[a:b],
-            n_votes=int(self._cond_totals[index]),
-            score_sum=int(self._score_sums[index]),
-        )
+    def _rows_of(self, condition_id: str) -> slice:
+        """The (condition, user) rows of ``condition_id``."""
+        j = self.condition_index(condition_id)
+        return slice(*self._row_bounds[j : j + 2].tolist())
+
+    def _row(self, condition_id: str, user_id: str) -> int | None:
+        """The (condition, user) row of the pair, or None if the user is
+        unknown or never rated the condition."""
+        rows = self._rows_of(condition_id)
+        g = self._user_pos.get(user_id)
+        if g is None:
+            return None
+        pos = rows.start + int(np.searchsorted(self._user_rows[rows], g))
+        return pos if pos < rows.stop and self._user_rows[pos] == g else None
 
     def votes_per_condition(self) -> np.ndarray:
         return self._cond_totals.copy()
@@ -245,32 +232,24 @@ class RatingDataset:
 
     def count(self, condition_id: str, user_id: str, score: int) -> int:
         """Number of times ``user_id`` gave ``score`` to ``condition_id``."""
-        j = self.condition_index(condition_id)
-        if user_id not in self._user_pos:
+        row = self._row(condition_id, user_id)
+        if row is None or not SCORE_MIN <= score <= SCORE_MAX:
             return 0
-        if not SCORE_MIN <= score <= SCORE_MAX:
-            return 0
-        cache = self.condition_votes(j)
-        pos = np.searchsorted(cache.user_rows, self._user_pos[user_id])
-        if pos == cache.user_rows.size or cache.user_rows[pos] != self._user_pos[user_id]:
-            return 0
-        return int(cache.counts[pos, score - SCORE_MIN])
+        return int(self._counts[row, score - SCORE_MIN])
 
     def users_for(self, condition_id: str) -> tuple[str, ...]:
-        cache = self.condition_votes(self.condition_index(condition_id))
-        return tuple(self.users[g] for g in cache.user_rows)
+        user_rows = self._user_rows[self._rows_of(condition_id)].tolist()
+        return tuple(map(self.users.__getitem__, user_rows))
 
     def counts(self) -> dict[tuple[str, str, int], int]:
         """All nonzero (condition, user, score) counts as a dict."""
-        out: dict[tuple[str, str, int], int] = {}
-        for j, cond in enumerate(self.conditions):
-            cache = self.condition_votes(j)
-            for row, g in enumerate(cache.user_rows):
-                for q in range(NUM_SCORES):
-                    c = int(cache.counts[row, q])
-                    if c:
-                        out[(cond, self.users[g], q + SCORE_MIN)] = c
-        return out
+        cond_of_row = np.repeat(np.arange(len(self.conditions)), np.diff(self._row_bounds))
+        rows, cols = np.nonzero(self._counts)
+        return {
+            (self.conditions[cond_of_row[r]], self.users[self._user_rows[r]], q + SCORE_MIN):
+                int(self._counts[r, q])
+            for r, q in zip(rows.tolist(), cols.tolist())
+        }
 
     def to_records(self) -> list[RatingRecord]:
         stim = self.stimuli
@@ -617,19 +596,16 @@ def remove_outliers_iqr(
 
 def empirical_user_prob(ds: RatingDataset, condition_id: str) -> dict[str, float]:
     """P(user | condition): each contributing user's share of the votes."""
-    cache = ds.condition_votes(ds.condition_index(condition_id))
-    return {
-        ds.users[g]: float(p) for g, p in zip(cache.user_rows, cache.user_prob)
-    }
+    rows = ds._rows_of(condition_id)
+    users = map(ds.users.__getitem__, ds._user_rows[rows].tolist())
+    return dict(zip(users, ds._user_prob[rows].tolist()))
 
 
 def empirical_score_dist(ds: RatingDataset, condition_id: str, user_id: str) -> np.ndarray:
     """P(score | condition, user) as a length-5 probability vector."""
-    cache = ds.condition_votes(ds.condition_index(condition_id))
-    if user_id not in ds._user_pos:
-        raise DataError(f"unknown user {user_id!r}")
-    g = ds._user_pos[user_id]
-    pos = np.searchsorted(cache.user_rows, g)
-    if pos == cache.user_rows.size or cache.user_rows[pos] != g:
+    row = ds._row(condition_id, user_id)
+    if row is None:
+        if user_id not in ds._user_pos:
+            raise DataError(f"unknown user {user_id!r}")
         raise DataError(f"user {user_id!r} never rated condition {condition_id!r}")
-    return cache.counts[pos] / cache.row_totals[pos]
+    return ds._counts[row] / ds._row_totals[row]

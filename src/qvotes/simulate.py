@@ -23,7 +23,9 @@ Metrics
 ``irr``
     inter-rater reliability: each sampled user's per-condition means
     rank-correlated against everyone else's, averaged over users, in one
-    grouped rank correlation per run.
+    grouped rank correlation per run.  A user counts on at least 3
+    conditions shared with someone else: a rank correlation of fewer
+    points is undefined.
 
 Reproducibility
 ---------------
@@ -156,11 +158,11 @@ class MetricCurve:
 
 @dataclass(frozen=True)
 class RunSample:
-    """All votes drawn for one simulation run: per condition, the sampled
-    scores and the users who cast them."""
+    """All votes drawn for one simulation run: per condition id, in the
+    dataset's order, the sampled scores and the users who cast them."""
 
     run_index: int
-    per_condition_votes: dict[str, tuple[np.ndarray, tuple[str, ...]]]
+    votes: dict[str, tuple[np.ndarray, tuple[str, ...]]]
 
 
 @dataclass(frozen=True)
@@ -170,22 +172,22 @@ class CertaintyGain:
 
     gain_srcc: MetricCurve
     gain_rmse: MetricCurve
-    delta_srcc: MetricCurve | None
-    delta_rmse: MetricCurve | None
+    delta_srcc: MetricCurve
+    delta_rmse: MetricCurve
 
 
 # -- sampling ----------------------------------------------------------------
 
 
-def _draw_votes(ds: RatingDataset, n: int, rng: np.random.Generator, conditions=slice(None)):
-    """``n`` votes for each of ``conditions`` (all by default), each one
-    uniform over its condition's votes, from one ``rng.random((k, n))``
-    call.  Returns (scores, vote rows), each a (k, n) matrix; a vote's row
-    is its (condition, user) row of the dataset."""
-    sizes = ds._cond_totals[conditions]
+def _draw_votes(ds: RatingDataset, n: int, rng: np.random.Generator):
+    """``n`` votes for each of the k conditions, each one uniform over its
+    condition's votes, from one ``rng.random((k, n))`` call.  Returns
+    (scores, vote rows), each a (k, n) matrix; a vote's row is its
+    (condition, user) row of the dataset."""
+    sizes = ds._cond_totals
     # u < 1 and N below 2^53, so the rounded product stays below N.
     index = (rng.random((sizes.size, n)) * sizes[:, None]).astype(np.intp)
-    index += ds._vote_bounds[:-1][conditions, None]
+    index += ds._vote_bounds[:-1, None]
     return ds._vote_scores[index], ds._vote_rows[index]
 
 
@@ -200,38 +202,20 @@ def _run_stream(master_seed: int, n: int, run_index: int) -> np.random.Generator
     )
 
 
-def sample_condition(
-    ds: RatingDataset,
-    condition_id: str,
-    n: int,
-    rng: np.random.Generator,
-) -> tuple[np.ndarray, list[str]]:
-    """Draw ``n`` votes for one condition, with replacement.  Returns the
-    scores and the ids of the users who cast them."""
-    _check_votes(n)
-    j = ds.condition_index(condition_id)
-    scores, rows = _draw_votes(ds, n, rng, [j])
-    return scores[0], [ds.users[g] for g in ds._user_rows[rows[0]].tolist()]
-
-
 def draw_run_sample(
     ds: RatingDataset, n: int, run_index: int, master_seed: int
 ) -> RunSample:
     """The full per-condition sample for run ``run_index`` at vote count
     ``n``, exactly as the sweep engine would draw it."""
-    _check_votes(n)
+    if n < 1:
+        raise ConfigError(f"n must be positive, got {n}")
     scores, rows = _draw_votes(ds, n, _run_stream(master_seed, n, run_index))
     user_rows = ds._user_rows[rows].tolist()
     votes = {
         condition: (scores[j], tuple(map(ds.users.__getitem__, user_rows[j])))
         for j, condition in enumerate(ds.conditions)
     }
-    return RunSample(run_index=run_index, per_condition_votes=votes)
-
-
-def _check_votes(n: int) -> None:
-    if n < 1:
-        raise ConfigError(f"n must be positive, got {n}")
+    return RunSample(run_index=run_index, votes=votes)
 
 
 # -- per-run metric evaluation ---------------------------------------------
@@ -243,27 +227,24 @@ class _RefContext:
     values: np.ndarray
 
 
-def _irr(users: np.ndarray, own: np.ndarray, others: np.ndarray, min_conditions: int):
-    """Mean leave-one-out SRCC over users with enough usable conditions.
+def _irr(users: np.ndarray, own: np.ndarray, others: np.ndarray):
+    """Mean leave-one-out SRCC over users with a defined one.
 
     Entry t of the arrays is one (user, condition) pair: the user's index,
-    their own mean on the condition and everyone else's.  Users with fewer
-    than ``min_conditions`` conditions, or whose rank correlation is
-    undefined (fewer than 3 conditions, or constant own or others' means),
-    are skipped; None if no user is left.  The rest are averaged in order
-    of user index.
+    their own mean on the condition and everyone else's.  Users whose rank
+    correlation is undefined (fewer than 3 conditions, or constant own or
+    others' means) are skipped; None if no user is left.  The rest are
+    averaged in order of user index.
     """
     if not users.size:
         return None
     _, labels = np.unique(users, return_inverse=True)
     values = stats.grouped_srcc(labels, own, others)
-    keep = (np.bincount(labels) >= min_conditions) & ~np.isnan(values)
-    if not keep.any():
-        return None
-    return float(np.mean(values[keep]))
+    values = values[~np.isnan(values)]
+    return float(np.mean(values)) if values.size else None
 
 
-def _pair_irr(ds: RatingDataset, rows: np.ndarray, means: np.ndarray, min_conditions: int):
+def _pair_irr(ds: RatingDataset, rows: np.ndarray, means: np.ndarray):
     """IRR of the ascending (condition, user) rows ``rows`` with their
     mean scores ``means``, on conditions where at least two users have a
     row."""
@@ -278,16 +259,16 @@ def _pair_irr(ds: RatingDataset, rows: np.ndarray, means: np.ndarray, min_condit
         return None
     cond, own = cond[keep], means[keep]
     others = (totals[cond] - own) / (sizes[cond] - 1)
-    return _irr(ds._user_rows[rows[keep]], own, others, min_conditions)
+    return _irr(ds._user_rows[rows[keep]], own, others)
 
 
-def _sampled_irr(ds: RatingDataset, scores: np.ndarray, rows: np.ndarray, min_conditions: int):
+def _sampled_irr(ds: RatingDataset, scores: np.ndarray, rows: np.ndarray):
     """IRR of one run's votes, given with their (condition, user) rows."""
     flat = rows.ravel()
     counts = np.bincount(flat, minlength=ds._row_bounds[-1])
     sums = np.bincount(flat, weights=scores.ravel().astype(float), minlength=counts.size)
     present = np.flatnonzero(counts)
-    return _pair_irr(ds, present, sums[present] / counts[present], min_conditions)
+    return _pair_irr(ds, present, sums[present] / counts[present])
 
 
 def _unless_degenerate(statistic, *args) -> float | None:
@@ -310,7 +291,6 @@ def _simulate_run(
     run_index: int,
     ref_ctx: _RefContext | None,
     full_mos: np.ndarray | None,
-    irr_min_conditions: int,
 ) -> dict[str, float | None]:
     metrics = cfg.metrics
     k = len(ds.conditions)
@@ -343,7 +323,7 @@ def _simulate_run(
             width_sum += width
         out[CI_WIDTH] = width_sum / k
     if IRR in metrics:
-        out[IRR] = _sampled_irr(ds, scores, rows, irr_min_conditions)
+        out[IRR] = _sampled_irr(ds, scores, rows)
     return out
 
 
@@ -368,10 +348,7 @@ def _aggregate(values: list[float], level: float) -> tuple[float, float, float, 
 
 
 def run_sweep(
-    ds: RatingDataset,
-    ref: ReferenceMos | None,
-    cfg: SweepConfig,
-    irr_min_conditions: int = 3,
+    ds: RatingDataset, ref: ReferenceMos | None, cfg: SweepConfig
 ) -> list[MetricCurve]:
     """Run the full sweep and return one curve per configured metric.
 
@@ -428,8 +405,7 @@ def run_sweep(
 
     r = cfg.repetitions
     results = [
-        [_simulate_run(ds, cfg, n, i, ref_ctx, full_mos, irr_min_conditions) for i in range(r)]
-        for n in cfg.n_values
+        [_simulate_run(ds, cfg, n, i, ref_ctx, full_mos) for i in range(r)] for n in cfg.n_values
     ]
 
     curves = []
@@ -467,67 +443,32 @@ def require_delta_baseline(cfg: SweepConfig) -> None:
         )
 
 
-def certainty_gain(
-    ds: RatingDataset,
-    cfg: SweepConfig,
-    with_delta: bool = True,
-) -> CertaintyGain:
+def certainty_gain(ds: RatingDataset, cfg: SweepConfig) -> CertaintyGain:
     """Agreement of subsample MOS vectors with the full dataset's MOS, as
-    a function of vote count.
-
-    With ``with_delta`` the curves shifted by their value at n=10 are also
-    returned; the sweep must then include n=10.
-    """
-    if with_delta:
-        require_delta_baseline(cfg)
+    a function of vote count, and the same curves shifted by their value
+    at n=10, which the sweep must include."""
+    require_delta_baseline(cfg)
     gain_cfg = dataclasses.replace(cfg, metrics=(GAIN_SRCC, GAIN_RMSE))
     srcc_curve, rmse_curve = run_sweep(ds, None, gain_cfg)
-    delta_srcc = delta_rmse = None
-    if with_delta:
-        delta_srcc = _shift_curve(
-            srcc_curve, srcc_curve.point_at(DELTA_BASELINE_N).mean, "_delta"
-        )
-        delta_rmse = _shift_curve(
-            rmse_curve, rmse_curve.point_at(DELTA_BASELINE_N).mean, "_delta"
-        )
     return CertaintyGain(
         gain_srcc=srcc_curve,
         gain_rmse=rmse_curve,
-        delta_srcc=delta_srcc,
-        delta_rmse=delta_rmse,
+        delta_srcc=_shift_curve(srcc_curve, srcc_curve.point_at(DELTA_BASELINE_N).mean, "_delta"),
+        delta_rmse=_shift_curve(rmse_curve, rmse_curve.point_at(DELTA_BASELINE_N).mean, "_delta"),
     )
 
 
-def ci_width_curve(ds: RatingDataset, cfg: SweepConfig) -> MetricCurve:
-    """Average per-condition bootstrap CI width as a function of vote count."""
-    width_cfg = dataclasses.replace(cfg, metrics=(CI_WIDTH,))
-    return run_sweep(ds, None, width_cfg)[0]
-
-
-def irr_curve(
-    ds: RatingDataset,
-    cfg: SweepConfig,
-    min_conditions_per_user: int = 3,
-) -> MetricCurve:
-    """Inter-rater reliability as a function of vote count.
-
-    Users need at least ``min_conditions_per_user`` sampled conditions
-    (where someone else also has votes) and defined rank correlations to
-    count; ineligible users are skipped, not scored as zero.
-    """
-    irr_cfg = dataclasses.replace(cfg, metrics=(IRR,))
-    return run_sweep(ds, None, irr_cfg, irr_min_conditions=min_conditions_per_user)[0]
-
-
-def irr_full(ds: RatingDataset, min_conditions_per_user: int = 3) -> float:
+def irr_full(ds: RatingDataset) -> float:
     """Inter-rater reliability of the unsampled dataset.
 
     For every user, their per-condition mean scores are rank-correlated
     against the user-balanced mean of everyone else on the same
-    conditions; the result is the average over eligible users.
+    conditions; the result is the average over users.  A user counts only
+    on at least 3 such conditions, since a rank correlation of fewer
+    points is undefined, and only if neither side is constant.
     """
     rows = np.arange(ds._row_bounds[-1])
-    value = _pair_irr(ds, rows, ds._user_means, min_conditions_per_user)
+    value = _pair_irr(ds, rows, ds._user_means)
     if value is None:
         raise DataError("no user has enough rated conditions for reliability")
     return value
@@ -624,7 +565,7 @@ def read_curves_csv(path) -> list[MetricCurve]:
 
 def read_curves_json(path) -> list[MetricCurve]:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             doc = json.load(fh)
         return [
             MetricCurve(
@@ -634,5 +575,7 @@ def read_curves_json(path) -> list[MetricCurve]:
             )
             for c in doc["curves"]
         ]
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path} is not UTF-8 text: {exc.reason}") from None
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"malformed curve JSON: {exc}") from None

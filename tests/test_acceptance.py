@@ -31,17 +31,15 @@ from qvotes import (
     SweepConfig,
     bootstrap_ci_mos,
     certainty_gain,
-    ci_width_curve,
     clopper_pearson,
     compare_to_reference,
     dataset_mos,
+    draw_run_sample,
     fit_power_model,
-    irr_curve,
     irr_full,
     max_ci_width,
     mos_plain,
     run_sweep,
-    sample_condition,
     srcc,
 )
 from qvotes.cli import main
@@ -120,7 +118,7 @@ def test_criterion_02_flattening(tag):
     v_srcc, v_rmse = run_sweep(ds, ref, cfg)
     srcc_step = abs(v_srcc.point_at(100).mean - v_srcc.point_at(200).mean)
     rmse_step = abs(v_rmse.point_at(100).mean - v_rmse.point_at(200).mean)
-    gain = certainty_gain(ds, cfg, with_delta=True)
+    gain = certainty_gain(ds, cfg)
     delta_rmse_60 = gain.delta_rmse.point_at(60).mean
     ok = (
         srcc_step < 0.01 * scale
@@ -147,7 +145,7 @@ def test_criterion_03_ci_width_thresholds(tag):
         master_seed=102,
         metrics=("ci_width",),
     )
-    curve = ci_width_curve(ds, cfg)
+    curve = run_sweep(ds, None, cfg)[0]
     above_60 = {p.n: p.mean for p in curve.points if p.n > 60}
     ok = all(w < 0.4 + 0.03 for w in above_60.values())
     at_115 = curve.point_at(115).mean
@@ -172,7 +170,7 @@ def test_criterion_04_irr_bounds(tag):
         master_seed=103,
         metrics=("irr",),
     )
-    curve = irr_curve(ds, cfg)
+    curve = run_sweep(ds, None, cfg)[0]
     rises = curve.point_at(20).mean < curve.point_at(60).mean
     ok = abs(full - expected) <= 0.02 and rises
     report(
@@ -277,7 +275,7 @@ def test_criterion_09_two_stage_sampling_identity():
     identity_ok = abs(exact_mean - plain) <= 1e-12
 
     draws = 100_000
-    scores, _ = sample_condition(ds, "x", draws, np.random.default_rng(909))
+    scores, _ = draw_run_sample(ds, draws, 0, 909).votes["x"]
     std = float(np.sqrt(pmf @ scale**2 - exact_mean**2))
     tolerance = 3 * std / np.sqrt(draws)
     empirical_ok = abs(scores.mean() - exact_mean) <= tolerance
@@ -358,7 +356,7 @@ def test_criterion_12_analytic_bound_dominates_bootstrap():
             master_seed=112,
             metrics=("ci_width",),
         )
-        curve = ci_width_curve(ds, cfg)
+        curve = run_sweep(ds, None, cfg)[0]
         for point in curve.points:
             margins.append(max_ci_width(mos, point.n) - point.mean)
     ok = all(margin >= 0.0 for margin in margins)

@@ -19,8 +19,8 @@ from qvotes import (
     Interval,
     bootstrap_ci_mos,
     clopper_pearson,
+    draw_run_sample,
     max_ci_width,
-    sample_condition,
 )
 from qvotes import bootstrap
 
@@ -340,10 +340,9 @@ class TestMaxCiWidth:
     def test_dominates_bootstrap_on_max_variance_raters(self):
         # the analytic bound must sit above the empirical bootstrap width
         ds = two_point_dataset(p_five=0.5, n_users=20, votes_per_user=10)
-        rng = np.random.default_rng(3)
         for n in (10, 50, 150):
             widths = []
-            for _ in range(40):
-                scores, _ = sample_condition(ds, "c1", n, rng)
+            for run in range(40):
+                scores, _ = draw_run_sample(ds, n, run, 3).votes["c1"]
                 widths.append(bootstrap_ci_mos(scores).width)
             assert np.mean(widths) <= max_ci_width(3.0, n)

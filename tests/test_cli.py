@@ -13,7 +13,7 @@ import pytest
 
 from conftest import synthetic_dataset
 import qvotes
-from qvotes import ConfigError, dataset_mos, write_curves_csv
+from qvotes import ConfigError, dataset_mos, read_curves_csv, write_curves_csv, write_curves_json
 from qvotes.cli import main, parse_col_map, parse_metrics, parse_sweep
 from qvotes import simulate
 from qvotes.simulate import CurvePoint, MetricCurve
@@ -305,6 +305,13 @@ class TestFit:
         path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
         assert main(["fit", str(path), "--metric", "validity_srcc"]) == 0
 
+    def test_curve_json_with_byte_order_mark(self, tmp_path):
+        curve = read_curves_csv(self._write_curve(tmp_path))
+        path = tmp_path / "curves.json"
+        write_curves_json(curve, path)
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        assert main(["fit", str(path), "--metric", "validity_srcc"]) == 0
+
     def test_metric_alias(self, tmp_path):
         path = self._write_curve(tmp_path)
         assert main(["fit", str(path), "--metric", "srcc"]) == 0
@@ -381,6 +388,12 @@ class TestUnreadableInput:
         path.write_bytes(b"metric,dataset,n,mean,ci_low,ci_high,std_dev\nirr,t\xffy,10,0.5,0.5,0.5,0.0\n")
         err = self._fails(["fit", str(path), "--metric", "irr"], 1, capsys)
         assert "curves.csv is not UTF-8" in err
+
+    def test_curve_json_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "curves.json"
+        path.write_bytes(b'{"curves": [{"metric": "irr", "dataset": "t\xffy", "points": []}]}')
+        err = self._fails(["fit", str(path), "--metric", "irr"], 1, capsys)
+        assert "curves.json is not UTF-8" in err
 
 
 class TestMaxci:

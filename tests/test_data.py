@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
+import collections
 import csv
-import dataclasses
 import io
 
 import numpy as np
@@ -339,18 +339,26 @@ class TestConditionCaches:
                 counts[user_rows.index(g), s - 1] += 1
             row_totals = counts.sum(axis=1)
             user_prob = row_totals / row_totals.sum()
-            cache = ds.condition_votes(j)
-            assert cache.user_rows.tolist() == user_rows
-            for got, want in ((cache.counts, counts), (cache.row_totals, row_totals),
-                              (cache.user_prob, user_prob)):
+            a, b = ds._row_bounds[j : j + 2]
+            assert ds._user_rows[a:b].tolist() == user_rows
+            for got, want in ((ds._counts[a:b], counts), (ds._row_totals[a:b], row_totals),
+                              (ds._user_prob[a:b], user_prob)):
                 assert np.array_equal(got, want)
+            # the accessors that read those rows
+            raters = tuple(ds.users[g] for g in user_rows)
+            assert ds.users_for(cond) == raters
+            assert empirical_user_prob(ds, cond) == dict(zip(raters, user_prob.tolist()))
+            for user, row, total in zip(raters, counts, row_totals):
+                assert np.array_equal(empirical_score_dist(ds, cond, user), row / total)
+                assert [ds.count(cond, user, s) for s in range(1, 6)] == row.tolist()
             # the votes a run resamples, ordered by (user, score)
             a, b = ds._vote_bounds[j : j + 2]
             votes.sort()
             assert [(ds._user_rows[r], s) for r, s in
                     zip(ds._vote_rows[a:b], ds._vote_scores[a:b])] == votes
-            assert cache.n_votes == len(votes)
-            assert cache.score_sum == sum(s for _, s in votes)
+            assert ds._cond_totals[j] == len(votes)
+            assert ds._score_sums[j] == sum(s for _, s in votes)
+        assert ds.counts() == dict(collections.Counter(labelled))
 
 
 class TestLoadReference:
@@ -570,10 +578,9 @@ class TestOutlierRemovalOracle:
         )
         for attr in ("_cond_idx", "_user_idx", "_stim_idx", "_scores"):
             assert np.array_equal(getattr(got, attr), getattr(want, attr))
-        for j in range(len(want.conditions)):
-            a, b = got.condition_votes(j), want.condition_votes(j)
-            for field in dataclasses.fields(a):
-                assert np.array_equal(getattr(a, field.name), getattr(b, field.name))
+        for attr in ("_row_bounds", "_user_rows", "_counts", "_row_totals", "_user_prob",
+                     "_cond_totals", "_score_sums"):
+            assert np.array_equal(getattr(got, attr), getattr(want, attr))
 
 
 class TestDatasetBasics:

@@ -17,20 +17,18 @@ from qvotes import (
     DataError,
     DegenerateDataError,
     MetricCurve,
+    QvotesError,
     ReferenceMos,
     SweepConfig,
     bootstrap_ci_mos,
     certainty_gain,
-    ci_width_curve,
     dataset_mos,
     draw_run_sample,
-    irr_curve,
     irr_full,
     mos_plain,
     read_curves_csv,
     read_curves_json,
     run_sweep,
-    sample_condition,
     srcc,
     write_curves_csv,
     write_curves_json,
@@ -85,31 +83,22 @@ class TestSweepConfig:
 class TestSampleCondition:
     def test_degenerate_user_always_five(self):
         ds = make_dataset([("x", "u1", 5), ("x", "u1", 5)])
-        scores, users = sample_condition(ds, "x", 20, np.random.default_rng(0))
+        scores, users = draw_run_sample(ds, 20, 0, 0).votes["x"]
         assert np.all(scores == 5)
         assert set(users) == {"u1"}
 
     def test_deterministic_given_stream(self):
         ds = three_user_toy()
-        s1, u1 = sample_condition(ds, "x", 50, np.random.default_rng(123))
-        s2, u2 = sample_condition(ds, "x", 50, np.random.default_rng(123))
+        s1, r1 = simulate._draw_votes(ds, 50, np.random.default_rng(123))
+        s2, r2 = simulate._draw_votes(ds, 50, np.random.default_rng(123))
         assert np.array_equal(s1, s2)
-        assert u1 == u2
+        assert np.array_equal(r1, r2)
 
     def test_needs_positive_n(self):
         ds = three_user_toy()
-        with pytest.raises(ConfigError):
-            sample_condition(ds, "x", 0, np.random.default_rng(0))
-        with pytest.raises(ConfigError):
-            sample_condition(ds, "nope", 0, np.random.default_rng(0))
         for n, run_index, master_seed in [(0, 0, 0), (-1, 0, 0), (3, -1, 0), (3, 0, -1)]:
             with pytest.raises(ConfigError):
                 draw_run_sample(ds, n, run_index=run_index, master_seed=master_seed)
-
-    def test_unknown_condition(self):
-        ds = three_user_toy()
-        with pytest.raises(DataError):
-            sample_condition(ds, "nope", 5, np.random.default_rng(0))
 
     def test_two_stage_mean_identity(self):
         # enumerating user-then-score gives exactly the plain vote mean
@@ -120,7 +109,7 @@ class TestSampleCondition:
         assert exact_mean == pytest.approx(mos_plain(ds.condition_scores("x")), abs=1e-12)
 
         draws = 100_000
-        scores, _ = sample_condition(ds, "x", draws, np.random.default_rng(7))
+        scores, _ = draw_run_sample(ds, draws, 0, 7).votes["x"]
         second_moment = float(pmf @ (np.arange(1.0, 6.0) ** 2))
         std = np.sqrt(second_moment - exact_mean**2)
         assert abs(scores.mean() - exact_mean) <= 3 * std / np.sqrt(draws)
@@ -128,7 +117,7 @@ class TestSampleCondition:
     def test_sampled_users_are_actual_raters(self):
         ds = synthetic_dataset(seed=5, n_conditions=4, n_users=8)
         sample = draw_run_sample(ds, 25, run_index=0, master_seed=9)
-        for cond, (scores, users) in sample.per_condition_votes.items():
+        for cond, (scores, users) in sample.votes.items():
             assert scores.size == 25
             assert len(users) == 25
             raters = set(ds.users_for(cond))
@@ -151,7 +140,7 @@ class TestRunSweep:
         assert point.mean == 0.0
         assert point.std_dev == 0.0
         assert point.ci_low == point.ci_high == 0.0
-        scores, _ = sample_condition(ds, "x", 12, np.random.default_rng(0))
+        scores, _ = draw_run_sample(ds, 12, 0, 0).votes["x"]
         assert mos_plain(scores) == 3.0
 
     def test_bitwise_deterministic_across_workers(self):
@@ -231,7 +220,7 @@ def near_unanimous_dataset():
 
 def run_mos(ds, n, run_index, seed):
     sample = draw_run_sample(ds, n, run_index, seed)
-    return np.array([mos_plain(v) for v, _ in sample.per_condition_votes.values()])
+    return np.array([mos_plain(v) for v, _ in sample.votes.values()])
 
 
 class TestDegenerateRuns:
@@ -330,14 +319,15 @@ class TestCertaintyGain:
         ds = synthetic_dataset(seed=8, n_conditions=6, n_users=10)
         cfg = SweepConfig(n_values=(20, 40), repetitions=2)
         with pytest.raises(ConfigError):
-            certainty_gain(ds, cfg, with_delta=True)
-        gain = certainty_gain(ds, cfg, with_delta=False)
-        assert gain.delta_srcc is None
+            certainty_gain(ds, cfg)
+        # without the baseline, the gain curves come from run_sweep alone
+        gain_cfg = dataclasses.replace(cfg, metrics=("gain_srcc", "gain_rmse"))
+        assert [c.n_values for c in run_sweep(ds, None, gain_cfg)] == [(20, 40)] * 2
 
     def test_perfectly_agreeing_dataset(self):
         ds = agreeing_dataset()
         cfg = SweepConfig(n_values=(10, 30), repetitions=4)
-        gain = certainty_gain(ds, cfg, with_delta=True)
+        gain = certainty_gain(ds, cfg)
         for p in gain.gain_srcc.points:
             assert p.mean == pytest.approx(1.0)
             assert p.std_dev == 0.0
@@ -348,14 +338,14 @@ class TestCertaintyGain:
         ds = make_dataset([("a", "u1", 1), ("b", "u1", 5)])
         cfg = SweepConfig(n_values=(10,), repetitions=2)
         with pytest.raises(DataError):
-            certainty_gain(ds, cfg, with_delta=True)
+            certainty_gain(ds, cfg)
 
 
 class TestCiWidthCurve:
     def test_zero_for_constant_votes(self):
         ds = make_dataset([("x", "u1", 4)] * 10 + [("y", "u2", 4)] * 10)
         cfg = SweepConfig(n_values=(10, 20), repetitions=3, metrics=("ci_width",))
-        curve = ci_width_curve(ds, cfg)
+        curve = run_sweep(ds, None, cfg)[0]
         assert all(p.mean == 0.0 for p in curve.points)
 
     def test_width_scales_as_inverse_square_root(self):
@@ -368,7 +358,7 @@ class TestCiWidthCurve:
             master_seed=5,
             metrics=("ci_width",),
         )
-        curve = ci_width_curve(ds, cfg)
+        curve = run_sweep(ds, None, cfg)[0]
         w = {p.n: p.mean for p in curve.points}
         assert w[20] < w[10]
         assert w[40] < w[20]
@@ -382,11 +372,11 @@ class TestCiWidthCurve:
         # a time, in Python floats, then divided by the condition count.
         ds = synthetic_dataset(seed=8, n_conditions=40, n_users=30)
         cfg = SweepConfig(n_values=(10, 37, 50), repetitions=1, master_seed=21, metrics=("ci_width",))
-        curve = ci_width_curve(ds, cfg)
+        curve = run_sweep(ds, None, cfg)[0]
         for n in cfg.n_values:
             sample = draw_run_sample(ds, n, 0, cfg.master_seed)
             total = 0.0
-            for votes, _ in sample.per_condition_votes.values():
+            for votes, _ in sample.votes.values():
                 total += bootstrap_ci_mos(votes, cfg.ci_level).width
             assert curve.point_at(n).mean == total / len(ds.conditions)
 
@@ -399,7 +389,7 @@ class TestIrr:
         ds = make_dataset(rows)
         assert irr_full(ds) == pytest.approx(1.0)
         cfg = SweepConfig(n_values=(30,), repetitions=3, metrics=("irr",))
-        curve = irr_curve(ds, cfg)
+        curve = run_sweep(ds, None, cfg)[0]
         assert curve.point_at(30).mean == pytest.approx(1.0)
 
     def test_no_eligible_users_errors(self):
@@ -408,19 +398,19 @@ class TestIrr:
             irr_full(ds)
         cfg = SweepConfig(n_values=(10,), repetitions=2, metrics=("irr",))
         with pytest.raises(DataError):
-            irr_curve(ds, cfg)
+            run_sweep(ds, None, cfg)[0]
 
     def test_curve_approaches_full_dataset_value(self):
         ds = synthetic_dataset(seed=10, n_conditions=12, n_users=18, repeats=(2, 4))
         full = irr_full(ds)
         cfg = SweepConfig(n_values=(200,), repetitions=40, metrics=("irr",), master_seed=3)
-        at_200 = irr_curve(ds, cfg).point_at(200).mean
+        at_200 = run_sweep(ds, None, cfg)[0].point_at(200).mean
         assert at_200 == pytest.approx(full, abs=0.03)
 
     def test_rises_with_vote_count(self):
         ds = synthetic_dataset(seed=11, n_conditions=12, n_users=18)
         cfg = SweepConfig(n_values=(20, 60), repetitions=40, metrics=("irr",), master_seed=4)
-        curve = irr_curve(ds, cfg)
+        curve = run_sweep(ds, None, cfg)[0]
         assert curve.point_at(20).mean < curve.point_at(60).mean
 
 
@@ -464,7 +454,7 @@ class TestEndToEndPipeline:
         assert irr.points[0].mean < irr.points[-1].mean
         assert irr.points[-1].mean <= irr_full(ds) + 0.02
 
-        gain = certainty_gain(ds, cfg, with_delta=True)
+        gain = certainty_gain(ds, cfg)
         assert gain.delta_rmse.point_at(60).mean <= -0.1
 
 
@@ -520,15 +510,16 @@ class TestCurveSerialization:
             curve.point_at(99)
 
 
-def irr_by_rater_loop(users, own, others, min_conditions):
-    """IRR as one scalar SRCC per rater: the per-rater reference the
-    batched computation must reproduce."""
+def irr_by_rater_loop(users, own, others):
+    """IRR as one scalar SRCC per rater, over raters with at least 3
+    conditions: the per-rater reference the batched computation must
+    reproduce."""
     pairs = {}
     for g, a, b in zip(users, own, others):
         pairs.setdefault(int(g), []).append((a, b))
     values = []
     for pair_list in pairs.values():
-        if len(pair_list) < max(3, min_conditions):
+        if len(pair_list) < 3:
             continue
         try:
             values.append(srcc([p[0] for p in pair_list], [p[1] for p in pair_list]))
@@ -541,7 +532,7 @@ def run_pairs(ds, n, run_index, seed):
     """Flat (rater, own mean, others' mean) pairs of one sampled run."""
     users, own, others = [], [], []
     sample = draw_run_sample(ds, n, run_index, seed)
-    for scores, raters in sample.per_condition_votes.values():
+    for scores, raters in sample.votes.values():
         present = sorted(set(raters), key=ds.users.index)
         if len(present) < 2:
             continue
@@ -565,15 +556,14 @@ class TestBatchedIrr:
                       st.sampled_from([2.0, 3.0, 3.5])),
             max_size=40,
         ),
-        min_conditions=st.integers(0, 5),
     )
-    def test_matches_rater_loop_on_flat_pairs(self, pairs, min_conditions):
+    def test_matches_rater_loop_on_flat_pairs(self, pairs):
         # few distinct values: ties, constant raters and short raters abound
         users = np.array([p[0] for p in pairs], dtype=np.int64)
         own = np.array([p[1] for p in pairs])
         others = np.array([p[2] for p in pairs])
-        want = irr_by_rater_loop(users, own, others, min_conditions)
-        got = _irr(users, own, others, min_conditions)
+        want = irr_by_rater_loop(users, own, others)
+        got = _irr(users, own, others)
         assert (got is None) == (want is None)
         if want is not None:
             assert got == pytest.approx(want, abs=1e-12)
@@ -583,22 +573,21 @@ class TestBatchedIrr:
         rows=small_studies,
         n=st.integers(2, 12),
         seed=st.integers(0, 2**16),
-        min_conditions=st.integers(3, 4),
     )
-    def test_sweep_matches_rater_loop(self, rows, n, seed, min_conditions):
+    def test_sweep_matches_rater_loop(self, rows, n, seed):
         ds = make_dataset([(f"c{c}", f"u{u}", s) for c, u, s in rows])
-        want = irr_by_rater_loop(*run_pairs(ds, n, 0, seed), min_conditions)
+        want = irr_by_rater_loop(*run_pairs(ds, n, 0, seed))
         cfg = SweepConfig(n_values=(n,), repetitions=1, master_seed=seed, metrics=("irr",))
         if want is None:
             with pytest.raises(DataError):
-                irr_curve(ds, cfg, min_conditions_per_user=min_conditions)
+                run_sweep(ds, None, cfg)
         else:
-            got = irr_curve(ds, cfg, min_conditions_per_user=min_conditions).point_at(n).mean
+            got = run_sweep(ds, None, cfg)[0].point_at(n).mean
             assert got == pytest.approx(want, abs=1e-12)
 
     @settings(max_examples=60, deadline=None)
-    @given(rows=small_studies, min_conditions=st.integers(3, 4))
-    def test_full_dataset_matches_rater_loop(self, rows, min_conditions):
+    @given(rows=small_studies)
+    def test_full_dataset_matches_rater_loop(self, rows):
         ds = make_dataset([(f"c{c}", f"u{u}", s) for c, u, s in rows])
         users, own, others = [], [], []
         for cond in ds.conditions:
@@ -612,16 +601,17 @@ class TestBatchedIrr:
             users += [ds.users.index(u) for u in raters]
             own += means.tolist()
             others += ((means.sum() - means) / (len(raters) - 1)).tolist()
-        want = irr_by_rater_loop(users, own, others, min_conditions)
+        want = irr_by_rater_loop(users, own, others)
         if want is None:
             with pytest.raises(DataError):
-                irr_full(ds, min_conditions)
+                irr_full(ds)
         else:
-            assert irr_full(ds, min_conditions) == pytest.approx(want, abs=1e-12)
+            assert irr_full(ds) == pytest.approx(want, abs=1e-12)
 
 
 class StubStream:
-    """Stands in for a Generator: every row of uniforms it draws is ``u``."""
+    """Stands in for a Generator: every row of uniforms it draws is ``u``,
+    a number or one row."""
 
     def __init__(self, u):
         self.u = u
@@ -671,14 +661,33 @@ class TestConditionSampler:
         for j in range(len(ds.conditions)):
             m = 7 * int(ds._cond_totals[j])
             grid = (np.arange(m) + 0.5) / m
-            scores, rows = simulate._draw_votes(ds, m, StubStream(grid), [j])
-            assert np.array_equal(drawn_cells(ds, j, scores[0], rows[0]), m * vote_shares(ds, j))
+            scores, rows = simulate._draw_votes(ds, m, StubStream(grid))
+            assert np.array_equal(drawn_cells(ds, j, scores[j], rows[j]), m * vote_shares(ds, j))
 
     def test_samples_are_scores_of_actual_votes(self):
         ds = make_dataset(uneven_study)
-        scores, users = sample_condition(ds, "c", 50, np.random.default_rng(1))
+        scores, users = draw_run_sample(ds, 50, 0, 1).votes["c"]
         assert scores.dtype == np.int64
         assert set(zip(users, scores.tolist())) <= {("u3", 1), ("u1", 2)}
+
+
+def run_uniforms(seed, n, run, k):
+    """The (k, n) uniforms of run ``run`` at vote count ``n``, from a
+    stream built here rather than by the engine."""
+    seq = np.random.SeedSequence(seed, spawn_key=(n, run))
+    return np.random.Generator(np.random.PCG64(seq)).random((k, n))
+
+
+def decoded_votes(ds, u):
+    """Per condition in sorted-id order, the (user, score) votes that the
+    uniforms ``u`` pick: vote t of condition j is entry floor(u[j, t] * N_j)
+    of the condition's N_j votes, listed from ``to_records()`` and sorted
+    by (user, score)."""
+    votes = {}
+    for r in ds.to_records():
+        votes.setdefault(r.condition_id, []).append((r.user_id, r.score))
+    listed = [sorted(votes[c]) for c in sorted(votes)]
+    return [[cond[int(x * len(cond))] for x in row] for cond, row in zip(listed, u.tolist())]
 
 
 class TestInversion:
@@ -706,22 +715,21 @@ class TestInversion:
         assert set(users[1]) == {0, 1}
 
     def test_run_sample_is_condition_draws_in_turn(self):
-        # one path: a run's stream, spent one condition at a time in
-        # sorted-id order, gives the run's votes
+        # the run's stream, spent in one (k, n) call, gives condition j the
+        # rows of j in turn, each decoded by the independent decoder
         ds = synthetic_dataset(seed=5, n_conditions=7, n_users=9)
         n, run, seed = 13, 2, 77
         sample = draw_run_sample(ds, n, run, seed)
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(n, run))))
-        assert list(sample.per_condition_votes) == sorted(ds.conditions)
-        for cond, (want_scores, want_users) in sample.per_condition_votes.items():
-            scores, users = sample_condition(ds, cond, n, rng)
-            assert np.array_equal(scores, want_scores)
-            assert tuple(users) == want_users
+        u = run_uniforms(seed, n, run, len(ds.conditions))
+        assert list(sample.votes) == sorted(ds.conditions)
+        for (scores, users), want in zip(sample.votes.values(), decoded_votes(ds, u)):
+            assert np.array_equal(scores, [s for _, s in want])
+            assert users == tuple(user for user, _ in want)
 
     @pytest.mark.parametrize("seed", [1 << 20, 7 * 2 * 3])
     def test_matches_condition_sampler_across_blocks(self, seed):
         # one (k, n) matrix draw over 1100 conditions of uneven sizes gives
-        # each condition the votes of its own draw from the same stream
+        # each condition the decoding of its own row of uniforms
         rng = np.random.default_rng(11)
         rows = []
         for c in range(1100):
@@ -731,11 +739,11 @@ class TestInversion:
         n, run = 3, 2
         scores, picked = simulate._draw_votes(ds, n, simulate._run_stream(seed, n, run))
         assert scores.shape == picked.shape == (1100, n)
-        stream = simulate._run_stream(seed, n, run)
-        for j in range(1100):
-            s, r = simulate._draw_votes(ds, n, stream, [j])
-            assert np.array_equal(scores[j], s[0]), j
-            assert np.array_equal(picked[j], r[0]), j
+        decoded = decoded_votes(ds, run_uniforms(seed, n, run, 1100))
+        for j, want in enumerate(decoded):
+            assert scores[j].tolist() == [s for _, s in want], j
+            assert [ds.users[g] for g in ds._user_rows[picked[j]]] == [u for u, _ in want], j
+            assert np.all((ds._row_bounds[j] <= picked[j]) & (picked[j] < ds._row_bounds[j + 1]))
 
 
 def ratings_text(lines):
@@ -772,3 +780,41 @@ class TestRowOrder:
             first = simulate_bytes(Path(tmp) / "a", ratings_text(lines), *args)
             second = simulate_bytes(Path(tmp) / "b", ratings_text(permuted), *args)
         assert first == second
+
+
+class TestRobustness:
+    """Small random datasets and sweeps fail, if at all, with a
+    :class:`QvotesError`, and the CLI with exit code 1 or 2."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        rows=st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5), st.integers(1, 5)),
+                      min_size=1, max_size=30),
+        ref=st.none() | st.dictionaries(st.integers(0, 5), st.floats(1.0, 5.0), min_size=1),
+        metrics=st.lists(st.sampled_from(simulate.ALL_METRICS), unique=True),
+        fom=st.booleans(),
+        start=st.integers(1, 4),
+        runs=st.integers(1, 4),
+    )
+    def test_only_qvotes_errors_escape(self, rows, ref, metrics, fom, start, runs):
+        rows = [(f"c{c}", f"u{u}", s) for c, u, s in rows]
+        ref = None if ref is None else {f"c{c}": mos for c, mos in ref.items()}
+        try:
+            cfg = SweepConfig(n_values=(start, start + 2, start + 4), repetitions=runs,
+                              metrics=tuple(metrics), apply_first_order_map=fom)
+            run_sweep(make_dataset(rows), None if ref is None else ReferenceMos(ref), cfg)
+        except QvotesError:
+            pass
+
+        args = ["--n", f"{start}:{start + 4}:2", "--runs", str(runs)]
+        args += ["--metrics", ",".join(metrics)] if metrics else []
+        args += ["--fom"] if fom else []
+        with tempfile.TemporaryDirectory() as tmp:
+            if ref is not None:
+                reference = Path(tmp) / "reference.csv"
+                lines = [f"{c},{mos!r}\n" for c, mos in ref.items()]
+                reference.write_text("condition_id,mos\n" + "".join(lines))
+                args += ["--ref", str(reference)]
+            text = ratings_text(f"{c},{u},{s}" for c, u, s in rows)
+            code, _, _ = simulate_bytes(Path(tmp) / "run", text, *args)
+        assert code in (0, 1, 2)
