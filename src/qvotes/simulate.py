@@ -231,15 +231,16 @@ def _irr(users: np.ndarray, own: np.ndarray, others: np.ndarray):
     """Mean leave-one-out SRCC over users with a defined one.
 
     Entry t of the arrays is one (user, condition) pair: the user's index,
-    their own mean on the condition and everyone else's.  Users whose rank
+    their own mean on the condition and everyone else's.  The user indices
+    are the group labels as they are: a user with no pair has an empty
+    group, whose NaN is dropped with the rest.  Users whose rank
     correlation is undefined (fewer than 3 conditions, or constant own or
     others' means) are skipped; None if no user is left.  The rest are
     averaged in order of user index.
     """
     if not users.size:
         return None
-    _, labels = np.unique(users, return_inverse=True)
-    values = stats.grouped_srcc(labels, own, others)
+    values = stats.grouped_srcc(users, own, others)
     values = values[~np.isnan(values)]
     return float(np.mean(values)) if values.size else None
 

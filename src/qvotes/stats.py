@@ -27,7 +27,7 @@ class MosVector:
         object.__setattr__(self, "vote_counts", counts)
         if not (len(self.conditions) == values.size == counts.size):
             raise DataError("conditions, values, and vote_counts must align")
-        if values.size and (values.min() < 1.0 or values.max() > 5.0):
+        if values.size and not ((values >= 1.0) & (values <= 5.0)).all():
             raise DataError("MOS values must lie in [1, 5]")
         if counts.size and counts.min() < 1:
             raise DataError("vote counts must be positive")
@@ -94,16 +94,29 @@ def dataset_mos(ds: RatingDataset, method: str = "user_balanced") -> MosVector:
 
 
 def average_ranks(values) -> np.ndarray:
-    """Fractional ranks (1-based), ties receiving their group average."""
+    """Fractional ranks (1-based), ties receiving their group average.
+
+    Raises :class:`DataError` on NaN; ±inf orders and ties as usual.
+    Every run of equal values gets one averaged rank, so the order in
+    which the sort leaves tied entries never reaches the result, and an
+    unstable sort gives the same bytes as a stable one.  NaN is the
+    exception (NaN != NaN makes each its own tie group), hence the check.
+    """
     a = np.asarray(values, dtype=float)
-    order = np.argsort(a, kind="stable")
+    _require_no_nan(a)
+    order = np.argsort(a)
     s = a[order]
-    boundaries = np.flatnonzero(np.r_[True, s[1:] != s[:-1], True])
+    boundaries = np.flatnonzero(np.concatenate(([True], s[1:] != s[:-1], [True])))
     group_sizes = np.diff(boundaries)
     group_ranks = (boundaries[:-1] + boundaries[1:] + 1) / 2.0
     ranks = np.empty(a.size)
     ranks[order] = np.repeat(group_ranks, group_sizes)
     return ranks
+
+
+def _require_no_nan(a: np.ndarray) -> None:
+    if np.isnan(a).any():
+        raise DataError("inputs must not contain NaN")
 
 
 def _as_pair(a, b, min_len: int):
@@ -115,11 +128,17 @@ def _as_pair(a, b, min_len: int):
         raise DataError(f"length mismatch: {a.size} vs {b.size}")
     if a.size < min_len:
         raise DataError(f"need at least {min_len} points, got {a.size}")
+    _require_no_nan(a)
+    _require_no_nan(b)
     return a, b
 
 
 def srcc(a, b) -> float:
-    """Spearman rank correlation: Pearson correlation of average ranks."""
+    """Spearman rank correlation: Pearson correlation of average ranks.
+
+    Raises :class:`DataError` on NaN, as do :func:`grouped_srcc`,
+    :func:`rmse` and :func:`fit_line`.
+    """
     a, b = _as_pair(a, b, min_len=3)
     if np.all(a == a[0]) or np.all(b == b[0]):
         raise DegenerateDataError("rank correlation undefined for a constant vector")
@@ -133,11 +152,23 @@ def srcc(a, b) -> float:
 
 def _grouped_ranks(groups: np.ndarray, values: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     """Fractional ranks (1-based) of ``values`` within each group, ties
-    receiving their group average, as :func:`average_ranks` per group."""
-    order = np.lexsort((values, groups))
+    receiving their group average, as :func:`average_ranks` per group.
+
+    ``values`` must hold no NaN.  The entries are ordered by value with
+    numpy's default (unstable) sort, then by group with a stable sort of
+    the labels in the narrowest unsigned type that holds them: a radix
+    sort up to 16 bits.  Entries that share both group and value form one
+    tie group with one averaged rank, so how the value sort orders them
+    does not show in the result.
+    """
+    by_value = np.argsort(values)
+    labels = groups[by_value].astype(np.min_scalar_type(sizes.size - 1))
+    order = by_value[np.argsort(labels, kind="stable")]
     g = groups[order]
     v = values[order]
-    boundaries = np.flatnonzero(np.r_[True, (g[1:] != g[:-1]) | (v[1:] != v[:-1]), True])
+    boundaries = np.flatnonzero(
+        np.concatenate(([True], (g[1:] != g[:-1]) | (v[1:] != v[:-1]), [True]))
+    )
     tie_ranks = (boundaries[:-1] + boundaries[1:] + 1) / 2.0
     group_starts = np.cumsum(sizes) - sizes
     ranks = np.empty(values.size)

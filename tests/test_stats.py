@@ -25,7 +25,8 @@ from qvotes import (
     rmse,
     srcc,
 )
-from qvotes.stats import grouped_srcc
+from qvotes.simulate import _irr
+from qvotes.stats import _grouped_ranks, grouped_srcc
 
 finite_floats = st.floats(min_value=-100, max_value=100, allow_nan=False)
 
@@ -125,6 +126,11 @@ class TestMos:
         with pytest.raises(DataError):
             MosVector(("a", "b"), np.array([3.0]), np.array([1]))
 
+    @pytest.mark.parametrize("values", [[np.nan, 3.0], [3.0, np.nan], [np.nan, np.nan]])
+    def test_mos_vector_rejects_nan(self, values):
+        with pytest.raises(DataError, match=r"\[1, 5\]"):
+            MosVector(("a", "b"), values, [1, 1])
+
 
 class TestSrcc:
     def test_identity(self):
@@ -146,6 +152,20 @@ class TestSrcc:
     def test_length_mismatch(self):
         with pytest.raises(DataError, match="length mismatch"):
             srcc([1, 2, 3], [1, 2])
+
+    def test_nan_is_rejected(self):
+        # NaN used to rank as the largest value: srcc gave 0.2 here
+        with pytest.raises(DataError, match="NaN"):
+            srcc([1, np.nan, 3, 2], [1, 2, 3, 4])
+        with pytest.raises(DataError, match="NaN"):
+            srcc([1, 2, 3, 4], [4, 3, np.nan, 1])
+        with pytest.raises(DataError, match="NaN"):
+            average_ranks([2.0, np.nan, 1.0])
+
+    def test_infinities_order_and_tie(self):
+        inf = np.inf
+        assert average_ranks([inf, -inf, 0.0, inf, -0.0]).tolist() == [4.5, 1.0, 2.5, 4.5, 2.5]
+        assert srcc([-inf, 1.0, inf, 2.0], [1, 2, 4, 3]) == 1.0
 
     def test_too_short(self):
         with pytest.raises(DataError, match="at least 3"):
@@ -229,6 +249,99 @@ class TestGroupedSrcc:
         with pytest.raises(DataError):
             grouped_srcc([0, -1, 0], [1.0, 2.0, 3.0], [1.0, 2.0, 3.0])
 
+    def test_nan_is_rejected(self):
+        groups = [0, 0, 0, 0, 1, 1, 1]
+        clean = [1.0, 2.0, 3.0, 4.0, 1.0, 2.0, 3.0]
+        with_nan = [1.0, np.nan, 3.0, 2.0, 1.0, 2.0, 3.0]
+        with pytest.raises(DataError, match="NaN"):
+            grouped_srcc(groups, with_nan, clean)
+        with pytest.raises(DataError, match="NaN"):
+            grouped_srcc(groups, clean, with_nan)
+
+
+def stable_average_ranks(values):
+    """``average_ranks`` as it was with a stable argsort and ``np.r_``."""
+    a = np.asarray(values, dtype=float)
+    order = np.argsort(a, kind="stable")
+    s = a[order]
+    boundaries = np.flatnonzero(np.r_[True, s[1:] != s[:-1], True])
+    ranks = np.empty(a.size)
+    ranks[order] = np.repeat((boundaries[:-1] + boundaries[1:] + 1) / 2.0, np.diff(boundaries))
+    return ranks
+
+
+def lexsort_grouped_ranks(groups, values, sizes):
+    """``stats._grouped_ranks`` as it was with ``np.lexsort``."""
+    order = np.lexsort((values, groups))
+    g = groups[order]
+    v = values[order]
+    boundaries = np.flatnonzero(np.r_[True, (g[1:] != g[:-1]) | (v[1:] != v[:-1]), True])
+    tie_ranks = (boundaries[:-1] + boundaries[1:] + 1) / 2.0
+    ranks = np.empty(values.size)
+    ranks[order] = np.repeat(tie_ranks, np.diff(boundaries)) - (np.cumsum(sizes) - sizes)[g]
+    return ranks
+
+
+def unique_label_irr(users, own, others):
+    """``simulate._irr`` as it was, on labels from ``np.unique``."""
+    if not users.size:
+        return None
+    _, labels = np.unique(users, return_inverse=True)
+    values = grouped_srcc(labels, own, others)
+    values = values[~np.isnan(values)]
+    return float(np.mean(values)) if values.size else None
+
+
+# Heavy ties among signed zeros, infinities and neighbours one ulp apart.
+TIE_POOL = [0.0, -0.0, np.inf, -np.inf, 1.0, np.nextafter(1.0, 2.0), np.nextafter(1.0, 0.0),
+            -2.5, np.nextafter(-2.5, 0.0), 3.0, 5e-324, -5e-324]
+tied_values = st.lists(st.sampled_from(TIE_POOL), max_size=300)
+sparse_labels = st.lists(st.integers(0, 300), max_size=5, unique=True)
+# The largest label on either side of 255 and 65,535, so the group pass
+# sorts uint8, uint16 and uint32 keys.
+top_labels = pytest.mark.parametrize("top", [255, 256, 65_535, 65_536])
+
+
+class TestRankKernelsBitwise:
+    """The unstable value sort and the radix group pass give the same
+    bytes as the stable argsort and ``lexsort`` they replace."""
+
+    @given(values=tied_values, seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_average_ranks_equal_stable_sort(self, values, seed):
+        a = np.random.default_rng(seed).permutation(np.array(values, dtype=float))
+        assert average_ranks(a).tobytes() == stable_average_ranks(a).tobytes()
+
+    @top_labels
+    @given(labels=sparse_labels, data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_grouped_ranks_equal_lexsort(self, top, labels, data):
+        labels = [*labels, top]
+        values = np.array(data.draw(tied_values), dtype=float)
+        groups = np.array(data.draw(st.lists(st.sampled_from(labels), min_size=values.size,
+                                             max_size=values.size)), dtype=np.int64)
+        sizes = np.bincount(groups, minlength=top + 1)
+        got = _grouped_ranks(groups, values, sizes)
+        assert got.tobytes() == lexsort_grouped_ranks(groups, values, sizes).tobytes()
+
+    @top_labels
+    @given(users=sparse_labels, data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_irr_on_user_indices_equals_unique_labels(self, top, users, data):
+        users = [*users, top]
+        size = data.draw(st.integers(0, 120))
+        pairs = st.lists(st.sampled_from(TIE_POOL[4:]), min_size=size, max_size=size)
+        own = np.array(data.draw(pairs))
+        others = np.array(data.draw(pairs))
+        # users absent from the pairs leave gaps below the largest index
+        idx = np.array(data.draw(st.lists(st.sampled_from(users), min_size=size, max_size=size)),
+                       dtype=np.int64)
+        got = _irr(idx, own, others)
+        want = unique_label_irr(idx, own, others)
+        assert (got is None) == (want is None)
+        if want is not None:
+            assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
 
 class TestRmse:
     def test_examples(self):
@@ -239,6 +352,10 @@ class TestRmse:
     def test_length_mismatch(self):
         with pytest.raises(DataError):
             rmse([1], [1, 2])
+
+    def test_nan_is_rejected(self):
+        with pytest.raises(DataError, match="NaN"):
+            rmse([1.0, np.nan], [1.0, 2.0])
 
     @given(st.lists(finite_floats, min_size=1, max_size=20), st.data())
     @settings(max_examples=80, deadline=None)
@@ -303,6 +420,13 @@ class TestFirstOrderMap:
     def test_fit_line_constant_x(self):
         with pytest.raises(DegenerateDataError):
             fit_line([2.0, 2.0, 2.0], [1.0, 2.0, 3.0])
+
+    def test_fit_line_rejects_nan(self):
+        # used to return a NaN slope
+        with pytest.raises(DataError, match="NaN"):
+            fit_line([1.0, 2.0, np.nan], [1.0, 2.0, 3.0])
+        with pytest.raises(DataError, match="NaN"):
+            fit_line([1.0, 2.0, 3.0], [np.nan, 2.0, 3.0])
 
 
 class TestCompareToReference:
