@@ -1,9 +1,10 @@
 """Saturating power-model fitting: y = a * x^b + c.
 
-The model is linear in (a, c) for a fixed exponent, so fitting starts
-from a grid of exponents with the linear subproblem solved exactly, then
-refines each start with damped Gauss-Newton steps and keeps the best
-local optimum.
+For a fixed exponent b the model is linear in (a, c), so the least-squares
+fit reduces to a one-dimensional search over b of the cost left after
+solving for (a, c) exactly (variable projection).  The exponent is searched
+on a log grid over [-8, -0.001], then refined by golden-section search
+around the best grid point.
 """
 
 from __future__ import annotations
@@ -15,9 +16,13 @@ import numpy as np
 
 from .errors import DataError, DegenerateDataError
 
-EXPONENT_STARTS = (-2.0, -1.5, -1.0, -0.5, -0.25, -0.1)
-MAX_ITERATIONS = 500
-STEP_TOLERANCE = 1e-10
+# Exponents tried before the golden-section search, log-spaced in |b| and
+# ascending from -8 to -0.001; the search stops at this relative width.
+B_GRID = -np.geomspace(8.0, 0.001, 64)
+B_RELATIVE_WIDTH = 1e-12
+INVERSE_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# Integer window checked below the analytic solution in votes_for_target.
+SEARCH_MARGIN = 4
 
 
 @dataclass(frozen=True)
@@ -41,57 +46,31 @@ def evaluate_model(model: PowerModel, x: float) -> float:
     return float(model.a * float(x) ** model.b + model.c)
 
 
-def _residual_cost(x, y, params):
-    a, b, c = params
-    with np.errstate(over="ignore", invalid="ignore"):
-        r = a * np.power(x, b) + c - y
-    if not np.all(np.isfinite(r)):
-        return r, math.inf
-    return r, float(r @ r)
+def _linear_fit(x, y, b):
+    """(SSE, a, c) of the least-squares (a, c) for the exponent b.
 
-
-def _refine(x, y, start):
-    """Damped Gauss-Newton (Levenberg-style) from one start; never
-    returns a worse point than the start."""
-    log_x = np.log(x)
-    params = np.asarray(start, dtype=float)
-    residual, cost = _residual_cost(x, y, params)
-    damping = 1e-3
-    for _ in range(MAX_ITERATIONS):
-        a, b, _ = params
-        xb = np.power(x, b)
-        jac = np.column_stack([xb, a * log_x * xb, np.ones_like(x)])
-        gradient = jac.T @ residual
-        hessian = jac.T @ jac
-        lhs = hessian + damping * np.diag(np.diag(hessian)) + 1e-12 * np.eye(3)
-        try:
-            step = np.linalg.solve(lhs, -gradient)
-        except np.linalg.LinAlgError:
-            break
-        trial = params + step
-        trial_residual, trial_cost = _residual_cost(x, y, trial)
-        if trial_cost < cost:
-            params, residual, cost = trial, trial_residual, trial_cost
-            damping = max(damping * 0.3, 1e-12)
-            if np.linalg.norm(step) < STEP_TOLERANCE:
-                break
-        else:
-            damping *= 10.0
-            if damping > 1e12:
-                break
-    return params, cost
+    ``x`` must be scaled to a minimum of 1, so that the column x^b lies in
+    (0, 1] and is never negligible beside the column of ones.
+    """
+    xb = np.power(x, b)
+    (a, c), *_ = np.linalg.lstsq(np.column_stack([xb, np.ones_like(x)]), y, rcond=None)
+    r = a * xb + c - y
+    return float(r @ r), float(a), float(c)
 
 
 def fit_power_model(points) -> PowerModel:
-    """Least-squares fit of a * x^b + c to (x, y) points.
+    """Least-squares fit of a * x^b + c to (x, y) points, with b in
+    [-8, -0.001].
 
-    Needs at least 4 distinct positive x values.  A constant-y input has
-    no identifiable (a, b) and yields the documented degenerate model
-    (a=0, b=-1, c=mean).
+    Needs at least 4 distinct positive x values and finite coordinates.
+    A constant-y input has no identifiable (a, b) and yields the
+    documented degenerate model (a=0, b=-1, c=mean).
     """
     pts = np.asarray(list(points), dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise DataError("points must be (x, y) pairs")
+    if not np.all(np.isfinite(pts)):
+        raise DataError("points must be finite (no NaN or infinity)")
     x = pts[:, 0]
     y = pts[:, 1]
     # Counted without np.unique, which imports numpy.ma.
@@ -103,26 +82,40 @@ def fit_power_model(points) -> PowerModel:
     if np.all(y == y[0]):
         return PowerModel(a=0.0, b=-1.0, c=float(y[0]), rmse_of_fit=0.0, n_points=x.size)
 
-    best_params = None
-    best_cost = math.inf
-    ones = np.ones_like(x)
-    for b0 in EXPONENT_STARTS:
-        design = np.column_stack([np.power(x, b0), ones])
-        (a0, c0), *_ = np.linalg.lstsq(design, y, rcond=None)
-        params, cost = _refine(x, y, (a0, b0, c0))
-        if cost < best_cost:
-            best_params, best_cost = params, cost
-    a, b, c = best_params
+    x_min = float(x.min())
+    scaled = x / x_min
+    seen = {}
+
+    def cost(b: float) -> float:
+        if b not in seen:
+            seen[b] = _linear_fit(scaled, y, b)
+        return seen[b][0]
+
+    best = int(np.argmin([cost(float(b)) for b in B_GRID]))
+    lo = float(B_GRID[max(best - 1, 0)])
+    hi = float(B_GRID[min(best + 1, B_GRID.size - 1)])
+    inner_lo = hi - INVERSE_GOLDEN * (hi - lo)
+    inner_hi = lo + INVERSE_GOLDEN * (hi - lo)
+    while hi - lo > B_RELATIVE_WIDTH * abs(hi + lo) / 2:
+        if cost(inner_lo) < cost(inner_hi):
+            hi, inner_hi = inner_hi, inner_lo
+            inner_lo = hi - INVERSE_GOLDEN * (hi - lo)
+        else:
+            lo, inner_lo = inner_lo, inner_hi
+            inner_hi = lo + INVERSE_GOLDEN * (hi - lo)
+    b = min(seen, key=lambda k: seen[k][0])
+    sse, a, c = seen[b]
     return PowerModel(
-        a=float(a),
-        b=float(b),
-        c=float(c),
-        rmse_of_fit=math.sqrt(best_cost / x.size),
+        # a * (x / x_min)^b == (a * x_min^-b) * x^b
+        a=a * x_min**-b,
+        b=b,
+        c=c,
+        rmse_of_fit=math.sqrt(sse / x.size),
         n_points=int(x.size),
     )
 
 
-def votes_for_target(model: PowerModel, target: float, search_margin: int = 4) -> int | None:
+def votes_for_target(model: PowerModel, target: float) -> int | None:
     """Smallest vote count at which the model meets ``target``.
 
     For curves rising toward the asymptote (a < 0) the value must reach
@@ -130,6 +123,8 @@ def votes_for_target(model: PowerModel, target: float, search_margin: int = 4) -
     Returns None when the target lies beyond the asymptote, which the
     model approaches but never attains.
     """
+    if math.isnan(target):
+        raise DataError("vote target must not be NaN")
     if model.a == 0.0 or model.b >= 0.0:
         raise DegenerateDataError(
             "vote targeting needs a saturating model (a != 0, b < 0)"
@@ -149,10 +144,9 @@ def votes_for_target(model: PowerModel, target: float, search_margin: int = 4) -
     # Monotone curve: invert analytically, then verify on a small integer
     # window around the float solution.
     exact = ((target - model.c) / model.a) ** (1.0 / model.b)
-    start = max(1, int(math.floor(exact)) - search_margin)
-    n = start
+    n = max(1, int(math.floor(exact)) - SEARCH_MARGIN)
     while not met(n):
         n += 1
-        if n > exact + 10 * search_margin + 10:
+        if n > exact + 10 * SEARCH_MARGIN + 10:
             raise DataError("vote target search failed to bracket the solution")
     return n

@@ -2,16 +2,19 @@
 reproducing their recorded CSV files byte for byte, whatever the order of
 the rows of the ratings file.
 
-Both files were written by qvotes 0.4.0, the first version to draw each
+Both sweep files were written by qvotes 0.4.0, the first version to draw each
 vote as a uniform index into its condition's votes from one stream per
 (n, run), with conditions and users in sorted-id order:
 ``golden_sweep.csv`` (all six metrics, n >= 10) and
 ``golden_sweep_lown.csv`` (a wide, sparse study at n = 2..20 with
-``--fom``, no ci_width).
+``--fom``, no ci_width).  ``golden_fit.json`` holds the ``qvotes fit``
+model of every curve in both files, as written by qvotes 0.6.0, the first
+version to fit by variable projection.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from pathlib import Path
 
@@ -21,6 +24,7 @@ import pytest
 from conftest import make_dataset, synthetic_dataset
 from qvotes import RatingDataset, dataset_mos
 from qvotes.cli import main
+from qvotes.simulate import read_curves_csv
 
 DATA = Path(__file__).resolve().parent / "data"
 
@@ -106,3 +110,16 @@ def test_row_order_does_not_change_the_sweep(tmp_path, case, order):
     golden = DATA / CASES[case][2]
     out = run_golden_sweep(tmp_path, case, order=ROW_ORDERS[order])
     assert out.read_text() == golden.read_text()
+
+
+@pytest.mark.parametrize("curves", [case[2] for case in CASES.values()])
+def test_fit_matches_golden(tmp_path, curves):
+    expected = json.loads((DATA / "golden_fit.json").read_text())[curves]
+    metrics = [c.metric for c in read_curves_csv(DATA / curves)]
+    assert sorted(expected) == sorted(metrics)
+    for metric in metrics:
+        out = tmp_path / f"{metric}.json"
+        assert main(["fit", str(DATA / curves), "--metric", metric, "--out", str(out)]) == 0
+        model = json.loads(out.read_text())
+        for key, value in expected[metric].items():
+            assert model[key] == pytest.approx(value, rel=1e-9), (metric, key)

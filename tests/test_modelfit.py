@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qvotes import (
     DataError,
@@ -60,19 +62,32 @@ class TestFitPowerModel:
         with pytest.raises(DataError, match="positive"):
             fit_power_model([(0, 1.0), (10, 2.0), (20, 3.0), (30, 4.0)])
 
+    @pytest.mark.parametrize(
+        "bad",
+        [(1, np.nan), (1, np.inf), (0, np.inf), (0, np.nan)],
+        ids=["nan_y", "inf_y", "inf_x", "nan_x"],
+    )
+    def test_rejects_non_finite_points(self, bad):
+        # NaN or inf in y used to raise TypeError; inf in x returned a
+        # model, NaN in x raised LinAlgError
+        points = [[10.0, 0.4], [20.0, 0.5], [30.0, 0.6], [40.0, 0.7]]
+        column, value = bad
+        points[0][column] = value
+        with pytest.raises(DataError, match="finite"):
+            fit_power_model(points)
+
     def test_rejects_bad_shape(self):
         with pytest.raises(DataError):
             fit_power_model([1.0, 2.0, 3.0, 4.0])
 
     def test_never_worse_than_best_linear_start(self):
-        # the refinement must not lose to its own initialization
-        from qvotes.modelfit import EXPONENT_STARTS
-
+        # the fit must not lose to the exact (a, c) at any of the exponents
+        # that seeded the Gauss-Newton fit of qvotes 0.5
         rng = np.random.default_rng(0)
         x = np.array(SWEEP_X, dtype=float)
         y = -0.4 * x**-0.9 + 0.95 + rng.normal(0, 0.01, x.size)
         best_start_sse = np.inf
-        for b0 in EXPONENT_STARTS:
+        for b0 in (-2.0, -1.5, -1.0, -0.5, -0.25, -0.1):
             design = np.column_stack([x**b0, np.ones_like(x)])
             (a0, c0), *_ = np.linalg.lstsq(design, y, rcond=None)
             sse = float(np.sum((a0 * x**b0 + c0 - y) ** 2))
@@ -97,6 +112,41 @@ class TestFitPowerModel:
         model = fit_power_model(list(zip(x, y)))
         assert model.a < 0 and model.b < 0
         assert model.rmse_of_fit < 0.05
+
+
+DENSE_B = -np.geomspace(8.0, 0.001, 4001)
+
+
+def dense_grid_sse(x, y):
+    """Least SSE of a * x^b + c over DENSE_B, each (a, c) solved in
+    closed form and the residuals summed explicitly."""
+    u = np.power(x[None, :], DENSE_B[:, None])
+    du = u - u.mean(axis=1, keepdims=True)
+    a = du @ (y - y.mean()) / np.einsum("ij,ij->i", du, du)
+    c = y.mean() - a * u.mean(axis=1)
+    r = a[:, None] * u + c[:, None] - y[None, :]
+    return float(np.min(np.einsum("ij,ij->i", r, r)))
+
+
+class TestFitOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        xs=st.lists(st.integers(1, 400), min_size=4, max_size=30, unique=True),
+        a=st.floats(0.05, 2.0),
+        rising=st.booleans(),
+        b=st.floats(-3.0, -0.05),
+        c=st.floats(-1.0, 1.0),
+        noise=st.floats(0.0, 0.05),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_never_above_dense_grid_minimum(self, xs, a, rising, b, c, noise, seed):
+        x = np.array(sorted(xs), dtype=float)
+        a = -a if rising else a
+        y = a * x**b + c + np.random.default_rng(seed).normal(0.0, noise, x.size)
+        model = fit_power_model(list(zip(x, y)))
+        assert -8.0 <= model.b <= -0.001
+        fit_sse = model.rmse_of_fit**2 * x.size
+        assert fit_sse <= dense_grid_sse(x, y) * (1 + 1e-9) + 1e-24
 
 
 class TestEvaluateModel:
@@ -158,6 +208,11 @@ class TestVotesForTarget:
         counts = [votes_for_target(self.srcc_401, float(t)) for t in targets]
         assert all(c is not None for c in counts)
         assert all(b >= a for a, b in zip(counts, counts[1:]))
+
+    def test_nan_target_rejected(self):
+        # used to raise ValueError: cannot convert float NaN to integer
+        with pytest.raises(DataError, match="NaN"):
+            votes_for_target(self.srcc_401, float("nan"))
 
     def test_degenerate_model_rejected(self):
         flat = PowerModel(a=0.0, b=-1.0, c=0.5, rmse_of_fit=0.0, n_points=4)
