@@ -15,17 +15,22 @@ mark, as spreadsheet programs write, is dropped: paths and binary
 streams are decoded as ``utf-8-sig``, and a text stream loses a leading
 U+FEFF before its first row is parsed.
 
-The ratings loader reads each row once and keeps only the cells it
-needs.  Ids are stripped of surrounding whitespace and coded, and scores
-parsed, once per distinct cell value rather than once per row; a
-malformed row still fails with its own line number.
+Both loaders read their source into one string, whose lines end at LF,
+CRLF or a bare CR for paths and streams alike.  The ratings loader
+parses plain text (no ``"``, NUL or bare CR, every body line with the
+header's field count, non-blank ids and valid scores) by numpy scans of
+its UTF-8 bytes, without one Python string per cell; any other text,
+quoted or irregular, goes through ``csv``, which gives the same ids and
+names a malformed row's line.  Either way ids are stripped of
+surrounding whitespace and coded, and scores parsed, once per distinct
+cell value rather than once per row.  A field over
+``csv.field_size_limit()`` raises :class:`DataError` naming its line.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-import itertools
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -318,43 +323,42 @@ def reference_coverage(
 # -- loading -------------------------------------------------------------
 
 
-def _open_text(source):
-    """Returns (text file object, needs_close).  Paths and binary streams
-    are decoded as UTF-8 without a leading byte-order mark."""
-    if isinstance(source, (str, Path)):
-        return open(source, "r", encoding="utf-8-sig", newline=""), True
-    if hasattr(source, "read"):
-        if isinstance(source, io.TextIOBase):
-            return source, False
-        return io.TextIOWrapper(source, encoding="utf-8-sig", newline=""), False
-    raise ConfigError(f"unsupported source type: {type(source).__name__}")
-
-
-@contextmanager
-def _csv_rows(source, delimiter: str):
-    """A ``csv.reader`` over ``source`` (a path or an open stream), closed
-    on exit if opened here.  A delimiter ``csv`` rejects raises
-    :class:`ConfigError`; bytes that are not UTF-8 raise :class:`DataError`
+def _read_text(source) -> str:
+    """The whole of ``source`` (a path or an open stream) as one string,
+    without a leading byte-order mark.  Paths and binary streams are
+    decoded as UTF-8; bytes that are not UTF-8 raise :class:`DataError`
     naming the source."""
-    fh, needs_close = _open_text(source)
     try:
-        lines = iter(fh)
+        if isinstance(source, (str, Path)):
+            with open(source, "rb") as fh:
+                data = fh.read()
+        elif hasattr(source, "read"):
+            data = source.read()
+        else:
+            raise ConfigError(f"unsupported source type: {type(source).__name__}")
         # A text stream keeps a byte-order mark as U+FEFF; dropped before
         # parsing, it cannot hide a quote that opens the first cell.
-        first = next(lines, "").removeprefix("\ufeff")
-        if first:
-            lines = itertools.chain([first], lines)
-        try:
-            reader = csv.reader(lines, delimiter=delimiter)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"invalid delimiter {delimiter!r}: {exc}") from None
-        yield reader
+        return data.removeprefix("\ufeff") if isinstance(data, str) else data.decode("utf-8-sig")
     except UnicodeDecodeError as exc:
         name = source if isinstance(source, (str, Path)) else getattr(source, "name", "input")
         raise DataError(f"{name} is not UTF-8 text: {exc.reason}") from None
-    finally:
-        if needs_close:
-            fh.close()
+
+
+@contextmanager
+def _csv_rows(text: str, delimiter: str):
+    """A ``csv.reader`` over ``text``, whose lines split as in a file
+    opened with ``newline=""``.  A delimiter ``csv`` rejects raises
+    :class:`ConfigError`; a ``csv.Error`` inside the block, such as a
+    field over ``csv.field_size_limit()``, raises :class:`DataError`
+    naming its line."""
+    try:
+        reader = csv.reader(io.StringIO(text, newline=""), delimiter=delimiter)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid delimiter {delimiter!r}: {exc}") from None
+    try:
+        yield reader
+    except csv.Error as exc:
+        raise DataError(f"malformed CSV at line {reader.line_num}: {exc}") from None
 
 
 def _resolve_columns(header, wanted, column_map, required):
@@ -411,10 +415,114 @@ def load_ratings(
     (condition, user, score) rows accumulate.  Raises :class:`DataError`
     naming the offending line for malformed rows.
     """
+    column_map = _check_column_map(column_map, RATING_COLUMNS + (STIMULUS_COLUMN,))
+    text = _read_text(source)
+    columns = _plain_columns(text, delimiter, column_map) or _csv_columns(
+        text, delimiter, column_map
+    )
+    del text  # the dataset build needs only the columns
+    return RatingDataset._from_codes(*columns, label=label)
+
+
+# Bytes that one column's cells, gathered at the width of its longest,
+# may take per byte of input; a file whose cells vary more in length takes
+# the ``csv`` path.
+_GATHER_BOUND = 4
+
+
+def _plain_columns(text: str, delimiter: str, column_map: dict):
+    """The (conditions, users, scores, stimuli) columns of plain ratings
+    text, parsed by numpy scans of its UTF-8 bytes, or None if ``text``
+    is not plain or one column's gathered cells would take more than
+    ``_GATHER_BOUND`` bytes per byte of input.
+
+    Plain text has no ``"``, NUL or bare ``\\r`` (CRLF counts as LF), a
+    one-byte delimiter, and body lines with exactly the header's field
+    count, non-blank ids and valid scores, none over
+    ``csv.field_size_limit()`` bytes.  ``csv`` splits such text at every
+    delimiter and line end, as here, so only the speed differs; any
+    other text, and every fault, is left to :func:`_csv_columns`.
+    """
+    if not (isinstance(delimiter, str) and len(delimiter) == 1 and delimiter.isascii()):
+        return None
+    if "\r" in text:
+        text = text.replace("\r\n", "\n")
+    if delimiter in '"\r\n\0' or not text or any(c in text for c in '"\r\0'):
+        return None
+    try:
+        raw = text.encode() if text.endswith("\n") else (text + "\n").encode()
+    except UnicodeEncodeError:  # a lone surrogate from a text stream
+        return None
+    del text
+    data = np.frombuffer(raw, np.uint8)
+    # Every cell ends at a delimiter or a newline; a line of F fields is F
+    # such ends, the last of them a newline.
+    ends = np.flatnonzero((data == ord(delimiter)) | (data == ord("\n")))
+    at_newline = data[ends] == ord("\n")
+    fields = int(np.argmax(at_newline)) + 1
+    if ends.size % fields or ends.size == fields:
+        return None
+    at_newline = at_newline.reshape(-1, fields)
+    if not at_newline[:, -1].all() or at_newline[:, :-1].any():
+        return None
+    starts = np.concatenate(([0], ends[:-1] + 1)).reshape(-1, fields)
+    lengths = ends.reshape(-1, fields) - starts
+    del data, ends, at_newline
+    if lengths.max() > csv.field_size_limit():
+        return None
+    header = raw[: starts[1, 0] - 1].decode().split(delimiter)
+    index = _resolve_columns(
+        header, RATING_COLUMNS + (STIMULUS_COLUMN,), column_map, RATING_COLUMNS
+    )
+    wanted = [index[c] for c in RATING_COLUMNS] + [index.get(STIMULUS_COLUMN)]
+    starts, lengths = starts[1:], lengths[1:]
+    # A cell is gathered as 8-byte words, at least one.
+    words = {c: max(1, -(-int(lengths[:, c].max()) // 8)) for c in wanted if c is not None}
+    if 8 * len(starts) * max(words.values()) > _GATHER_BOUND * len(raw):
+        return None
+    # Entry i of ``word`` is bytes i..i+7 as a big-endian integer, so that
+    # keys order as their bytes do; the padding keeps every read in range.
+    raw += bytes(8 * max(words.values()))
+    word = np.ndarray((len(raw) - 7,), ">u8", raw, strides=(1,))
+    # Entry n keeps the first n bytes of a word and zeroes the rest.
+    head = np.array([2**64 - 2 ** (64 - 8 * n) for n in range(9)], np.uint64)
+
+    def column(c, clean):
+        """Each distinct ``clean(cell)`` of column ``c`` and each row's
+        position among them.  The cells are coded by one ``np.unique`` of
+        their words, so ``clean`` runs once per distinct cell."""
+        start, length = starts[:, c], lengths[:, c]
+        keys = np.empty((len(start), words[c]), np.uint64)
+        for i in range(words[c]):
+            keys[:, i] = word[start + 8 * i] & head[np.clip(length - 8 * i, 0, 8)]
+        if words[c] > 1:
+            keys = keys.astype(">u8").view(f"S{8 * words[c]}")
+        distinct, codes = np.unique(keys.ravel(), return_inverse=True)
+        if words[c] == 1:
+            distinct = distinct.astype(">u8").view("S8")
+        names: dict = {}
+        remap = [names.setdefault(clean(cell.decode()), len(names)) for cell in distinct.tolist()]
+        return tuple(names), np.array(remap, np.int32)[codes]
+
+    conditions = column(wanted[0], str.strip)
+    users = column(wanted[1], str.strip)
+    if "" in conditions[0] or "" in users[0]:
+        return None
+    try:
+        scores, codes = column(wanted[2], lambda cell: _parse_score(cell.strip(), 0))
+    except DataError:
+        return None
+    stimuli = None if wanted[3] is None else column(wanted[3], lambda cell: cell.strip() or None)
+    return conditions, users, np.array(scores, np.int64)[codes], stimuli
+
+
+def _csv_columns(text: str, delimiter: str, column_map: dict):
+    """The (conditions, users, scores, stimuli) columns of ratings text
+    read row by row with ``csv``: the path for quoted or irregular text,
+    which names the first bad row's line."""
     from array import array  # not loaded by ``import qvotes``
 
-    column_map = _check_column_map(column_map, RATING_COLUMNS + (STIMULUS_COLUMN,))
-    with _csv_rows(source, delimiter) as reader:
+    with _csv_rows(text, delimiter) as reader:
         try:
             header = next(reader)
         except StopIteration:
@@ -445,11 +553,11 @@ def load_ratings(
                 what = "missing field" if len(row) <= needed else "empty condition_id or user_id"
                 fault = f"{what} at line {reader.line_num}"
                 break
-    return _dataset_from_cells(conds, users, scores, stims, lines, fault, label)
+    return _columns_from_cells(conds, users, scores, stims, lines, fault)
 
 
-def _dataset_from_cells(conds, users, scores, stims, lines, fault, label) -> RatingDataset:
-    """The dataset of the raw cells of ``load_ratings``'s accepted rows,
+def _columns_from_cells(conds, users, scores, stims, lines, fault):
+    """The columns of the raw cells of ``_csv_columns``'s accepted rows,
     or the :class:`DataError` of the first bad row in file order.
 
     Ids and scores are stripped and checked once per distinct cell.
@@ -482,7 +590,7 @@ def _dataset_from_cells(conds, users, scores, stims, lines, fault, label) -> Rat
     if not conds:
         raise DataError("no rating rows found")
     stimuli = None if stims is None else _codes(stims, lambda s: s.strip() or None)
-    return RatingDataset._from_codes(conditions, users, score_values, stimuli, label=label)
+    return conditions, users, score_values, stimuli
 
 
 def load_reference(
@@ -495,7 +603,7 @@ def load_reference(
     Duplicate condition ids and MOS values outside [1, 5] are errors.
     """
     column_map = _check_column_map(column_map, REFERENCE_COLUMNS)
-    with _csv_rows(source, delimiter) as reader:
+    with _csv_rows(_read_text(source), delimiter) as reader:
         try:
             header = next(reader)
         except StopIteration:

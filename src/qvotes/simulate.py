@@ -225,6 +225,8 @@ def draw_run_sample(
 class _RefContext:
     local_idx: np.ndarray  # condition indices shared with the reference
     values: np.ndarray
+    ranks: tuple | None  # stats._centred_ranks(values), for validity_srcc
+    whole: bool  # every condition is shared, so local_idx is 0..k-1
 
 
 def _irr(users: np.ndarray, own: np.ndarray, others: np.ndarray):
@@ -280,6 +282,13 @@ def _unless_degenerate(statistic, *args) -> float | None:
         return None
 
 
+def _srcc(run_ranks: tuple, fixed_ranks: tuple) -> float | None:
+    """``stats.srcc`` of a run's MOS vector against a fixed one (never
+    constant, see ``run_sweep``), both given by ``stats._centred_ranks``;
+    None where the run's vector is constant."""
+    return None if run_ranks[1] == 0.0 else stats._ranked_srcc(run_ranks, fixed_ranks)
+
+
 def _mapped_rmse(x: np.ndarray, y: np.ndarray) -> float:
     """RMSE of ``y`` against ``x`` after a first-order map of ``x`` onto ``y``."""
     return stats.rmse(stats.fit_line(x, y).apply(x), y)
@@ -292,12 +301,17 @@ def _simulate_run(
     run_index: int,
     ref_ctx: _RefContext | None,
     full_mos: np.ndarray | None,
+    full_ranks: tuple | None,
 ) -> dict[str, float | None]:
     metrics = cfg.metrics
     k = len(ds.conditions)
     scores, rows = _draw_votes(ds, n, _run_stream(cfg.master_seed, n, run_index))
     # The integer sums are exact, so these are the float means of the votes.
     means = scores.sum(axis=1) / n
+    # Ranked once for gain_srcc and for a validity_srcc over every condition.
+    ranks = None
+    if GAIN_SRCC in metrics or (VALIDITY_SRCC in metrics and ref_ctx.whole):
+        ranks = stats._centred_ranks(means)
 
     # A statistic undefined for this run's votes (a constant MOS vector) is
     # a missing value, as for IRR: run_sweep averages the runs that have one.
@@ -305,14 +319,15 @@ def _simulate_run(
     if VALIDITY_SRCC in metrics or VALIDITY_RMSE in metrics:
         sub = means[ref_ctx.local_idx]
         if VALIDITY_SRCC in metrics:
-            out[VALIDITY_SRCC] = _unless_degenerate(stats.srcc, sub, ref_ctx.values)
+            sub_ranks = ranks if ref_ctx.whole else stats._centred_ranks(sub)
+            out[VALIDITY_SRCC] = _srcc(sub_ranks, ref_ctx.ranks)
         if VALIDITY_RMSE in metrics:
             if cfg.apply_first_order_map:
                 out[VALIDITY_RMSE] = _unless_degenerate(_mapped_rmse, sub, ref_ctx.values)
             else:
                 out[VALIDITY_RMSE] = stats.rmse(sub, ref_ctx.values)
     if GAIN_SRCC in metrics:
-        out[GAIN_SRCC] = _unless_degenerate(stats.srcc, means, full_mos)
+        out[GAIN_SRCC] = _srcc(ranks, full_ranks)
     if GAIN_RMSE in metrics:
         out[GAIN_RMSE] = stats.rmse(means, full_mos)
     if CI_WIDTH in metrics:
@@ -383,30 +398,36 @@ def run_sweep(
             raise DataError(
                 f"need at least 3 conditions shared with the reference, got {len(local)}"
             )
-        ref_ctx = _RefContext(
-            local_idx=np.asarray(local, dtype=np.int64),
-            values=np.array([ref[ds.conditions[j]] for j in local]),
-        )
-        if VALIDITY_SRCC in cfg.metrics and np.ptp(ref_ctx.values) == 0.0:
+        values = np.array([ref[ds.conditions[j]] for j in local])
+        if VALIDITY_SRCC in cfg.metrics and np.ptp(values) == 0.0:
             raise DegenerateDataError(
                 f"{VALIDITY_SRCC} is undefined: the reference MOS is the same "
                 "for every shared condition"
             )
+        ref_ctx = _RefContext(
+            local_idx=np.asarray(local, dtype=np.int64),
+            values=values,
+            ranks=stats._centred_ranks(values) if VALIDITY_SRCC in cfg.metrics else None,
+            whole=len(local) == len(ds.conditions),
+        )
 
-    full_mos = None
+    full_mos = full_ranks = None
     if GAIN_SRCC in cfg.metrics or GAIN_RMSE in cfg.metrics:
         if len(ds.conditions) < 3:
             raise DataError("gain metrics need at least 3 conditions")
         full_mos = stats.dataset_mos(ds, method="user_balanced").values
-        if GAIN_SRCC in cfg.metrics and np.ptp(full_mos) == 0.0:
-            raise DegenerateDataError(
-                f"{GAIN_SRCC} is undefined: every condition has the same "
-                "full-dataset MOS"
-            )
+        if GAIN_SRCC in cfg.metrics:
+            if np.ptp(full_mos) == 0.0:
+                raise DegenerateDataError(
+                    f"{GAIN_SRCC} is undefined: every condition has the same "
+                    "full-dataset MOS"
+                )
+            full_ranks = stats._centred_ranks(full_mos)
 
     r = cfg.repetitions
     results = [
-        [_simulate_run(ds, cfg, n, i, ref_ctx, full_mos) for i in range(r)] for n in cfg.n_values
+        [_simulate_run(ds, cfg, n, i, ref_ctx, full_mos, full_ranks) for i in range(r)]
+        for n in cfg.n_values
     ]
 
     curves = []

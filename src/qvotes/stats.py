@@ -142,12 +142,23 @@ def srcc(a, b) -> float:
     a, b = _as_pair(a, b, min_len=3)
     if np.all(a == a[0]) or np.all(b == b[0]):
         raise DegenerateDataError("rank correlation undefined for a constant vector")
-    ra = average_ranks(a)
-    rb = average_ranks(b)
-    ra -= ra.mean()
-    rb -= rb.mean()
-    denom = np.sqrt((ra @ ra) * (rb @ rb))
-    return float(np.clip((ra @ rb) / denom, -1.0, 1.0))
+    return _ranked_srcc(_centred_ranks(a), _centred_ranks(b))
+
+
+def _centred_ranks(values: np.ndarray) -> tuple[np.ndarray, np.float64]:
+    """The half of :func:`srcc` that reads one vector: its average ranks
+    minus their mean, and their sum of squares, which is 0 exactly when
+    the vector is constant.  A sweep ranks a fixed vector once."""
+    r = average_ranks(values)
+    r -= r.mean()
+    return r, r @ r
+
+
+def _ranked_srcc(a: tuple, b: tuple) -> float:
+    """:func:`srcc` of two vectors of one length from their
+    :func:`_centred_ranks`, neither of them constant."""
+    (ra, saa), (rb, sbb) = a, b
+    return float(np.clip((ra @ rb) / np.sqrt(saa * sbb), -1.0, 1.0))
 
 
 def _grouped_ranks(groups: np.ndarray, values: np.ndarray, sizes: np.ndarray) -> np.ndarray:

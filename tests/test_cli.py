@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import json
 import os
 import subprocess
@@ -382,6 +383,19 @@ class TestUnreadableInput:
         reference.write_bytes(reference.read_bytes() + b"c\xff,3.0\n")
         err = self._fails(["validate", str(ratings), "--ref", str(reference)], 1, capsys)
         assert "reference.csv is not UTF-8" in err
+
+    def test_ratings_field_over_the_csv_limit(self, tmp_path, capsys):
+        big = tmp_path / "big.csv"
+        big.write_text(f"condition_id,user_id,score\nc1,u1,{'4' * (csv.field_size_limit() + 1)}\n")
+        err = self._fails(["validate", str(big)], 1, capsys)
+        assert "at line 2: field larger than field limit" in err
+
+    def test_reference_field_over_the_csv_limit(self, toy_files, tmp_path, capsys):
+        ratings, _ = toy_files
+        big = tmp_path / "big.csv"
+        big.write_text(f"condition_id,mos\nc1,{'3' * (csv.field_size_limit() + 1)}\n")
+        err = self._fails(["validate", str(ratings), "--ref", str(big)], 1, capsys)
+        assert "at line 2: field larger than field limit" in err
 
     def test_curve_csv_not_utf8(self, tmp_path, capsys):
         path = tmp_path / "curves.csv"

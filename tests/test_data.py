@@ -3,8 +3,12 @@
 from __future__ import annotations
 
 import collections
+import contextlib
 import csv
 import io
+import tempfile
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,6 +19,7 @@ from conftest import load_published, make_dataset, published_paths
 from qvotes import (
     ConfigError,
     DataError,
+    QvotesError,
     RatingDataset,
     RatingRecord,
     empirical_score_dist,
@@ -24,7 +29,9 @@ from qvotes import (
     reference_coverage,
     remove_outliers_iqr,
 )
-from qvotes.data import _parse_score
+from qvotes import data
+from qvotes.cli import main
+from qvotes.data import RATING_COLUMNS, _parse_score, _plain_columns
 
 
 def ratings_csv(text: str) -> io.StringIO:
@@ -320,6 +327,226 @@ class TestLoaderOracle:
             return
         ds = load_ratings(ratings_csv(text))
         assert (ds.conditions, ds.users, ds.stimuli, ds.to_records()) == want
+
+
+def dataset_state(ds):
+    """Everything a loaded dataset holds, arrays as (dtype, bytes)."""
+    arrays = (ds._cond_idx, ds._user_idx, ds._scores, ds._stim_idx)
+    return (ds.conditions, ds.users, ds.stimuli,
+            [None if a is None else (a.dtype.str, a.tobytes()) for a in arrays])
+
+
+def load_outcome(text, **kwargs):
+    """The state of ``load_ratings`` on ``text``, or its error message."""
+    try:
+        return dataset_state(load_ratings(ratings_csv(text), **kwargs))
+    except DataError as exc:
+        return f"DataError: {exc}"
+
+
+@contextlib.contextmanager
+def fast_path_results():
+    """Patches ``_plain_columns`` to record whether it returned columns."""
+    results = []
+
+    def spy(*args):
+        columns = _plain_columns(*args)
+        results.append(columns is not None)
+        return columns
+
+    with mock.patch.object(data, "_plain_columns", spy):
+        yield results
+
+
+# Ids that are padded, non-ASCII, exactly 8 or 9 UTF-8 bytes long, or equal
+# once stripped; scores in every accepted spelling.
+PLAIN_CONDITIONS = ["c1", " c1", "c1 ", "cond0008", "cond00009", "é234567", "é2345678", "ü"]
+PLAIN_USERS = ["u1", "u1  ", "user0008", "user00009", "wörker", " ß "]
+PLAIN_SCORES = ["1", "2", "3", "4", "5", "4.0", " 5", "3 ", "2.00000000"]
+PLAIN_STIMULI = ["s1", " s1", "stim0008", "stim00009", "ß"]
+PLAIN_FAULTS = ["short row", "long row", "blank id", "blank line", "4.5", "0", "x", "quote", "bare CR"]
+
+
+@st.composite
+def plain_rating_files(draw):
+    """(text, delimiter, column_map, plain): plain ratings text with
+    shuffled columns, an optional stimulus column (full, blank or partly
+    blank), an optional extra column, LF or CRLF line ends and an optional
+    final newline; ``plain`` is False when one fault has been put in."""
+    delimiter = draw(st.sampled_from([",", ";", "\t"]))
+    columns = list(RATING_COLUMNS)
+    stim_mode = draw(st.sampled_from(["absent", "full", "blank", "partly blank"]))
+    columns += [] if stim_mode == "absent" else ["stimulus_id"]
+    columns += ["note"] if draw(st.booleans()) else []
+    columns = draw(st.permutations(columns))
+    column_map = {"user_id": "worker"} if draw(st.booleans()) else {}
+    header = [column_map.get(c, c) for c in columns]
+
+    def cell(column, i):
+        if column == "stimulus_id":
+            if stim_mode == "blank" or (stim_mode == "partly blank" and i == 0):
+                return draw(st.sampled_from(["", " "]))
+            return draw(st.sampled_from(PLAIN_STIMULI))
+        pool = {"condition_id": PLAIN_CONDITIONS, "user_id": PLAIN_USERS,
+                "score": PLAIN_SCORES, "note": ["", "x", "a note"]}[column]
+        return draw(st.sampled_from(pool))
+
+    rows = [[cell(c, i) for c in columns] for i in range(draw(st.integers(1, 15)))]
+    plain = True
+    if draw(st.integers(0, 3)) == 0:
+        plain = False
+        fault = draw(st.sampled_from(PLAIN_FAULTS))
+        row = rows[draw(st.integers(0, len(rows) - 1))]
+        if fault == "short row":
+            row.pop()
+        elif fault == "long row":
+            row.append("")
+        elif fault == "blank id":
+            row[columns.index(draw(st.sampled_from(["condition_id", "user_id"])))] = " "
+        elif fault == "blank line":
+            rows.insert(draw(st.integers(0, len(rows))), [])
+        elif fault in ("quote", "bare CR"):
+            row[0] += '"' if fault == "quote" else "\r"
+        else:
+            row[columns.index("score")] = fault
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    text = newline.join(delimiter.join(row) for row in [header, *rows])
+    text += newline if draw(st.booleans()) else ""
+    return text, delimiter, column_map, plain
+
+
+class TestPlainFastPath:
+    """``_plain_columns`` against the ``csv`` path as the oracle: each file
+    loads to the same dataset, or fails with the same message, both ways."""
+
+    @given(case=plain_rating_files())
+    @settings(max_examples=400, deadline=None)
+    def test_matches_csv_path(self, case):
+        text, delimiter, column_map, plain = case
+        with fast_path_results() as ran:
+            got = load_outcome(text, delimiter=delimiter, column_map=column_map)
+        with mock.patch.object(data, "_plain_columns", lambda *args: None):
+            want = load_outcome(text, delimiter=delimiter, column_map=column_map)
+        assert got == want
+        if plain:
+            assert ran == [True]
+
+    @pytest.mark.parametrize("text", [
+        'condition_id,user_id,score\n"c1",u1,4\n',
+        "condition_id,user_id,score\nc1,u1,4\n\nc1,u2,3\n",
+        "condition_id,user_id,score\nc1,u1,4\rc1,u2,3\n",
+        "condition_id,user_id,score\nc1,u\0,4\n",
+        "condition_id,user_id,score\n",
+        "",
+    ])
+    def test_irregular_text_takes_the_csv_path(self, text):
+        assert _plain_columns(text, ",", {}) is None
+
+    def test_gather_is_bounded_by_the_input(self):
+        # One long id would make every row's key as wide as it is.
+        rows = [f"c{i % 7},u{i % 5},{1 + i % 5}" for i in range(200)] + ["c" * 3000 + ",u1,4"]
+        text = "condition_id,user_id,score\n" + "\n".join(rows) + "\n"
+        assert _plain_columns(text, ",", {}) is None
+        assert load_ratings(ratings_csv(text)).conditions[-1] == "c" * 3000
+        assert _plain_columns(text.replace("c" * 3000, "c" * 20), ",", {}) is not None
+
+    def test_row_by_row_oracle_reaches_the_fast_path(self):
+        text = "condition_id,user_id,score,stimulus_id\nc1, u1,4.0,f1\nc2,u2 ,3,f2\n"
+        with fast_path_results() as ran:
+            ds = load_ratings(ratings_csv(text))
+        assert ran == [True]
+        assert (ds.conditions, ds.users, ds.stimuli, ds.to_records()) == load_ratings_by_row(text)
+
+
+LIMIT = csv.field_size_limit()
+
+
+class TestCsvErrors:
+    """A ``csv.Error`` is a :class:`DataError` naming its line."""
+
+    @pytest.mark.parametrize("quote", ["", '"'])
+    def test_ratings_field_over_the_limit(self, quote):
+        big = quote + "x" * (LIMIT + 1) + quote
+        text = f"condition_id,user_id,score,note\nc1,u1,4,\nc1,u2,3,{big}\n"
+        with pytest.raises(DataError, match=r"at line 3: field larger than field limit"):
+            load_ratings(ratings_csv(text))
+
+    def test_reference_field_over_the_limit(self):
+        text = f"condition_id,mos\nc1,3.0\nc2,{'1' * (LIMIT + 1)}\n"
+        with pytest.raises(DataError, match=r"at line 3: field larger than field limit"):
+            load_reference(ratings_csv(text))
+
+
+def line_end_sources(text, tmp_path):
+    path = tmp_path / "lines.csv"
+    path.write_bytes(text.encode())
+    return [path, io.BytesIO(text.encode()), io.StringIO(text)]
+
+
+class TestLineEnds:
+    """A path, a binary stream and a text stream split lines alike, at LF,
+    CRLF and a bare CR, as a file opened with ``newline=""`` does."""
+
+    def test_ratings(self, tmp_path):
+        text = "condition_id,user_id,score\nc1,u1,4\rc1,u2,5\r\nc2,u1,3\n"
+        states = [dataset_state(load_ratings(s)) for s in line_end_sources(text, tmp_path)]
+        want = dataset_state(load_ratings(ratings_csv("condition_id,user_id,score\nc1,u1,4\nc1,u2,5\nc2,u1,3\n")))
+        assert states == [want] * 3
+
+    def test_ratings_error_line(self, tmp_path):
+        text = "condition_id,user_id,score\rc1,u1,4\rc1,u2,9\r"
+        for source in line_end_sources(text, tmp_path):
+            with pytest.raises(DataError, match="score out of range at line 3"):
+                load_ratings(source)
+
+    def test_reference(self, tmp_path):
+        text = "condition_id,mos\rc1,3.0\r\nc2,4.5\r"
+        refs = [load_reference(s).mos for s in line_end_sources(text, tmp_path)]
+        assert refs == [{"c1": 3.0, "c2": 4.5}] * 3
+
+
+FUZZ_TOKENS = ['"', ",", ";", "\t", "\r", "\n", "\0", "\ufeff", "a", "é", "1", "4", "5.0", " "]
+FUZZ_HEADERS = ["", "condition_id,user_id,score\n", "condition_id;user_id;score;stimulus_id\n",
+                "condition_id,mos\n", "condition_id\tmos\n"]
+
+
+class TestLoaderFuzz:
+    """Random text, with csv's field limit lowered to 8 characters so that
+    small inputs reach it, fails only with a :class:`QvotesError`, and the
+    CLI with exit code 1 or 2."""
+
+    @given(
+        header=st.sampled_from(FUZZ_HEADERS),
+        body=st.lists(st.sampled_from(FUZZ_TOKENS), max_size=60).map("".join),
+        delimiter=st.sampled_from([",", ";", "\t"]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_only_qvotes_errors_escape(self, header, body, delimiter):
+        text = header + body
+        old_limit = csv.field_size_limit(8)
+        try:
+            with tempfile.TemporaryDirectory() as tmp:
+                path = Path(tmp) / "fuzz.csv"
+                path.write_bytes(text.encode())
+                good = Path(tmp) / "good.csv"
+                good.write_text(f"condition_id{delimiter}user_id{delimiter}score\nc1{delimiter}u1{delimiter}4\n")
+                for source in (path, io.StringIO(text)):
+                    for load in (load_ratings, load_reference):
+                        if isinstance(source, io.StringIO):
+                            source.seek(0)
+                        try:
+                            load(source, delimiter=delimiter)
+                        except QvotesError:
+                            pass
+                quiet = contextlib.redirect_stdout(io.StringIO())
+                with quiet, contextlib.redirect_stderr(io.StringIO()):
+                    codes = [
+                        main(["validate", str(path), "--delimiter", delimiter]),
+                        main(["validate", str(good), "--ref", str(path), "--delimiter", delimiter]),
+                    ]
+        finally:
+            csv.field_size_limit(old_limit)
+        assert set(codes) <= {0, 1, 2}
 
 
 class TestConditionCaches:

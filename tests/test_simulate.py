@@ -289,6 +289,45 @@ class TestDegenerateRuns:
             run_sweep(make_dataset(rows), ref, cfg)
 
 
+class TestSrccRankedOnce:
+    """validity_srcc and gain_srcc rank the reference and full-dataset MOS
+    once per sweep and each run's MOS vector once, yet equal ``srcc`` of
+    the run's MOS bit for bit; a constant run vector is a missing value."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        rows=st.lists(st.tuples(st.integers(0, 5), st.integers(0, 3), st.integers(2, 4)),
+                      max_size=30),
+        extra=st.sets(st.integers(3, 7)),
+        n=st.integers(1, 3),
+        seed=st.integers(0, 1000),
+    )
+    def test_equals_srcc_of_the_run_mos(self, rows, extra, n, seed):
+        # c0..c2 always rated and in the reference; c3..c5 maybe rated and
+        # maybe in it, so the reference covers all or some conditions.
+        base = [(c, u, 3 + (c + u) % 2) for c in range(3) for u in range(2)]
+        ds = make_dataset([(f"c{c}", f"u{u}", s) for c, u, s in base + rows])
+        ref = ReferenceMos({f"c{c}": 1.0 + c % 3 for c in {0, 1, 2} | extra})
+        local = [j for j, c in enumerate(ds.conditions) if c in ref]
+        ref_values = np.array([ref[ds.conditions[j]] for j in local])
+        means = run_mos(ds, n, 0, seed)
+        cases = [("validity_srcc", means[local], ref_values)]
+        full = dataset_mos(ds).values
+        if np.ptp(full) > 0.0:
+            cases.append(("gain_srcc", means, full))
+        for metric, a, b in cases:
+            want = None if np.ptp(a) == 0.0 else srcc(a, b)
+            cfg = SweepConfig(n_values=(n,), repetitions=1, master_seed=seed, metrics=(metric,))
+            try:
+                got = run_sweep(ds, ref, cfg)[0].points[0].mean
+            except DataError as exc:
+                assert "no run produced a value" in str(exc)
+                got = None
+            assert (got is None) == (want is None)
+            if want is not None:
+                assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
 class TestAggregate:
     @pytest.mark.parametrize("level", [0.5, 0.8, 0.9, 0.95, 0.99])
     def test_half_width_is_student_t_ppf_bit_for_bit(self, level):

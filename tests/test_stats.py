@@ -26,7 +26,7 @@ from qvotes import (
     srcc,
 )
 from qvotes.simulate import _irr
-from qvotes.stats import _grouped_ranks, grouped_srcc
+from qvotes.stats import _centred_ranks, _grouped_ranks, _ranked_srcc, grouped_srcc
 
 finite_floats = st.floats(min_value=-100, max_value=100, allow_nan=False)
 
@@ -341,6 +341,56 @@ class TestRankKernelsBitwise:
         assert (got is None) == (want is None)
         if want is not None:
             assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+def one_call_srcc(a, b):
+    """``srcc`` as it was, ranking and centring both vectors in one call."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if np.all(a == a[0]) or np.all(b == b[0]):
+        raise DegenerateDataError("constant")
+    ra = average_ranks(a)
+    rb = average_ranks(b)
+    ra -= ra.mean()
+    rb -= rb.mean()
+    denom = np.sqrt((ra @ ra) * (rb @ rb))
+    return float(np.clip((ra @ rb) / denom, -1.0, 1.0))
+
+
+# MOS-like values on a coarse grid, so that ties and constant vectors are common.
+mos_values = st.lists(st.sampled_from([1.0, 2.5, 3.0, 3.0 + 1 / 3, 4.0, 5.0]), min_size=3, max_size=60)
+
+
+class TestRankedSrcc:
+    """A fixed vector ranked once, and each run's vector ranked once, give
+    ``srcc``'s bits, on tied, constant and subset vectors."""
+
+    @given(fixed=mos_values, data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_equals_one_call_srcc(self, fixed, data):
+        fixed = np.array(fixed)
+        size = fixed.size
+        runs = data.draw(st.lists(
+            st.lists(st.sampled_from([1.0, 2.0, 3.0, 3.5, 4.0]), min_size=size, max_size=size),
+            min_size=1, max_size=4,
+        ))
+        subset = np.array(sorted(data.draw(st.sets(st.integers(0, size - 1), min_size=3))))
+        for idx in (np.arange(size), subset):
+            b = fixed[idx]
+            if np.ptp(b) == 0.0:
+                continue
+            ranked = _centred_ranks(b)  # reused across runs, as a sweep does
+            for run in runs:
+                a = np.array(run)[idx]
+                got = _centred_ranks(a)
+                assert (got[1] == 0.0) == (np.ptp(a) == 0.0)
+                if got[1] == 0.0:
+                    with pytest.raises(DegenerateDataError):
+                        srcc(a, b)
+                    continue
+                want = one_call_srcc(a, b)
+                assert np.float64(_ranked_srcc(got, ranked)).tobytes() == np.float64(want).tobytes()
+                assert np.float64(srcc(a, b)).tobytes() == np.float64(want).tobytes()
 
 
 class TestRmse:
