@@ -347,12 +347,19 @@ def _read_text(source) -> str:
 @contextmanager
 def _csv_rows(text: str, delimiter: str):
     """A ``csv.reader`` over ``text``, whose lines split as in a file
-    opened with ``newline=""``.  A delimiter ``csv`` rejects raises
+    opened with ``newline=""``: it reads them from the UTF-8 bytes of
+    ``text``, a copy at one byte per ASCII character where an
+    ``io.StringIO`` would take four.  A delimiter ``csv`` rejects raises
     :class:`ConfigError`; a ``csv.Error`` inside the block, such as a
     field over ``csv.field_size_limit()``, raises :class:`DataError`
     naming its line."""
+    # A text stream may hold lone surrogates; they pass through unchanged.
+    lines = io.TextIOWrapper(
+        io.BytesIO(text.encode("utf-8", "surrogatepass")),
+        encoding="utf-8", errors="surrogatepass", newline="",
+    )
     try:
-        reader = csv.reader(io.StringIO(text, newline=""), delimiter=delimiter)
+        reader = csv.reader(lines, delimiter=delimiter)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid delimiter {delimiter!r}: {exc}") from None
     try:
@@ -445,20 +452,27 @@ def _plain_columns(text: str, delimiter: str, column_map: dict):
     """
     if not (isinstance(delimiter, str) and len(delimiter) == 1 and delimiter.isascii()):
         return None
+    # A quoted file is turned away before it costs a CRLF-free copy.
+    if delimiter in '"\r\n\0' or any(c in text for c in '"\0'):
+        return None
     if "\r" in text:
         text = text.replace("\r\n", "\n")
-    if delimiter in '"\r\n\0' or not text or any(c in text for c in '"\r\0'):
+    if not text or "\r" in text:
         return None
     try:
-        raw = text.encode() if text.endswith("\n") else (text + "\n").encode()
+        raw = text.encode()
     except UnicodeEncodeError:  # a lone surrogate from a text stream
         return None
-    del text
+    if len(raw) < 8:  # shorter than one word, and than any ratings file
+        return None
     data = np.frombuffer(raw, np.uint8)
     # Every cell ends at a delimiter or a newline; a line of F fields is F
-    # such ends, the last of them a newline.
+    # such ends, the last of them a newline, or the end of the text.
     ends = np.flatnonzero((data == ord(delimiter)) | (data == ord("\n")))
     at_newline = data[ends] == ord("\n")
+    if raw[-1] != ord("\n"):
+        ends = np.append(ends, len(raw))
+        at_newline = np.append(at_newline, True)
     fields = int(np.argmax(at_newline)) + 1
     if ends.size % fields or ends.size == fields:
         return None
@@ -481,9 +495,9 @@ def _plain_columns(text: str, delimiter: str, column_map: dict):
     if 8 * len(starts) * max(words.values()) > _GATHER_BOUND * len(raw):
         return None
     # Entry i of ``word`` is bytes i..i+7 as a big-endian integer, so that
-    # keys order as their bytes do; the padding keeps every read in range.
-    raw += bytes(8 * max(words.values()))
-    word = np.ndarray((len(raw) - 7,), ">u8", raw, strides=(1,))
+    # keys order as their bytes do.
+    last = len(raw) - 8
+    word = np.ndarray((last + 1,), ">u8", raw, strides=(1,))
     # Entry n keeps the first n bytes of a word and zeroes the rest.
     head = np.array([2**64 - 2 ** (64 - 8 * n) for n in range(9)], np.uint64)
 
@@ -494,7 +508,14 @@ def _plain_columns(text: str, delimiter: str, column_map: dict):
         start, length = starts[:, c], lengths[:, c]
         keys = np.empty((len(start), words[c]), np.uint64)
         for i in range(words[c]):
-            keys[:, i] = word[start + 8 * i] & head[np.clip(length - 8 * i, 0, 8)]
+            # A word that runs past the end, from the last line only, is
+            # read at ``last`` and shifted up; the bytes it keeps lie
+            # before the end, so the shift is under 8 bytes.
+            k = int(np.searchsorted(start, last - 8 * i, "right"))
+            keys[:k, i] = word[start[:k] + 8 * i]
+            over = np.minimum(start[k:] + 8 * i - last, 7)
+            keys[k:, i] = word[last] << (over * 8).astype(np.uint64)
+            keys[:, i] &= head[np.clip(length - 8 * i, 0, 8)]
         if words[c] > 1:
             keys = keys.astype(">u8").view(f"S{8 * words[c]}")
         distinct, codes = np.unique(keys.ravel(), return_inverse=True)

@@ -226,7 +226,6 @@ class _RefContext:
     local_idx: np.ndarray  # condition indices shared with the reference
     values: np.ndarray
     ranks: tuple | None  # stats._centred_ranks(values), for validity_srcc
-    whole: bool  # every condition is shared, so local_idx is 0..k-1
 
 
 def _irr(users: np.ndarray, own: np.ndarray, others: np.ndarray):
@@ -308,9 +307,11 @@ def _simulate_run(
     scores, rows = _draw_votes(ds, n, _run_stream(cfg.master_seed, n, run_index))
     # The integer sums are exact, so these are the float means of the votes.
     means = scores.sum(axis=1) / n
-    # Ranked once for gain_srcc and for a validity_srcc over every condition.
+    # Ranked once for gain_srcc and for a validity_srcc over every condition
+    # (local_idx ascends, so a reference sharing all k is 0..k-1).
+    whole = VALIDITY_SRCC in metrics and len(ref_ctx.local_idx) == k
     ranks = None
-    if GAIN_SRCC in metrics or (VALIDITY_SRCC in metrics and ref_ctx.whole):
+    if GAIN_SRCC in metrics or whole:
         ranks = stats._centred_ranks(means)
 
     # A statistic undefined for this run's votes (a constant MOS vector) is
@@ -319,7 +320,7 @@ def _simulate_run(
     if VALIDITY_SRCC in metrics or VALIDITY_RMSE in metrics:
         sub = means[ref_ctx.local_idx]
         if VALIDITY_SRCC in metrics:
-            sub_ranks = ranks if ref_ctx.whole else stats._centred_ranks(sub)
+            sub_ranks = ranks if whole else stats._centred_ranks(sub)
             out[VALIDITY_SRCC] = _srcc(sub_ranks, ref_ctx.ranks)
         if VALIDITY_RMSE in metrics:
             if cfg.apply_first_order_map:
@@ -408,7 +409,6 @@ def run_sweep(
             local_idx=np.asarray(local, dtype=np.int64),
             values=values,
             ranks=stats._centred_ranks(values) if VALIDITY_SRCC in cfg.metrics else None,
-            whole=len(local) == len(ds.conditions),
         )
 
     full_mos = full_ranks = None

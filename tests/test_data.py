@@ -499,6 +499,12 @@ class TestLineEnds:
             with pytest.raises(DataError, match="score out of range at line 3"):
                 load_ratings(source)
 
+    def test_quoted_line_ends_kept(self, tmp_path):
+        # Untranslated, as in a file opened with newline="".
+        text = 'condition_id,user_id,score\n"c\r\n1",u1,4\n"c\r2",u2,5\n'
+        for source in line_end_sources(text, tmp_path):
+            assert load_ratings(source).conditions == ("c\r\n1", "c\r2")
+
     def test_reference(self, tmp_path):
         text = "condition_id,mos\rc1,3.0\r\nc2,4.5\r"
         refs = [load_reference(s).mos for s in line_end_sources(text, tmp_path)]
