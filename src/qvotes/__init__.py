@@ -6,15 +6,13 @@ MOS confidence width) depend on the number of votes per condition, and
 fits saturating power models to the resulting curves.
 """
 
-__version__ = "0.6.1"
+__version__ = "0.7.0"
 
 from .bootstrap import Interval, bootstrap_ci_mos, clopper_pearson, max_ci_width
 from .data import (
     RatingDataset,
     RatingRecord,
     ReferenceMos,
-    empirical_score_dist,
-    empirical_user_prob,
     load_ratings,
     load_reference,
     reference_coverage,
@@ -78,8 +76,6 @@ __all__ = [
     "compare_to_reference",
     "dataset_mos",
     "draw_run_sample",
-    "empirical_score_dist",
-    "empirical_user_prob",
     "evaluate_model",
     "fit_first_order_map",
     "fit_line",

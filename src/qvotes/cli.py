@@ -18,8 +18,6 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__, simulate
 from .bootstrap import max_ci_width
 from .data import (
@@ -193,12 +191,6 @@ def cmd_validate(args) -> int:
         f"min {info['votes_per_condition_min']}, max {info['votes_per_condition_max']})"
     )
 
-    totals = np.add.reduceat(ds._user_prob, ds._row_bounds[:-1])
-    violations = [
-        f"user probabilities for {ds.conditions[j]} sum to {float(totals[j])!r}"
-        for j in np.flatnonzero(np.abs(totals - 1.0) > 1e-12).tolist()
-    ]
-
     if args.reference:
         ref = load_reference(
             args.reference,
@@ -219,12 +211,6 @@ def cmd_validate(args) -> int:
                 + ", ".join(ds_only),
                 file=sys.stderr,
             )
-
-    if violations:
-        for v in violations:
-            print(f"violation: {v}", file=sys.stderr)
-        return EXIT_DATA
-    print("invariants:           ok")
     return EXIT_OK
 
 
@@ -401,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("validate", help="load a ratings file and report summary + invariant checks")
+    p = sub.add_parser("validate", help="summarise a ratings file and its reference coverage")
     _add_input_options(p, with_reference_arg=False)
     p.set_defaults(func=cmd_validate)
 

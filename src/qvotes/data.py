@@ -1,10 +1,10 @@
-"""Rating data ingestion, cleaning, and empirical distributions.
+"""Rating data ingestion and cleaning.
 
 The core container is :class:`RatingDataset`: a collection of individual
-1-5 votes indexed by (condition, user, score), with per-condition counts
-and the votes themselves laid out for resampling.  Conditions, users and
-stimuli are kept in sorted-id order, so downstream vectors have a stable
-layout that does not depend on the order of the input rows.
+1-5 votes, each a (condition, user, score) triple, laid out once sorted
+by that key for resampling.  Conditions, users and stimuli are kept in
+sorted-id order, so downstream vectors have a stable layout that does
+not depend on the order of the input rows.
 
 Input files are UTF-8 delimited text (comma by default) with a header
 row.  Ratings need ``condition_id,user_id,score`` columns (plus an
@@ -105,10 +105,11 @@ def _recode(names: tuple, codes: np.ndarray) -> tuple[tuple, np.ndarray]:
 
 
 class RatingDataset:
-    """Immutable set of votes with per-(condition, user, score) counts.
+    """Immutable set of votes.
 
-    The constructor lays the counts out once, as flat arrays with one row
-    per (condition, user) pair; every accessor reads those arrays.
+    The constructor sorts the votes once by (condition, user, score) and
+    derives from that order flat per-vote, per-(condition, user) and
+    per-condition arrays; every accessor reads those arrays.
     """
 
     def __init__(self, records: Iterable[RatingRecord], label: str = ""):
@@ -143,7 +144,6 @@ class RatingDataset:
         self.users, self._user_idx = _sorted(*users)
         self._scores = scores
         self._cond_pos = {c: j for j, c in enumerate(self.conditions)}
-        self._user_pos = {u: g for g, u in enumerate(self.users)}
         self.stimuli: tuple[str, ...] | None = None
         self._stim_idx = None
         if stimuli is not None:
@@ -158,39 +158,33 @@ class RatingDataset:
         self._build_conditions()
 
     def _build_conditions(self) -> None:
-        """Every condition's counts, row after row, from one grouping of
-        the votes by (condition, user); users ascend within a condition.
-        Rows ``_row_bounds[j]:_row_bounds[j + 1]`` belong to condition j.
+        """The votes ordered by (condition, user, score), from one sort of
+        that key, and what the sweeps read of them.
 
-        The votes themselves, ordered by (condition, user, score), are
-        what a run resamples: condition j's are entries
-        ``_vote_bounds[j]:_vote_bounds[j + 1]`` of ``_vote_scores`` and of
-        ``_vote_rows``, each vote's (condition, user) row."""
+        Condition j's votes are entries ``_vote_bounds[j]:_vote_bounds[j + 1]``
+        of ``_vote_scores`` and of ``_vote_rows``, each vote's
+        (condition, user) row.  Rows ``_row_bounds[j]:_row_bounds[j + 1]``
+        belong to condition j, one per user who rated it, users ascending;
+        ``_user_rows`` names each row's user and ``_user_means`` gives
+        that user's mean score on the condition."""
         n_users = len(self.users)
-        pairs, pair_of_vote = np.unique(
-            self._cond_idx.astype(np.int64) * n_users + self._user_idx,
-            return_inverse=True,
+        key = np.sort(
+            (self._cond_idx.astype(np.int64) * n_users + self._user_idx) * NUM_SCORES
+            + (self._scores - SCORE_MIN)
         )
-        counts = np.bincount(
-            pair_of_vote * NUM_SCORES + (self._scores - SCORE_MIN),
-            minlength=pairs.size * NUM_SCORES,
-        ).reshape(pairs.size, NUM_SCORES)
-        row_totals = counts.sum(axis=1)
-        bounds = np.searchsorted(pairs // n_users, np.arange(len(self.conditions) + 1))
-        self._row_bounds = bounds
-        cond_totals = np.add.reduceat(row_totals, bounds[:-1])
+        pair = key // NUM_SCORES
+        self._vote_scores = key - pair * NUM_SCORES + SCORE_MIN
+        new_row = np.diff(pair, prepend=-1) != 0
+        row_starts = np.flatnonzero(new_row)
+        self._vote_rows = np.cumsum(new_row) - 1
+        pairs = pair[row_starts]
+        self._row_bounds = np.searchsorted(pairs // n_users, np.arange(len(self.conditions) + 1))
         self._user_rows = (pairs % n_users).astype(np.int32)
-        self._counts = counts
-        self._row_totals = row_totals
-        self._user_prob = row_totals / np.repeat(cond_totals, np.diff(bounds))
-        self._cond_totals = cond_totals
-        self._vote_bounds = np.concatenate([[0], np.cumsum(cond_totals)])
-        scale = np.tile(np.arange(SCORE_MIN, SCORE_MAX + 1), pairs.size)
-        self._vote_scores = np.repeat(scale, counts.ravel())
-        self._vote_rows = np.repeat(np.arange(pairs.size), row_totals)
-        row_sums = counts @ np.arange(SCORE_MIN, SCORE_MAX + 1)
-        self._score_sums = np.add.reduceat(row_sums, bounds[:-1])
-        self._user_means = row_sums / row_totals
+        self._cond_totals = np.bincount(self._cond_idx, minlength=len(self.conditions))
+        self._vote_bounds = np.concatenate([[0], np.cumsum(self._cond_totals)])
+        row_sums = np.add.reduceat(self._vote_scores, row_starts)
+        self._score_sums = np.add.reduceat(row_sums, self._row_bounds[:-1])
+        self._user_means = row_sums / np.diff(row_starts, append=key.size)
 
     def _equal_size_blocks(self):
         """For each number m of users per condition: the conditions with m
@@ -212,21 +206,6 @@ class RatingDataset:
         except KeyError:
             raise DataError(f"unknown condition {condition_id!r}") from None
 
-    def _rows_of(self, condition_id: str) -> slice:
-        """The (condition, user) rows of ``condition_id``."""
-        j = self.condition_index(condition_id)
-        return slice(*self._row_bounds[j : j + 2].tolist())
-
-    def _row(self, condition_id: str, user_id: str) -> int | None:
-        """The (condition, user) row of the pair, or None if the user is
-        unknown or never rated the condition."""
-        rows = self._rows_of(condition_id)
-        g = self._user_pos.get(user_id)
-        if g is None:
-            return None
-        pos = rows.start + int(np.searchsorted(self._user_rows[rows], g))
-        return pos if pos < rows.stop and self._user_rows[pos] == g else None
-
     def votes_per_condition(self) -> np.ndarray:
         return self._cond_totals.copy()
 
@@ -235,26 +214,10 @@ class RatingDataset:
         j = self.condition_index(condition_id)
         return self._scores[self._cond_idx == j].copy()
 
-    def count(self, condition_id: str, user_id: str, score: int) -> int:
-        """Number of times ``user_id`` gave ``score`` to ``condition_id``."""
-        row = self._row(condition_id, user_id)
-        if row is None or not SCORE_MIN <= score <= SCORE_MAX:
-            return 0
-        return int(self._counts[row, score - SCORE_MIN])
-
     def users_for(self, condition_id: str) -> tuple[str, ...]:
-        user_rows = self._user_rows[self._rows_of(condition_id)].tolist()
-        return tuple(map(self.users.__getitem__, user_rows))
-
-    def counts(self) -> dict[tuple[str, str, int], int]:
-        """All nonzero (condition, user, score) counts as a dict."""
-        cond_of_row = np.repeat(np.arange(len(self.conditions)), np.diff(self._row_bounds))
-        rows, cols = np.nonzero(self._counts)
-        return {
-            (self.conditions[cond_of_row[r]], self.users[self._user_rows[r]], q + SCORE_MIN):
-                int(self._counts[r, q])
-            for r, q in zip(rows.tolist(), cols.tolist())
-        }
+        j = self.condition_index(condition_id)
+        a, b = self._row_bounds[j : j + 2].tolist()
+        return tuple(map(self.users.__getitem__, self._user_rows[a:b].tolist()))
 
     def to_records(self) -> list[RatingRecord]:
         stim = self.stimuli
@@ -380,6 +343,11 @@ def _resolve_columns(header, wanted, column_map, required):
             missing.append(actual)
     if missing:
         raise DataError(f"missing required column(s): {', '.join(missing)}")
+    first = {}
+    for canonical, i in index.items():
+        other = first.setdefault(i, canonical)
+        if other != canonical:
+            raise ConfigError(f"{other} and {canonical} both map to column {names[i]!r}")
     return index
 
 
@@ -419,7 +387,7 @@ def load_ratings(
     """Load votes from a delimited table into a :class:`RatingDataset`.
 
     ``source`` is a path or an open text/binary stream.  Duplicate
-    (condition, user, score) rows accumulate.  Raises :class:`DataError`
+    (condition, user, score) rows are separate votes.  Raises :class:`DataError`
     naming the offending line for malformed rows.
     """
     column_map = _check_column_map(column_map, RATING_COLUMNS + (STIMULUS_COLUMN,))
@@ -719,22 +687,3 @@ def remove_outliers_iqr(
         label=ds.label,
     ), ds.n_votes - kept
 
-
-# -- empirical distributions ----------------------------------------------
-
-
-def empirical_user_prob(ds: RatingDataset, condition_id: str) -> dict[str, float]:
-    """P(user | condition): each contributing user's share of the votes."""
-    rows = ds._rows_of(condition_id)
-    users = map(ds.users.__getitem__, ds._user_rows[rows].tolist())
-    return dict(zip(users, ds._user_prob[rows].tolist()))
-
-
-def empirical_score_dist(ds: RatingDataset, condition_id: str, user_id: str) -> np.ndarray:
-    """P(score | condition, user) as a length-5 probability vector."""
-    row = ds._row(condition_id, user_id)
-    if row is None:
-        if user_id not in ds._user_pos:
-            raise DataError(f"unknown user {user_id!r}")
-        raise DataError(f"user {user_id!r} never rated condition {condition_id!r}")
-    return ds._counts[row] / ds._row_totals[row]

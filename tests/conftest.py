@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import collections
 import math
 import os
 from pathlib import Path
@@ -152,12 +153,14 @@ def cp_widths_bisect_all(n: int, level: float = 0.95, iterations: int = 60) -> n
 
 
 def two_stage_pmf(ds: RatingDataset, condition_id: str) -> np.ndarray:
-    """Full enumeration of the user-then-score sampling distribution."""
-    from qvotes import empirical_score_dist, empirical_user_prob
-
+    """Full enumeration of the user-then-score sampling distribution:
+    P(user | condition) times P(score | user, condition), both counted
+    from the dataset's records."""
+    votes = [(r.user_id, r.score) for r in ds.to_records() if r.condition_id == condition_id]
+    per_user = collections.Counter(user for user, _ in votes)
     pmf = np.zeros(5)
-    for user, p_user in empirical_user_prob(ds, condition_id).items():
-        pmf += p_user * empirical_score_dist(ds, condition_id, user)
+    for (user, score), count in collections.Counter(votes).items():
+        pmf[score - 1] += per_user[user] / len(votes) * (count / per_user[user])
     return pmf
 
 

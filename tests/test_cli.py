@@ -67,7 +67,7 @@ class TestValidate:
         out = capsys.readouterr().out
         assert "conditions:" in out
         assert "votes per condition:" in out
-        assert "invariants:           ok" in out
+        assert "reference conditions:" in out
 
     def test_bad_score_exits_one(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
@@ -85,6 +85,11 @@ class TestValidate:
 
     def test_unreadable_file(self, tmp_path, capsys):
         assert main(["validate", str(tmp_path / "none.csv")]) == 1
+
+    def test_two_keys_on_one_column_exits_two(self, toy_files, capsys):
+        ratings, _ = toy_files
+        assert main(["validate", str(ratings), "--col", "user=condition_id"]) == 2
+        assert "condition_id and user_id both map to column" in capsys.readouterr().err
 
 
 class TestCompare:

@@ -1,4 +1,4 @@
-"""Ingestion, cleaning, and empirical-distribution tests."""
+"""Ingestion, dataset layout and cleaning tests."""
 
 from __future__ import annotations
 
@@ -22,8 +22,6 @@ from qvotes import (
     QvotesError,
     RatingDataset,
     RatingRecord,
-    empirical_score_dist,
-    empirical_user_prob,
     load_ratings,
     load_reference,
     reference_coverage,
@@ -38,6 +36,11 @@ def ratings_csv(text: str) -> io.StringIO:
     return io.StringIO(text)
 
 
+def vote_counts(ds: RatingDataset) -> collections.Counter:
+    """How often each (condition, user, score) triple occurs among the votes."""
+    return collections.Counter((r.condition_id, r.user_id, r.score) for r in ds.to_records())
+
+
 class TestLoadRatings:
     def test_counts_aggregate(self):
         ds = load_ratings(
@@ -48,9 +51,7 @@ class TestLoadRatings:
                 "c1,u2,1\n"
             )
         )
-        assert ds.count("c1", "u1", 5) == 2
-        assert ds.count("c1", "u2", 1) == 1
-        assert ds.count("c1", "u2", 5) == 0
+        assert vote_counts(ds) == {("c1", "u1", 5): 2, ("c1", "u2", 1): 1}
         assert ds.n_votes == 3
         assert ds.conditions == ("c1",)
         assert ds.users == ("u1", "u2")
@@ -67,7 +68,7 @@ class TestLoadRatings:
 
     def test_integral_float_score_accepted(self):
         ds = load_ratings(ratings_csv("condition_id,user_id,score\nc1,u1,4.0\n"))
-        assert ds.count("c1", "u1", 4) == 1
+        assert vote_counts(ds)[("c1", "u1", 4)] == 1
 
     def test_missing_field_names_line(self):
         with pytest.raises(DataError, match="line 3"):
@@ -93,24 +94,32 @@ class TestLoadRatings:
         ds = load_ratings(
             ratings_csv("condition_id,platform,user_id,score\nc1,mturk,u1,4\n")
         )
-        assert ds.count("c1", "u1", 4) == 1
+        assert vote_counts(ds)[("c1", "u1", 4)] == 1
 
     def test_column_map(self):
         ds = load_ratings(
             ratings_csv("cond,worker,vote\nc1,u1,4\n"),
             column_map={"condition_id": "cond", "user_id": "worker", "score": "vote"},
         )
-        assert ds.count("c1", "u1", 4) == 1
+        assert vote_counts(ds)[("c1", "u1", 4)] == 1
 
     def test_column_map_unknown_key(self):
         with pytest.raises(ConfigError, match="unknown column_map key"):
             load_ratings(ratings_csv("a,b,c\n"), column_map={"who": "a"})
 
+    @pytest.mark.parametrize("text", [
+        "condition_id,user_id,score\nc1,u1,4\nc2,u2,3\n",
+        '"condition_id",user_id,score\nc1,u1,4\nc2,u2,3\n',  # the csv path
+    ])
+    def test_column_map_two_keys_on_one_column(self, text):
+        with pytest.raises(ConfigError, match="condition_id and user_id both map to column"):
+            load_ratings(ratings_csv(text), column_map={"user_id": "condition_id"})
+
     def test_alternate_delimiter(self):
         ds = load_ratings(
             ratings_csv("condition_id;user_id;score\nc1;u1;3\n"), delimiter=";"
         )
-        assert ds.count("c1", "u1", 3) == 1
+        assert vote_counts(ds)[("c1", "u1", 3)] == 1
 
     @pytest.mark.parametrize("delimiter", [",,", ""])
     def test_delimiter_must_be_one_character(self, delimiter):
@@ -127,7 +136,7 @@ class TestLoadRatings:
 
     def test_binary_stream(self):
         ds = load_ratings(io.BytesIO(b"condition_id,user_id,score\nc1,u1,4\n"))
-        assert ds.count("c1", "u1", 4) == 1
+        assert vote_counts(ds)[("c1", "u1", 4)] == 1
 
     def test_path_input(self, tmp_path):
         path = tmp_path / "r.csv"
@@ -161,7 +170,10 @@ class TestLoadRatings:
         ]
         shuffled = list(rows)
         rng.shuffle(shuffled)
-        assert make_dataset(rows).counts() == make_dataset(shuffled).counts()
+        ds, again = make_dataset(rows), make_dataset(shuffled)
+        for attr in ("_vote_scores", "_vote_rows", "_user_means", "_score_sums"):
+            got, want = getattr(again, attr), getattr(ds, attr)
+            assert (got.dtype, got.tobytes()) == (want.dtype, want.tobytes()), attr
 
 
     @given(rows=st.lists(
@@ -567,31 +579,20 @@ class TestConditionCaches:
             # the condition's votes as (user index, score)
             votes = [(ds.users.index(u), s) for c, u, s in labelled if c == cond]
             user_rows = sorted({g for g, _ in votes})
-            counts = np.zeros((len(user_rows), 5), dtype=np.int64)
-            for g, s in votes:
-                counts[user_rows.index(g), s - 1] += 1
-            row_totals = counts.sum(axis=1)
-            user_prob = row_totals / row_totals.sum()
+            means = [np.mean([s for h, s in votes if h == g]) for g in user_rows]
             a, b = ds._row_bounds[j : j + 2]
             assert ds._user_rows[a:b].tolist() == user_rows
-            for got, want in ((ds._counts[a:b], counts), (ds._row_totals[a:b], row_totals),
-                              (ds._user_prob[a:b], user_prob)):
-                assert np.array_equal(got, want)
-            # the accessors that read those rows
-            raters = tuple(ds.users[g] for g in user_rows)
-            assert ds.users_for(cond) == raters
-            assert empirical_user_prob(ds, cond) == dict(zip(raters, user_prob.tolist()))
-            for user, row, total in zip(raters, counts, row_totals):
-                assert np.array_equal(empirical_score_dist(ds, cond, user), row / total)
-                assert [ds.count(cond, user, s) for s in range(1, 6)] == row.tolist()
-            # the votes a run resamples, ordered by (user, score)
-            a, b = ds._vote_bounds[j : j + 2]
-            votes.sort()
-            assert [(ds._user_rows[r], s) for r, s in
-                    zip(ds._vote_rows[a:b], ds._vote_scores[a:b])] == votes
+            assert np.array_equal(ds._user_means[a:b], means)
+            assert ds.users_for(cond) == tuple(ds.users[g] for g in user_rows)
+            # the votes a run resamples, ordered by (user, score), each on
+            # one of the condition's rows
+            v = slice(*ds._vote_bounds[j : j + 2])
+            vote_rows, scores = ds._vote_rows[v], ds._vote_scores[v]
+            assert np.all((a <= vote_rows) & (vote_rows < b))
+            assert list(zip(ds._user_rows[vote_rows].tolist(), scores.tolist())) == sorted(votes)
             assert ds._cond_totals[j] == len(votes)
             assert ds._score_sums[j] == sum(s for _, s in votes)
-        assert ds.counts() == dict(collections.Counter(labelled))
+        assert ds._vote_bounds[-1] == len(labelled)
 
 
 class TestLoadReference:
@@ -616,6 +617,12 @@ class TestLoadReference:
         with pytest.raises(ConfigError, match="delimiter"):
             load_reference(ratings_csv("condition_id,mos\nc1,3.2\n"), delimiter=";;")
 
+    def test_column_map_two_keys_on_one_column(self):
+        with pytest.raises(ConfigError, match="condition_id and mos both map to column"):
+            load_reference(
+                ratings_csv("condition_id,mos\nc1,3.2\n"), column_map={"mos": "condition_id"}
+            )
+
     def test_bytes_that_are_not_utf8(self, tmp_path):
         path = tmp_path / "ref.csv"
         path.write_bytes(b"condition_id,mos\nc\xff1,3.2\n")
@@ -631,51 +638,63 @@ class TestLoadReference:
         assert ds_only == ("c1",)
 
 
+def user_shares(ds: RatingDataset, condition_id: str) -> dict[str, float]:
+    """P(user | condition) as a uniform draw over the condition's votes
+    gives it: each rater's share of them, read from the vote arrays."""
+    raters = ds.users_for(condition_id)
+    j = ds.condition_index(condition_id)
+    rows = ds._vote_rows[slice(*ds._vote_bounds[j : j + 2])] - ds._row_bounds[j]
+    counts = np.bincount(rows, minlength=len(raters))
+    return dict(zip(raters, (counts / counts.sum()).tolist()))
+
+
+def score_dist(ds: RatingDataset, condition_id: str, user_id: str) -> np.ndarray:
+    """P(score | condition, user) read from the vote arrays."""
+    j = ds.condition_index(condition_id)
+    v = slice(*ds._vote_bounds[j : j + 2])
+    mine = ds._user_rows[ds._vote_rows[v]] == ds.users.index(user_id)
+    return np.bincount(ds._vote_scores[v][mine] - 1, minlength=5) / mine.sum()
+
+
 class TestEmpiricalDistributions:
+    """The paper's two-stage view, a user and then one of their scores,
+    as the sorted votes give it to a uniform draw."""
+
     def test_user_prob(self):
         ds = make_dataset(
             [("x", "u1", 3)] * 3 + [("x", "u2", 4)]
         )
-        assert empirical_user_prob(ds, "x") == {"u1": 0.75, "u2": 0.25}
+        assert user_shares(ds, "x") == {"u1": 0.75, "u2": 0.25}
 
     def test_user_prob_single_user(self):
         ds = make_dataset([("x", "u1", 2), ("x", "u1", 4)])
-        assert empirical_user_prob(ds, "x") == {"u1": 1.0}
+        assert user_shares(ds, "x") == {"u1": 1.0}
 
     def test_user_prob_uniform(self):
         rows = [("x", f"u{i}", 3) for i in range(4) for _ in range(2)]
-        probs = empirical_user_prob(make_dataset(rows), "x")
-        assert all(p == 0.25 for p in probs.values())
+        probs = user_shares(make_dataset(rows), "x")
+        assert len(probs) == 4 and all(p == 0.25 for p in probs.values())
 
     def test_user_prob_unknown_condition(self):
         ds = make_dataset([("x", "u1", 3)])
         with pytest.raises(DataError, match="unknown condition"):
-            empirical_user_prob(ds, "nope")
-
-    def test_user_prob_sums_to_one(self):
-        rng = np.random.default_rng(3)
-        rows = [
-            (f"c{rng.integers(4)}", f"u{rng.integers(9)}", int(rng.integers(1, 6)))
-            for _ in range(200)
-        ]
-        ds = make_dataset(rows)
-        for cond in ds.conditions:
-            assert sum(empirical_user_prob(ds, cond).values()) == pytest.approx(1.0, abs=1e-12)
+            ds.users_for("nope")
 
     def test_score_dist(self):
-        ds = make_dataset([("x", "u1", 5), ("x", "u1", 5), ("x", "u1", 4)])
-        dist = empirical_score_dist(ds, "x", "u1")
+        ds = make_dataset([("x", "u1", 5), ("x", "u2", 1), ("x", "u1", 5), ("x", "u1", 4)])
+        dist = score_dist(ds, "x", "u1")
         assert np.allclose(dist, [0, 0, 0, 1 / 3, 2 / 3])
         assert dist.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_score_dist_single_vote(self):
         ds = make_dataset([("x", "u1", 2)])
-        assert np.allclose(empirical_score_dist(ds, "x", "u1"), [0, 1, 0, 0, 0])
+        assert np.allclose(score_dist(ds, "x", "u1"), [0, 1, 0, 0, 0])
 
     def test_score_dist_user_never_rated(self):
+        # u2's vote on y is no part of x's votes
         ds = make_dataset([("x", "u1", 2), ("y", "u2", 3)])
-        with pytest.raises(DataError, match="never rated"):
-            empirical_score_dist(ds, "x", "u2")
+        assert user_shares(ds, "x") == {"u1": 1.0}
+        assert user_shares(ds, "y") == {"u2": 1.0}
 
 
 class TestOutlierRemoval:
@@ -811,8 +830,8 @@ class TestOutlierRemovalOracle:
         )
         for attr in ("_cond_idx", "_user_idx", "_stim_idx", "_scores"):
             assert np.array_equal(getattr(got, attr), getattr(want, attr))
-        for attr in ("_row_bounds", "_user_rows", "_counts", "_row_totals", "_user_prob",
-                     "_cond_totals", "_score_sums"):
+        for attr in ("_row_bounds", "_user_rows", "_cond_totals", "_score_sums", "_vote_bounds",
+                     "_vote_scores", "_vote_rows", "_user_means"):
             assert np.array_equal(getattr(got, attr), getattr(want, attr))
 
 
@@ -845,7 +864,7 @@ class TestDatasetBasics:
         rows = [("c1", "u1", 5), ("c2", "u2", 1), ("c1", "u2", 3)]
         ds = make_dataset(rows, label="rt")
         again = RatingDataset(ds.to_records(), label="rt")
-        assert again.counts() == ds.counts()
+        assert again.to_records() == ds.to_records()
 
     def test_summary(self):
         ds = make_dataset([("c1", "u1", 3), ("c1", "u2", 4), ("c2", "u1", 2)])

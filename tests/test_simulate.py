@@ -628,13 +628,14 @@ class TestBatchedIrr:
     @given(rows=small_studies)
     def test_full_dataset_matches_rater_loop(self, rows):
         ds = make_dataset([(f"c{c}", f"u{u}", s) for c, u, s in rows])
+        records = ds.to_records()
         users, own, others = [], [], []
         for cond in ds.conditions:
             raters = ds.users_for(cond)
             if len(raters) < 2:
                 continue
             means = np.array([
-                np.mean([s for s in range(1, 6) for _ in range(ds.count(cond, u, s))])
+                np.mean([r.score for r in records if (r.condition_id, r.user_id) == (cond, u)])
                 for u in raters
             ])
             users += [ds.users.index(u) for u in raters]
@@ -662,8 +663,8 @@ class StubStream:
 def vote_shares(ds, j):
     """Each of condition j's (user row, score) cells' share of its votes,
     N_us / N_c."""
-    a, b = ds._row_bounds[j : j + 2]
-    return ds._counts[a:b].ravel() / ds._cond_totals[j]
+    v = slice(*ds._vote_bounds[j : j + 2])
+    return drawn_cells(ds, j, ds._vote_scores[v], ds._vote_rows[v]) / ds._cond_totals[j]
 
 
 def drawn_cells(ds, j, scores, rows):
