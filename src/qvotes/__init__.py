@@ -6,7 +6,7 @@ MOS confidence width) depend on the number of votes per condition, and
 fits saturating power models to the resulting curves.
 """
 
-__version__ = "0.7.0"
+__version__ = "0.8.0"
 
 from .bootstrap import Interval, bootstrap_ci_mos, clopper_pearson, max_ci_width
 from .data import (
@@ -24,7 +24,6 @@ from .simulate import (
     CertaintyGain,
     CurvePoint,
     MetricCurve,
-    RunSample,
     SweepConfig,
     certainty_gain,
     draw_run_sample,
@@ -42,10 +41,7 @@ from .stats import (
     average_ranks,
     compare_to_reference,
     dataset_mos,
-    fit_first_order_map,
     fit_line,
-    mos_plain,
-    mos_user_balanced,
     rmse,
     srcc,
 )
@@ -67,7 +63,6 @@ __all__ = [
     "RatingDataset",
     "RatingRecord",
     "ReferenceMos",
-    "RunSample",
     "SweepConfig",
     "average_ranks",
     "bootstrap_ci_mos",
@@ -77,15 +72,12 @@ __all__ = [
     "dataset_mos",
     "draw_run_sample",
     "evaluate_model",
-    "fit_first_order_map",
     "fit_line",
     "fit_power_model",
     "irr_full",
     "load_ratings",
     "load_reference",
     "max_ci_width",
-    "mos_plain",
-    "mos_user_balanced",
     "read_curves_csv",
     "read_curves_json",
     "reference_coverage",

@@ -146,22 +146,25 @@ def parse_col_map(text: str | None) -> dict[str, str]:
     return mapping
 
 
-def _rating_col_map(full_map: dict[str, str]) -> dict[str, str]:
-    keys = set(RATING_COLUMNS) | {STIMULUS_COLUMN}
-    return {k: v for k, v in full_map.items() if k in keys}
-
-
-def _reference_col_map(full_map: dict[str, str]) -> dict[str, str]:
-    return {k: v for k, v in full_map.items() if k in REFERENCE_COLUMNS}
+def _col_map_for(args, keys) -> dict[str, str]:
+    """The ``--col`` entries that name one of ``keys``."""
+    return {k: v for k, v in parse_col_map(args.col).items() if k in keys}
 
 
 def _load_ratings_from_args(args):
-    label = args.label or Path(args.ratings).stem
     return load_ratings(
         args.ratings,
-        label=label,
+        label=args.label or Path(args.ratings).stem,
         delimiter=args.delimiter,
-        column_map=_rating_col_map(parse_col_map(args.col)),
+        column_map=_col_map_for(args, (*RATING_COLUMNS, STIMULUS_COLUMN)),
+    )
+
+
+def _load_reference_from_args(args):
+    return load_reference(
+        args.reference,
+        delimiter=args.delimiter,
+        column_map=_col_map_for(args, REFERENCE_COLUMNS),
     )
 
 
@@ -192,11 +195,7 @@ def cmd_validate(args) -> int:
     )
 
     if args.reference:
-        ref = load_reference(
-            args.reference,
-            delimiter=args.delimiter,
-            column_map=_reference_col_map(parse_col_map(args.col)),
-        )
+        ref = _load_reference_from_args(args)
         shared, ref_only, ds_only = reference_coverage(ref, ds)
         print(f"reference conditions: {len(ref)} ({len(shared)} shared)")
         if ref_only:
@@ -216,11 +215,7 @@ def cmd_validate(args) -> int:
 
 def cmd_compare(args) -> int:
     ds = _load_ratings_from_args(args)
-    ref = load_reference(
-        args.reference,
-        delimiter=args.delimiter,
-        column_map=_reference_col_map(parse_col_map(args.col)),
-    )
+    ref = _load_reference_from_args(args)
     mos = dataset_mos(ds, method=args.mos_method)
     result = compare_to_reference(mos, ref, with_mapping=args.fom)
     print(f"dataset:           {ds.label}")
@@ -254,13 +249,7 @@ def cmd_compare(args) -> int:
 
 def cmd_simulate(args) -> int:
     ds = _load_ratings_from_args(args)
-    ref = None
-    if args.reference:
-        ref = load_reference(
-            args.reference,
-            delimiter=args.delimiter,
-            column_map=_reference_col_map(parse_col_map(args.col)),
-        )
+    ref = _load_reference_from_args(args) if args.reference else None
 
     if args.metrics:
         metrics = parse_metrics(args.metrics)

@@ -271,6 +271,19 @@ class ReferenceMos:
         return self.mos[condition_id]
 
 
+def _shared_reference(
+    conditions: tuple[str, ...], ref: ReferenceMos
+) -> tuple[np.ndarray, np.ndarray]:
+    """The ascending indices into ``conditions`` of those ``ref`` rates,
+    and their reference MOS.  Fewer than 3 raise :class:`DataError`:
+    validity needs a rank correlation and a fitted line over them."""
+    index = [j for j, c in enumerate(conditions) if c in ref]
+    if len(index) < 3:
+        raise DataError(f"need at least 3 shared conditions, got {len(index)}")
+    mos = np.array([ref[conditions[j]] for j in index], dtype=float)
+    return np.array(index, dtype=np.int64), mos
+
+
 def reference_coverage(
     ref: ReferenceMos, ds: RatingDataset
 ) -> tuple[tuple[str, ...], tuple[str, ...], tuple[str, ...]]:

@@ -57,7 +57,7 @@ import numpy as np
 
 from . import stats
 from .bootstrap import bootstrap_ci_mos
-from .data import RatingDataset, ReferenceMos
+from .data import RatingDataset, ReferenceMos, _shared_reference
 from .errors import ConfigError, DataError, DegenerateDataError
 
 VALIDITY_SRCC = "validity_srcc"
@@ -138,6 +138,9 @@ class MetricCurve:
         if any(b <= a for a, b in zip(ns, ns[1:])):
             raise DataError("curve points must have strictly increasing n")
         for p in self.points:
+            bad = [name for name, value in zip(p._fields[1:], p[1:]) if not math.isfinite(value)]
+            if bad:
+                raise DataError(f"curve point at n={p.n} has non-finite {', '.join(bad)}")
             if not p.ci_low <= p.mean <= p.ci_high:
                 raise DataError(f"curve point at n={p.n} has mean outside its CI")
 
@@ -154,15 +157,6 @@ class MetricCurve:
             if p.n == n:
                 return p
         raise DataError(f"no curve point at n={n}")
-
-
-@dataclass(frozen=True)
-class RunSample:
-    """All votes drawn for one simulation run: per condition id, in the
-    dataset's order, the sampled scores and the users who cast them."""
-
-    run_index: int
-    votes: dict[str, tuple[np.ndarray, tuple[str, ...]]]
 
 
 @dataclass(frozen=True)
@@ -204,18 +198,18 @@ def _run_stream(master_seed: int, n: int, run_index: int) -> np.random.Generator
 
 def draw_run_sample(
     ds: RatingDataset, n: int, run_index: int, master_seed: int
-) -> RunSample:
-    """The full per-condition sample for run ``run_index`` at vote count
-    ``n``, exactly as the sweep engine would draw it."""
+) -> dict[str, tuple[np.ndarray, tuple[str, ...]]]:
+    """The votes of run ``run_index`` at vote count ``n``, exactly as the
+    sweep engine draws them: per condition id, in the dataset's order, the
+    sampled scores and the users who cast them."""
     if n < 1:
         raise ConfigError(f"n must be positive, got {n}")
     scores, rows = _draw_votes(ds, n, _run_stream(master_seed, n, run_index))
     user_rows = ds._user_rows[rows].tolist()
-    votes = {
+    return {
         condition: (scores[j], tuple(map(ds.users.__getitem__, user_rows[j])))
         for j, condition in enumerate(ds.conditions)
     }
-    return RunSample(run_index=run_index, votes=votes)
 
 
 # -- per-run metric evaluation ---------------------------------------------
@@ -394,19 +388,14 @@ def run_sweep(
 
     ref_ctx = None
     if needs_ref:
-        local = [j for j, c in enumerate(ds.conditions) if c in ref]
-        if len(local) < 3:
-            raise DataError(
-                f"need at least 3 conditions shared with the reference, got {len(local)}"
-            )
-        values = np.array([ref[ds.conditions[j]] for j in local])
+        local_idx, values = _shared_reference(ds.conditions, ref)
         if VALIDITY_SRCC in cfg.metrics and np.ptp(values) == 0.0:
             raise DegenerateDataError(
                 f"{VALIDITY_SRCC} is undefined: the reference MOS is the same "
                 "for every shared condition"
             )
         ref_ctx = _RefContext(
-            local_idx=np.asarray(local, dtype=np.int64),
+            local_idx=local_idx,
             values=values,
             ranks=stats._centred_ranks(values) if VALIDITY_SRCC in cfg.metrics else None,
         )

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import RatingDataset, ReferenceMos
+from .data import RatingDataset, ReferenceMos, _shared_reference
 from .errors import ConfigError, DataError, DegenerateDataError
 
 MOS_METHODS = ("user_balanced", "plain")
@@ -56,25 +56,6 @@ class ComparisonResult:
     rmse_after_mapping: float | None
     mapping: LinearMap | None
     n_shared: int
-
-
-def mos_plain(votes) -> float:
-    """Arithmetic mean of a vote multiset."""
-    arr = np.asarray(votes, dtype=float)
-    if arr.size == 0:
-        raise DataError("cannot average an empty vote multiset")
-    return float(arr.mean())
-
-
-def mos_user_balanced(ds: RatingDataset, condition_id: str) -> float:
-    """Mean over contributing users of each user's own mean score.
-
-    Weighs every contributing user equally regardless of how many votes
-    they cast, unlike the plain mean over all votes.
-    """
-    j = ds.condition_index(condition_id)
-    a, b = ds._row_bounds[j : j + 2].tolist()
-    return float(ds._user_means[a:b].mean())
 
 
 def dataset_mos(ds: RatingDataset, method: str = "user_balanced") -> MosVector:
@@ -235,25 +216,6 @@ def fit_line(x, y) -> LinearMap:
     return LinearMap(slope=slope, intercept=intercept)
 
 
-def _shared_vectors(cs: MosVector, ref: ReferenceMos):
-    shared = [c for c in cs.conditions if c in ref]
-    if len(shared) < 3:
-        raise DataError(
-            f"need at least 3 shared conditions, got {len(shared)}"
-        )
-    pos = {c: i for i, c in enumerate(cs.conditions)}
-    x = cs.values[[pos[c] for c in shared]]
-    y = np.array([ref[c] for c in shared])
-    return x, y, shared
-
-
-def fit_first_order_map(cs: MosVector, ref: ReferenceMos) -> LinearMap:
-    """Least-squares line mapping crowdsourcing MOS onto the reference
-    scale over their shared conditions."""
-    x, y, _ = _shared_vectors(cs, ref)
-    return fit_line(x, y)
-
-
 def compare_to_reference(
     cs: MosVector, ref: ReferenceMos, with_mapping: bool = False
 ) -> ComparisonResult:
@@ -263,7 +225,8 @@ def compare_to_reference(
     of the MOS values onto the reference scale.  SRCC is unchanged by
     any increasing linear map, so only one value is reported.
     """
-    x, y, shared = _shared_vectors(cs, ref)
+    index, y = _shared_reference(cs.conditions, ref)
+    x = cs.values[index]
     result_srcc = srcc(x, y)
     result_rmse = rmse(x, y)
     mapping = None
@@ -276,5 +239,5 @@ def compare_to_reference(
         rmse=result_rmse,
         rmse_after_mapping=mapped_rmse,
         mapping=mapping,
-        n_shared=len(shared),
+        n_shared=index.size,
     )

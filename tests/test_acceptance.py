@@ -38,7 +38,6 @@ from qvotes import (
     fit_power_model,
     irr_full,
     max_ci_width,
-    mos_plain,
     run_sweep,
     srcc,
 )
@@ -271,11 +270,11 @@ def test_criterion_09_two_stage_sampling_identity():
     pmf = two_stage_pmf(ds, "x")
     scale = np.arange(1.0, 6.0)
     exact_mean = float(pmf @ scale)
-    plain = mos_plain(ds.condition_scores("x"))
+    plain = dataset_mos(ds, method="plain").as_dict()["x"]
     identity_ok = abs(exact_mean - plain) <= 1e-12
 
     draws = 100_000
-    scores, _ = draw_run_sample(ds, draws, 0, 909).votes["x"]
+    scores, _ = draw_run_sample(ds, draws, 0, 909)["x"]
     std = float(np.sqrt(pmf @ scale**2 - exact_mean**2))
     tolerance = 3 * std / np.sqrt(draws)
     empirical_ok = abs(scores.mean() - exact_mean) <= tolerance

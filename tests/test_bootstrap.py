@@ -343,6 +343,6 @@ class TestMaxCiWidth:
         for n in (10, 50, 150):
             widths = []
             for run in range(40):
-                scores, _ = draw_run_sample(ds, n, run, 3).votes["c1"]
+                scores, _ = draw_run_sample(ds, n, run, 3)["c1"]
                 widths.append(bootstrap_ci_mos(scores).width)
             assert np.mean(widths) <= max_ci_width(3.0, n)

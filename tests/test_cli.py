@@ -333,6 +333,17 @@ class TestFit:
         write_curves_csv([MetricCurve("irr", "toy", points)], path)
         assert main(["fit", str(path), "--metric", "irr"]) == 1
 
+    def test_nan_mean_names_the_field(self, tmp_path, capsys):
+        path = self._write_curve(tmp_path)
+        lines = path.read_text().splitlines()
+        fields = lines[1].split(",")
+        fields[3] = "nan"
+        path.write_text("\n".join([lines[0], ",".join(fields), *lines[2:]]) + "\n")
+        assert main(["fit", str(path), "--metric", "validity_srcc"]) == 1
+        err = capsys.readouterr().err
+        assert "curve point at n=10 has non-finite mean" in err
+        assert "outside its CI" not in err
+
     def test_fit_from_json(self, toy_files, tmp_path):
         ratings, _ = toy_files
         out = tmp_path / "sim"

@@ -20,3 +20,51 @@ def test_star_import_binds_exactly_all():
     exec("from qvotes import *", namespace)
     namespace.pop("__builtins__")
     assert sorted(namespace) == sorted(qvotes.__all__)
+
+
+def test_all_is_pinned():
+    # Adding or removing a public name is an API change: update this list
+    # on purpose, and bump the version.
+    assert qvotes.__all__ == [
+        "__version__",
+        "CertaintyGain",
+        "ComparisonResult",
+        "ConfigError",
+        "CurvePoint",
+        "DataError",
+        "DegenerateDataError",
+        "Interval",
+        "LinearMap",
+        "MetricCurve",
+        "MosVector",
+        "PowerModel",
+        "QvotesError",
+        "RatingDataset",
+        "RatingRecord",
+        "ReferenceMos",
+        "SweepConfig",
+        "average_ranks",
+        "bootstrap_ci_mos",
+        "certainty_gain",
+        "clopper_pearson",
+        "compare_to_reference",
+        "dataset_mos",
+        "draw_run_sample",
+        "evaluate_model",
+        "fit_line",
+        "fit_power_model",
+        "irr_full",
+        "load_ratings",
+        "load_reference",
+        "max_ci_width",
+        "read_curves_csv",
+        "read_curves_json",
+        "reference_coverage",
+        "remove_outliers_iqr",
+        "rmse",
+        "run_sweep",
+        "srcc",
+        "votes_for_target",
+        "write_curves_csv",
+        "write_curves_json",
+    ]

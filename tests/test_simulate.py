@@ -25,7 +25,6 @@ from qvotes import (
     dataset_mos,
     draw_run_sample,
     irr_full,
-    mos_plain,
     read_curves_csv,
     read_curves_json,
     run_sweep,
@@ -83,7 +82,7 @@ class TestSweepConfig:
 class TestSampleCondition:
     def test_degenerate_user_always_five(self):
         ds = make_dataset([("x", "u1", 5), ("x", "u1", 5)])
-        scores, users = draw_run_sample(ds, 20, 0, 0).votes["x"]
+        scores, users = draw_run_sample(ds, 20, 0, 0)["x"]
         assert np.all(scores == 5)
         assert set(users) == {"u1"}
 
@@ -106,10 +105,11 @@ class TestSampleCondition:
         pmf = two_stage_pmf(ds, "x")
         assert pmf.sum() == pytest.approx(1.0, abs=1e-12)
         exact_mean = float(pmf @ np.arange(1.0, 6.0))
-        assert exact_mean == pytest.approx(mos_plain(ds.condition_scores("x")), abs=1e-12)
+        plain = dataset_mos(ds, method="plain").as_dict()["x"]
+        assert exact_mean == pytest.approx(plain, abs=1e-12)
 
         draws = 100_000
-        scores, _ = draw_run_sample(ds, draws, 0, 7).votes["x"]
+        scores, _ = draw_run_sample(ds, draws, 0, 7)["x"]
         second_moment = float(pmf @ (np.arange(1.0, 6.0) ** 2))
         std = np.sqrt(second_moment - exact_mean**2)
         assert abs(scores.mean() - exact_mean) <= 3 * std / np.sqrt(draws)
@@ -117,7 +117,7 @@ class TestSampleCondition:
     def test_sampled_users_are_actual_raters(self):
         ds = synthetic_dataset(seed=5, n_conditions=4, n_users=8)
         sample = draw_run_sample(ds, 25, run_index=0, master_seed=9)
-        for cond, (scores, users) in sample.votes.items():
+        for cond, (scores, users) in sample.items():
             assert scores.size == 25
             assert len(users) == 25
             raters = set(ds.users_for(cond))
@@ -140,8 +140,8 @@ class TestRunSweep:
         assert point.mean == 0.0
         assert point.std_dev == 0.0
         assert point.ci_low == point.ci_high == 0.0
-        scores, _ = draw_run_sample(ds, 12, 0, 0).votes["x"]
-        assert mos_plain(scores) == 3.0
+        scores, _ = draw_run_sample(ds, 12, 0, 0)["x"]
+        assert np.mean(scores) == 3.0
 
     def test_bitwise_deterministic_across_workers(self):
         # Splitting the n grid into separate sweeps gives the same points.
@@ -220,7 +220,7 @@ def near_unanimous_dataset():
 
 def run_mos(ds, n, run_index, seed):
     sample = draw_run_sample(ds, n, run_index, seed)
-    return np.array([mos_plain(v) for v, _ in sample.votes.values()])
+    return np.array([np.mean(v) for v, _ in sample.values()])
 
 
 class TestDegenerateRuns:
@@ -415,7 +415,7 @@ class TestCiWidthCurve:
         for n in cfg.n_values:
             sample = draw_run_sample(ds, n, 0, cfg.master_seed)
             total = 0.0
-            for votes, _ in sample.votes.values():
+            for votes, _ in sample.values():
                 total += bootstrap_ci_mos(votes, cfg.ci_level).width
             assert curve.point_at(n).mean == total / len(ds.conditions)
 
@@ -532,6 +532,16 @@ class TestCurveSerialization:
         with pytest.raises(DataError, match="missing column"):
             read_curves_csv(path)
 
+    @pytest.mark.parametrize(
+        "cells, named",
+        [("nan,0.5,0.6,0.0", "mean"), ("0.5,-inf,0.6,0.0", "ci_low"), ("0.5,0.5,nan,inf", "ci_high, std_dev")],
+    )
+    def test_read_non_finite_field(self, tmp_path, cells, named):
+        path = tmp_path / "nan.csv"
+        path.write_text(f"metric,dataset,n,mean,ci_low,ci_high,std_dev\nirr,toy,10,{cells}\n")
+        with pytest.raises(DataError, match=f"^curve point at n=10 has non-finite {named}$"):
+            read_curves_csv(path)
+
     def test_curve_validation(self):
         with pytest.raises(DataError):
             MetricCurve("m", "d", (CurvePoint(10, 1.0, 2.0, 3.0, 0.1),))
@@ -571,7 +581,7 @@ def run_pairs(ds, n, run_index, seed):
     """Flat (rater, own mean, others' mean) pairs of one sampled run."""
     users, own, others = [], [], []
     sample = draw_run_sample(ds, n, run_index, seed)
-    for scores, raters in sample.votes.values():
+    for scores, raters in sample.values():
         present = sorted(set(raters), key=ds.users.index)
         if len(present) < 2:
             continue
@@ -706,7 +716,7 @@ class TestConditionSampler:
 
     def test_samples_are_scores_of_actual_votes(self):
         ds = make_dataset(uneven_study)
-        scores, users = draw_run_sample(ds, 50, 0, 1).votes["c"]
+        scores, users = draw_run_sample(ds, 50, 0, 1)["c"]
         assert scores.dtype == np.int64
         assert set(zip(users, scores.tolist())) <= {("u3", 1), ("u1", 2)}
 
@@ -761,8 +771,8 @@ class TestInversion:
         n, run, seed = 13, 2, 77
         sample = draw_run_sample(ds, n, run, seed)
         u = run_uniforms(seed, n, run, len(ds.conditions))
-        assert list(sample.votes) == sorted(ds.conditions)
-        for (scores, users), want in zip(sample.votes.values(), decoded_votes(ds, u)):
+        assert list(sample) == sorted(ds.conditions)
+        for (scores, users), want in zip(sample.values(), decoded_votes(ds, u)):
             assert np.array_equal(scores, [s for _, s in want])
             assert users == tuple(user for user, _ in want)
 

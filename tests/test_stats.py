@@ -15,51 +15,52 @@ from qvotes import (
     LinearMap,
     MosVector,
     ReferenceMos,
+    SweepConfig,
     average_ranks,
     compare_to_reference,
     dataset_mos,
-    fit_first_order_map,
     fit_line,
-    mos_plain,
-    mos_user_balanced,
     rmse,
+    run_sweep,
     srcc,
 )
+from qvotes.data import _shared_reference
 from qvotes.simulate import _irr
 from qvotes.stats import _centred_ranks, _grouped_ranks, _ranked_srcc, grouped_srcc
 
 finite_floats = st.floats(min_value=-100, max_value=100, allow_nan=False)
 
 
+def mos_of_x(ds, method="user_balanced") -> float:
+    """The MOS of condition ``x`` by ``dataset_mos``."""
+    return dataset_mos(ds, method).as_dict()["x"]
+
+
 class TestMos:
     def test_plain_examples(self):
-        assert mos_plain([1, 5]) == 3.0
-        assert mos_plain([4, 4, 4]) == 4.0
-        assert mos_plain([1, 1, 1, 5]) == 2.0
-
-    def test_plain_empty(self):
-        with pytest.raises(DataError):
-            mos_plain([])
+        for votes, want in (([1, 5], 3.0), ([4, 4, 4], 4.0), ([1, 1, 1, 5], 2.0)):
+            ds = make_dataset([("x", f"u{i}", s) for i, s in enumerate(votes)])
+            assert mos_of_x(ds, "plain") == want
 
     def test_user_balanced_vs_plain(self):
         # u1 casts {5,5}, u2 casts {1}: equal user weight gives 3.0 while
         # the plain mean over votes is 11/3
         ds = make_dataset([("x", "u1", 5), ("x", "u1", 5), ("x", "u2", 1)])
-        assert mos_user_balanced(ds, "x") == pytest.approx(3.0)
-        assert mos_plain(ds.condition_scores("x")) == pytest.approx(11 / 3)
+        assert mos_of_x(ds) == pytest.approx(3.0)
+        assert mos_of_x(ds, "plain") == pytest.approx(11 / 3)
 
     def test_user_balanced_constant(self):
         ds = make_dataset([("x", "u1", 4), ("x", "u2", 4), ("x", "u2", 4)])
-        assert mos_user_balanced(ds, "x") == 4.0
+        assert mos_of_x(ds) == 4.0
 
     def test_user_balanced_single_user(self):
         ds = make_dataset([("x", "u1", 1), ("x", "u1", 2), ("x", "u1", 3)])
-        assert mos_user_balanced(ds, "x") == pytest.approx(2.0)
+        assert mos_of_x(ds) == pytest.approx(2.0)
 
     def test_unknown_condition(self):
         ds = make_dataset([("x", "u1", 3)])
-        with pytest.raises(DataError):
-            mos_user_balanced(ds, "zzz")
+        with pytest.raises(DataError, match="zzz"):
+            ds.condition_index("zzz")
 
     @given(
         scores=st.lists(st.integers(1, 5), min_size=2, max_size=8),
@@ -71,9 +72,7 @@ class TestMos:
             ("x", f"u{i}", s) for i, s in enumerate(scores) for _ in range(votes_each)
         ]
         ds = make_dataset(rows)
-        assert mos_user_balanced(ds, "x") == pytest.approx(
-            mos_plain(ds.condition_scores("x")), abs=1e-12
-        )
+        assert mos_of_x(ds) == pytest.approx(mos_of_x(ds, "plain"), abs=1e-12)
 
     def test_dataset_mos_methods(self):
         ds = make_dataset(
@@ -428,10 +427,13 @@ class TestFirstOrderMap:
             np.ones(values.size, dtype=int),
         )
 
+    def _mapping(self, cs, ref):
+        return compare_to_reference(cs, ref, with_mapping=True).mapping
+
     def test_identity_recovered(self):
         values = [1.5, 2.5, 3.5, 4.5]
         ref = ReferenceMos({f"c{i}": v for i, v in enumerate(values)})
-        line = fit_first_order_map(self._vector(values), ref)
+        line = self._mapping(self._vector(values), ref)
         assert line.slope == pytest.approx(1.0, abs=1e-9)
         assert line.intercept == pytest.approx(0.0, abs=1e-9)
 
@@ -440,14 +442,14 @@ class TestFirstOrderMap:
         ref_values = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
         cs = 0.5 * ref_values + 1.0
         ref = ReferenceMos({f"c{i}": v for i, v in enumerate(ref_values)})
-        line = fit_first_order_map(self._vector(cs), ref)
+        line = self._mapping(self._vector(cs), ref)
         assert line.slope == pytest.approx(2.0, abs=1e-9)
         assert line.intercept == pytest.approx(-2.0, abs=1e-9)
 
     def test_degenerate(self):
         ref = ReferenceMos({"c0": 2.0, "c1": 3.0, "c2": 4.0})
         with pytest.raises(DegenerateDataError):
-            fit_first_order_map(self._vector([3.0, 3.0, 3.0]), ref)
+            self._mapping(self._vector([3.0, 3.0, 3.0]), ref)
 
     def test_apply_clips_to_scale(self):
         line = LinearMap(slope=3.0, intercept=-2.0)
@@ -464,7 +466,7 @@ class TestFirstOrderMap:
         ref_values = rng.uniform(1.0, 5.0, size)
         ref = ReferenceMos({f"c{i}": float(v) for i, v in enumerate(ref_values)})
         cs = self._vector(cs_values)
-        line = fit_first_order_map(cs, ref)
+        line = self._mapping(cs, ref)
         assert rmse(line.apply(cs_values), ref_values) <= rmse(cs_values, ref_values) + 1e-12
 
     def test_fit_line_constant_x(self):
@@ -518,3 +520,26 @@ class TestCompareToReference:
         cs, ref = self._pair(cs_values, ref_values)
         result = compare_to_reference(cs, ref, with_mapping=True)
         assert result.rmse_after_mapping < result.rmse
+
+
+class TestSharedReference:
+    """``_shared_reference``, the one alignment of a MOS vector's
+    conditions with a reference table."""
+
+    def test_indices_ascend_and_reference_only_conditions_are_ignored(self):
+        ref = ReferenceMos({"z": 1.5, "d": 4.0, "b": 2.0, "a": 3.0, "lab_only": 5.0})
+        index, mos = _shared_reference(("a", "b", "c", "d", "e"), ref)
+        assert index.dtype == np.int64 and mos.dtype == np.float64
+        assert index.tolist() == [0, 1, 3]
+        assert mos.tolist() == [3.0, 2.0, 4.0]
+
+    def test_compare_and_sweep_raise_the_same_message(self):
+        ds = make_dataset([(c, f"u{i}", 1 + (i + ord(c)) % 5) for c in "abc" for i in range(4)])
+        ref = ReferenceMos({"a": 2.0, "b": 3.0, "lab_only": 4.0})
+        cfg = SweepConfig(n_values=(2,), repetitions=1, metrics=("validity_srcc",))
+        with pytest.raises(DataError) as from_compare:
+            compare_to_reference(dataset_mos(ds), ref)
+        with pytest.raises(DataError) as from_sweep:
+            run_sweep(ds, ref, cfg)
+        assert str(from_compare.value) == str(from_sweep.value)
+        assert str(from_sweep.value) == "need at least 3 shared conditions, got 2"
