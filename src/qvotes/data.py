@@ -19,19 +19,20 @@ Both loaders read their source into one string, whose lines end at LF,
 CRLF or a bare CR for paths and streams alike.  The ratings loader
 parses plain text (no ``"``, NUL or bare CR, every body line with the
 header's field count, non-blank ids and valid scores) by numpy scans of
-its UTF-8 bytes, without one Python string per cell; any other text,
-quoted or irregular, goes through ``csv``, which gives the same ids and
-names a malformed row's line.  Either way ids are stripped of
-surrounding whitespace and coded, and scores parsed, once per distinct
-cell value rather than once per row.  A field over
-``csv.field_size_limit()`` raises :class:`DataError` naming its line.
+its UTF-8 bytes, without one Python string per cell, and strips, codes
+and checks each distinct cell value once.  Any other ratings text,
+quoted or irregular, and every reference table go through ``csv``,
+which checks each row as it is read and names the first bad row's line;
+both paths give the same ids, stripped of surrounding whitespace.  A
+field over ``csv.field_size_limit()`` raises :class:`DataError` naming
+its line.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-from contextlib import contextmanager
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
@@ -78,16 +79,11 @@ class RatingRecord:
         object.__setattr__(self, "score", int(value))
 
 
-def _codes(column: list, clean=None) -> tuple[tuple, np.ndarray]:
+def _codes(column: list) -> tuple[tuple, np.ndarray]:
     """Distinct values of ``column`` in first-appearance order, and each
-    entry's position among them.  With ``clean``, entries are grouped by
-    ``clean(entry)``, which runs once per distinct entry."""
-    names: dict = {}
-    pos = {
-        raw: names.setdefault(raw if clean is None else clean(raw), len(names))
-        for raw in dict.fromkeys(column)
-    }
-    return tuple(names), np.fromiter(map(pos.__getitem__, column), np.int32, count=len(column))
+    entry's position among them."""
+    pos = {value: i for i, value in enumerate(dict.fromkeys(column))}
+    return tuple(pos), np.fromiter(map(pos.__getitem__, column), np.int32, count=len(column))
 
 
 def _sorted(names: tuple, codes: np.ndarray) -> tuple[tuple, np.ndarray]:
@@ -320,15 +316,19 @@ def _read_text(source) -> str:
         raise DataError(f"{name} is not UTF-8 text: {exc.reason}") from None
 
 
-@contextmanager
-def _csv_rows(text: str, delimiter: str):
-    """A ``csv.reader`` over ``text``, whose lines split as in a file
-    opened with ``newline=""``: it reads them from the UTF-8 bytes of
-    ``text``, a copy at one byte per ASCII character where an
-    ``io.StringIO`` would take four.  A delimiter ``csv`` rejects raises
-    :class:`ConfigError`; a ``csv.Error`` inside the block, such as a
-    field over ``csv.field_size_limit()``, raises :class:`DataError`
-    naming its line."""
+def _csv_table(text: str, delimiter: str, wanted, column_map, required):
+    """``text`` read by ``csv`` as a table.  Yields the column index of
+    its header, from :func:`_resolve_columns`, then each body row that is
+    not blank as a (line, row) pair; a row without every required column
+    raises :class:`DataError` naming its line.
+
+    Lines split as in a file opened with ``newline=""``: ``csv`` reads
+    them from the UTF-8 bytes of ``text``, a copy at one byte per ASCII
+    character where an ``io.StringIO`` would take four.  A delimiter
+    ``csv`` rejects raises :class:`ConfigError`; a ``csv.Error``, such as
+    a field over ``csv.field_size_limit()``, raises :class:`DataError`
+    naming its line, in the header as in the body.
+    """
     # A text stream may hold lone surrogates; they pass through unchanged.
     lines = io.TextIOWrapper(
         io.BytesIO(text.encode("utf-8", "surrogatepass")),
@@ -339,7 +339,17 @@ def _csv_rows(text: str, delimiter: str):
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid delimiter {delimiter!r}: {exc}") from None
     try:
-        yield reader
+        header = next(reader, None)
+        if header is None:
+            raise DataError("empty input: missing header row")
+        index = _resolve_columns(header, wanted, column_map, required)
+        yield index
+        needed = max(index[c] for c in required)
+        for row in reader:
+            if "".join(row).strip():
+                if len(row) <= needed:
+                    raise DataError(f"missing field at line {reader.line_num}")
+                yield reader.line_num, row
     except csv.Error as exc:
         raise DataError(f"malformed CSV at line {reader.line_num}: {exc}") from None
 
@@ -520,79 +530,29 @@ def _plain_columns(text: str, delimiter: str, column_map: dict):
 
 def _csv_columns(text: str, delimiter: str, column_map: dict):
     """The (conditions, users, scores, stimuli) columns of ratings text
-    read row by row with ``csv``: the path for quoted or irregular text,
-    which names the first bad row's line."""
-    from array import array  # not loaded by ``import qvotes``
-
-    with _csv_rows(text, delimiter) as reader:
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError("empty input: missing header row") from None
-        index = _resolve_columns(
-            header, RATING_COLUMNS + (STIMULUS_COLUMN,), column_map, RATING_COLUMNS
-        )
-        stim_col = index.get(STIMULUS_COLUMN)
-        cond_col, user_col, score_col = (index[c] for c in RATING_COLUMNS)
-        needed = max(cond_col, user_col, score_col)
-        # Line numbers as machine integers: one int object per row raised
-        # the peak memory of a whole sweep by about 1.5 MB at 18k rows.
-        lines = array("q")
-        conds, users, scores = [], [], []
-        stims = None if stim_col is None else []
-        fault = None  # error of a row rejected while reading, which ends it
-        for row in reader:
-            # A row whose condition cell is blank may be a blank row, which
-            # only its other cells can tell; it takes the slow branch.
-            if len(row) > needed and row[cond_col].strip():
-                conds.append(row[cond_col])
-                users.append(row[user_col])
-                scores.append(row[score_col])
-                lines.append(reader.line_num)
-                if stims is not None:
-                    stims.append(row[stim_col] if len(row) > stim_col else "")
-            elif "".join(row).strip():
-                what = "missing field" if len(row) <= needed else "empty condition_id or user_id"
-                fault = f"{what} at line {reader.line_num}"
-                break
-    return _columns_from_cells(conds, users, scores, stims, lines, fault)
-
-
-def _columns_from_cells(conds, users, scores, stims, lines, fault):
-    """The columns of the raw cells of ``_csv_columns``'s accepted rows,
-    or the :class:`DataError` of the first bad row in file order.
-
-    Ids and scores are stripped and checked once per distinct cell.
-    ``fault`` is the row that ended reading, after every accepted row; a
-    row with several faults reports an empty id before its score.
-    """
-    conditions = _codes(conds, str.strip)
-    users = _codes(users, str.strip)
-    value = {}  # 0 marks a bad score; its first row raises again with its line
-    for raw in dict.fromkeys(scores):
-        try:
-            value[raw] = _parse_score(raw.strip(), 0)
-        except DataError:
-            value[raw] = 0
-    score_values = np.fromiter(map(value.__getitem__, scores), np.int64, count=len(scores))
-    faults = []
-    if "" in users[0]:
-        row = int(np.argmax(users[1] == users[0].index("")))
-        faults.append((row, f"empty condition_id or user_id at line {lines[row]}"))
-    bad = np.flatnonzero(score_values == 0)
-    if bad.size:
-        faults.append((int(bad[0]), None))
-    if fault is not None:
-        faults.append((len(lines), fault))
-    if faults:
-        row, message = min(faults, key=lambda f: f[0])
-        if message is None:
-            _parse_score(scores[row].strip(), lines[row])
-        raise DataError(message)
+    read row by row with ``csv``: the path for quoted or irregular text.
+    Each row is checked as it is read, ids before the score, so the first
+    bad row raises naming its line."""
+    rows = _csv_table(
+        text, delimiter, RATING_COLUMNS + (STIMULUS_COLUMN,), column_map, RATING_COLUMNS
+    )
+    index = next(rows)
+    cond_col, user_col, score_col = (index[c] for c in RATING_COLUMNS)
+    stim_col = index.get(STIMULUS_COLUMN)
+    conds, users, scores, stims = [], [], [], []
+    for line, row in rows:
+        cond, user = row[cond_col].strip(), row[user_col].strip()
+        if not cond or not user:
+            raise DataError(f"empty condition_id or user_id at line {line}")
+        conds.append(cond)
+        users.append(user)
+        scores.append(_parse_score(row[score_col].strip(), line))
+        if stim_col is not None:
+            stims.append(row[stim_col].strip() or None if len(row) > stim_col else None)
     if not conds:
         raise DataError("no rating rows found")
-    stimuli = None if stims is None else _codes(stims, lambda s: s.strip() or None)
-    return conditions, users, score_values, stimuli
+    stimuli = None if stim_col is None else _codes(stims)
+    return _codes(conds), _codes(users), np.array(scores, np.int64), stimuli
 
 
 def load_reference(
@@ -605,32 +565,25 @@ def load_reference(
     Duplicate condition ids and MOS values outside [1, 5] are errors.
     """
     column_map = _check_column_map(column_map, REFERENCE_COLUMNS)
-    with _csv_rows(_read_text(source), delimiter) as reader:
+    rows = _csv_table(
+        _read_text(source), delimiter, REFERENCE_COLUMNS, column_map, REFERENCE_COLUMNS
+    )
+    index = next(rows)
+    mos: dict[str, float] = {}
+    for line, row in rows:
+        cond = row[index["condition_id"]].strip()
+        if not cond:
+            raise DataError(f"empty condition_id at line {line}")
+        if cond in mos:
+            raise DataError(f"duplicate condition_id {cond!r} at line {line}")
+        raw = row[index["mos"]].strip()
         try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError("empty input: missing header row") from None
-        index = _resolve_columns(header, REFERENCE_COLUMNS, column_map, REFERENCE_COLUMNS)
-        mos: dict[str, float] = {}
-        for row in reader:
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            line = reader.line_num
-            if len(row) <= max(index.values()):
-                raise DataError(f"missing field at line {line}")
-            cond = row[index["condition_id"]].strip()
-            if not cond:
-                raise DataError(f"empty condition_id at line {line}")
-            if cond in mos:
-                raise DataError(f"duplicate condition_id {cond!r} at line {line}")
-            raw = row[index["mos"]].strip()
-            try:
-                value = float(raw)
-            except ValueError:
-                raise DataError(f"non-numeric mos {raw!r} at line {line}") from None
-            if not 1.0 <= value <= 5.0:
-                raise DataError(f"mos out of range at line {line}: {raw}")
-            mos[cond] = value
+            value = float(raw)
+        except ValueError:
+            raise DataError(f"non-numeric mos {raw!r} at line {line}") from None
+        if not 1.0 <= value <= 5.0:
+            raise DataError(f"mos out of range at line {line}: {raw}")
+        mos[cond] = value
     if not mos:
         raise DataError("no reference rows found")
     return ReferenceMos(mos)
@@ -657,8 +610,8 @@ def remove_outliers_iqr(
     pass is applied; re-running on the cleaned output can remove further
     votes because group medians and IQRs shift.
     """
-    if k <= 0:
-        raise ConfigError(f"k must be positive, got {k}")
+    if not 0 < k < math.inf:
+        raise ConfigError(f"k must be positive and finite, got {k}")
     if scope == "condition":
         group_idx = ds._cond_idx
         n_groups = len(ds.conditions)

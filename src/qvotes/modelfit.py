@@ -143,7 +143,12 @@ def votes_for_target(model: PowerModel, target: float) -> int | None:
         return 1
     # Monotone curve: invert analytically, then verify on a small integer
     # window around the float solution.
-    exact = ((target - model.c) / model.a) ** (1.0 / model.b)
+    try:
+        exact = ((target - model.c) / model.a) ** (1.0 / model.b)
+    except (OverflowError, ZeroDivisionError):
+        raise DataError(
+            f"vote target {target} needs more votes than can be represented"
+        ) from None
     n = max(1, int(math.floor(exact)) - SEARCH_MARGIN)
     while not met(n):
         n += 1

@@ -50,6 +50,7 @@ import csv
 import dataclasses
 import json
 import math
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -75,6 +76,16 @@ DELTA_BASELINE_N = 10
 CURVE_CSV_COLUMNS = ("metric", "dataset", "n", "mean", "ci_low", "ci_high", "std_dev")
 
 
+def _integer(name: str, value) -> int:
+    """``value`` as an int.  numpy integers are accepted; a float, even
+    an integral one, raises :class:`ConfigError` rather than being
+    truncated."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ConfigError(f"{name} must be an integer, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class SweepConfig:
     """Simulation plan for one dataset.
@@ -91,7 +102,10 @@ class SweepConfig:
     apply_first_order_map: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "n_values", tuple(int(n) for n in self.n_values))
+        n_values = tuple(_integer("each of n_values", n) for n in self.n_values)
+        object.__setattr__(self, "n_values", n_values)
+        object.__setattr__(self, "repetitions", _integer("repetitions", self.repetitions))
+        object.__setattr__(self, "master_seed", _integer("master_seed", self.master_seed))
         object.__setattr__(self, "metrics", tuple(self.metrics))
         if not self.n_values:
             raise ConfigError("n_values must not be empty")

@@ -232,9 +232,10 @@ COLUMNS = ("condition_id", "user_id", "score", "stimulus_id", "note")
 
 def load_ratings_by_row(text: str):
     """``load_ratings`` as one loop over the rows, checking each row in
-    turn (blank, missing field, empty id, score): the reference for the
-    columnar loader.  Returns (conditions, users, stimuli, records), with
-    the ids in sorted order."""
+    turn (blank, missing field, empty id, score), built on ``RatingRecord``
+    and ``RatingDataset`` rather than the loader's column code: the
+    reference for both the numpy byte scan and the ``csv`` path.  Returns
+    (conditions, users, stimuli, records), with the ids in sorted order."""
     reader = csv.reader(io.StringIO(text))
     header = [h.strip() for h in next(reader)]
     cond_col, user_col, score_col = (header.index(c) for c in COLUMNS[:3])
@@ -488,6 +489,18 @@ class TestCsvErrors:
         with pytest.raises(DataError, match=r"at line 3: field larger than field limit"):
             load_reference(ratings_csv(text))
 
+    @pytest.mark.parametrize("quote", ["", '"'])
+    def test_ratings_header_field_over_the_limit(self, quote):
+        big = quote + "x" * (LIMIT + 1) + quote
+        text = f"condition_id,user_id,score,{big}\nc1,u1,4,\n"
+        with pytest.raises(DataError, match=r"at line 1: field larger than field limit"):
+            load_ratings(ratings_csv(text))
+
+    def test_reference_header_field_over_the_limit(self):
+        text = f"condition_id,mos,{'x' * (LIMIT + 1)}\nc1,3.0,\n"
+        with pytest.raises(DataError, match=r"at line 1: field larger than field limit"):
+            load_reference(ratings_csv(text))
+
 
 def line_end_sources(text, tmp_path):
     path = tmp_path / "lines.csv"
@@ -736,8 +749,10 @@ class TestOutlierRemoval:
 
     def test_invalid_k_and_scope(self):
         ds = make_dataset([("x", "u1", 3)])
-        with pytest.raises(ConfigError):
-            remove_outliers_iqr(ds, k=0.0)
+        # With k=nan no vote was ever an outlier, silently.
+        for k in (0.0, float("nan"), float("inf")):
+            with pytest.raises(ConfigError, match="k must be positive and finite"):
+                remove_outliers_iqr(ds, k=k)
         with pytest.raises(ConfigError):
             remove_outliers_iqr(ds, scope="file")
 

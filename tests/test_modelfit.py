@@ -214,6 +214,15 @@ class TestVotesForTarget:
         with pytest.raises(DataError, match="NaN"):
             votes_for_target(self.srcc_401, float("nan"))
 
+    @pytest.mark.parametrize("model, target", [
+        (PowerModel(a=-1.0, b=-0.001, c=1.0, rmse_of_fit=0.0, n_points=5), 0.9),
+        (PowerModel(a=1.0, b=-0.001, c=0.0, rmse_of_fit=0.0, n_points=5), 0.1),
+    ])
+    def test_count_beyond_float_range(self, model, target):
+        # 0.1 ** -1000 used to escape as OverflowError
+        with pytest.raises(DataError, match="more votes than can be represented"):
+            votes_for_target(model, target)
+
     def test_degenerate_model_rejected(self):
         flat = PowerModel(a=0.0, b=-1.0, c=0.5, rmse_of_fit=0.0, n_points=4)
         with pytest.raises(DegenerateDataError):

@@ -78,6 +78,26 @@ class TestSweepConfig:
         with pytest.raises(ConfigError):
             SweepConfig(master_seed=-1)
 
+    @pytest.mark.parametrize("kwargs", [
+        {"n_values": (2.7, 3.2)},
+        {"n_values": (10.0, 20.0)},
+        {"repetitions": 2.5},
+        {"master_seed": 1.5},
+    ], ids=["n_values", "integral_float_n_values", "repetitions", "master_seed"])
+    def test_non_integral_rejected(self, kwargs):
+        # n_values used to be truncated to (2, 3); a float repetitions or
+        # master_seed escaped run_sweep as a TypeError.
+        with pytest.raises(ConfigError, match="must be an integer"):
+            SweepConfig(**kwargs)
+
+    def test_numpy_integers_accepted(self):
+        cfg = SweepConfig(
+            n_values=np.arange(10, 31, 10), repetitions=np.int64(3), master_seed=np.uint32(7)
+        )
+        assert cfg.n_values == (10, 20, 30)
+        assert (cfg.repetitions, cfg.master_seed) == (3, 7)
+        assert all(type(v) is int for v in (*cfg.n_values, cfg.repetitions, cfg.master_seed))
+
 
 class TestSampleCondition:
     def test_degenerate_user_always_five(self):
