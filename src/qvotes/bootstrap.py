@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, _integer
 
 # Spectrum points per batch of rows in ``bootstrap_ci_mos`` (8 rows at
 # n = 200): small batches keep the temporaries in cache whatever k is.
@@ -149,6 +149,8 @@ def clopper_pearson(successes: int, n: int, level: float = 0.95) -> tuple[float,
     """
     from scipy.special import betaincinv
 
+    successes = _integer("successes", successes)
+    n = _integer("n", n)
     if n < 1:
         raise ConfigError(f"n must be positive, got {n}")
     if not 0 <= successes <= n:
@@ -170,6 +172,7 @@ def max_ci_width(mos: float, n: int, level: float = 0.95) -> float:
     successes out of n.  Ties in the rounding go to even, which keeps the
     bound symmetric in mos around 3 for even vote counts.
     """
+    n = _integer("n", n)
     if not 1.0 <= mos <= 5.0:
         raise DataError(f"mos must lie in [1, 5], got {mos}")
     p = (mos - 1.0) / 4.0

@@ -12,10 +12,11 @@ evaluated per run and aggregated into mean/CI curves over the runs.
 Metrics
 -------
 ``validity_srcc`` / ``validity_rmse``
-    agreement of the run's MOS vector with an external reference table.
+    SRCC and RMSE of the run's MOS vector against an external reference
+    table; with ``--fom``, the RMSE follows a per-run linear map onto it.
 ``gain_srcc`` / ``gain_rmse``
-    agreement of the run's MOS vector with the full dataset's own
-    (user-balanced) MOS vector.
+    the same two statistics against the full dataset's own
+    (user-balanced) MOS vector over every condition, never mapped.
 ``ci_width``
     average width of the per-condition MOS's percentile-bootstrap CI,
     computed exactly from the votes without resampling; one
@@ -50,7 +51,6 @@ import csv
 import dataclasses
 import json
 import math
-import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -59,7 +59,7 @@ import numpy as np
 from . import stats
 from .bootstrap import bootstrap_ci_mos
 from .data import RatingDataset, ReferenceMos, _shared_reference
-from .errors import ConfigError, DataError, DegenerateDataError
+from .errors import ConfigError, DataError, DegenerateDataError, _integer
 
 VALIDITY_SRCC = "validity_srcc"
 VALIDITY_RMSE = "validity_rmse"
@@ -74,16 +74,6 @@ REFERENCE_METRICS = frozenset((VALIDITY_SRCC, VALIDITY_RMSE))
 DELTA_BASELINE_N = 10
 
 CURVE_CSV_COLUMNS = ("metric", "dataset", "n", "mean", "ci_low", "ci_high", "std_dev")
-
-
-def _integer(name: str, value) -> int:
-    """``value`` as an int.  numpy integers are accepted; a float, even
-    an integral one, raises :class:`ConfigError` rather than being
-    truncated."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ConfigError(f"{name} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -147,16 +137,23 @@ class MetricCurve:
     points: tuple[CurvePoint, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "points", tuple(CurvePoint(*p) for p in self.points))
-        ns = [p.n for p in self.points]
+        points = tuple(
+            CurvePoint(_integer("curve point n", p[0], DataError), *p[1:]) for p in self.points
+        )
+        object.__setattr__(self, "points", points)
+        ns = [p.n for p in points]
+        if ns and ns[0] < 1:
+            raise DataError(f"curve point n must be positive, got {ns[0]}")
         if any(b <= a for a, b in zip(ns, ns[1:])):
             raise DataError("curve points must have strictly increasing n")
-        for p in self.points:
+        for p in points:
             bad = [name for name, value in zip(p._fields[1:], p[1:]) if not math.isfinite(value)]
             if bad:
                 raise DataError(f"curve point at n={p.n} has non-finite {', '.join(bad)}")
             if not p.ci_low <= p.mean <= p.ci_high:
                 raise DataError(f"curve point at n={p.n} has mean outside its CI")
+            if p.std_dev < 0.0:
+                raise DataError(f"curve point at n={p.n} has negative std_dev")
 
     @property
     def n_values(self) -> tuple[int, ...]:
@@ -216,6 +213,9 @@ def draw_run_sample(
     """The votes of run ``run_index`` at vote count ``n``, exactly as the
     sweep engine draws them: per condition id, in the dataset's order, the
     sampled scores and the users who cast them."""
+    n = _integer("n", n)
+    run_index = _integer("run_index", run_index)
+    master_seed = _integer("master_seed", master_seed)
     if n < 1:
         raise ConfigError(f"n must be positive, got {n}")
     scores, rows = _draw_votes(ds, n, _run_stream(master_seed, n, run_index))
@@ -227,13 +227,6 @@ def draw_run_sample(
 
 
 # -- per-run metric evaluation ---------------------------------------------
-
-
-@dataclass(frozen=True)
-class _RefContext:
-    local_idx: np.ndarray  # condition indices shared with the reference
-    values: np.ndarray
-    ranks: tuple | None  # stats._centred_ranks(values), for validity_srcc
 
 
 def _irr(users: np.ndarray, own: np.ndarray, others: np.ndarray):
@@ -281,64 +274,57 @@ def _sampled_irr(ds: RatingDataset, scores: np.ndarray, rows: np.ndarray):
     return _pair_irr(ds, present, sums[present] / counts[present])
 
 
-def _unless_degenerate(statistic, *args) -> float | None:
-    """``statistic(*args)``, or None where it is mathematically undefined."""
-    try:
-        return statistic(*args)
-    except DegenerateDataError:
-        return None
+class _Target(NamedTuple):
+    """A fixed MOS vector that each run's MOS vector is compared with."""
+
+    srcc: str  # the metric names of the two statistics
+    rmse: str
+    index: np.ndarray | None  # the conditions compared; None for every one
+    values: np.ndarray
+    ranks: tuple | None  # stats._centred_ranks(values), when srcc is asked for
+    mapped: bool  # map the run's MOS onto values first (--fom)
 
 
-def _srcc(run_ranks: tuple, fixed_ranks: tuple) -> float | None:
-    """``stats.srcc`` of a run's MOS vector against a fixed one (never
-    constant, see ``run_sweep``), both given by ``stats._centred_ranks``;
-    None where the run's vector is constant."""
-    return None if run_ranks[1] == 0.0 else stats._ranked_srcc(run_ranks, fixed_ranks)
-
-
-def _mapped_rmse(x: np.ndarray, y: np.ndarray) -> float:
-    """RMSE of ``y`` against ``x`` after a first-order map of ``x`` onto ``y``."""
-    return stats.rmse(stats.fit_line(x, y).apply(x), y)
+def _target(
+    cfg: SweepConfig, srcc: str, rmse: str, index, values, constant: str, mapped: bool = False
+) -> _Target:
+    """The comparison with ``values``.  A rank correlation against a
+    constant vector is undefined for every run: an error before sampling."""
+    ranks = None
+    if srcc in cfg.metrics:
+        if np.ptp(values) == 0.0:
+            raise DegenerateDataError(f"{srcc} is undefined: {constant}")
+        ranks = stats._centred_ranks(values)
+    return _Target(srcc, rmse, index, values, ranks, mapped)
 
 
 def _simulate_run(
-    ds: RatingDataset,
-    cfg: SweepConfig,
-    n: int,
-    run_index: int,
-    ref_ctx: _RefContext | None,
-    full_mos: np.ndarray | None,
-    full_ranks: tuple | None,
+    ds: RatingDataset, cfg: SweepConfig, n: int, run_index: int, targets: list[_Target]
 ) -> dict[str, float | None]:
     metrics = cfg.metrics
     k = len(ds.conditions)
     scores, rows = _draw_votes(ds, n, _run_stream(cfg.master_seed, n, run_index))
     # The integer sums are exact, so these are the float means of the votes.
     means = scores.sum(axis=1) / n
-    # Ranked once for gain_srcc and for a validity_srcc over every condition
-    # (local_idx ascends, so a reference sharing all k is 0..k-1).
-    whole = VALIDITY_SRCC in metrics and len(ref_ctx.local_idx) == k
-    ranks = None
-    if GAIN_SRCC in metrics or whole:
-        ranks = stats._centred_ranks(means)
-
     # A statistic undefined for this run's votes (a constant MOS vector) is
     # a missing value, as for IRR: run_sweep averages the runs that have one.
     out: dict[str, float | None] = {}
-    if VALIDITY_SRCC in metrics or VALIDITY_RMSE in metrics:
-        sub = means[ref_ctx.local_idx]
-        if VALIDITY_SRCC in metrics:
-            sub_ranks = ranks if whole else stats._centred_ranks(sub)
-            out[VALIDITY_SRCC] = _srcc(sub_ranks, ref_ctx.ranks)
-        if VALIDITY_RMSE in metrics:
-            if cfg.apply_first_order_map:
-                out[VALIDITY_RMSE] = _unless_degenerate(_mapped_rmse, sub, ref_ctx.values)
-            else:
-                out[VALIDITY_RMSE] = stats.rmse(sub, ref_ctx.values)
-    if GAIN_SRCC in metrics:
-        out[GAIN_SRCC] = _srcc(ranks, full_ranks)
-    if GAIN_RMSE in metrics:
-        out[GAIN_RMSE] = stats.rmse(means, full_mos)
+    # Every target over all conditions shares one ranking of the run's MOS.
+    whole_ranks = None
+    if any(t.index is None and t.srcc in metrics for t in targets):
+        whole_ranks = stats._centred_ranks(means)
+    for t in targets:
+        sub = means if t.index is None else means[t.index]
+        if t.srcc in metrics:
+            ranks = whole_ranks if t.index is None else stats._centred_ranks(sub)
+            out[t.srcc] = None if ranks[1] == 0.0 else stats._ranked_srcc(ranks, t.ranks)
+        if t.rmse in metrics:
+            try:
+                if t.mapped:
+                    sub = stats.fit_line(sub, t.values).apply(sub)
+                out[t.rmse] = stats.rmse(sub, t.values)
+            except DegenerateDataError:  # no line maps a constant run MOS
+                out[t.rmse] = None
     if CI_WIDTH in metrics:
         # Left to right in Python floats, as one call per condition added
         # them, so ci_width keeps its bytes: np.sum adds pairwise, and the
@@ -400,36 +386,27 @@ def run_sweep(
             f"condition; the sweep starts at n={cfg.n_values[0]}"
         )
 
-    ref_ctx = None
+    k = len(ds.conditions)
+    targets = []
     if needs_ref:
-        local_idx, values = _shared_reference(ds.conditions, ref)
-        if VALIDITY_SRCC in cfg.metrics and np.ptp(values) == 0.0:
-            raise DegenerateDataError(
-                f"{VALIDITY_SRCC} is undefined: the reference MOS is the same "
-                "for every shared condition"
-            )
-        ref_ctx = _RefContext(
-            local_idx=local_idx,
-            values=values,
-            ranks=stats._centred_ranks(values) if VALIDITY_SRCC in cfg.metrics else None,
-        )
-
-    full_mos = full_ranks = None
+        index, values = _shared_reference(ds.conditions, ref)
+        # The indices ascend, so a reference sharing all k is every condition.
+        targets.append(_target(
+            cfg, VALIDITY_SRCC, VALIDITY_RMSE, None if index.size == k else index, values,
+            "the reference MOS is the same for every shared condition",
+            mapped=cfg.apply_first_order_map,
+        ))
     if GAIN_SRCC in cfg.metrics or GAIN_RMSE in cfg.metrics:
-        if len(ds.conditions) < 3:
+        if k < 3:
             raise DataError("gain metrics need at least 3 conditions")
-        full_mos = stats.dataset_mos(ds, method="user_balanced").values
-        if GAIN_SRCC in cfg.metrics:
-            if np.ptp(full_mos) == 0.0:
-                raise DegenerateDataError(
-                    f"{GAIN_SRCC} is undefined: every condition has the same "
-                    "full-dataset MOS"
-                )
-            full_ranks = stats._centred_ranks(full_mos)
+        targets.append(_target(
+            cfg, GAIN_SRCC, GAIN_RMSE, None, stats.dataset_mos(ds, method="user_balanced").values,
+            "every condition has the same full-dataset MOS",
+        ))
 
     r = cfg.repetitions
     results = [
-        [_simulate_run(ds, cfg, n, i, ref_ctx, full_mos, full_ranks) for i in range(r)]
+        [_simulate_run(ds, cfg, n, i, targets) for i in range(r)]
         for n in cfg.n_values
     ]
 
@@ -557,8 +534,9 @@ def write_curves_json(
 
 def _curve_point(fields) -> CurvePoint:
     """A curve point from a CSV row or a JSON point object."""
+    n = fields["n"]
     return CurvePoint(
-        int(fields["n"]),
+        int(n) if isinstance(n, str) else n,
         float(fields["mean"]),
         float(fields["ci_low"]),
         float(fields["ci_high"]),
@@ -592,7 +570,7 @@ def read_curves_json(path) -> list[MetricCurve]:
     try:
         with open(path, "r", encoding="utf-8-sig") as fh:
             doc = json.load(fh)
-        return [
+        curves = [
             MetricCurve(
                 metric=c["metric"],
                 dataset_label=c["dataset"],
@@ -604,3 +582,6 @@ def read_curves_json(path) -> list[MetricCurve]:
         raise DataError(f"{path} is not UTF-8 text: {exc.reason}") from None
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"malformed curve JSON: {exc}") from None
+    if not curves:
+        raise DataError("curve file has no curves")
+    return curves

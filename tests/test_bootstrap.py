@@ -304,12 +304,25 @@ class TestClopperPearson:
             clopper_pearson(-1, 4)
         with pytest.raises(ConfigError):
             clopper_pearson(1, 0)
+        # Non-integral and bool counts used to be taken as they were.
+        for successes, n in [(2.5, 10), (2, 10.0), (True, 4), (1, True)]:
+            with pytest.raises(ConfigError, match="must be an integer"):
+                clopper_pearson(successes, n)
+        assert clopper_pearson(np.int64(3), np.uint16(10)) == clopper_pearson(3, 10)
 
 
 class TestMaxCiWidth:
     def test_midpoint_mos(self):
         # p = 0.5 at n = 10: exact interval [0.18709, 0.81291], width * 4
         assert max_ci_width(3.0, 10) == pytest.approx(2.503, abs=1e-3)
+
+    @pytest.mark.parametrize("n", [10.5, 10.0, True])
+    def test_vote_count_must_be_an_integer(self, n):
+        # 10.5 used to give a width between those of 10 and 11 votes, and
+        # True the width at n = 1.
+        with pytest.raises(ConfigError, match="n must be an integer"):
+            max_ci_width(3.0, n)
+        assert max_ci_width(3.0, np.int32(10)) == max_ci_width(3.0, 10)
 
     def test_extreme_mos(self):
         # p = 0: lower bound 0, upper bound 1 - (alpha/2)^(1/n)

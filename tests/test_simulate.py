@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import json
 import tempfile
 from pathlib import Path
 
@@ -24,9 +25,11 @@ from qvotes import (
     certainty_gain,
     dataset_mos,
     draw_run_sample,
+    fit_line,
     irr_full,
     read_curves_csv,
     read_curves_json,
+    rmse,
     run_sweep,
     srcc,
     write_curves_csv,
@@ -83,7 +86,8 @@ class TestSweepConfig:
         {"n_values": (10.0, 20.0)},
         {"repetitions": 2.5},
         {"master_seed": 1.5},
-    ], ids=["n_values", "integral_float_n_values", "repetitions", "master_seed"])
+        {"repetitions": True},
+    ], ids=["n_values", "integral_float_n_values", "repetitions", "master_seed", "bool_repetitions"])
     def test_non_integral_rejected(self, kwargs):
         # n_values used to be truncated to (2, 3); a float repetitions or
         # master_seed escaped run_sweep as a TypeError.
@@ -118,6 +122,16 @@ class TestSampleCondition:
         for n, run_index, master_seed in [(0, 0, 0), (-1, 0, 0), (3, -1, 0), (3, 0, -1)]:
             with pytest.raises(ConfigError):
                 draw_run_sample(ds, n, run_index=run_index, master_seed=master_seed)
+        # The floats used to escape as a bare TypeError.
+        for args in [(2.5, 0, 0), (3, 1.5, 0), (3, 0, 1.5), (3.0, 0, 0), (True, 0, 0), (3, 0, False)]:
+            with pytest.raises(ConfigError, match="must be an integer"):
+                draw_run_sample(ds, *args)
+
+    def test_numpy_integer_arguments_accepted(self):
+        ds = three_user_toy()
+        got = draw_run_sample(ds, np.int64(3), np.int32(1), np.uint8(2))["x"]
+        want = draw_run_sample(ds, 3, 1, 2)["x"]
+        assert np.array_equal(got[0], want[0]) and got[1] == want[1]
 
     def test_two_stage_mean_identity(self):
         # enumerating user-then-score gives exactly the plain vote mean
@@ -230,6 +244,23 @@ class TestRunSweep:
         )[0].point_at(40).mean
         assert mapped < plain
 
+    @pytest.mark.parametrize("shared", [8, 5], ids=["every_condition", "subset"])
+    def test_mapped_validity_rmse_is_rmse_of_the_fitted_run_mos(self, shared):
+        ds = synthetic_dataset(seed=8, n_conditions=8, n_users=10)
+        base = dataset_mos(ds, "user_balanced").as_dict()
+        ref = ReferenceMos({c: 0.6 * v + 1.1 for c, v in list(base.items())[:shared]})
+        local = [j for j, c in enumerate(ds.conditions) if c in ref]
+        ref_values = np.array([ref[ds.conditions[j]] for j in local])
+        cfg = SweepConfig(
+            n_values=(5, 20), repetitions=1, master_seed=3, metrics=("validity_rmse",),
+            apply_first_order_map=True,
+        )
+        curve = run_sweep(ds, ref, cfg)[0]
+        for n in cfg.n_values:
+            sub = run_mos(ds, n, 0, cfg.master_seed)[local]
+            want = rmse(fit_line(sub, ref_values).apply(sub), ref_values)
+            assert np.float64(curve.point_at(n).mean).tobytes() == np.float64(want).tobytes()
+
 
 def near_unanimous_dataset():
     """Six raters vote 3 on a, b and c; a seventh votes 4 on a and 2 on c.
@@ -308,6 +339,17 @@ class TestDegenerateRuns:
         with pytest.raises(DegenerateDataError, match=f"{metric} is undefined: .*{message}"):
             run_sweep(make_dataset(rows), ref, cfg)
 
+    @pytest.mark.parametrize("metric", ["gain_srcc", "gain_rmse"])
+    def test_gain_on_two_conditions_fails_before_sampling(self, monkeypatch, metric):
+        def no_sampling(*args):
+            raise AssertionError("sampled a run")
+
+        monkeypatch.setattr(simulate, "_simulate_run", no_sampling)
+        ds = make_dataset([("a", "u1", 1), ("b", "u1", 5), ("a", "u2", 2)])
+        cfg = SweepConfig(n_values=(2,), repetitions=3, metrics=(metric,))
+        with pytest.raises(DataError, match="^gain metrics need at least 3 conditions$"):
+            run_sweep(ds, None, cfg)
+
 
 class TestSrccRankedOnce:
     """validity_srcc and gain_srcc rank the reference and full-dataset MOS
@@ -346,6 +388,27 @@ class TestSrccRankedOnce:
             assert (got is None) == (want is None)
             if want is not None:
                 assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+    @pytest.mark.parametrize("shared, per_run", [(8, 1), (6, 2)], ids=["every_condition", "subset"])
+    def test_run_mos_ranked_once_per_run(self, monkeypatch, shared, per_run):
+        # The reference and full-dataset MOS are ranked once per sweep.  A
+        # reference over every condition shares the run's one ranking with
+        # gain_srcc; over a subset, its conditions are ranked on their own.
+        calls = []
+        centred_ranks = simulate.stats._centred_ranks
+
+        def counted(values):
+            calls.append(len(values))
+            return centred_ranks(values)
+
+        monkeypatch.setattr(simulate.stats, "_centred_ranks", counted)
+        ds = synthetic_dataset(seed=9, n_conditions=8, n_users=10)
+        base = dataset_mos(ds, "user_balanced").as_dict()
+        ref = ReferenceMos({c: 6.0 - v for c, v in list(base.items())[:shared]})
+        cfg = SweepConfig(n_values=(5, 10), repetitions=3, metrics=("validity_srcc", "gain_srcc"))
+        run_sweep(ds, ref, cfg)
+        assert len(calls) == 2 + per_run * cfg.repetitions * len(cfg.n_values)
 
 
 class TestAggregate:
@@ -561,6 +624,30 @@ class TestCurveSerialization:
         path.write_text(f"metric,dataset,n,mean,ci_low,ci_high,std_dev\nirr,toy,10,{cells}\n")
         with pytest.raises(DataError, match=f"^curve point at n=10 has non-finite {named}$"):
             read_curves_csv(path)
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("n", 10.7, "curve point n must be an integer, got 10.7"),
+            ("n", True, "curve point n must be an integer, got True"),
+            ("n", -5, "curve point n must be positive, got -5"),
+            ("std_dev", -3, "curve point at n=10 has negative std_dev"),
+        ],
+    )
+    def test_read_json_invalid_point(self, tmp_path, field, value, message):
+        # 10.7 used to be read as 10 and True as 1; the rest were accepted.
+        point = {"n": 10, "mean": 0.5, "ci_low": 0.4, "ci_high": 0.6, "std_dev": 0.1}
+        doc = {"curves": [{"metric": "irr", "dataset": "toy", "points": [{**point, field: value}]}]}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DataError, match=f"^{message}$"):
+            read_curves_json(path)
+
+    def test_read_json_without_curves(self, tmp_path):
+        path = tmp_path / "empty.json"
+        path.write_text('{"config": null, "curves": []}')
+        with pytest.raises(DataError, match="^curve file has no curves$"):
+            read_curves_json(path)
 
     def test_curve_validation(self):
         with pytest.raises(DataError):
