@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import hashlib
-import json
 import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -82,9 +81,7 @@ def write_manifest(out_base, argv, seed, input_paths) -> Path:
         timestamp_utc=datetime.now(timezone.utc).isoformat(),
     )
     path = Path(f"{out_base}.manifest.json")
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(manifest.to_dict(), fh, indent=2)
-        fh.write("\n")
+    simulate._write_json(path, manifest.to_dict())
     return path
 
 
@@ -238,9 +235,7 @@ def cmd_compare(args) -> int:
             "rmse_after_mapping": result.rmse_after_mapping,
             "mapping": dataclasses.asdict(result.mapping) if result.mapping else None,
         }
-        with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2)
-            fh.write("\n")
+        simulate._write_json(args.json, doc)
         write_manifest(
             _out_base(args.json), args.argv, None, [args.ratings, args.reference]
         )
@@ -330,9 +325,7 @@ def cmd_fit(args) -> int:
             "rmse_of_fit": model.rmse_of_fit,
             "n_points": model.n_points,
         }
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2)
-            fh.write("\n")
+        simulate._write_json(args.out, doc)
         write_manifest(_out_base(args.out), args.argv, None, [args.curves])
     return EXIT_OK
 
@@ -368,26 +361,18 @@ def _add_input_options(parser, with_reference_arg: bool):
     parser.add_argument("--label", default=None, help="dataset label (default: file stem)")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="qvotes",
-        description="Vote-count sufficiency analysis for subjective quality ratings",
-    )
-    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("validate", help="summarise a ratings file and its reference coverage")
+def _validate_arguments(p):
     _add_input_options(p, with_reference_arg=False)
-    p.set_defaults(func=cmd_validate)
 
-    p = sub.add_parser("compare", help="SRCC/RMSE of dataset MOS against a reference table")
+
+def _compare_arguments(p):
     _add_input_options(p, with_reference_arg=True)
     p.add_argument("--fom", action="store_true", help="also report RMSE after a first-order map")
     p.add_argument("--mos-method", choices=("user_balanced", "plain"), default="user_balanced")
     p.add_argument("--json", default=None, metavar="PATH", help="also write the result as JSON")
-    p.set_defaults(func=cmd_compare)
 
-    p = sub.add_parser("simulate", help="run the vote-count sweep and write metric curves")
+
+def _simulate_arguments(p):
     _add_input_options(p, with_reference_arg=False)
     p.add_argument("--n", default="10:200:10", metavar="START:STOP:STEP",
                    help="vote counts, inclusive stop (default 10:200:10)")
@@ -402,29 +387,67 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ci-level", type=float, default=0.95, dest="ci_level")
     p.add_argument("--delta", action="store_true",
                    help="also emit gain curves shifted by their n=10 value")
-    p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("fit", help="fit a saturating power model to a stored metric curve")
+
+def _fit_arguments(p):
     p.add_argument("curves", help="curve CSV or JSON written by simulate")
     p.add_argument("--metric", required=True, help="metric name to fit")
     p.add_argument("--dataset", default=None, help="dataset label when the file holds several")
     p.add_argument("--out", default=None, metavar="PATH", help="write the fitted model as JSON")
-    p.set_defaults(func=cmd_fit)
 
-    p = sub.add_parser("maxci", help="worst-case MOS CI width bound over a vote-count sweep")
+
+def _maxci_arguments(p):
     p.add_argument("--n", default="10:200:10", metavar="START:STOP:STEP")
     p.add_argument("--mos", type=float, required=True, help="MOS value in [1, 5]")
     p.add_argument("--level", type=float, default=0.95)
     p.add_argument("--out", default=None, metavar="PATH", help="also write CSV")
-    p.set_defaults(func=cmd_maxci)
 
+
+# (name, help, argument adder, handler), in the order ``qvotes -h`` lists them.
+COMMANDS = (
+    ("validate", "summarise a ratings file and its reference coverage",
+     _validate_arguments, cmd_validate),
+    ("compare", "SRCC/RMSE of dataset MOS against a reference table",
+     _compare_arguments, cmd_compare),
+    ("simulate", "run the vote-count sweep and write metric curves",
+     _simulate_arguments, cmd_simulate),
+    ("fit", "fit a saturating power model to a stored metric curve",
+     _fit_arguments, cmd_fit),
+    ("maxci", "worst-case MOS CI width bound over a vote-count sweep",
+     _maxci_arguments, cmd_maxci),
+)
+COMMAND_NAMES = tuple(name for name, *_ in COMMANDS)
+
+
+def build_parser(names=COMMAND_NAMES) -> argparse.ArgumentParser:
+    """The ``qvotes`` parser, with the subparsers of the commands ``names``
+    only: a run builds just the command it runs.  The usage line lists
+    every command either way."""
+    parser = argparse.ArgumentParser(
+        prog="qvotes",
+        description="Vote-count sufficiency analysis for subjective quality ratings",
+    )
+    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
+    # argparse's default metavar lists the commands built, and the error for
+    # a missing command names ``command`` only while the metavar is unset.
+    every = set(names) >= set(COMMAND_NAMES)
+    sub = parser.add_subparsers(
+        dest="command", required=True,
+        metavar=None if every else "{" + ",".join(COMMAND_NAMES) + "}",
+    )
+    for name, help_text, add_arguments, handler in COMMANDS:
+        if name in names:
+            p = sub.add_parser(name, help=help_text)
+            add_arguments(p)
+            p.set_defaults(func=handler)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    # Help, --version and a missing or unknown command need every command.
+    names = argv[:1] if argv and argv[0] in COMMAND_NAMES else COMMAND_NAMES
+    args = build_parser(names).parse_args(argv)
     args.argv = ["qvotes"] + argv
     try:
         return args.func(args)

@@ -34,6 +34,7 @@ import csv
 import io
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable
 
@@ -189,6 +190,18 @@ class RatingDataset:
         for m in np.flatnonzero(np.bincount(sizes)).tolist():
             group = np.flatnonzero(sizes == m)
             yield group, self._row_bounds[group][:, None] + np.arange(m)
+
+    @cached_property
+    def _balanced_mos(self) -> np.ndarray:
+        """Each condition's mean of its users' mean scores, read-only.  It
+        is derived on first use and kept, as the votes never change."""
+        values = np.empty(len(self.conditions))
+        # A row's mean along axis 1 sums pairwise in the same order as the
+        # mean of that condition's users alone.
+        for group, rows in self._equal_size_blocks():
+            values[group] = self._user_means[rows].mean(axis=1)
+        values.flags.writeable = False
+        return values
 
     # -- basic accessors -------------------------------------------------
 

@@ -141,8 +141,10 @@ class MetricCurve:
             CurvePoint(_integer("curve point n", p[0], DataError), *p[1:]) for p in self.points
         )
         object.__setattr__(self, "points", points)
+        if not points:
+            raise DataError(f"{self.metric} curve of dataset {self.dataset_label!r} has no points")
         ns = [p.n for p in points]
-        if ns and ns[0] < 1:
+        if ns[0] < 1:
             raise DataError(f"curve point n must be positive, got {ns[0]}")
         if any(b <= a for a, b in zip(ns, ns[1:])):
             raise DataError("curve points must have strictly increasing n")
@@ -527,21 +529,30 @@ def write_curves_json(
     curves: list[MetricCurve], path, config: SweepConfig | None = None
 ) -> None:
     """Full-precision JSON bundle with the sweep configuration echoed."""
+    _write_json(path, curves_to_dict(curves, config))
+
+
+def _write_json(path, doc) -> None:
+    """``doc`` as JSON indented by 2, and a newline, in one write: the
+    bytes ``json.dump`` gives in thousands of small writes."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        json.dump(curves_to_dict(curves, config), fh, indent=2)
-        fh.write("\n")
+        fh.write(json.dumps(doc, indent=2) + "\n")
 
 
-def _curve_point(fields) -> CurvePoint:
-    """A curve point from a CSV row or a JSON point object."""
-    n = fields["n"]
-    return CurvePoint(
-        int(n) if isinstance(n, str) else n,
-        float(fields["mean"]),
-        float(fields["ci_low"]),
-        float(fields["ci_high"]),
-        float(fields["std_dev"]),
-    )
+def _csv_point(row) -> CurvePoint:
+    """A curve point from the text cells of a CSV row."""
+    return CurvePoint(int(row["n"]), *(float(row[f]) for f in CurvePoint._fields[1:]))
+
+
+def _json_point(obj) -> CurvePoint:
+    """A curve point from a JSON point object.  ``n`` is checked to be an
+    integer by :class:`MetricCurve`; every other field must be a JSON
+    number, not a bool or a string."""
+    n, *values = (obj[f] for f in CurvePoint._fields)
+    for name, value in zip(CurvePoint._fields[1:], values):
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise DataError(f"curve point {name} must be a number, got {value!r}")
+    return CurvePoint(n, *map(float, values))
 
 
 def read_curves_csv(path) -> list[MetricCurve]:
@@ -553,7 +564,7 @@ def read_curves_csv(path) -> list[MetricCurve]:
             if missing:
                 raise DataError(f"curve file missing column(s): {', '.join(sorted(missing))}")
             for row in reader:
-                grouped.setdefault((row["metric"], row["dataset"]), []).append(_curve_point(row))
+                grouped.setdefault((row["metric"], row["dataset"]), []).append(_csv_point(row))
         except UnicodeDecodeError as exc:
             raise DataError(f"{path} is not UTF-8 text: {exc.reason}") from None
         except (TypeError, ValueError) as exc:
@@ -574,13 +585,13 @@ def read_curves_json(path) -> list[MetricCurve]:
             MetricCurve(
                 metric=c["metric"],
                 dataset_label=c["dataset"],
-                points=tuple(_curve_point(p) for p in c["points"]),
+                points=tuple(_json_point(p) for p in c["points"]),
             )
             for c in doc["curves"]
         ]
     except UnicodeDecodeError as exc:
         raise DataError(f"{path} is not UTF-8 text: {exc.reason}") from None
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DataError(f"malformed curve JSON: {exc}") from None
     if not curves:
         raise DataError("curve file has no curves")

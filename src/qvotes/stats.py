@@ -59,18 +59,21 @@ class ComparisonResult:
 
 
 def dataset_mos(ds: RatingDataset, method: str = "user_balanced") -> MosVector:
-    """Per-condition MOS vector for the whole dataset."""
+    """Per-condition MOS vector for the whole dataset.
+
+    ``user_balanced`` averages each user's mean score on the condition,
+    so every user who rated it weighs the same; ``plain`` averages its
+    votes.  The user-balanced values are derived once per dataset and
+    kept on it; every call returns its own copy, so writing to one
+    result's ``values`` does not change the next.
+    """
     if method not in MOS_METHODS:
         raise ConfigError(f"method must be one of {MOS_METHODS}, got {method!r}")
     counts = ds.votes_per_condition()
     if method == "plain":
         values = ds._score_sums / counts
     else:
-        values = np.empty(counts.size)
-        # A row's mean along axis 1 sums pairwise in the same order as the
-        # mean of that condition's users alone.
-        for group, rows in ds._equal_size_blocks():
-            values[group] = ds._user_means[rows].mean(axis=1)
+        values = ds._balanced_mos.copy()
     return MosVector(conditions=ds.conditions, values=values, vote_counts=counts)
 
 

@@ -15,7 +15,7 @@ import pytest
 from conftest import synthetic_dataset
 import qvotes
 from qvotes import ConfigError, dataset_mos, read_curves_csv, write_curves_csv, write_curves_json
-from qvotes.cli import main, parse_col_map, parse_metrics, parse_sweep
+from qvotes.cli import build_parser, main, parse_col_map, parse_metrics, parse_sweep
 from qvotes import simulate
 from qvotes.simulate import CurvePoint, MetricCurve
 
@@ -34,6 +34,58 @@ def toy_files(tmp_path):
     ref_lines += [f"{c},{v!r}" for c, v in mos.as_dict().items()]
     reference.write_text("\n".join(ref_lines) + "\n")
     return ratings, reference
+
+
+SURFACE = json.loads((Path(__file__).resolve().parent / "data" / "cli_surface.json").read_text("utf-8"))
+
+
+class TestSurface:
+    """Exit code, stdout and stderr of help and of argument errors, as
+    qvotes 0.8.2 gave them when every run built the parsers of all five
+    commands (``data/cli_surface.json``, at ``columns`` wide).  argparse's
+    wording differs between Python versions, so the recorded text is
+    compared only under the version that wrote it; on every version the
+    output must equal that of the parser with every command."""
+
+    @staticmethod
+    def _exits(call, capsys):
+        with pytest.raises(SystemExit) as exc:
+            call()
+        return (exc.value.code, *capsys.readouterr())
+
+    @pytest.mark.parametrize(
+        "case", SURFACE["cases"], ids=lambda case: " ".join(case["argv"]) or "no arguments"
+    )
+    def test_pinned(self, case, monkeypatch, capsys):
+        monkeypatch.setenv("COLUMNS", str(SURFACE["columns"]))
+        argv = case["argv"]
+        got = self._exits(lambda: main(list(argv)), capsys)
+        assert got == self._exits(lambda: build_parser().parse_args(list(argv)), capsys)
+        if "%d.%d" % sys.version_info[:2] == SURFACE["python"]:
+            assert got == (case["exit"], case["stdout"], case["stderr"])
+
+    def test_version(self, capsys):
+        assert self._exits(lambda: main(["--version"]), capsys) == (0, f"qvotes {qvotes.__version__}\n", "")
+
+    def test_python_m_qvotes(self, toy_files, tmp_path):
+        ratings, _ = toy_files
+        env = dict(os.environ)
+        src = str(Path(qvotes.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        out = tmp_path / "sweep"
+        proc = subprocess.run(
+            [sys.executable, "-m", "qvotes", "simulate", str(ratings), "--n", "10:20:10",
+             "--runs", "1", "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert f"wrote:   {out}.csv" in proc.stdout.splitlines()
+        assert read_curves_csv(f"{out}.csv")[0].n_values == (10, 20)
+        proc = subprocess.run(
+            [sys.executable, "-m", "qvotes", "bogus"], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 2
+        assert "invalid choice" in proc.stderr and "bogus" in proc.stderr
 
 
 class TestParsers:
@@ -366,6 +418,25 @@ class TestFit:
         err = capsys.readouterr().err
         assert err.startswith("error:")
         assert "Traceback" not in err
+
+
+    @pytest.mark.parametrize(
+        "points, message",
+        [
+            ([], "irr curve of dataset 'toy' has no points"),
+            ([{"n": 10, "mean": True, "ci_low": 0.5, "ci_high": 1.0, "std_dev": 0.0}],
+             "curve point mean must be a number, got True"),
+            ([{"n": "10", "mean": 0.5, "ci_low": 0.5, "ci_high": 0.5, "std_dev": 0.0}],
+             "curve point n must be an integer, got '10'"),
+        ],
+    )
+    def test_invalid_json_curve_is_named(self, tmp_path, capsys, points, message):
+        # An empty curve used to fail as "points must be (x, y) pairs", and
+        # a true mean was fitted as 1.0.
+        path = tmp_path / "curves.json"
+        path.write_text(json.dumps({"curves": [{"metric": "irr", "dataset": "toy", "points": points}]}))
+        assert main(["fit", str(path), "--metric", "irr"]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 class TestUnreadableInput:

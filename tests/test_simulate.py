@@ -632,15 +632,43 @@ class TestCurveSerialization:
             ("n", True, "curve point n must be an integer, got True"),
             ("n", -5, "curve point n must be positive, got -5"),
             ("std_dev", -3, "curve point at n=10 has negative std_dev"),
+            ("n", "10", "curve point n must be an integer, got '10'"),
+            ("mean", True, "curve point mean must be a number, got True"),
+            ("ci_low", "0.4", "curve point ci_low must be a number, got '0.4'"),
+            ("ci_high", None, "curve point ci_high must be a number, got None"),
+            ("std_dev", False, "curve point std_dev must be a number, got False"),
         ],
     )
     def test_read_json_invalid_point(self, tmp_path, field, value, message):
-        # 10.7 used to be read as 10 and True as 1; the rest were accepted.
+        # 10.7 used to be read as 10, True as 1 (n) or 1.0 (the other
+        # fields) and the strings as numbers; the rest were accepted.
         point = {"n": 10, "mean": 0.5, "ci_low": 0.4, "ci_high": 0.6, "std_dev": 0.1}
         doc = {"curves": [{"metric": "irr", "dataset": "toy", "points": [{**point, field: value}]}]}
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))
         with pytest.raises(DataError, match=f"^{message}$"):
+            read_curves_json(path)
+
+    def test_read_json_integer_fields(self, tmp_path):
+        # A JSON integer is a number: 0 and 1 read as 0.0 and 1.0.
+        point = {"n": 10, "mean": 1, "ci_low": 0, "ci_high": 1, "std_dev": 0}
+        path = tmp_path / "ints.json"
+        path.write_text(json.dumps({"curves": [{"metric": "irr", "dataset": "toy", "points": [point]}]}))
+        (curve,) = read_curves_json(path)
+        assert curve.points == (CurvePoint(10, 1.0, 0.0, 1.0, 0.0),)
+        assert all(type(v) is float for v in curve.points[0][1:])
+
+    def test_read_json_number_too_large_for_a_float(self, tmp_path):
+        path = tmp_path / "huge.json"
+        path.write_text('{"curves": [{"metric": "irr", "dataset": "toy", "points": [{"n": 10, '
+                        f'"mean": 1{"0" * 400}, "ci_low": 0.4, "ci_high": 0.6, "std_dev": 0.1}}]}}]}}')
+        with pytest.raises(DataError, match="^malformed curve JSON: int too large to convert to float$"):
+            read_curves_json(path)
+
+    def test_read_json_curve_without_points(self, tmp_path):
+        path = tmp_path / "nopoints.json"
+        path.write_text('{"curves": [{"metric": "irr", "dataset": "toy", "points": []}]}')
+        with pytest.raises(DataError, match="^irr curve of dataset 'toy' has no points$"):
             read_curves_json(path)
 
     def test_read_json_without_curves(self, tmp_path):

@@ -7,16 +7,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_force_srcc, make_dataset
+from conftest import brute_force_srcc, make_dataset, synthetic_dataset
 from qvotes import (
     ConfigError,
     DataError,
     DegenerateDataError,
     LinearMap,
     MosVector,
+    RatingDataset,
     ReferenceMos,
     SweepConfig,
     average_ranks,
+    certainty_gain,
     compare_to_reference,
     dataset_mos,
     fit_line,
@@ -26,7 +28,7 @@ from qvotes import (
 )
 from qvotes.data import _shared_reference
 from qvotes.simulate import _irr
-from qvotes.stats import _centred_ranks, _grouped_ranks, _ranked_srcc, grouped_srcc
+from qvotes.stats import MOS_METHODS, _centred_ranks, _grouped_ranks, _ranked_srcc, grouped_srcc
 
 finite_floats = st.floats(min_value=-100, max_value=100, allow_nan=False)
 
@@ -118,6 +120,34 @@ class TestMos:
         assert got_plain.values.tolist() == plain
         assert got_balanced.values.tolist() == balanced
         assert got_plain.vote_counts.tolist() == [sum(c == cond for c, _, _ in rows) for cond in ds.conditions]
+
+    def test_balanced_mos_derived_once_per_dataset(self, monkeypatch):
+        # A --delta sweep asks for the full-dataset MOS twice: once for the
+        # main sweep's gain target and once inside certainty_gain.
+        ds = synthetic_dataset(seed=4, n_conditions=8, n_users=12)
+        derived = []
+        blocks = RatingDataset._equal_size_blocks
+
+        def counted(self):
+            derived.append(self)
+            return blocks(self)
+
+        monkeypatch.setattr(RatingDataset, "_equal_size_blocks", counted)
+        cfg = SweepConfig(n_values=(10, 20), repetitions=2, metrics=("gain_srcc", "gain_rmse"))
+        run_sweep(ds, None, cfg)
+        certainty_gain(ds, cfg)
+        assert derived == [ds]
+
+    def test_dataset_mos_returns_a_copy(self):
+        ds = synthetic_dataset(seed=4, n_conditions=8, n_users=12)
+        for method in MOS_METHODS:
+            first = dataset_mos(ds, method)
+            want = first.values.copy()
+            first.values[:] = 1.0
+            first.vote_counts[:] = 99
+            again = dataset_mos(ds, method)
+            assert again.values.tolist() == want.tolist()
+            assert again.vote_counts.tolist() == ds.votes_per_condition().tolist()
 
     def test_mos_vector_validation(self):
         with pytest.raises(DataError):
