@@ -4,7 +4,8 @@ Commands: validate, compare, simulate, fit, maxci.  Exit codes are a
 stable contract: 0 success, 1 input/validation error, 2 configuration
 error.  Every file-writing command also emits a ``*.manifest.json``
 recording the tool version, full invocation, seed, and SHA-256 digests
-of the inputs, so any output can be reproduced byte for byte.
+of the input bytes it read, so any output can be reproduced byte for
+byte.
 """
 
 from __future__ import annotations
@@ -12,8 +13,8 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import hashlib
+import io
 import sys
-from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -50,38 +51,28 @@ _COL_KEYS = {
 }
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    """Reproducibility sidecar written next to every output artifact."""
-
-    tool_version: str
-    invocation: list[str]
-    master_seed: int | None
-    input_digests: dict[str, str]
-    timestamp_utc: str
-
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
+def _read_input(path, digests: dict[str, str]) -> io.BytesIO:
+    """The bytes of input file ``path``, read once, as a binary stream
+    named ``path`` for the loaders; their SHA-256 goes into ``digests``
+    for the manifest.  A pipe is recorded with the bytes it gave."""
+    data = Path(path).read_bytes()
+    digests[str(path)] = hashlib.sha256(data).hexdigest()
+    stream = io.BytesIO(data)
+    stream.name = str(path)
+    return stream
 
 
-def _sha256(path) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(65536), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
-
-
-def write_manifest(out_base, argv, seed, input_paths) -> Path:
-    manifest = RunManifest(
-        tool_version=__version__,
-        invocation=list(argv),
-        master_seed=seed,
-        input_digests={str(p): _sha256(p) for p in input_paths},
-        timestamp_utc=datetime.now(timezone.utc).isoformat(),
-    )
+def write_manifest(out_base, argv, seed, input_digests: dict[str, str]) -> Path:
+    """``BASE.manifest.json``: the reproducibility sidecar written next to
+    every output, with the ``{path: SHA-256}`` of the inputs read."""
     path = Path(f"{out_base}.manifest.json")
-    simulate._write_json(path, manifest.to_dict())
+    simulate._write_json(path, {
+        "tool_version": __version__,
+        "invocation": list(argv),
+        "master_seed": seed,
+        "input_digests": input_digests,
+        "timestamp_utc": datetime.now(timezone.utc).isoformat(),
+    })
     return path
 
 
@@ -148,18 +139,18 @@ def _col_map_for(args, keys) -> dict[str, str]:
     return {k: v for k, v in parse_col_map(args.col).items() if k in keys}
 
 
-def _load_ratings_from_args(args):
+def _load_ratings_from_args(args, digests):
     return load_ratings(
-        args.ratings,
+        _read_input(args.ratings, digests),
         label=args.label or Path(args.ratings).stem,
         delimiter=args.delimiter,
         column_map=_col_map_for(args, (*RATING_COLUMNS, STIMULUS_COLUMN)),
     )
 
 
-def _load_reference_from_args(args):
+def _load_reference_from_args(args, digests):
     return load_reference(
-        args.reference,
+        _read_input(args.reference, digests),
         delimiter=args.delimiter,
         column_map=_col_map_for(args, REFERENCE_COLUMNS),
     )
@@ -176,7 +167,8 @@ def _out_base(out: str) -> str:
 
 
 def cmd_validate(args) -> int:
-    ds = _load_ratings_from_args(args)
+    digests: dict[str, str] = {}
+    ds = _load_ratings_from_args(args, digests)
     info = ds.summary()
     print(f"dataset:              {info['label']}")
     print(f"conditions:           {info['conditions']}")
@@ -192,7 +184,7 @@ def cmd_validate(args) -> int:
     )
 
     if args.reference:
-        ref = _load_reference_from_args(args)
+        ref = _load_reference_from_args(args, digests)
         shared, ref_only, ds_only = reference_coverage(ref, ds)
         print(f"reference conditions: {len(ref)} ({len(shared)} shared)")
         if ref_only:
@@ -211,8 +203,9 @@ def cmd_validate(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    ds = _load_ratings_from_args(args)
-    ref = _load_reference_from_args(args)
+    digests: dict[str, str] = {}
+    ds = _load_ratings_from_args(args, digests)
+    ref = _load_reference_from_args(args, digests)
     mos = dataset_mos(ds, method=args.mos_method)
     result = compare_to_reference(mos, ref, with_mapping=args.fom)
     print(f"dataset:           {ds.label}")
@@ -236,15 +229,14 @@ def cmd_compare(args) -> int:
             "mapping": dataclasses.asdict(result.mapping) if result.mapping else None,
         }
         simulate._write_json(args.json, doc)
-        write_manifest(
-            _out_base(args.json), args.argv, None, [args.ratings, args.reference]
-        )
+        write_manifest(_out_base(args.json), args.argv, None, digests)
     return EXIT_OK
 
 
 def cmd_simulate(args) -> int:
-    ds = _load_ratings_from_args(args)
-    ref = _load_reference_from_args(args) if args.reference else None
+    digests: dict[str, str] = {}
+    ds = _load_ratings_from_args(args, digests)
+    ref = _load_reference_from_args(args, digests) if args.reference else None
 
     if args.metrics:
         metrics = parse_metrics(args.metrics)
@@ -275,8 +267,7 @@ def cmd_simulate(args) -> int:
     json_path = f"{base}.json"
     simulate.write_curves_csv(curves, csv_path)
     simulate.write_curves_json(curves, json_path, cfg)
-    inputs = [args.ratings] + ([args.reference] if args.reference else [])
-    manifest_path = write_manifest(base, args.argv, args.seed, inputs)
+    manifest_path = write_manifest(base, args.argv, args.seed, digests)
     print(f"dataset: {ds.label} ({len(ds.conditions)} conditions, {ds.n_votes} votes)")
     print(f"curves:  {', '.join(c.metric for c in curves)}")
     print(f"sweep:   n={cfg.n_values[0]}..{cfg.n_values[-1]} ({len(cfg.n_values)} points), r={cfg.repetitions}")
@@ -288,10 +279,9 @@ def cmd_simulate(args) -> int:
 
 def cmd_fit(args) -> int:
     path = Path(args.curves)
-    if path.suffix == ".json":
-        curves = simulate.read_curves_json(path)
-    else:
-        curves = simulate.read_curves_csv(path)
+    digests: dict[str, str] = {}
+    read = simulate.read_curves_json if path.suffix == ".json" else simulate.read_curves_csv
+    curves = read(_read_input(args.curves, digests))
     metric = METRIC_ALIASES.get(args.metric, args.metric)
     matching = [c for c in curves if c.metric == metric]
     if not matching:
@@ -326,7 +316,7 @@ def cmd_fit(args) -> int:
             "n_points": model.n_points,
         }
         simulate._write_json(args.out, doc)
-        write_manifest(_out_base(args.out), args.argv, None, [args.curves])
+        write_manifest(_out_base(args.out), args.argv, None, digests)
     return EXIT_OK
 
 
@@ -341,7 +331,7 @@ def cmd_maxci(args) -> int:
             fh.write("n,max_ci_width\n")
             for n, width in rows:
                 fh.write(f"{n},{width:.6g}\n")
-        write_manifest(_out_base(args.out), args.argv, None, [])
+        write_manifest(_out_base(args.out), args.argv, None, {})
     return EXIT_OK
 
 

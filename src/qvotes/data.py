@@ -15,8 +15,9 @@ mark, as spreadsheet programs write, is dropped: paths and binary
 streams are decoded as ``utf-8-sig``, and a text stream loses a leading
 U+FEFF before its first row is parsed.
 
-Both loaders read their source into one string, whose lines end at LF,
-CRLF or a bare CR for paths and streams alike.  The ratings loader
+Both loaders, like the curve readers of :mod:`qvotes.simulate`, read
+their source into one string with :func:`_read_text`; its lines end at
+LF, CRLF or a bare CR for paths and streams alike.  The ratings loader
 parses plain text (no ``"``, NUL or bare CR, every body line with the
 header's field count, non-blank ids and valid scores) by numpy scans of
 its UTF-8 bytes, without one Python string per cell, and strips, codes
@@ -33,9 +34,9 @@ from __future__ import annotations
 import csv
 import io
 import math
+import os
 from dataclasses import dataclass
 from functools import cached_property
-from pathlib import Path
 from typing import Iterable
 
 import numpy as np
@@ -309,12 +310,14 @@ def reference_coverage(
 
 
 def _read_text(source) -> str:
-    """The whole of ``source`` (a path or an open stream) as one string,
-    without a leading byte-order mark.  Paths and binary streams are
-    decoded as UTF-8; bytes that are not UTF-8 raise :class:`DataError`
-    naming the source."""
+    """The whole of ``source`` (a path, any ``os.PathLike`` or an open
+    stream) as one string, without a leading byte-order mark: the one
+    decoder of every input file.  Paths and binary streams are decoded
+    as UTF-8; bytes that are not UTF-8 raise :class:`DataError` naming
+    the path, or the stream's ``name``."""
+    is_path = isinstance(source, (str, os.PathLike))
     try:
-        if isinstance(source, (str, Path)):
+        if is_path:
             with open(source, "rb") as fh:
                 data = fh.read()
         elif hasattr(source, "read"):
@@ -325,7 +328,7 @@ def _read_text(source) -> str:
         # parsing, it cannot hide a quote that opens the first cell.
         return data.removeprefix("\ufeff") if isinstance(data, str) else data.decode("utf-8-sig")
     except UnicodeDecodeError as exc:
-        name = source if isinstance(source, (str, Path)) else getattr(source, "name", "input")
+        name = os.fspath(source) if is_path else getattr(source, "name", "input")
         raise DataError(f"{name} is not UTF-8 text: {exc.reason}") from None
 
 
@@ -428,6 +431,9 @@ def load_ratings(
     """
     column_map = _check_column_map(column_map, RATING_COLUMNS + (STIMULUS_COLUMN,))
     text = _read_text(source)
+    # A stream that only this call holds, as the CLI passes, frees its
+    # bytes here rather than keeping them alive while the text is parsed.
+    del source
     columns = _plain_columns(text, delimiter, column_map) or _csv_columns(
         text, delimiter, column_map
     )
@@ -467,8 +473,6 @@ def _plain_columns(text: str, delimiter: str, column_map: dict):
         raw = text.encode()
     except UnicodeEncodeError:  # a lone surrogate from a text stream
         return None
-    if len(raw) < 8:  # shorter than one word, and than any ratings file
-        return None
     data = np.frombuffer(raw, np.uint8)
     # Every cell ends at a delimiter or a newline; a line of F fields is F
     # such ends, the last of them a newline, or the end of the text.
@@ -499,9 +503,10 @@ def _plain_columns(text: str, delimiter: str, column_map: dict):
     if 8 * len(starts) * max(words.values()) > _GATHER_BOUND * len(raw):
         return None
     # Entry i of ``word`` is bytes i..i+7 as a big-endian integer, so that
-    # keys order as their bytes do.
-    last = len(raw) - 8
-    word = np.ndarray((last + 1,), ">u8", raw, strides=(1,))
+    # keys order as their bytes do; the zero padding covers the words of
+    # the last cells.
+    raw += bytes(8 * max(words.values()))
+    word = np.ndarray((len(raw) - 7,), ">u8", raw, strides=(1,))
     # Entry n keeps the first n bytes of a word and zeroes the rest.
     head = np.array([2**64 - 2 ** (64 - 8 * n) for n in range(9)], np.uint64)
 
@@ -512,14 +517,7 @@ def _plain_columns(text: str, delimiter: str, column_map: dict):
         start, length = starts[:, c], lengths[:, c]
         keys = np.empty((len(start), words[c]), np.uint64)
         for i in range(words[c]):
-            # A word that runs past the end, from the last line only, is
-            # read at ``last`` and shifted up; the bytes it keeps lie
-            # before the end, so the shift is under 8 bytes.
-            k = int(np.searchsorted(start, last - 8 * i, "right"))
-            keys[:k, i] = word[start[:k] + 8 * i]
-            over = np.minimum(start[k:] + 8 * i - last, 7)
-            keys[k:, i] = word[last] << (over * 8).astype(np.uint64)
-            keys[:, i] &= head[np.clip(length - 8 * i, 0, 8)]
+            keys[:, i] = word[start + 8 * i] & head[np.clip(length - 8 * i, 0, 8)]
         if words[c] > 1:
             keys = keys.astype(">u8").view(f"S{8 * words[c]}")
         distinct, codes = np.unique(keys.ravel(), return_inverse=True)

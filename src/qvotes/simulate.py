@@ -49,6 +49,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import io
 import json
 import math
 from dataclasses import dataclass
@@ -58,7 +59,7 @@ import numpy as np
 
 from . import stats
 from .bootstrap import bootstrap_ci_mos
-from .data import RatingDataset, ReferenceMos, _shared_reference
+from .data import RatingDataset, ReferenceMos, _read_text, _shared_reference
 from .errors import ConfigError, DataError, DegenerateDataError, _integer
 
 VALIDITY_SRCC = "validity_srcc"
@@ -328,13 +329,10 @@ def _simulate_run(
             except DegenerateDataError:  # no line maps a constant run MOS
                 out[t.rmse] = None
     if CI_WIDTH in metrics:
-        # Left to right in Python floats, as one call per condition added
-        # them, so ci_width keeps its bytes: np.sum adds pairwise, and the
-        # built-in sum compensates on Python 3.12 and later.
-        width_sum = 0.0
-        for width in bootstrap_ci_mos(scores, cfg.ci_level).width.tolist():
-            width_sum += width
-        out[CI_WIDTH] = width_sum / k
+        # cumsum adds left to right, as one call per condition did, where
+        # np.sum adds pairwise: so ci_width keeps its bytes.
+        widths = bootstrap_ci_mos(scores, cfg.ci_level).width
+        out[CI_WIDTH] = float(np.cumsum(widths)[-1]) / k
     if IRR in metrics:
         out[IRR] = _sampled_irr(ds, scores, rows)
     return out
@@ -367,9 +365,11 @@ def run_sweep(
 
     Validity metrics require ``ref``, and ``ci_width`` and ``irr`` at
     least 2 votes per condition; the configuration is rejected before any
-    sampling happens otherwise.  A run whose statistic is
-    undefined (a constant MOS vector, no eligible IRR rater) is left out
-    of that point; a point with no valid run raises :class:`DataError`.
+    sampling happens otherwise.  A run whose statistic is undefined (a
+    constant MOS vector, no eligible IRR rater) is left out of that
+    point.  The sweep goes one n at a time and stops at the first point
+    with no valid run for some metric: it raises :class:`DataError`
+    before any later n is sampled.
     A rank correlation against a constant reference or full-dataset MOS
     is undefined for every run and raises :class:`DegenerateDataError`
     before any sampling.
@@ -406,27 +406,18 @@ def run_sweep(
             "every condition has the same full-dataset MOS",
         ))
 
-    r = cfg.repetitions
-    results = [
-        [_simulate_run(ds, cfg, n, i, targets) for i in range(r)]
-        for n in cfg.n_values
-    ]
-
-    curves = []
-    for metric in cfg.metrics:
-        points = []
-        for n_idx, n in enumerate(cfg.n_values):
-            values = [
-                results[n_idx][i][metric]
-                for i in range(r)
-                if results[n_idx][i][metric] is not None
-            ]
+    points: dict[str, list[CurvePoint]] = {m: [] for m in cfg.metrics}
+    for n in cfg.n_values:
+        runs = [_simulate_run(ds, cfg, n, i, targets) for i in range(cfg.repetitions)]
+        for metric, curve_points in points.items():
+            values = [run[metric] for run in runs if run[metric] is not None]
             if not values:
                 raise DataError(f"no run produced a value for {metric} at n={n}")
-            mean, lo, hi, sd = _aggregate(values, cfg.ci_level)
-            points.append(CurvePoint(n, mean, lo, hi, sd))
-        curves.append(MetricCurve(metric=metric, dataset_label=ds.label, points=tuple(points)))
-    return curves
+            curve_points.append(CurvePoint(n, *_aggregate(values, cfg.ci_level)))
+    return [
+        MetricCurve(metric=metric, dataset_label=ds.label, points=tuple(curve_points))
+        for metric, curve_points in points.items()
+    ]
 
 
 def _shift_curve(curve: MetricCurve, baseline: float, suffix: str) -> MetricCurve:
@@ -555,20 +546,20 @@ def _json_point(obj) -> CurvePoint:
     return CurvePoint(n, *map(float, values))
 
 
-def read_curves_csv(path) -> list[MetricCurve]:
+def read_curves_csv(source) -> list[MetricCurve]:
+    """The curves of a curve CSV, as :func:`write_curves_csv` writes it.
+    ``source`` is a path or an open text or binary stream, decoded as the
+    rating loaders decode theirs."""
+    reader = csv.DictReader(io.StringIO(_read_text(source), newline=""))
     grouped: dict[tuple[str, str], list[CurvePoint]] = {}
-    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-        reader = csv.DictReader(fh)
-        try:
-            missing = set(CURVE_CSV_COLUMNS) - set(reader.fieldnames or ())
-            if missing:
-                raise DataError(f"curve file missing column(s): {', '.join(sorted(missing))}")
-            for row in reader:
-                grouped.setdefault((row["metric"], row["dataset"]), []).append(_csv_point(row))
-        except UnicodeDecodeError as exc:
-            raise DataError(f"{path} is not UTF-8 text: {exc.reason}") from None
-        except (TypeError, ValueError) as exc:
-            raise DataError(f"malformed curve CSV at line {reader.line_num}: {exc}") from None
+    try:
+        missing = set(CURVE_CSV_COLUMNS) - set(reader.fieldnames or ())
+        if missing:
+            raise DataError(f"curve file missing column(s): {', '.join(sorted(missing))}")
+        for row in reader:
+            grouped.setdefault((row["metric"], row["dataset"]), []).append(_csv_point(row))
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"malformed curve CSV at line {reader.line_num}: {exc}") from None
     if not grouped:
         raise DataError("curve file has no rows")
     return [
@@ -577,20 +568,20 @@ def read_curves_csv(path) -> list[MetricCurve]:
     ]
 
 
-def read_curves_json(path) -> list[MetricCurve]:
+def read_curves_json(source) -> list[MetricCurve]:
+    """The curves of a curve JSON bundle, as :func:`write_curves_json`
+    writes it.  ``source`` is a path or an open text or binary stream,
+    decoded as the rating loaders decode theirs."""
+    text = _read_text(source)
     try:
-        with open(path, "r", encoding="utf-8-sig") as fh:
-            doc = json.load(fh)
         curves = [
             MetricCurve(
                 metric=c["metric"],
                 dataset_label=c["dataset"],
                 points=tuple(_json_point(p) for p in c["points"]),
             )
-            for c in doc["curves"]
+            for c in json.loads(text)["curves"]
         ]
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{path} is not UTF-8 text: {exc.reason}") from None
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DataError(f"malformed curve JSON: {exc}") from None
     if not curves:

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import hashlib
 import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -495,6 +498,73 @@ class TestUnreadableInput:
         path.write_bytes(b'{"curves": [{"metric": "irr", "dataset": "t\xffy", "points": []}]}')
         err = self._fails(["fit", str(path), "--metric", "irr"], 1, capsys)
         assert "curves.json is not UTF-8" in err
+
+
+@pytest.mark.skipif(
+    not hasattr(os, "mkfifo") or not os.path.isdir("/dev/fd"),
+    reason="needs POSIX pipes named under /dev/fd",
+)
+class TestPipedInputs:
+    """An input given as a pipe, as ``<(cat ratings.csv)`` gives it, can be
+    read only once: each manifest digest is the SHA-256 of the bytes that
+    came through the pipe, not that of an empty second read."""
+
+    @staticmethod
+    @contextlib.contextmanager
+    def _piped(data: bytes):
+        """``data`` behind a pipe, fed by a thread, as a ``/dev/fd`` path."""
+        r, w = os.pipe()
+
+        def feed():
+            with contextlib.suppress(BrokenPipeError), open(w, "wb") as fh:
+                fh.write(data)
+
+        writer = threading.Thread(target=feed)
+        writer.start()
+        try:
+            yield f"/dev/fd/{r}"
+        finally:
+            os.close(r)
+            writer.join()
+
+    @staticmethod
+    def _digests(base: Path) -> dict:
+        return json.loads(base.with_name(base.name + ".manifest.json").read_text())["input_digests"]
+
+    @staticmethod
+    def _sha256(data: bytes) -> str:
+        return hashlib.sha256(data).hexdigest()
+
+    def test_simulate(self, toy_files, tmp_path):
+        ratings, reference = (p.read_bytes() for p in toy_files)
+        base = tmp_path / "piped"
+        with self._piped(ratings) as r, self._piped(reference) as ref:
+            assert main(["simulate", r, "--ref", ref, "--n", "10:20:10", "--runs", "2",
+                         "--label", "toy", "--out", str(base)]) == 0
+            assert self._digests(base) == {r: self._sha256(ratings), ref: self._sha256(reference)}
+        plain = tmp_path / "plain"
+        assert main(["simulate", str(toy_files[0]), "--ref", str(toy_files[1]), "--n", "10:20:10",
+                     "--runs", "2", "--label", "toy", "--out", str(plain)]) == 0
+        assert base.with_suffix(".csv").read_bytes() == plain.with_suffix(".csv").read_bytes()
+
+    def test_compare(self, toy_files, tmp_path):
+        ratings, reference = (p.read_bytes() for p in toy_files)
+        out = tmp_path / "cmp.json"
+        with self._piped(ratings) as r, self._piped(reference) as ref:
+            assert main(["compare", r, ref, "--json", str(out)]) == 0
+            assert self._digests(tmp_path / "cmp") == {
+                r: self._sha256(ratings), ref: self._sha256(reference)
+            }
+
+    def test_fit(self, toy_files, tmp_path):
+        sweep = tmp_path / "sweep"
+        assert main(["simulate", str(toy_files[0]), "--n", "10:40:10", "--runs", "2",
+                     "--out", str(sweep)]) == 0
+        curves = sweep.with_suffix(".csv").read_bytes()
+        out = tmp_path / "model.json"
+        with self._piped(curves) as path:
+            assert main(["fit", path, "--metric", "gain_rmse", "--out", str(out)]) == 0
+            assert self._digests(tmp_path / "model") == {path: self._sha256(curves)}
 
 
 class TestMaxci:

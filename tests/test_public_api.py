@@ -3,6 +3,10 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
+import pytest
+
 import qvotes
 
 
@@ -68,3 +72,10 @@ def test_all_is_pinned():
         "write_curves_csv",
         "write_curves_json",
     ]
+
+
+def test_package_version_matches_pyproject():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    with open(pyproject, "rb") as fh:
+        assert tomllib.load(fh)["project"]["version"] == qvotes.__version__

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import io
 import json
 import tempfile
 from pathlib import Path
@@ -311,6 +312,19 @@ class TestDegenerateRuns:
         with pytest.raises(DataError, match="no run produced a value for irr at n=2"):
             run_sweep(ds, None, cfg)
 
+    def test_sweep_stops_at_the_first_point_without_a_valid_run(self, monkeypatch):
+        # One rater per condition: no run has an IRR rater, and the sweep
+        # fails at its first n without drawing the later points' votes.
+        ds = make_dataset([(f"c{j:02d}", f"u{j:02d}", 1 + (j + t) % 5)
+                           for j in range(50) for t in range(3)])
+        drawn = []
+        draw = simulate._draw_votes
+        monkeypatch.setattr(simulate, "_draw_votes", lambda ds, n, rng: drawn.append(n) or draw(ds, n, rng))
+        cfg = SweepConfig(n_values=(10, 20, 30, 40), repetitions=4, metrics=("ci_width", "irr"))
+        with pytest.raises(DataError, match="^no run produced a value for irr at n=10$"):
+            run_sweep(ds, None, cfg)
+        assert drawn == [10] * 4
+
     @pytest.mark.parametrize(
         "metric, rows, ref, message",
         [
@@ -608,6 +622,24 @@ class TestCurveSerialization:
         write_curves_json(curves, path, cfg)
         back = read_curves_json(path)
         assert back == curves
+
+    @pytest.mark.parametrize("kind", ["bytes", "text"])
+    def test_read_streams_behind_a_byte_order_mark(self, tmp_path, kind):
+        curves = self._curves()
+        write_curves_csv(curves, tmp_path / "curves.csv")
+        write_curves_json(curves, tmp_path / "curves.json")
+        for name, read in (("curves.csv", read_curves_csv), ("curves.json", read_curves_json)):
+            raw = b"\xef\xbb\xbf" + (tmp_path / name).read_bytes()
+            stream = io.BytesIO(raw) if kind == "bytes" else io.StringIO(raw.decode("utf-8"))
+            assert read(stream) == read(tmp_path / name)
+        assert read_curves_json(io.BytesIO(raw)) == curves
+
+    @pytest.mark.parametrize("read", [read_curves_csv, read_curves_json])
+    def test_stream_that_is_not_utf8_is_named(self, read):
+        stream = io.BytesIO(b"metric,dataset,n,mean,ci_low,ci_high,std_dev\nirr,t\xffy,10,0,0,0,0\n")
+        stream.name = "piped"
+        with pytest.raises(DataError, match="^piped is not UTF-8 text: invalid start byte$"):
+            read(stream)
 
     def test_read_missing_columns(self, tmp_path):
         path = tmp_path / "bad.csv"
