@@ -6,7 +6,7 @@ MOS confidence width) depend on the number of votes per condition, and
 fits saturating power models to the resulting curves.
 """
 
-__version__ = "0.8.4"
+__version__ = "0.9.0"
 
 from .bootstrap import Interval, bootstrap_ci_mos, clopper_pearson, max_ci_width
 from .data import (
@@ -19,9 +19,8 @@ from .data import (
     remove_outliers_iqr,
 )
 from .errors import ConfigError, DataError, DegenerateDataError, QvotesError
-from .modelfit import PowerModel, evaluate_model, fit_power_model, votes_for_target
+from .modelfit import PowerModel, fit_power_model, votes_for_target
 from .simulate import (
-    CertaintyGain,
     CurvePoint,
     MetricCurve,
     SweepConfig,
@@ -48,7 +47,6 @@ from .stats import (
 
 __all__ = [
     "__version__",
-    "CertaintyGain",
     "ComparisonResult",
     "ConfigError",
     "CurvePoint",
@@ -71,7 +69,6 @@ __all__ = [
     "compare_to_reference",
     "dataset_mos",
     "draw_run_sample",
-    "evaluate_model",
     "fit_line",
     "fit_power_model",
     "irr_full",

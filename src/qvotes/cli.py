@@ -258,8 +258,7 @@ def cmd_simulate(args) -> int:
     curves = run_sweep(ds, ref, cfg)
 
     if args.delta:
-        gain = simulate.certainty_gain(ds, cfg)
-        curves = curves + [gain.delta_srcc, gain.delta_rmse]
+        curves += simulate.certainty_gain(ds, cfg)[2:]
 
     base = _out_base(args.out)
     Path(base).parent.mkdir(parents=True, exist_ok=True)
@@ -306,15 +305,7 @@ def cmd_fit(args) -> int:
     print(f"asymptote:  {model.c:.6g}")
     print(f"fit RMSE:   {model.rmse_of_fit:.6g}  ({model.n_points} points)")
     if args.out:
-        doc = {
-            "metric": curve.metric,
-            "dataset": curve.dataset_label,
-            "a": model.a,
-            "b": model.b,
-            "c": model.c,
-            "rmse_of_fit": model.rmse_of_fit,
-            "n_points": model.n_points,
-        }
+        doc = {"metric": curve.metric, "dataset": curve.dataset_label, **dataclasses.asdict(model)}
         simulate._write_json(args.out, doc)
         write_manifest(_out_base(args.out), args.argv, None, digests)
     return EXIT_OK
@@ -447,6 +438,10 @@ def main(argv: list[str] | None = None) -> int:
     except (QvotesError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
+    except MemoryError as exc:
+        # A smaller --n or --runs is the fix, as for a configuration error.
+        print(f"error: not enough memory: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -37,13 +37,9 @@ class PowerModel:
     n_points: int
 
     def predict(self, x) -> np.ndarray:
+        """Model value at the vote count(s) ``x``, as an array of x's shape."""
         x = np.asarray(x, dtype=float)
         return self.a * np.power(x, self.b) + self.c
-
-
-def evaluate_model(model: PowerModel, x: float) -> float:
-    """Model value at a vote count x >= 1."""
-    return float(model.a * float(x) ** model.b + model.c)
 
 
 def _linear_fit(x, y, b):
@@ -116,7 +112,7 @@ def fit_power_model(points) -> PowerModel:
 
 
 def votes_for_target(model: PowerModel, target: float) -> int | None:
-    """Smallest vote count at which the model meets ``target``.
+    """Smallest vote count at which ``model.predict`` meets ``target``.
 
     For curves rising toward the asymptote (a < 0) the value must reach
     at least the target; for falling curves (a > 0) at most the target.
@@ -136,7 +132,7 @@ def votes_for_target(model: PowerModel, target: float) -> int | None:
         return None
 
     def met(n: int) -> bool:
-        value = evaluate_model(model, n)
+        value = float(model.predict(n))
         return value >= target if rising else value <= target
 
     if met(1):

@@ -28,6 +28,11 @@ Metrics
     conditions shared with someone else: a rank correlation of fewer
     points is undefined.
 
+Results
+-------
+A sweep gives a list of :class:`MetricCurve`, one per metric in the
+configuration's order, which the curve writers and readers take.
+
 Reproducibility
 ---------------
 Run i at vote count n draws all of its votes from one stream,
@@ -162,26 +167,11 @@ class MetricCurve:
     def n_values(self) -> tuple[int, ...]:
         return tuple(p.n for p in self.points)
 
-    @property
-    def means(self) -> np.ndarray:
-        return np.array([p.mean for p in self.points])
-
     def point_at(self, n: int) -> CurvePoint:
         for p in self.points:
             if p.n == n:
                 return p
         raise DataError(f"no curve point at n={n}")
-
-
-@dataclass(frozen=True)
-class CertaintyGain:
-    """Gain curves against the full dataset, plus their baseline-shifted
-    versions (value at the n=10 point subtracted)."""
-
-    gain_srcc: MetricCurve
-    gain_rmse: MetricCurve
-    delta_srcc: MetricCurve
-    delta_rmse: MetricCurve
 
 
 # -- sampling ----------------------------------------------------------------
@@ -420,15 +410,6 @@ def run_sweep(
     ]
 
 
-def _shift_curve(curve: MetricCurve, baseline: float, suffix: str) -> MetricCurve:
-    # Pure shift of the mean curve; per-point run spread is unchanged.
-    points = tuple(
-        CurvePoint(p.n, p.mean - baseline, p.ci_low - baseline, p.ci_high - baseline, p.std_dev)
-        for p in curve.points
-    )
-    return MetricCurve(metric=curve.metric + suffix, dataset_label=curve.dataset_label, points=points)
-
-
 def require_delta_baseline(cfg: SweepConfig) -> None:
     """Raise :class:`ConfigError` unless the sweep has the n=10 point that
     baseline-shifted curves subtract."""
@@ -438,19 +419,22 @@ def require_delta_baseline(cfg: SweepConfig) -> None:
         )
 
 
-def certainty_gain(ds: RatingDataset, cfg: SweepConfig) -> CertaintyGain:
+def certainty_gain(ds: RatingDataset, cfg: SweepConfig) -> list[MetricCurve]:
     """Agreement of subsample MOS vectors with the full dataset's MOS, as
-    a function of vote count, and the same curves shifted by their value
-    at n=10, which the sweep must include."""
+    a function of vote count: :func:`run_sweep`'s ``gain_srcc`` and
+    ``gain_rmse`` curves, then the same curves shifted by their value at
+    n=10, which the sweep must include (``gain_srcc_delta``, ...)."""
     require_delta_baseline(cfg)
-    gain_cfg = dataclasses.replace(cfg, metrics=(GAIN_SRCC, GAIN_RMSE))
-    srcc_curve, rmse_curve = run_sweep(ds, None, gain_cfg)
-    return CertaintyGain(
-        gain_srcc=srcc_curve,
-        gain_rmse=rmse_curve,
-        delta_srcc=_shift_curve(srcc_curve, srcc_curve.point_at(DELTA_BASELINE_N).mean, "_delta"),
-        delta_rmse=_shift_curve(rmse_curve, rmse_curve.point_at(DELTA_BASELINE_N).mean, "_delta"),
-    )
+    curves = run_sweep(ds, None, dataclasses.replace(cfg, metrics=(GAIN_SRCC, GAIN_RMSE)))
+    for curve in curves[:2]:
+        # A pure shift of the mean curve; the per-point run spread is unchanged.
+        base = curve.point_at(DELTA_BASELINE_N).mean
+        points = tuple(
+            CurvePoint(p.n, p.mean - base, p.ci_low - base, p.ci_high - base, p.std_dev)
+            for p in curve.points
+        )
+        curves.append(MetricCurve(curve.metric + "_delta", curve.dataset_label, points))
+    return curves
 
 
 def irr_full(ds: RatingDataset) -> float:
@@ -492,35 +476,21 @@ def write_curves_csv(curves: list[MetricCurve], path) -> None:
                 )
 
 
-def curves_to_dict(curves: list[MetricCurve], config: SweepConfig | None = None) -> dict:
-    doc = {
+def write_curves_json(
+    curves: list[MetricCurve], path, config: SweepConfig | None = None
+) -> None:
+    """Full-precision JSON bundle with the sweep configuration echoed."""
+    _write_json(path, {
         "config": dataclasses.asdict(config) if config is not None else None,
         "curves": [
             {
                 "metric": c.metric,
                 "dataset": c.dataset_label,
-                "points": [
-                    {
-                        "n": p.n,
-                        "mean": p.mean,
-                        "ci_low": p.ci_low,
-                        "ci_high": p.ci_high,
-                        "std_dev": p.std_dev,
-                    }
-                    for p in c.points
-                ],
+                "points": [p._asdict() for p in c.points],
             }
             for c in curves
         ],
-    }
-    return doc
-
-
-def write_curves_json(
-    curves: list[MetricCurve], path, config: SweepConfig | None = None
-) -> None:
-    """Full-precision JSON bundle with the sweep configuration echoed."""
-    _write_json(path, curves_to_dict(curves, config))
+    })
 
 
 def _write_json(path, doc) -> None:

@@ -320,6 +320,24 @@ class TestSimulate:
         assert "at least 2 votes" in capsys.readouterr().err
         assert not list(tmp_path.glob("x*"))
 
+    def test_out_of_memory_is_config_error(self, toy_files, tmp_path, monkeypatch, capsys):
+        # A grid too large for memory: numpy's allocation error is a
+        # MemoryError, and a smaller --n or --runs is the fix.
+        def no_memory(*args, **kwargs):
+            raise MemoryError("Unable to allocate 74.5 GiB for an array")
+
+        monkeypatch.setattr(simulate, "_draw_votes", no_memory)
+        ratings, _ = toy_files
+        code = main(
+            ["simulate", str(ratings), "--n", "10:20:10", "--runs", "2", "--metrics",
+             "gain_rmse", "--out", str(tmp_path / "x")]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: not enough memory: Unable to allocate 74.5 GiB for an array\n"
+        )
+        assert not list(tmp_path.glob("x*"))
+
     def test_one_vote_is_enough_for_gain(self, toy_files, tmp_path):
         ratings, _ = toy_files
         code = main(
@@ -605,6 +623,8 @@ steps = {
     "validate": ["validate", ratings, "--ref", reference],
     "compare": ["compare", ratings, reference, "--fom"],
     "fit": ["fit", curves, "--metric", "gain_rmse"],
+    "simulate --runs 1 --metrics gain_rmse,irr":
+        ["simulate", ratings, *sweep, "--runs", "1", "--metrics", "gain_rmse,irr", "--out", out],
     "simulate --runs 1": ["simulate", ratings, *sweep, "--runs", "1", "--out", out],
     "simulate --runs 2": ["simulate", ratings, *sweep, "--runs", "2", "--out", out],
     "maxci": ["maxci", "--mos", "3", "--n", "10:20:10"],
@@ -640,7 +660,8 @@ class TestColdStart:
 
     def test_scipy_is_imported_only_for_quantiles(self, toy_files, tmp_path):
         loaded = self._loaded(toy_files, tmp_path)
-        for step in ("import qvotes.cli", "validate", "compare", "fit", "simulate --runs 1"):
+        for step in ("import qvotes.cli", "validate", "compare", "fit",
+                     "simulate --runs 1 --metrics gain_rmse,irr", "simulate --runs 1"):
             assert loaded[step][1] == [], step
         # The across-run t quantile and the beta quantiles of maxci come
         # from scipy.special alone.
@@ -650,7 +671,8 @@ class TestColdStart:
 
     def test_fft_is_imported_only_for_ci_width(self, toy_files, tmp_path):
         loaded = self._loaded(toy_files, tmp_path)
-        for step in ("import qvotes.cli", "validate", "compare", "fit"):
+        for step in ("import qvotes.cli", "validate", "compare", "fit",
+                     "simulate --runs 1 --metrics gain_rmse,irr"):
             assert not loaded[step][2], step
         # The default sweep computes ci_width, whose exact bootstrap is the
         # only user of numpy.fft.

@@ -11,7 +11,6 @@ from qvotes import (
     DataError,
     DegenerateDataError,
     PowerModel,
-    evaluate_model,
     fit_power_model,
     votes_for_target,
 )
@@ -149,21 +148,31 @@ class TestFitOracle:
         assert fit_sse <= dense_grid_sse(x, y) * (1 + 1e-9) + 1e-24
 
 
+def scalar_evaluate(model, x):
+    """The removed ``evaluate_model``: the model at one vote count, in
+    Python floats.  ``predict`` must give its bits on the cases below."""
+    return float(model.a * float(x) ** model.b + model.c)
+
+
 class TestEvaluateModel:
+    """``PowerModel.predict``, the one evaluation of a fitted model."""
+
     def test_known_curve_value(self):
         model = PowerModel(a=-0.3837, b=-1.0129, c=0.9749, rmse_of_fit=0.0, n_points=20)
         expected = -0.3837 * 60.0**-1.0129 + 0.9749
-        assert evaluate_model(model, 60) == pytest.approx(expected, abs=1e-15)
-        assert evaluate_model(model, 60) == pytest.approx(0.9688, abs=1e-4)
+        assert float(model.predict(60)) == pytest.approx(expected, abs=1e-15)
+        assert float(model.predict(60)) == pytest.approx(0.9688, abs=1e-4)
+        assert float(model.predict(60)) == scalar_evaluate(model, 60)
 
     def test_asymptote(self):
         model = PowerModel(a=-0.3837, b=-1.0129, c=0.9749, rmse_of_fit=0.0, n_points=20)
-        assert evaluate_model(model, 1e6) == pytest.approx(model.c, abs=1e-6)
+        assert float(model.predict(1e6)) == pytest.approx(model.c, abs=1e-6)
+        assert float(model.predict(1e6)) == scalar_evaluate(model, 1e6)
 
     def test_degenerate_model_is_flat(self):
         model = PowerModel(a=0.0, b=-1.0, c=0.5, rmse_of_fit=0.0, n_points=4)
         for x in (1, 17, 400):
-            assert evaluate_model(model, x) == 0.5
+            assert float(model.predict(x)) == 0.5 == scalar_evaluate(model, x)
 
     def test_predict_vectorized(self):
         model = PowerModel(a=2.0, b=-1.0, c=1.0, rmse_of_fit=0.0, n_points=4)
@@ -176,7 +185,7 @@ class TestVotesForTarget:
 
     def _scan_oracle(self, model, target, rising):
         for n in range(1, 1001):
-            value = evaluate_model(model, n)
+            value = float(model.predict(n))
             if (rising and value >= target) or (not rising and value <= target):
                 return n
         return None

@@ -443,13 +443,33 @@ class TestCertaintyGain:
     def test_deltas_are_zero_at_baseline(self):
         ds = synthetic_dataset(seed=8, n_conditions=6, n_users=10)
         cfg = SweepConfig(n_values=(10, 20, 40), repetitions=5)
-        gain = certainty_gain(ds, cfg)
-        assert gain.delta_srcc.point_at(10).mean == 0.0
-        assert gain.delta_rmse.point_at(10).mean == 0.0
+        gain_srcc, _, delta_srcc, delta_rmse = certainty_gain(ds, cfg)
+        assert delta_srcc.point_at(10).mean == 0.0
+        assert delta_rmse.point_at(10).mean == 0.0
         # delta curves are pure shifts of the gain curves
-        shift = gain.gain_srcc.point_at(10).mean
-        for p, d in zip(gain.gain_srcc.points, gain.delta_srcc.points):
+        shift = gain_srcc.point_at(10).mean
+        for p, d in zip(gain_srcc.points, delta_srcc.points):
             assert d.mean == pytest.approx(p.mean - shift, abs=1e-15)
+
+    def test_gain_curves_are_run_sweeps_and_deltas_their_shifts(self, tmp_path):
+        ds = synthetic_dataset(seed=8, n_conditions=6, n_users=10)
+        cfg = SweepConfig(n_values=(10, 20, 40), repetitions=5, master_seed=3)
+        curves = certainty_gain(ds, cfg)
+        assert [c.metric for c in curves] == [
+            "gain_srcc", "gain_rmse", "gain_srcc_delta", "gain_rmse_delta"
+        ]
+        # The sweep of every default metric gives the same gain bytes.
+        swept = [c for c in run_sweep(ds, None, cfg) if c.metric.startswith("gain_")]
+        write_curves_json(curves[:2], tmp_path / "gain.json")
+        write_curves_json(swept, tmp_path / "swept.json")
+        assert (tmp_path / "gain.json").read_bytes() == (tmp_path / "swept.json").read_bytes()
+        for gain, delta in zip(curves[:2], curves[2:]):
+            base = gain.point_at(10).mean
+            assert delta.dataset_label == gain.dataset_label
+            assert delta.points == tuple(
+                CurvePoint(p.n, p.mean - base, p.ci_low - base, p.ci_high - base, p.std_dev)
+                for p in gain.points
+            )
 
     def test_delta_requires_baseline_in_sweep(self):
         ds = synthetic_dataset(seed=8, n_conditions=6, n_users=10)
@@ -463,11 +483,11 @@ class TestCertaintyGain:
     def test_perfectly_agreeing_dataset(self):
         ds = agreeing_dataset()
         cfg = SweepConfig(n_values=(10, 30), repetitions=4)
-        gain = certainty_gain(ds, cfg)
-        for p in gain.gain_srcc.points:
+        gain_srcc, gain_rmse, *_ = certainty_gain(ds, cfg)
+        for p in gain_srcc.points:
             assert p.mean == pytest.approx(1.0)
             assert p.std_dev == 0.0
-        for p in gain.gain_rmse.points:
+        for p in gain_rmse.points:
             assert p.mean == 0.0
 
     def test_needs_three_conditions(self):
@@ -590,8 +610,8 @@ class TestEndToEndPipeline:
         assert irr.points[0].mean < irr.points[-1].mean
         assert irr.points[-1].mean <= irr_full(ds) + 0.02
 
-        gain = certainty_gain(ds, cfg)
-        assert gain.delta_rmse.point_at(60).mean <= -0.1
+        *_, delta_rmse = certainty_gain(ds, cfg)
+        assert delta_rmse.point_at(60).mean <= -0.1
 
 
 class TestCurveSerialization:
@@ -610,7 +630,8 @@ class TestCurveSerialization:
         assert len(back) == 1
         assert back[0].metric == "gain_srcc"
         assert back[0].n_values == (10, 20, 30)
-        assert np.allclose(back[0].means, curves[0].means, rtol=1e-5)
+        assert np.allclose([p.mean for p in back[0].points],
+                           [p.mean for p in curves[0].points], rtol=1e-5)
         text = path.read_text()
         assert text.splitlines()[0] == "metric,dataset,n,mean,ci_low,ci_high,std_dev"
         assert "\r" not in text

@@ -4,10 +4,10 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_force_srcc, make_dataset, synthetic_dataset
+from conftest import brute_force_ranks, brute_force_srcc, make_dataset, synthetic_dataset
 from qvotes import (
     ConfigError,
     DataError,
@@ -340,6 +340,17 @@ class TestRankKernelsBitwise:
     def test_average_ranks_equal_stable_sort(self, values, seed):
         a = np.random.default_rng(seed).permutation(np.array(values, dtype=float))
         assert average_ranks(a).tobytes() == stable_average_ranks(a).tobytes()
+
+    @given(values=tied_values, seed=st.integers(0, 2**32 - 1))
+    @example(values=[], seed=0)
+    @example(values=[-np.inf] * 9, seed=0)
+    @settings(max_examples=200, deadline=None)
+    def test_average_ranks_equal_one_group_and_brute_force(self, values, seed):
+        # The package's two tie-averaged rankings give the same bytes.
+        a = np.random.default_rng(seed).permutation(np.array(values, dtype=float))
+        got = average_ranks(a).tobytes()
+        assert got == _grouped_ranks(np.zeros(a.size, dtype=np.int64), a, np.array([a.size])).tobytes()
+        assert got == np.array(brute_force_ranks(a.tolist()), dtype=float).tobytes()
 
     @top_labels
     @given(labels=sparse_labels, data=st.data())
