@@ -6,7 +6,7 @@ MOS confidence width) depend on the number of votes per condition, and
 fits saturating power models to the resulting curves.
 """
 
-__version__ = "0.9.0"
+__version__ = "0.9.1"
 
 from .bootstrap import Interval, bootstrap_ci_mos, clopper_pearson, max_ci_width
 from .data import (

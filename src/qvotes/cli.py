@@ -14,6 +14,7 @@ import argparse
 import dataclasses
 import hashlib
 import io
+import os
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -30,8 +31,8 @@ from .data import (
 )
 from .errors import ConfigError, DataError, QvotesError
 from .modelfit import fit_power_model
-from .stats import compare_to_reference, dataset_mos
-from .simulate import ALL_METRICS, REFERENCE_METRICS, SweepConfig, run_sweep
+from .stats import MOS_METHODS, compare_to_reference, dataset_mos
+from .simulate import ALL_METRICS, SweepConfig, run_sweep
 
 EXIT_OK = 0
 EXIT_DATA = 1
@@ -163,6 +164,21 @@ def _out_base(out: str) -> str:
     return str(path)
 
 
+def _prepare_outputs(out: str | None, inputs, files=None) -> None:
+    """Refuse to write ``out`` (or the ``files`` of its base) or its
+    manifest over one of the ``inputs`` (None for one not given), and
+    create their directory.  Called before any input is read."""
+    if out is None:
+        return
+    base = _out_base(out)
+    inputs = [path for path in inputs if path is not None and os.path.exists(path)]
+    for target in (*(files or [out]), f"{base}.manifest.json"):
+        for path in inputs:
+            if os.path.exists(target) and os.path.samefile(target, path):
+                raise ConfigError(f"output {target} would overwrite the input {path}")
+    Path(base).parent.mkdir(parents=True, exist_ok=True)
+
+
 # -- commands ----------------------------------------------------------------
 
 
@@ -203,6 +219,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    _prepare_outputs(args.json, [args.ratings, args.reference])
     digests: dict[str, str] = {}
     ds = _load_ratings_from_args(args, digests)
     ref = _load_reference_from_args(args, digests)
@@ -219,31 +236,24 @@ def cmd_compare(args) -> int:
             f"intercept {result.mapping.intercept:.4f}"
         )
     if args.json:
-        doc = {
-            "dataset": ds.label,
-            "mos_method": args.mos_method,
-            "n_shared": result.n_shared,
-            "srcc": result.srcc,
-            "rmse": result.rmse,
-            "rmse_after_mapping": result.rmse_after_mapping,
-            "mapping": dataclasses.asdict(result.mapping) if result.mapping else None,
-        }
+        doc = {"dataset": ds.label, "mos_method": args.mos_method, **dataclasses.asdict(result)}
         simulate._write_json(args.json, doc)
         write_manifest(_out_base(args.json), args.argv, None, digests)
     return EXIT_OK
 
 
 def cmd_simulate(args) -> int:
+    base = _out_base(args.out)
+    csv_path, json_path = f"{base}.csv", f"{base}.json"
+    _prepare_outputs(args.out, [args.ratings, args.reference], [csv_path, json_path])
     digests: dict[str, str] = {}
     ds = _load_ratings_from_args(args, digests)
     ref = _load_reference_from_args(args, digests) if args.reference else None
 
     if args.metrics:
         metrics = parse_metrics(args.metrics)
-    elif ref is not None:
-        metrics = ALL_METRICS
     else:
-        metrics = tuple(m for m in ALL_METRICS if m not in REFERENCE_METRICS)
+        metrics = ALL_METRICS if ref is not None else SweepConfig.metrics
 
     cfg = SweepConfig(
         n_values=parse_sweep(args.n),
@@ -260,10 +270,6 @@ def cmd_simulate(args) -> int:
     if args.delta:
         curves += simulate.certainty_gain(ds, cfg)[2:]
 
-    base = _out_base(args.out)
-    Path(base).parent.mkdir(parents=True, exist_ok=True)
-    csv_path = f"{base}.csv"
-    json_path = f"{base}.json"
     simulate.write_curves_csv(curves, csv_path)
     simulate.write_curves_json(curves, json_path, cfg)
     manifest_path = write_manifest(base, args.argv, args.seed, digests)
@@ -277,6 +283,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_fit(args) -> int:
+    _prepare_outputs(args.out, [args.curves])
     path = Path(args.curves)
     digests: dict[str, str] = {}
     read = simulate.read_curves_json if path.suffix == ".json" else simulate.read_curves_csv
@@ -312,16 +319,13 @@ def cmd_fit(args) -> int:
 
 
 def cmd_maxci(args) -> int:
-    n_values = parse_sweep(args.n)
-    rows = [(n, max_ci_width(args.mos, n, args.level)) for n in n_values]
-    print("n,max_ci_width")
-    for n, width in rows:
-        print(f"{n},{width:.6g}")
+    text = "n,max_ci_width\n" + "".join(
+        f"{n},{max_ci_width(args.mos, n, args.level):.6g}\n" for n in parse_sweep(args.n)
+    )
+    print(text, end="")
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write("n,max_ci_width\n")
-            for n, width in rows:
-                fh.write(f"{n},{width:.6g}\n")
+        _prepare_outputs(args.out, [])
+        Path(args.out).write_text(text, encoding="utf-8", newline="")
         write_manifest(_out_base(args.out), args.argv, None, {})
     return EXIT_OK
 
@@ -349,7 +353,7 @@ def _validate_arguments(p):
 def _compare_arguments(p):
     _add_input_options(p, with_reference_arg=True)
     p.add_argument("--fom", action="store_true", help="also report RMSE after a first-order map")
-    p.add_argument("--mos-method", choices=("user_balanced", "plain"), default="user_balanced")
+    p.add_argument("--mos-method", choices=MOS_METHODS, default="user_balanced")
     p.add_argument("--json", default=None, metavar="PATH", help="also write the result as JSON")
 
 
@@ -359,8 +363,8 @@ def _simulate_arguments(p):
                    help="vote counts, inclusive stop (default 10:200:10)")
     p.add_argument("--runs", type=int, default=250, help="repetitions per vote count (default 250)")
     p.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
-    p.add_argument("--metrics", default=None,
-                   help=f"comma list from: {', '.join(ALL_METRICS)} (aliases srcc, rmse)")
+    p.add_argument("--metrics", default=None, help=f"comma list from: {', '.join(ALL_METRICS)} "
+                   f"(aliases {', '.join(METRIC_ALIASES)})")
     p.add_argument("--out", required=True, metavar="BASE",
                    help="output base path; writes BASE.csv, BASE.json, BASE.manifest.json")
     p.add_argument("--fom", action="store_true",

@@ -79,8 +79,6 @@ REFERENCE_METRICS = frozenset((VALIDITY_SRCC, VALIDITY_RMSE))
 
 DELTA_BASELINE_N = 10
 
-CURVE_CSV_COLUMNS = ("metric", "dataset", "n", "mean", "ci_low", "ci_high", "std_dev")
-
 
 @dataclass(frozen=True)
 class SweepConfig:
@@ -93,7 +91,7 @@ class SweepConfig:
     n_values: tuple[int, ...] = tuple(range(10, 201, 10))
     repetitions: int = 250
     master_seed: int = 0
-    metrics: tuple[str, ...] = (GAIN_SRCC, GAIN_RMSE, CI_WIDTH, IRR)
+    metrics: tuple[str, ...] = tuple(m for m in ALL_METRICS if m not in REFERENCE_METRICS)
     ci_level: float = 0.95
     apply_first_order_map: bool = False
 
@@ -132,6 +130,9 @@ class CurvePoint(NamedTuple):
     ci_low: float
     ci_high: float
     std_dev: float
+
+
+CURVE_CSV_COLUMNS = ("metric", "dataset", *CurvePoint._fields)
 
 
 @dataclass(frozen=True)
@@ -464,15 +465,7 @@ def write_curves_csv(curves: list[MetricCurve], path) -> None:
         for curve in curves:
             for p in curve.points:
                 writer.writerow(
-                    [
-                        curve.metric,
-                        curve.dataset_label,
-                        p.n,
-                        f"{p.mean:.6g}",
-                        f"{p.ci_low:.6g}",
-                        f"{p.ci_high:.6g}",
-                        f"{p.std_dev:.6g}",
-                    ]
+                    [curve.metric, curve.dataset_label, p.n, *(f"{v:.6g}" for v in p[1:])]
                 )
 
 

@@ -51,11 +51,12 @@ class LinearMap:
 
 @dataclass(frozen=True)
 class ComparisonResult:
+    # The order of ``compare --json``'s keys.
+    n_shared: int
     srcc: float
     rmse: float
     rmse_after_mapping: float | None
     mapping: LinearMap | None
-    n_shared: int
 
 
 def dataset_mos(ds: RatingDataset, method: str = "user_balanced") -> MosVector:
@@ -238,9 +239,9 @@ def compare_to_reference(
         mapping = fit_line(x, y)
         mapped_rmse = rmse(mapping.apply(x), y)
     return ComparisonResult(
+        n_shared=index.size,
         srcc=result_srcc,
         rmse=result_rmse,
         rmse_after_mapping=mapped_rmse,
         mapping=mapping,
-        n_shared=index.size,
     )

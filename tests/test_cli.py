@@ -19,7 +19,7 @@ from conftest import synthetic_dataset
 import qvotes
 from qvotes import ConfigError, dataset_mos, read_curves_csv, write_curves_csv, write_curves_json
 from qvotes.cli import build_parser, main, parse_col_map, parse_metrics, parse_sweep
-from qvotes import simulate
+from qvotes import cli, simulate
 from qvotes.simulate import CurvePoint, MetricCurve
 
 
@@ -184,6 +184,27 @@ class TestCompare:
         assert json.loads(out.read_text())["srcc"] == pytest.approx(1.0)
         digests = json.loads((tmp_path / "bom.manifest.json").read_text())["input_digests"]
         assert digests == {str(p): hashlib.sha256(p.read_bytes()).hexdigest() for p in inputs}
+
+    @pytest.mark.parametrize(
+        "extra, expected",
+        [
+            ((), '{\n  "dataset": "ratings",\n  "mos_method": "user_balanced",\n  "n_shared": 6,\n'
+                 '  "srcc": 1.0,\n  "rmse": 0.0,\n  "rmse_after_mapping": null,\n  "mapping": null\n}\n'),
+            (("--fom", "--mos-method", "plain"),
+             '{\n  "dataset": "ratings",\n  "mos_method": "plain",\n  "n_shared": 6,\n'
+             '  "srcc": 1.0,\n  "rmse": 0.11145620330859873,\n'
+             '  "rmse_after_mapping": 0.09906515402045347,\n  "mapping": {\n'
+             '    "slope": 0.9514815243960827,\n    "intercept": 0.1583276792294237\n  }\n}\n'),
+        ],
+        ids=["default", "fom-plain"],
+    )
+    def test_json_bytes_are_pinned(self, toy_files, tmp_path, extra, expected):
+        # The document is the result's own fields after dataset and
+        # mos_method, in this key order, as qvotes 0.9.0 wrote it.
+        ratings, reference = toy_files
+        out = tmp_path / "cmp.json"
+        assert main(["compare", str(ratings), str(reference), *extra, "--json", str(out)]) == 0
+        assert out.read_text("utf-8") == expected
 
     def test_too_few_shared_conditions(self, toy_files, tmp_path, capsys):
         ratings, _ = toy_files
@@ -605,8 +626,76 @@ class TestMaxci:
         assert out.read_text().startswith("n,max_ci_width\n")
         assert (tmp_path / "widths.manifest.json").is_file()
 
+    def test_out_file_equals_stdout(self, tmp_path, capsys):
+        out = tmp_path / "widths.csv"
+        assert main(["maxci", "--mos", "2.7", "--n", "2:40:3", "--level", "0.9",
+                     "--out", str(out)]) == 0
+        assert out.read_bytes() == capsys.readouterr().out.encode("utf-8")
+
     def test_mos_out_of_range(self, capsys):
         assert main(["maxci", "--mos", "7", "--n", "10:10:10"]) == 1
+
+
+class TestOutputPaths:
+    """An output, result or manifest, that is the same file as one of the
+    command's inputs is refused with exit 2 before any input is read, and
+    every command creates the directory its output goes in."""
+
+    @staticmethod
+    def _refused(argv, folder, monkeypatch, capsys):
+        def no_reading(*args, **kwargs):
+            raise AssertionError("an input was read before the outputs were checked")
+
+        before = {p: p.read_bytes() for p in folder.iterdir()}
+        monkeypatch.setattr(cli, "_read_input", no_reading)
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: output ") and "would overwrite the input" in err
+        assert {p: p.read_bytes() for p in folder.iterdir()} == before
+
+    @pytest.mark.parametrize("out", ["ratings", "ratings.json", "reference.csv"])
+    def test_simulate_out_naming_an_input(self, toy_files, tmp_path, monkeypatch, capsys, out):
+        ratings, reference = toy_files
+        # Spelled another way than the input, so only the file can match.
+        base = tmp_path / "." / out
+        self._refused(["simulate", str(ratings), "--ref", str(reference), "--n", "10:20:10",
+                       "--runs", "2", "--out", str(base)], tmp_path, monkeypatch, capsys)
+
+    @pytest.mark.parametrize("which", [0, 1])
+    def test_compare_json_naming_an_input(self, toy_files, tmp_path, monkeypatch, capsys, which):
+        ratings, reference = toy_files
+        self._refused(["compare", str(ratings), str(reference), "--json", str(toy_files[which])],
+                      tmp_path, monkeypatch, capsys)
+
+    @pytest.mark.parametrize("curves, out", [("sweep.csv", "sweep.csv"),
+                                             ("model.manifest.json", "model.json")])
+    def test_fit_out_naming_its_curves_or_manifest(self, tmp_path, monkeypatch, capsys, curves, out):
+        path = tmp_path / curves
+        write_curves_csv([MetricCurve("irr", "toy", tuple(
+            CurvePoint(n, 0.5, 0.5, 0.5, 0.0) for n in (10, 20, 30, 40)))], path)
+        self._refused(["fit", str(path), "--metric", "irr", "--out", str(tmp_path / out)],
+                      tmp_path, monkeypatch, capsys)
+
+    def test_compare_creates_its_directory(self, toy_files, tmp_path):
+        out = tmp_path / "new" / "deeper" / "cmp.json"
+        assert main(["compare", *map(str, toy_files), "--json", str(out)]) == 0
+        assert json.loads(out.read_text())["n_shared"] == 6
+        assert (out.parent / "cmp.manifest.json").is_file()
+
+    def test_fit_creates_its_directory(self, toy_files, tmp_path):
+        sweep = tmp_path / "sweep"
+        assert main(["simulate", str(toy_files[0]), "--n", "10:40:10", "--runs", "2",
+                     "--out", str(sweep)]) == 0
+        out = tmp_path / "new" / "model.json"
+        assert main(["fit", f"{sweep}.csv", "--metric", "gain_rmse", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["n_points"] == 4
+        assert (out.parent / "model.manifest.json").is_file()
+
+    def test_maxci_creates_its_directory(self, tmp_path):
+        out = tmp_path / "new" / "widths.csv"
+        assert main(["maxci", "--mos", "3", "--n", "10:30:10", "--out", str(out)]) == 0
+        assert out.is_file()
+        assert (out.parent / "widths.manifest.json").is_file()
 
 
 COLD_START_SCRIPT = """

@@ -3,6 +3,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 from pathlib import Path
 
 import pytest
@@ -70,6 +71,24 @@ def test_all_is_pinned():
         "write_curves_csv",
         "write_curves_json",
     ]
+
+
+def test_written_record_fields_are_pinned():
+    # Output files take their keys and columns from these fields: renaming
+    # or reordering one changes the curve CSV and JSON, ``compare --json``,
+    # ``fit --out`` or the config a curve JSON echoes.  Update this on
+    # purpose, and record the output change.
+    assert qvotes.CurvePoint._fields == ("n", "mean", "ci_low", "ci_high", "std_dev")
+    fields = {
+        record: [f.name for f in dataclasses.fields(record)]
+        for record in (qvotes.ComparisonResult, qvotes.PowerModel, qvotes.SweepConfig)
+    }
+    assert fields == {
+        qvotes.ComparisonResult: ["n_shared", "srcc", "rmse", "rmse_after_mapping", "mapping"],
+        qvotes.PowerModel: ["a", "b", "c", "rmse_of_fit", "n_points"],
+        qvotes.SweepConfig: ["n_values", "repetitions", "master_seed", "metrics", "ci_level",
+                             "apply_first_order_map"],
+    }
 
 
 def test_package_version_matches_pyproject():
