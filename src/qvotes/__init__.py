@@ -6,12 +6,11 @@ MOS confidence width) depend on the number of votes per condition, and
 fits saturating power models to the resulting curves.
 """
 
-__version__ = "0.9.1"
+__version__ = "0.10.0"
 
 from .bootstrap import Interval, bootstrap_ci_mos, clopper_pearson, max_ci_width
 from .data import (
     RatingDataset,
-    RatingRecord,
     ReferenceMos,
     load_ratings,
     load_reference,
@@ -59,7 +58,6 @@ __all__ = [
     "PowerModel",
     "QvotesError",
     "RatingDataset",
-    "RatingRecord",
     "ReferenceMos",
     "SweepConfig",
     "average_ranks",

@@ -11,6 +11,7 @@ byte.
 from __future__ import annotations
 
 import argparse
+import codecs
 import dataclasses
 import hashlib
 import io
@@ -246,15 +247,10 @@ def cmd_simulate(args) -> int:
     base = _out_base(args.out)
     csv_path, json_path = f"{base}.csv", f"{base}.json"
     _prepare_outputs(args.out, [args.ratings, args.reference], [csv_path, json_path])
-    digests: dict[str, str] = {}
-    ds = _load_ratings_from_args(args, digests)
-    ref = _load_reference_from_args(args, digests) if args.reference else None
-
     if args.metrics:
         metrics = parse_metrics(args.metrics)
     else:
-        metrics = ALL_METRICS if ref is not None else SweepConfig.metrics
-
+        metrics = ALL_METRICS if args.reference else SweepConfig.metrics
     cfg = SweepConfig(
         n_values=parse_sweep(args.n),
         repetitions=args.runs,
@@ -265,6 +261,10 @@ def cmd_simulate(args) -> int:
     )
     if args.delta:
         simulate.require_delta_baseline(cfg)
+
+    digests: dict[str, str] = {}
+    ds = _load_ratings_from_args(args, digests)
+    ref = _load_reference_from_args(args, digests) if args.reference else None
     curves = run_sweep(ds, ref, cfg)
 
     if args.delta:
@@ -286,8 +286,11 @@ def cmd_fit(args) -> int:
     _prepare_outputs(args.out, [args.curves])
     path = Path(args.curves)
     digests: dict[str, str] = {}
-    read = simulate.read_curves_json if path.suffix == ".json" else simulate.read_curves_csv
-    curves = read(_read_input(args.curves, digests))
+    stream = _read_input(args.curves, digests)
+    # A curve JSON is an object; any other text is read as a curve CSV.
+    is_json = stream.getvalue().removeprefix(codecs.BOM_UTF8).lstrip()[:1] == b"{"
+    read = simulate.read_curves_json if is_json else simulate.read_curves_csv
+    curves = read(stream)
     metric = METRIC_ALIASES.get(args.metric, args.metric)
     matching = [c for c in curves if c.metric == metric]
     if not matching:

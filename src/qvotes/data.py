@@ -4,7 +4,10 @@ The core container is :class:`RatingDataset`: a collection of individual
 1-5 votes, each a (condition, user, score) triple, laid out once sorted
 by that key for resampling.  Conditions, users and stimuli are kept in
 sorted-id order, so downstream vectors have a stable layout that does
-not depend on the order of the input rows.
+not depend on the order of the input rows.  Only :func:`load_ratings`
+and :func:`remove_outliers_iqr` build datasets, so every vote passes the
+loader's checks; votes held in memory load as CSV text through
+``load_ratings(io.StringIO(text))``.
 
 Input files are UTF-8 delimited text (comma by default) with a header
 row.  Ratings need ``condition_id,user_id,score`` columns (plus an
@@ -37,7 +40,6 @@ import math
 import os
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
 
 import numpy as np
 
@@ -50,35 +52,6 @@ NUM_SCORES = SCORE_MAX - SCORE_MIN + 1
 RATING_COLUMNS = ("condition_id", "user_id", "score")
 STIMULUS_COLUMN = "stimulus_id"
 REFERENCE_COLUMNS = ("condition_id", "mos")
-
-
-@dataclass(frozen=True)
-class RatingRecord:
-    """A single quality vote by one user on one condition.
-
-    ``score`` follows the loader's rule: an integral value in [1, 5],
-    where ``4.0`` is stored as 4.
-    """
-
-    condition_id: str
-    user_id: str
-    score: int
-    stimulus_id: str | None = None
-
-    def __post_init__(self):
-        if not self.condition_id or not self.user_id:
-            raise DataError("condition_id and user_id must be non-empty")
-        try:
-            value = float(self.score)
-        except (TypeError, ValueError, OverflowError):
-            raise DataError(f"score must be a number, got {self.score!r}") from None
-        if not value.is_integer():
-            raise DataError(f"score must be an integer, got {self.score!r}")
-        if not SCORE_MIN <= value <= SCORE_MAX:
-            raise DataError(
-                f"score must be in [{SCORE_MIN}, {SCORE_MAX}], got {self.score!r}"
-            )
-        object.__setattr__(self, "score", int(value))
 
 
 def _codes(column: list) -> tuple[tuple, np.ndarray]:
@@ -103,35 +76,21 @@ def _recode(names: tuple, codes: np.ndarray) -> tuple[tuple, np.ndarray]:
 
 
 class RatingDataset:
-    """Immutable set of votes.
+    """Immutable set of votes, as :func:`load_ratings` and
+    :func:`remove_outliers_iqr` build it.
 
-    The constructor sorts the votes once by (condition, user, score) and
+    ``conditions``, ``users`` and ``stimuli`` are per-vote (names, codes)
+    pairs whose names are distinct and all used, ``scores`` the votes'
+    checked integer scores.  A stimulus name is None where a vote has no
+    stimulus id, and ``stimuli`` is None when no vote has one.  The
+    constructor sorts the votes once by (condition, user, score) and
     derives from that order flat per-vote, per-(condition, user) and
-    per-condition arrays; every accessor reads those arrays.
+    per-condition arrays; every accessor reads those arrays.  To build a
+    dataset from values held in memory, pass them as CSV text to
+    ``load_ratings(io.StringIO(text))``, which applies the file rules.
     """
 
-    def __init__(self, records: Iterable[RatingRecord], label: str = ""):
-        records = list(records)
-        self._init_codes(
-            _codes([r.condition_id for r in records]),
-            _codes([r.user_id for r in records]),
-            np.array([r.score for r in records], dtype=np.int64),
-            _codes([r.stimulus_id for r in records]),
-            label,
-        )
-
-    @classmethod
-    def _from_codes(cls, conditions, users, scores, stimuli, label: str = ""):
-        """A dataset from per-vote columns: ``conditions``, ``users`` and
-        ``stimuli`` are (names, codes) pairs whose names are distinct and
-        all used, ``scores`` validated integer scores.  A stimulus
-        name is None where a vote has no stimulus id, and ``stimuli`` is
-        None when no vote has one."""
-        ds = cls.__new__(cls)
-        ds._init_codes(conditions, users, scores, stimuli, label)
-        return ds
-
-    def _init_codes(self, conditions, users, scores, stimuli, label):
+    def __init__(self, conditions, users, scores, stimuli, label: str = ""):
         n = scores.size
         if not n:
             raise DataError("dataset needs at least one rating")
@@ -141,7 +100,6 @@ class RatingDataset:
         self.conditions, self._cond_idx = _sorted(*conditions)
         self.users, self._user_idx = _sorted(*users)
         self._scores = scores
-        self._cond_pos = {c: j for j, c in enumerate(self.conditions)}
         self.stimuli: tuple[str, ...] | None = None
         self._stim_idx = None
         if stimuli is not None:
@@ -210,36 +168,8 @@ class RatingDataset:
     def n_votes(self) -> int:
         return self._scores.size
 
-    def condition_index(self, condition_id: str) -> int:
-        try:
-            return self._cond_pos[condition_id]
-        except KeyError:
-            raise DataError(f"unknown condition {condition_id!r}") from None
-
     def votes_per_condition(self) -> np.ndarray:
         return self._cond_totals.copy()
-
-    def condition_scores(self, condition_id: str) -> np.ndarray:
-        """All scores given to one condition, in vote order."""
-        j = self.condition_index(condition_id)
-        return self._scores[self._cond_idx == j].copy()
-
-    def users_for(self, condition_id: str) -> tuple[str, ...]:
-        j = self.condition_index(condition_id)
-        a, b = self._row_bounds[j : j + 2].tolist()
-        return tuple(map(self.users.__getitem__, self._user_rows[a:b].tolist()))
-
-    def to_records(self) -> list[RatingRecord]:
-        stim = self.stimuli
-        return [
-            RatingRecord(
-                condition_id=self.conditions[self._cond_idx[i]],
-                user_id=self.users[self._user_idx[i]],
-                score=int(self._scores[i]),
-                stimulus_id=stim[self._stim_idx[i]] if stim is not None else None,
-            )
-            for i in range(self.n_votes)
-        ]
 
     def summary(self) -> dict:
         per_cond = self.votes_per_condition().astype(float)
@@ -438,7 +368,7 @@ def load_ratings(
         text, delimiter, column_map
     )
     del text  # the dataset build needs only the columns
-    return RatingDataset._from_codes(*columns, label=label)
+    return RatingDataset(*columns, label=label)
 
 
 # Bytes that one column's cells, gathered at the width of its longest,
@@ -656,7 +586,7 @@ def remove_outliers_iqr(
     if not kept:
         raise DataError("outlier removal deleted every vote")
     stimuli = None if ds.stimuli is None else _recode(ds.stimuli, ds._stim_idx[keep])
-    return RatingDataset._from_codes(
+    return RatingDataset(
         _recode(ds.conditions, ds._cond_idx[keep]),
         _recode(ds.users, ds._user_idx[keep]),
         scores[keep],

@@ -3,14 +3,18 @@
 from __future__ import annotations
 
 import collections
+import csv
+import io
 import math
 import os
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 
-from qvotes import RatingDataset, RatingRecord, load_ratings, load_reference
+from qvotes import RatingDataset, load_ratings, load_reference
+from qvotes.data import RATING_COLUMNS, STIMULUS_COLUMN
 
 DATA_ENV = "QVOTES_DATA"
 ACCEPT_RUNS_ENV = "QVOTES_ACCEPT_RUNS"
@@ -20,14 +24,40 @@ DATASET_TAGS = ("401", "501", "701")
 # -- dataset builders ---------------------------------------------------------
 
 
+class Vote(NamedTuple):
+    condition_id: str
+    user_id: str
+    score: int
+    stimulus_id: str | None = None
+
+
 def make_dataset(rows, label="toy") -> RatingDataset:
-    """Rows are (condition, user, score[, stimulus]) tuples."""
-    records = []
+    """Rows are (condition, user, score[, stimulus]) tuples, written as CSV
+    text and loaded by ``load_ratings``, so the file rules apply: ids are
+    stripped, scores checked, and a stimulus is on every vote or on none."""
+    rows = [tuple(row) for row in rows]
+    with_stimuli = any(len(row) > 3 and row[3] is not None for row in rows)
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow(RATING_COLUMNS + ((STIMULUS_COLUMN,) if with_stimuli else ()))
     for row in rows:
-        cond, user, score = row[:3]
-        stim = row[3] if len(row) > 3 else None
-        records.append(RatingRecord(str(cond), str(user), int(score), stim))
-    return RatingDataset(records, label=label)
+        stimulus = (row[3] if len(row) > 3 else None,) if with_stimuli else ()
+        writer.writerow(row[:3] + stimulus)
+    return load_ratings(io.StringIO(text.getvalue()), label=label)
+
+
+def votes(ds: RatingDataset) -> list[Vote]:
+    """The dataset's votes, in the order of the rows they were loaded from."""
+    stim = [None] * ds.n_votes if ds._stim_idx is None else ds._stim_idx.tolist()
+    return [
+        Vote(ds.conditions[c], ds.users[u], s, None if t is None else ds.stimuli[t])
+        for c, u, s, t in zip(ds._cond_idx.tolist(), ds._user_idx.tolist(), ds._scores.tolist(), stim)
+    ]
+
+
+def raters(ds: RatingDataset, condition_id: str) -> tuple[str, ...]:
+    """The users who voted on ``condition_id``, in sorted-id order."""
+    return tuple(sorted({v.user_id for v in votes(ds) if v.condition_id == condition_id}))
 
 
 def synthetic_dataset(
@@ -155,12 +185,12 @@ def cp_widths_bisect_all(n: int, level: float = 0.95, iterations: int = 60) -> n
 def two_stage_pmf(ds: RatingDataset, condition_id: str) -> np.ndarray:
     """Full enumeration of the user-then-score sampling distribution:
     P(user | condition) times P(score | user, condition), both counted
-    from the dataset's records."""
-    votes = [(r.user_id, r.score) for r in ds.to_records() if r.condition_id == condition_id]
-    per_user = collections.Counter(user for user, _ in votes)
+    from the dataset's votes."""
+    mine = [(v.user_id, v.score) for v in votes(ds) if v.condition_id == condition_id]
+    per_user = collections.Counter(user for user, _ in mine)
     pmf = np.zeros(5)
-    for (user, score), count in collections.Counter(votes).items():
-        pmf[score - 1] += per_user[user] / len(votes) * (count / per_user[user])
+    for (user, score), count in collections.Counter(mine).items():
+        pmf[score - 1] += per_user[user] / len(mine) * (count / per_user[user])
     return pmf
 
 

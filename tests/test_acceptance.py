@@ -26,6 +26,7 @@ from conftest import (
     make_dataset,
     two_point_dataset,
     two_stage_pmf,
+    votes,
 )
 from qvotes import (
     SweepConfig,
@@ -311,7 +312,7 @@ def test_criterion_11_determinism_across_workers(tmp_path):
     # repeat of the same invocation writes the same bytes.
     ds = two_point_dataset(p_five=0.5, n_users=10, votes_per_user=6)
     rows = ["condition_id,user_id,score"]
-    rows += [f"{r.condition_id},{r.user_id},{r.score}" for r in ds.to_records()]
+    rows += [f"{v.condition_id},{v.user_id},{v.score}" for v in votes(ds)]
     rows += [f"c2,{u},{s}" for u, s in [("u00", 3), ("u01", 4), ("u02", 2), ("u03", 3)]]
     rows += [f"c3,{u},{s}" for u, s in [("u00", 5), ("u01", 4), ("u02", 5), ("u03", 4)]]
     ratings = tmp_path / "ratings.csv"

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import synthetic_dataset
+from conftest import synthetic_dataset, votes
 import qvotes
 from qvotes import ConfigError, dataset_mos, read_curves_csv, write_curves_csv, write_curves_json
 from qvotes.cli import build_parser, main, parse_col_map, parse_metrics, parse_sweep
@@ -28,7 +28,7 @@ def toy_files(tmp_path):
     ds = synthetic_dataset(seed=20, n_conditions=6, n_users=10)
     ratings = tmp_path / "ratings.csv"
     lines = ["condition_id,user_id,score"]
-    lines += [f"{r.condition_id},{r.user_id},{r.score}" for r in ds.to_records()]
+    lines += [f"{v.condition_id},{v.user_id},{v.score}" for v in votes(ds)]
     ratings.write_text("\n".join(lines) + "\n")
 
     mos = dataset_mos(ds, "user_balanced")
@@ -374,6 +374,16 @@ class TestSimulate:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("bad", [
+        ("--n", "20:10:1"), ("--runs", "0"), ("--metrics", "bogus"), ("--n", "20:40:10", "--delta"),
+    ])
+    def test_configuration_is_checked_before_any_input(self, tmp_path, capsys, bad):
+        missing = tmp_path / "nope.csv"
+        code = main(["simulate", str(missing), "--ref", str(missing), *bad, "--out", str(tmp_path / "x")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "No such file" not in err
+
 
 class TestFit:
     def _write_curve(self, tmp_path, a=-0.3837, b=-1.0129, c=0.9749):
@@ -443,6 +453,20 @@ class TestFit:
         out = tmp_path / "sim"
         main(["simulate", str(ratings), "--n", "10:60:10", "--runs", "3", "--out", str(out)])
         assert main(["fit", str(out) + ".json", "--metric", "ci_width"]) == 0
+
+    @pytest.mark.parametrize("kind, name", [("json", "curves.txt"), ("csv", "curves.json")])
+    def test_reader_follows_the_content_not_the_name(self, tmp_path, capsys, kind, name):
+        path = self._write_curve(tmp_path)
+        if kind == "json":
+            write_curves_json(read_curves_csv(path), path.with_suffix(".json"))
+            path = path.with_suffix(".json")
+        assert main(["fit", str(path), "--metric", "validity_srcc"]) == 0
+        want = capsys.readouterr().out
+        renamed = tmp_path / "renamed" / name
+        renamed.parent.mkdir()
+        renamed.write_bytes(path.read_bytes())
+        assert main(["fit", str(renamed), "--metric", "validity_srcc"]) == 0
+        assert capsys.readouterr().out == want
 
     @pytest.mark.parametrize(
         "name, text",
@@ -604,6 +628,17 @@ class TestPipedInputs:
         with self._piped(curves) as path:
             assert main(["fit", path, "--metric", "gain_rmse", "--out", str(out)]) == 0
             assert self._digests(tmp_path / "model") == {path: self._sha256(curves)}
+
+    def test_fit_json(self, toy_files, tmp_path, capsys):
+        sweep = tmp_path / "sweep"
+        assert main(["simulate", str(toy_files[0]), "--n", "10:40:10", "--runs", "2",
+                     "--out", str(sweep)]) == 0
+        capsys.readouterr()
+        assert main(["fit", str(sweep.with_suffix(".json")), "--metric", "gain_srcc"]) == 0
+        want = capsys.readouterr().out
+        with self._piped(sweep.with_suffix(".json").read_bytes()) as path:
+            assert main(["fit", path, "--metric", "gain_srcc"]) == 0
+        assert capsys.readouterr().out == want
 
 
 class TestMaxci:

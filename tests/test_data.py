@@ -15,13 +15,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import load_published, make_dataset, published_paths
+from conftest import load_published, make_dataset, published_paths, raters, votes
 from qvotes import (
     ConfigError,
     DataError,
     QvotesError,
     RatingDataset,
-    RatingRecord,
     load_ratings,
     load_reference,
     reference_coverage,
@@ -38,7 +37,7 @@ def ratings_csv(text: str) -> io.StringIO:
 
 def vote_counts(ds: RatingDataset) -> collections.Counter:
     """How often each (condition, user, score) triple occurs among the votes."""
-    return collections.Counter((r.condition_id, r.user_id, r.score) for r in ds.to_records())
+    return collections.Counter((v.condition_id, v.user_id, v.score) for v in votes(ds))
 
 
 class TestLoadRatings:
@@ -176,23 +175,6 @@ class TestLoadRatings:
             assert (got.dtype, got.tobytes()) == (want.dtype, want.tobytes()), attr
 
 
-    @given(rows=st.lists(
-        st.tuples(st.integers(0, 4), st.integers(0, 6), st.integers(1, 5), st.integers(0, 2)),
-        min_size=1, max_size=50,
-    ), with_stimuli=st.booleans())
-    @settings(max_examples=60, deadline=None)
-    def test_same_dataset_as_records(self, rows, with_stimuli):
-        rows = [(f"c{c}", f"u{u}", s, f"f{f}" if with_stimuli else None) for c, u, s, f in rows]
-        header = "condition_id,user_id,score" + (",stimulus_id" if with_stimuli else "")
-        lines = [",".join(str(x) for x in row if x is not None) for row in rows]
-        loaded = load_ratings(ratings_csv("\n".join([header, *lines]) + "\n"))
-        built = make_dataset(rows)
-        assert loaded.conditions == built.conditions == tuple(sorted({r[0] for r in rows}))
-        assert loaded.users == built.users == tuple(sorted({r[1] for r in rows}))
-        assert loaded.stimuli == built.stimuli
-        assert loaded.to_records() == built.to_records()
-
-
 BOM = "\ufeff"
 
 
@@ -212,7 +194,7 @@ class TestByteOrderMark:
     def test_ratings(self, kind, tmp_path):
         text = "condition_id,user_id,score\nc1,u1,4\nc1,u2,3\n"
         ds = load_ratings(bom_source(kind, text, tmp_path))
-        assert ds.to_records() == load_ratings(ratings_csv(text)).to_records()
+        assert votes(ds) == votes(load_ratings(ratings_csv(text)))
 
     @pytest.mark.parametrize("kind", ["path", "bytes", "text"])
     def test_reference(self, kind, tmp_path):
@@ -232,10 +214,12 @@ COLUMNS = ("condition_id", "user_id", "score", "stimulus_id", "note")
 
 def load_ratings_by_row(text: str):
     """``load_ratings`` as one loop over the rows, checking each row in
-    turn (blank, missing field, empty id, score), built on ``RatingRecord``
-    and ``RatingDataset`` rather than the loader's column code: the
-    reference for both the numpy byte scan and the ``csv`` path.  Returns
-    (conditions, users, stimuli, records), with the ids in sorted order."""
+    turn (blank, missing field, empty id, score), then the stimulus ids
+    (on every vote or on none), on plain tuples rather than the loader's
+    column code: the reference for both the numpy byte scan and the
+    ``csv`` path.  Returns (conditions, users, stimuli, votes), with the
+    ids in sorted order and the votes as (condition, user, score,
+    stimulus) tuples in row order."""
     reader = csv.reader(io.StringIO(text))
     header = [h.strip() for h in next(reader)]
     cond_col, user_col, score_col = (header.index(c) for c in COLUMNS[:3])
@@ -253,15 +237,19 @@ def load_ratings_by_row(text: str):
             raise DataError(f"empty condition_id or user_id at line {reader.line_num}")
         score = _parse_score(row[score_col].strip(), reader.line_num)
         stim = row[stim_col].strip() or None if stim_col is not None and len(row) > stim_col else None
-        records.append(RatingRecord(cond, user, score, stim))
+        records.append((cond, user, score, stim))
     if not records:
         raise DataError("no rating rows found")
-    RatingDataset(records)  # raises on stimulus ids on only some votes
-    stimuli = {r.stimulus_id for r in records}
+    with_stim = sum(r[3] is not None for r in records)
+    if 0 < with_stim < len(records):
+        raise DataError(
+            "stimulus_id must be present on every vote or on none "
+            f"(found {with_stim} of {len(records)})"
+        )
     return (
-        tuple(sorted({r.condition_id for r in records})),
-        tuple(sorted({r.user_id for r in records})),
-        None if stimuli == {None} else tuple(sorted(stimuli)),
+        tuple(sorted({r[0] for r in records})),
+        tuple(sorted({r[1] for r in records})),
+        tuple(sorted({r[3] for r in records})) if with_stim else None,
         records,
     )
 
@@ -339,7 +327,7 @@ class TestLoaderOracle:
             assert str(got.value) == str(exc)
             return
         ds = load_ratings(ratings_csv(text))
-        assert (ds.conditions, ds.users, ds.stimuli, ds.to_records()) == want
+        assert (ds.conditions, ds.users, ds.stimuli, votes(ds)) == want
 
 
 def dataset_state(ds):
@@ -468,7 +456,7 @@ class TestPlainFastPath:
         with fast_path_results() as ran:
             ds = load_ratings(ratings_csv(text))
         assert ran == [True]
-        assert (ds.conditions, ds.users, ds.stimuli, ds.to_records()) == load_ratings_by_row(text)
+        assert (ds.conditions, ds.users, ds.stimuli, votes(ds)) == load_ratings_by_row(text)
 
 
 LIMIT = csv.field_size_limit()
@@ -596,7 +584,6 @@ class TestConditionCaches:
             a, b = ds._row_bounds[j : j + 2]
             assert ds._user_rows[a:b].tolist() == user_rows
             assert np.array_equal(ds._user_means[a:b], means)
-            assert ds.users_for(cond) == tuple(ds.users[g] for g in user_rows)
             # the votes a run resamples, ordered by (user, score), each on
             # one of the condition's rows
             v = slice(*ds._vote_bounds[j : j + 2])
@@ -654,16 +641,16 @@ class TestLoadReference:
 def user_shares(ds: RatingDataset, condition_id: str) -> dict[str, float]:
     """P(user | condition) as a uniform draw over the condition's votes
     gives it: each rater's share of them, read from the vote arrays."""
-    raters = ds.users_for(condition_id)
-    j = ds.condition_index(condition_id)
+    users = raters(ds, condition_id)
+    j = ds.conditions.index(condition_id)
     rows = ds._vote_rows[slice(*ds._vote_bounds[j : j + 2])] - ds._row_bounds[j]
-    counts = np.bincount(rows, minlength=len(raters))
-    return dict(zip(raters, (counts / counts.sum()).tolist()))
+    counts = np.bincount(rows, minlength=len(users))
+    return dict(zip(users, (counts / counts.sum()).tolist()))
 
 
 def score_dist(ds: RatingDataset, condition_id: str, user_id: str) -> np.ndarray:
     """P(score | condition, user) read from the vote arrays."""
-    j = ds.condition_index(condition_id)
+    j = ds.conditions.index(condition_id)
     v = slice(*ds._vote_bounds[j : j + 2])
     mine = ds._user_rows[ds._vote_rows[v]] == ds.users.index(user_id)
     return np.bincount(ds._vote_scores[v][mine] - 1, minlength=5) / mine.sum()
@@ -688,11 +675,6 @@ class TestEmpiricalDistributions:
         probs = user_shares(make_dataset(rows), "x")
         assert len(probs) == 4 and all(p == 0.25 for p in probs.values())
 
-    def test_user_prob_unknown_condition(self):
-        ds = make_dataset([("x", "u1", 3)])
-        with pytest.raises(DataError, match="unknown condition"):
-            ds.users_for("nope")
-
     def test_score_dist(self):
         ds = make_dataset([("x", "u1", 5), ("x", "u2", 1), ("x", "u1", 5), ("x", "u1", 4)])
         dist = score_dist(ds, "x", "u1")
@@ -710,6 +692,11 @@ class TestEmpiricalDistributions:
         assert user_shares(ds, "y") == {"u2": 1.0}
 
 
+def scores_of(ds: RatingDataset, condition_id: str) -> list[int]:
+    """The scores of one condition's votes, in the order they were loaded."""
+    return [v.score for v in votes(ds) if v.condition_id == condition_id]
+
+
 class TestOutlierRemoval:
     def test_zero_iqr_degenerate_rule(self):
         # median 3, IQR 0: only the votes equal to the median survive
@@ -717,7 +704,7 @@ class TestOutlierRemoval:
         ds = make_dataset([("x", f"u{i}", v) for i, v in enumerate(votes)])
         cleaned, removed = remove_outliers_iqr(ds)
         assert removed == 2
-        assert sorted(cleaned.condition_scores("x").tolist()) == [3] * 6
+        assert sorted(scores_of(cleaned, "x")) == [3] * 6
 
     def test_wide_spread_nothing_removed(self):
         # median 3, IQR 2, threshold 6: max distance is 2
@@ -763,10 +750,10 @@ class TestOutlierRemoval:
         ds = make_dataset([("x", f"u{i}", v) for i, v in enumerate(votes)])
         once, removed_first = remove_outliers_iqr(ds)
         assert removed_first == 1
-        assert sorted(once.condition_scores("x").tolist()) == [1, 1, 1, 2]
+        assert sorted(scores_of(once, "x")) == [1, 1, 1, 2]
         twice, removed_second = remove_outliers_iqr(once)
         assert removed_second == 1
-        assert sorted(twice.condition_scores("x").tolist()) == [1, 1, 1]
+        assert sorted(scores_of(twice, "x")) == [1, 1, 1]
 
     @given(
         votes=st.lists(st.integers(1, 5), min_size=2, max_size=30),
@@ -777,7 +764,7 @@ class TestOutlierRemoval:
         ds = make_dataset([("x", f"u{i}", v) for i, v in enumerate(votes)])
         median = float(np.median(votes))
         cleaned, _ = remove_outliers_iqr(ds, k=k)
-        kept = cleaned.condition_scores("x").tolist()
+        kept = scores_of(cleaned, "x")
         at_median = [v for v in votes if v == median]
         # votes sitting exactly on the median are never outliers
         assert sum(1 for v in kept if v == median) == len(at_median)
@@ -790,28 +777,28 @@ class TestOutlierRemoval:
 
 
 def outliers_by_group_scan(ds, k, scope):
-    """remove_outliers_iqr as one scan of the votes per group, rebuilt
-    through records: the reference for the grouped implementation."""
+    """remove_outliers_iqr as one scan of the votes per group, the survivors
+    loaded again as CSV: the reference for the grouped implementation."""
     group_idx = ds._cond_idx if scope == "condition" else ds._stim_idx
     keep = np.ones(ds.n_votes, dtype=bool)
     for g in range(group_idx.max() + 1):
         sel = np.flatnonzero(group_idx == g)
-        votes = ds._scores[sel].astype(float)
-        median = np.median(votes)
-        q25, q75 = np.percentile(votes, [25.0, 75.0])
+        scores = ds._scores[sel].astype(float)
+        median = np.median(scores)
+        q25, q75 = np.percentile(scores, [25.0, 75.0])
         iqr = q75 - q25
         if iqr == 0.0:
-            outlier = votes != median
+            outlier = scores != median
         else:
-            outlier = np.abs(votes - median) >= k * iqr
+            outlier = np.abs(scores - median) >= k * iqr
         keep[sel[outlier]] = False
     removed = int(ds.n_votes - keep.sum())
     if removed == 0:
         return ds, 0
-    survivors = [rec for rec, ok in zip(ds.to_records(), keep) if ok]
+    survivors = [vote for vote, ok in zip(votes(ds), keep) if ok]
     if not survivors:
         raise DataError("outlier removal deleted every vote")
-    return RatingDataset(survivors, label=ds.label), removed
+    return make_dataset(survivors, label=ds.label), removed
 
 
 class TestOutlierRemovalOracle:
@@ -852,34 +839,9 @@ class TestOutlierRemovalOracle:
 
 class TestDatasetBasics:
     def test_needs_votes(self):
-        with pytest.raises(DataError):
-            RatingDataset([])
-
-    def test_record_validation(self):
-        with pytest.raises(DataError):
-            RatingRecord("c", "u", 6)
-        with pytest.raises(DataError):
-            RatingRecord("", "u", 3)
-
-    def test_record_integral_float_score_is_int(self):
-        record = RatingRecord("c", "u", 4.0)
-        assert record.score == 4 and type(record.score) is int
-        assert RatingDataset([record]).to_records() == [RatingRecord("c", "u", 4)]
-
-    @pytest.mark.parametrize(
-        "score, match",
-        [(4.5, "integer"), (5.9, "integer"), (float("nan"), "integer"),
-         (float("inf"), "integer"), (6.0, r"\[1, 5\]"), ("x", "number"), (None, "number")],
-    )
-    def test_record_score_follows_loader_rule(self, score, match):
-        with pytest.raises(DataError, match=match):
-            RatingRecord("c", "u", score)
-
-    def test_to_records_round_trip(self):
-        rows = [("c1", "u1", 5), ("c2", "u2", 1), ("c1", "u2", 3)]
-        ds = make_dataset(rows, label="rt")
-        again = RatingDataset(ds.to_records(), label="rt")
-        assert again.to_records() == ds.to_records()
+        no_ids = ((), np.empty(0, np.int32))
+        with pytest.raises(DataError, match="at least one rating"):
+            RatingDataset(no_ids, no_ids, np.empty(0, np.int64), None)
 
     def test_summary(self):
         ds = make_dataset([("c1", "u1", 3), ("c1", "u2", 4), ("c2", "u1", 2)])
@@ -888,10 +850,6 @@ class TestDatasetBasics:
         assert info["users"] == 2
         assert info["votes"] == 3
         assert info["votes_per_condition_mean"] == pytest.approx(1.5)
-
-    def test_users_for(self):
-        ds = make_dataset([("c1", "u2", 3), ("c1", "u1", 4), ("c2", "u3", 2)])
-        assert set(ds.users_for("c1")) == {"u1", "u2"}
 
 
 class TestPublishedData:

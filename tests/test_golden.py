@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import make_dataset, synthetic_dataset
+from conftest import make_dataset, raters, synthetic_dataset, votes
 from qvotes import RatingDataset, dataset_mos
 from qvotes.cli import main
 from qvotes.simulate import read_curves_csv
@@ -42,8 +42,8 @@ def sparse_dataset() -> RatingDataset:
                 score = int(np.clip(round(quality[c] + bias[u] + rng.normal(0.0, 0.8)), 1, 5))
                 rows.append((f"s{c:02d}", f"r{u:02d}", score))
     ds = make_dataset(rows, label="golden")
-    raters = [len(ds.users_for(c)) for c in ds.conditions]
-    assert min(raters) == 2 and raters.count(2) >= 5
+    counts = [len(raters(ds, c)) for c in ds.conditions]
+    assert min(counts) == 2 and counts.count(2) >= 5
     return ds
 
 
@@ -67,7 +67,7 @@ def write_inputs(directory: Path, ds: RatingDataset, order=None) -> tuple[Path, 
     and a reference table offset from its own MOS by a deterministic
     wiggle."""
     ratings = directory / "golden.csv"
-    rows = [f"{r.condition_id},{r.user_id},{r.score}" for r in ds.to_records()]
+    rows = [f"{v.condition_id},{v.user_id},{v.score}" for v in votes(ds)]
     if order is not None:
         rows = [rows[i] for i in order(len(rows))]
     ratings.write_text("\n".join(["condition_id,user_id,score", *rows]) + "\n")

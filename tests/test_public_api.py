@@ -4,6 +4,7 @@
 from __future__ import annotations
 
 import dataclasses
+import io
 from pathlib import Path
 
 import pytest
@@ -44,7 +45,6 @@ def test_all_is_pinned():
         "PowerModel",
         "QvotesError",
         "RatingDataset",
-        "RatingRecord",
         "ReferenceMos",
         "SweepConfig",
         "average_ranks",
@@ -70,6 +70,21 @@ def test_all_is_pinned():
         "votes_for_target",
         "write_curves_csv",
         "write_curves_json",
+    ]
+
+
+def test_dataset_surface_is_pinned():
+    # Adding or removing a public attribute of a dataset is an API change:
+    # update this list on purpose, and bump the version.
+    ds = qvotes.load_ratings(io.StringIO("condition_id,user_id,score\nc1,u1,4\n"))
+    assert sorted(name for name in dir(ds) if not name.startswith("_")) == [
+        "conditions",
+        "label",
+        "n_votes",
+        "stimuli",
+        "summary",
+        "users",
+        "votes_per_condition",
     ]
 
 

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_dataset, synthetic_dataset, two_point_dataset, two_stage_pmf
+from conftest import make_dataset, raters, synthetic_dataset, two_point_dataset, two_stage_pmf, votes
 from qvotes import (
     ConfigError,
     DataError,
@@ -155,8 +155,7 @@ class TestSampleCondition:
         for cond, (scores, users) in sample.items():
             assert scores.size == 25
             assert len(users) == 25
-            raters = set(ds.users_for(cond))
-            assert set(users) <= raters
+            assert set(users) <= set(raters(ds, cond))
 
 
 class TestRunSweep:
@@ -826,19 +825,19 @@ class TestBatchedIrr:
     @given(rows=small_studies)
     def test_full_dataset_matches_rater_loop(self, rows):
         ds = make_dataset([(f"c{c}", f"u{u}", s) for c, u, s in rows])
-        records = ds.to_records()
+        listed = votes(ds)
         users, own, others = [], [], []
         for cond in ds.conditions:
-            raters = ds.users_for(cond)
-            if len(raters) < 2:
+            rated = raters(ds, cond)
+            if len(rated) < 2:
                 continue
             means = np.array([
-                np.mean([r.score for r in records if (r.condition_id, r.user_id) == (cond, u)])
-                for u in raters
+                np.mean([v.score for v in listed if (v.condition_id, v.user_id) == (cond, u)])
+                for u in rated
             ])
-            users += [ds.users.index(u) for u in raters]
+            users += [ds.users.index(u) for u in rated]
             own += means.tolist()
-            others += ((means.sum() - means) / (len(raters) - 1)).tolist()
+            others += ((means.sum() - means) / (len(rated) - 1)).tolist()
         want = irr_by_rater_loop(users, own, others)
         if want is None:
             with pytest.raises(DataError):
@@ -919,12 +918,12 @@ def run_uniforms(seed, n, run, k):
 def decoded_votes(ds, u):
     """Per condition in sorted-id order, the (user, score) votes that the
     uniforms ``u`` pick: vote t of condition j is entry floor(u[j, t] * N_j)
-    of the condition's N_j votes, listed from ``to_records()`` and sorted
+    of the condition's N_j votes, listed from ``votes(ds)`` and sorted
     by (user, score)."""
-    votes = {}
-    for r in ds.to_records():
-        votes.setdefault(r.condition_id, []).append((r.user_id, r.score))
-    listed = [sorted(votes[c]) for c in sorted(votes)]
+    by_condition = {}
+    for v in votes(ds):
+        by_condition.setdefault(v.condition_id, []).append((v.user_id, v.score))
+    listed = [sorted(by_condition[c]) for c in sorted(by_condition)]
     return [[cond[int(x * len(cond))] for x in row] for cond, row in zip(listed, u.tolist())]
 
 

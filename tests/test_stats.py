@@ -59,11 +59,6 @@ class TestMos:
         ds = make_dataset([("x", "u1", 1), ("x", "u1", 2), ("x", "u1", 3)])
         assert mos_of_x(ds) == pytest.approx(2.0)
 
-    def test_unknown_condition(self):
-        ds = make_dataset([("x", "u1", 3)])
-        with pytest.raises(DataError, match="zzz"):
-            ds.condition_index("zzz")
-
     @given(
         scores=st.lists(st.integers(1, 5), min_size=2, max_size=8),
         votes_each=st.integers(1, 4),
