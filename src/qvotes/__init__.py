@@ -6,9 +6,9 @@ MOS confidence width) depend on the number of votes per condition, and
 fits saturating power models to the resulting curves.
 """
 
-__version__ = "0.10.0"
+__version__ = "0.11.0"
 
-from .bootstrap import Interval, bootstrap_ci_mos, clopper_pearson, max_ci_width
+from .bootstrap import bootstrap_ci_mos, clopper_pearson, max_ci_width
 from .data import (
     RatingDataset,
     ReferenceMos,
@@ -51,7 +51,6 @@ __all__ = [
     "CurvePoint",
     "DataError",
     "DegenerateDataError",
-    "Interval",
     "LinearMap",
     "MetricCurve",
     "MosVector",

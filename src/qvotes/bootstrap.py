@@ -1,6 +1,6 @@
-"""Interval mathematics: exact percentile-bootstrap MOS confidence
-intervals and the analytic worst-case width bound from exact binomial
-intervals.
+"""Confidence intervals, each a (low, high) pair: exact
+percentile-bootstrap MOS intervals, exact binomial intervals, and the
+analytic worst-case MOS width bound built on them.
 
 The bootstrap interval is the ideal bootstrap (Efron and Tibshirani 1993):
 the distribution of a resampled mean of n votes on 1..5 is the n-fold
@@ -9,15 +9,13 @@ and no random stream are involved.  Each bound is the smallest lattice
 mean whose CDF reaches its quantile less 1e-9 (see ``bootstrap_ci_mos``).
 
 ``bootstrap_ci_mos`` takes one vote multiset as a 1-D array, or k of them
-as the rows of a (k, n) matrix, and then returns (k,) arrays of bounds.  A
-single multiset is the one-row case of the same kernel, which groups rows
-by their vote span (max - min) and batches the FFTs of each group, so row i
-of a matrix gives bit for bit the interval of row i on its own.
+as the rows of a (k, n) matrix, and returns (low, high): two floats, or two
+(k,) arrays.  A single multiset is the one-row case of the same kernel,
+which groups rows by their vote span (max - min) and batches the FFTs of
+each group, so row i of a matrix gives bit for bit the interval of row i.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,34 +26,15 @@ from .errors import ConfigError, DataError, _integer
 _CHUNK_POINTS = 1 << 13
 
 
-@dataclass(frozen=True)
-class Interval:
-    """Confidence bounds: floats, or equal-shaped arrays of them."""
-
-    low: float | np.ndarray
-    high: float | np.ndarray
-    level: float
-
-    def __post_init__(self):
-        if not 0.0 < self.level < 1.0:
-            raise ConfigError(f"level must be in (0, 1), got {self.level}")
-        if np.any(np.greater(self.low, self.high)):
-            raise DataError(f"interval bounds out of order: [{self.low}, {self.high}]")
-
-    @property
-    def width(self) -> float | np.ndarray:
-        return self.high - self.low
-
-
-def bootstrap_ci_mos(votes, level: float = 0.95) -> Interval:
+def bootstrap_ci_mos(votes, level: float = 0.95) -> tuple:
     """Percentile-bootstrap confidence interval for the mean of a vote
     multiset, computed exactly rather than by resampling.
 
-    ``votes`` is one multiset of n votes, shape (n,), which gives an
-    Interval of floats, or k multisets as the rows of a (k, n) matrix, which
-    gives an Interval of (k,) arrays whose entry i is bit for bit the
-    interval of row i alone.  Every vote of every row must be an integer in
-    1..5, and n at least 2.
+    Returns ``(low, high)``, as :func:`clopper_pearson` does: two floats
+    for one multiset of n votes, shape (n,), or two (k,) arrays for k
+    multisets as the rows of a (k, n) matrix, whose entry i is bit for bit
+    the bound of row i alone.  Every vote of every row must be an integer
+    in 1..5, and n at least 2.
 
     Votes are integers in 1..5, so the mean of n votes resampled with
     replacement lies on the lattice min(votes) + i/n, and its distribution
@@ -68,10 +47,10 @@ def bootstrap_ci_mos(votes, level: float = 0.95) -> Interval:
     by span, 0 to 4, so each group shares one FFT size and runs as batched
     FFTs over a few rows at a time; span 0 needs no FFT.
 
-    Each bound is the smallest lattice mean whose CDF reaches its quantile
-    q = alpha/2 or 1 - alpha/2 less 1e-9; the slack absorbs FFT rounding, so
-    a CDF that equals q exactly counts as reaching it.  The interval need
-    not be symmetric around the sample mean, and always lies within
+    Each bound is the smallest lattice mean whose CDF reaches its quantile,
+    q = alpha/2 or 1 - alpha/2, less 1e-9, so low <= high; the slack absorbs
+    FFT rounding (a CDF equal to q counts as reaching it).  The interval
+    need not be symmetric around the sample mean, and lies within
     [min(votes), max(votes)]; constant votes give a zero-width interval.
     """
     if not 0.0 < level < 1.0:
@@ -132,8 +111,8 @@ def bootstrap_ci_mos(votes, level: float = 0.95) -> Interval:
                 steps[bound, part] = (cdf >= target).argmax(axis=1)
     low, high = (lo * n + steps) / n
     if arr.ndim < 2:
-        return Interval(low=float(low[0]), high=float(high[0]), level=level)
-    return Interval(low=low, high=high, level=level)
+        return float(low[0]), float(high[0])
+    return low, high
 
 
 def clopper_pearson(successes: int, n: int, level: float = 0.95) -> tuple[float, float]:

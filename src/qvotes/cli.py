@@ -259,6 +259,7 @@ def cmd_simulate(args) -> int:
         ci_level=args.ci_level,
         apply_first_order_map=args.fom,
     )
+    simulate.require_reference(cfg, args.reference is not None)
     if args.delta:
         simulate.require_delta_baseline(cfg)
 

@@ -197,10 +197,6 @@ class ReferenceMos:
             if not 1.0 <= value <= 5.0:
                 raise DataError(f"reference MOS for {cond!r} outside [1, 5]: {value}")
 
-    @property
-    def conditions(self) -> tuple[str, ...]:
-        return tuple(self.mos)
-
     def __len__(self) -> int:
         return len(self.mos)
 

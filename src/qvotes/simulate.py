@@ -122,6 +122,14 @@ class SweepConfig:
             raise ConfigError("metrics must not repeat")
         if not 0.0 < self.ci_level < 1.0:
             raise ConfigError(f"ci_level must be in (0, 1), got {self.ci_level}")
+        # One vote per condition has no spread to bootstrap and gives no
+        # rater another on the same condition to compare with.
+        needs_two = [m for m in (CI_WIDTH, IRR) if m in self.metrics]
+        if needs_two and self.n_values[0] < 2:
+            raise ConfigError(
+                f"metric(s) {', '.join(needs_two)} need at least 2 votes per "
+                f"condition; the sweep starts at n={self.n_values[0]}"
+            )
 
 
 class CurvePoint(NamedTuple):
@@ -223,28 +231,17 @@ def draw_run_sample(
 # -- per-run metric evaluation ---------------------------------------------
 
 
-def _irr(users: np.ndarray, own: np.ndarray, others: np.ndarray):
-    """Mean leave-one-out SRCC over users with a defined one.
-
-    Entry t of the arrays is one (user, condition) pair: the user's index,
-    their own mean on the condition and everyone else's.  The user indices
-    are the group labels as they are: a user with no pair has an empty
-    group, whose NaN is dropped with the rest.  Users whose rank
-    correlation is undefined (fewer than 3 conditions, or constant own or
-    others' means) are skipped; None if no user is left.  The rest are
-    averaged in order of user index.
-    """
-    if not users.size:
-        return None
-    values = stats.grouped_srcc(users, own, others)
-    values = values[~np.isnan(values)]
-    return float(np.mean(values)) if values.size else None
-
-
 def _pair_irr(ds: RatingDataset, rows: np.ndarray, means: np.ndarray):
     """IRR of the ascending (condition, user) rows ``rows`` with their
-    mean scores ``means``, on conditions where at least two users have a
-    row."""
+    mean scores ``means``: each user's own means rank-correlated with
+    everyone else's, on conditions where at least two users have a row.
+
+    The user indices are the group labels as they are, so a user with no
+    pair has an empty group.  Users whose rank correlation is undefined
+    (an empty group, fewer than 3 conditions, or constant own or others'
+    means) are dropped, and the rest averaged in order of user index;
+    None if no user is left.
+    """
     edges = np.searchsorted(rows, ds._row_bounds)
     sizes = np.diff(edges)
     # Each condition's total is a sum of its own slice, in numpy's own
@@ -256,7 +253,9 @@ def _pair_irr(ds: RatingDataset, rows: np.ndarray, means: np.ndarray):
         return None
     cond, own = cond[keep], means[keep]
     others = (totals[cond] - own) / (sizes[cond] - 1)
-    return _irr(ds._user_rows[rows[keep]], own, others)
+    values = stats.grouped_srcc(ds._user_rows[rows[keep]], own, others)
+    values = values[~np.isnan(values)]
+    return float(np.mean(values)) if values.size else None
 
 
 def _sampled_irr(ds: RatingDataset, scores: np.ndarray, rows: np.ndarray):
@@ -322,8 +321,8 @@ def _simulate_run(
     if CI_WIDTH in metrics:
         # cumsum adds left to right, as one call per condition did, where
         # np.sum adds pairwise: so ci_width keeps its bytes.
-        widths = bootstrap_ci_mos(scores, cfg.ci_level).width
-        out[CI_WIDTH] = float(np.cumsum(widths)[-1]) / k
+        low, high = bootstrap_ci_mos(scores, cfg.ci_level)
+        out[CI_WIDTH] = float(np.cumsum(high - low)[-1]) / k
     if IRR in metrics:
         out[IRR] = _sampled_irr(ds, scores, rows)
     return out
@@ -354,34 +353,20 @@ def run_sweep(
 ) -> list[MetricCurve]:
     """Run the full sweep and return one curve per configured metric.
 
-    Validity metrics require ``ref``, and ``ci_width`` and ``irr`` at
-    least 2 votes per condition; the configuration is rejected before any
-    sampling happens otherwise.  A run whose statistic is undefined (a
-    constant MOS vector, no eligible IRR rater) is left out of that
-    point.  The sweep goes one n at a time and stops at the first point
+    Validity metrics require ``ref`` (see :func:`require_reference`); the
+    sweep is rejected before any sampling happens otherwise.  A run whose
+    statistic is undefined (a constant MOS vector, no eligible IRR rater)
+    is left out of that point.  The sweep goes one n at a time and stops at the first point
     with no valid run for some metric: it raises :class:`DataError`
     before any later n is sampled.
     A rank correlation against a constant reference or full-dataset MOS
     is undefined for every run and raises :class:`DegenerateDataError`
     before any sampling.
     """
-    needs_ref = [m for m in cfg.metrics if m in REFERENCE_METRICS]
-    if needs_ref and ref is None:
-        raise ConfigError(
-            f"metric(s) {', '.join(needs_ref)} need a reference MOS table"
-        )
-    # One vote per condition has no spread to bootstrap and gives no rater
-    # another on the same condition to compare with.
-    needs_two = [m for m in (CI_WIDTH, IRR) if m in cfg.metrics]
-    if needs_two and cfg.n_values[0] < 2:
-        raise ConfigError(
-            f"metric(s) {', '.join(needs_two)} need at least 2 votes per "
-            f"condition; the sweep starts at n={cfg.n_values[0]}"
-        )
-
+    require_reference(cfg, ref is not None)
     k = len(ds.conditions)
     targets = []
-    if needs_ref:
+    if REFERENCE_METRICS.intersection(cfg.metrics):
         index, values = _shared_reference(ds.conditions, ref)
         # The indices ascend, so a reference sharing all k is every condition.
         targets.append(_target(
@@ -409,6 +394,14 @@ def run_sweep(
         MetricCurve(metric=metric, dataset_label=ds.label, points=tuple(curve_points))
         for metric, curve_points in points.items()
     ]
+
+
+def require_reference(cfg: SweepConfig, given: bool) -> None:
+    """Raise :class:`ConfigError` if the sweep has a validity metric and
+    no reference MOS table is ``given``."""
+    needs_ref = [m for m in cfg.metrics if m in REFERENCE_METRICS]
+    if needs_ref and not given:
+        raise ConfigError(f"metric(s) {', '.join(needs_ref)} need a reference MOS table")
 
 
 def require_delta_baseline(cfg: SweepConfig) -> None:

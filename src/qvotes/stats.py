@@ -18,22 +18,14 @@ class MosVector:
 
     conditions: tuple[str, ...]
     values: np.ndarray
-    vote_counts: np.ndarray
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
-        counts = np.asarray(self.vote_counts, dtype=np.int64)
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "vote_counts", counts)
-        if not (len(self.conditions) == values.size == counts.size):
-            raise DataError("conditions, values, and vote_counts must align")
+        if len(self.conditions) != values.size:
+            raise DataError("conditions and values must align")
         if values.size and not ((values >= 1.0) & (values <= 5.0)).all():
             raise DataError("MOS values must lie in [1, 5]")
-        if counts.size and counts.min() < 1:
-            raise DataError("vote counts must be positive")
-
-    def as_dict(self) -> dict[str, float]:
-        return dict(zip(self.conditions, self.values.tolist()))
 
 
 @dataclass(frozen=True)
@@ -70,12 +62,11 @@ def dataset_mos(ds: RatingDataset, method: str = "user_balanced") -> MosVector:
     """
     if method not in MOS_METHODS:
         raise ConfigError(f"method must be one of {MOS_METHODS}, got {method!r}")
-    counts = ds.votes_per_condition()
     if method == "plain":
-        values = ds._score_sums / counts
+        values = ds._score_sums / ds._cond_totals
     else:
         values = ds._balanced_mos.copy()
-    return MosVector(conditions=ds.conditions, values=values, vote_counts=counts)
+    return MosVector(conditions=ds.conditions, values=values)
 
 
 def average_ranks(values) -> np.ndarray:

@@ -60,6 +60,11 @@ def raters(ds: RatingDataset, condition_id: str) -> tuple[str, ...]:
     return tuple(sorted({v.user_id for v in votes(ds) if v.condition_id == condition_id}))
 
 
+def mos_dict(mos) -> dict[str, float]:
+    """A MOS vector as ``{condition id: MOS}``, in its condition order."""
+    return dict(zip(mos.conditions, mos.values.tolist()))
+
+
 def synthetic_dataset(
     seed=0,
     n_conditions=10,

@@ -24,6 +24,7 @@ from conftest import (
     cp_widths_bisect_all,
     load_published,
     make_dataset,
+    mos_dict,
     two_point_dataset,
     two_stage_pmf,
     votes,
@@ -257,8 +258,8 @@ def test_criterion_08_bootstrap_coverage():
     hits = 0
     for _ in range(trials):
         votes = rng.choice(np.arange(1, 6), size=100, p=probs)
-        interval = bootstrap_ci_mos(votes)
-        hits += interval.low <= true_mean <= interval.high
+        low, high = bootstrap_ci_mos(votes)
+        hits += low <= true_mean <= high
     coverage = hits / trials
     ok = 0.93 <= coverage <= 0.97
     report(8, "bootstrap CI coverage within 93-97%", ok, f"coverage {coverage:.4f}")
@@ -271,7 +272,7 @@ def test_criterion_09_two_stage_sampling_identity():
     pmf = two_stage_pmf(ds, "x")
     scale = np.arange(1.0, 6.0)
     exact_mean = float(pmf @ scale)
-    plain = dataset_mos(ds, method="plain").as_dict()["x"]
+    plain = mos_dict(dataset_mos(ds, method="plain"))["x"]
     identity_ok = abs(exact_mean - plain) <= 1e-12
 
     draws = 100_000

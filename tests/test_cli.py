@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import synthetic_dataset, votes
+from conftest import mos_dict, synthetic_dataset, votes
 import qvotes
 from qvotes import ConfigError, dataset_mos, read_curves_csv, write_curves_csv, write_curves_json
 from qvotes.cli import build_parser, main, parse_col_map, parse_metrics, parse_sweep
@@ -34,7 +34,7 @@ def toy_files(tmp_path):
     mos = dataset_mos(ds, "user_balanced")
     reference = tmp_path / "reference.csv"
     ref_lines = ["condition_id,mos"]
-    ref_lines += [f"{c},{v!r}" for c, v in mos.as_dict().items()]
+    ref_lines += [f"{c},{v!r}" for c, v in mos_dict(mos).items()]
     reference.write_text("\n".join(ref_lines) + "\n")
     return ratings, reference
 
@@ -113,6 +113,10 @@ class TestParsers:
         assert mapping == {"condition_id": "cond", "user_id": "worker", "score": "vote"}
         with pytest.raises(ConfigError):
             parse_col_map("who=傻")
+        with pytest.raises(ConfigError, match="invalid --col entry 'condition'; expected key=COLUMN"):
+            parse_col_map("condition")
+        with pytest.raises(ConfigError, match="empty column name for --col key 'user'"):
+            parse_col_map("condition=cond,user= ")
 
 
 class TestValidate:
@@ -376,10 +380,13 @@ class TestSimulate:
 
     @pytest.mark.parametrize("bad", [
         ("--n", "20:10:1"), ("--runs", "0"), ("--metrics", "bogus"), ("--n", "20:40:10", "--delta"),
+        ("--n", "1:5:1"), ("--metrics", "srcc"),
     ])
     def test_configuration_is_checked_before_any_input(self, tmp_path, capsys, bad):
         missing = tmp_path / "nope.csv"
-        code = main(["simulate", str(missing), "--ref", str(missing), *bad, "--out", str(tmp_path / "x")])
+        # A validity metric is a configuration error only without --ref.
+        ref = () if "srcc" in bad else ("--ref", str(missing))
+        code = main(["simulate", str(missing), *ref, *bad, "--out", str(tmp_path / "x")])
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "No such file" not in err
@@ -431,6 +438,19 @@ class TestFit:
         assert main(["fit", str(path), "--metric", "irr"]) == 1
         assert "validity_srcc" in capsys.readouterr().err
 
+    def test_dataset_picks_one_of_several(self, tmp_path, capsys):
+        path = self._write_curve(tmp_path)
+        curves = read_curves_csv(path)
+        other = MetricCurve("validity_srcc", "other", curves[0].points)
+        write_curves_csv([*curves, other], path)
+        assert main(["fit", str(path), "--metric", "srcc"]) == 1
+        assert capsys.readouterr().err == (
+            "error: multiple datasets carry metric validity_srcc (toy, other); "
+            "pick one with --dataset\n"
+        )
+        assert main(["fit", str(path), "--metric", "srcc", "--dataset", "other"]) == 0
+        assert "dataset:    other\n" in capsys.readouterr().out
+
     def test_too_few_points(self, tmp_path):
         points = tuple(CurvePoint(n, 0.5, 0.5, 0.5, 0.0) for n in (10, 20, 30))
         path = tmp_path / "short.csv"
@@ -475,6 +495,7 @@ class TestFit:
             ("bad_n.json", '{"curves": [{"metric": "irr", "dataset": "toy", "points": '
                            '[{"n": "ten", "mean": 0.5, "ci_low": 0.5, "ci_high": 0.5, "std_dev": 0.0}]}]}'),
             ("broken.json", "{not json"),
+            ("header_only.csv", "metric,dataset,n,mean,ci_low,ci_high,std_dev\n"),
         ],
     )
     def test_malformed_curve_file_is_data_error(self, tmp_path, capsys, name, text):

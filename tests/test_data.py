@@ -21,6 +21,7 @@ from qvotes import (
     DataError,
     QvotesError,
     RatingDataset,
+    ReferenceMos,
     load_ratings,
     load_reference,
     reference_coverage,
@@ -612,6 +613,18 @@ class TestLoadReference:
     def test_non_numeric(self):
         with pytest.raises(DataError, match="non-numeric mos"):
             load_reference(ratings_csv("condition_id,mos\nc1,good\n"))
+
+    @pytest.mark.parametrize("text, message", [
+        ("condition_id,mos\nc1,3.0\n ,3.1\n", "empty condition_id at line 3"),
+        ("condition_id,mos\n", "no reference rows found"),
+    ])
+    def test_empty_condition_or_no_rows(self, text, message):
+        with pytest.raises(DataError, match=message):
+            load_reference(ratings_csv(text))
+
+    def test_hand_built_table_is_checked(self):
+        with pytest.raises(DataError, match=r"reference MOS for 'c2' outside \[1, 5\]: 5.5"):
+            ReferenceMos({"c1": 3.0, "c2": 5.5})
 
     def test_delimiter_must_be_one_character(self):
         with pytest.raises(ConfigError, match="delimiter"):

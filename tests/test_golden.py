@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import make_dataset, raters, synthetic_dataset, votes
+from conftest import make_dataset, mos_dict, raters, synthetic_dataset, votes
 from qvotes import RatingDataset, dataset_mos
 from qvotes.cli import main
 from qvotes.simulate import read_curves_csv
@@ -72,7 +72,7 @@ def write_inputs(directory: Path, ds: RatingDataset, order=None) -> tuple[Path, 
         rows = [rows[i] for i in order(len(rows))]
     ratings.write_text("\n".join(["condition_id,user_id,score", *rows]) + "\n")
     reference = directory / "golden_ref.csv"
-    mos = dataset_mos(ds, "user_balanced").as_dict()
+    mos = mos_dict(dataset_mos(ds, "user_balanced"))
     ref_lines = ["condition_id,mos"]
     ref_lines += [
         f"{c},{min(5.0, max(1.0, v + 0.25 * math.sin(3 * j))):.4f}"

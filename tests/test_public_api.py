@@ -38,7 +38,6 @@ def test_all_is_pinned():
         "CurvePoint",
         "DataError",
         "DegenerateDataError",
-        "Interval",
         "LinearMap",
         "MetricCurve",
         "MosVector",
@@ -86,6 +85,23 @@ def test_dataset_surface_is_pinned():
         "users",
         "votes_per_condition",
     ]
+
+
+def test_mos_vector_surface_is_pinned():
+    # Adding or removing a public attribute of a MOS vector is an API
+    # change: update this list on purpose, and bump the version.
+    mos = qvotes.MosVector(("c1",), [4.0])
+    assert sorted(name for name in dir(mos) if not name.startswith("_")) == [
+        "conditions",
+        "values",
+    ]
+
+
+def test_reference_surface_is_pinned():
+    # Adding or removing a public attribute of a reference table is an API
+    # change: update this list on purpose, and bump the version.
+    ref = qvotes.ReferenceMos({"c1": 4.0})
+    assert sorted(name for name in dir(ref) if not name.startswith("_")) == ["mos"]
 
 
 def test_written_record_fields_are_pinned():

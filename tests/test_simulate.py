@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import io
 import json
+import math
 import tempfile
 from pathlib import Path
 
@@ -13,7 +14,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_dataset, raters, synthetic_dataset, two_point_dataset, two_stage_pmf, votes
+from conftest import (
+    make_dataset, mos_dict, raters, synthetic_dataset, two_point_dataset, two_stage_pmf, votes,
+)
 from qvotes import (
     ConfigError,
     DataError,
@@ -38,7 +41,7 @@ from qvotes import (
 )
 from qvotes import simulate
 from qvotes.cli import main
-from qvotes.simulate import CurvePoint, _aggregate, _irr
+from qvotes.simulate import CurvePoint, _aggregate, _pair_irr
 
 
 def three_user_toy():
@@ -140,7 +143,7 @@ class TestSampleCondition:
         pmf = two_stage_pmf(ds, "x")
         assert pmf.sum() == pytest.approx(1.0, abs=1e-12)
         exact_mean = float(pmf @ np.arange(1.0, 6.0))
-        plain = dataset_mos(ds, method="plain").as_dict()["x"]
+        plain = mos_dict(dataset_mos(ds, method="plain"))["x"]
         assert exact_mean == pytest.approx(plain, abs=1e-12)
 
         draws = 100_000
@@ -202,7 +205,7 @@ class TestRunSweep:
 
     def test_validity_equals_gain_when_reference_is_own_mos(self):
         ds = synthetic_dataset(seed=4, n_conditions=8, n_users=12)
-        ref = ReferenceMos(dataset_mos(ds, "user_balanced").as_dict())
+        ref = ReferenceMos(mos_dict(dataset_mos(ds, "user_balanced")))
         cfg = SweepConfig(
             n_values=(10, 30),
             repetitions=5,
@@ -235,7 +238,7 @@ class TestRunSweep:
         # biased reference: same ranking, shifted scale
         base = dataset_mos(ds, "user_balanced")
         ref = ReferenceMos(
-            {c: float(np.clip(0.7 * v + 0.9, 1, 5)) for c, v in base.as_dict().items()}
+            {c: float(np.clip(0.7 * v + 0.9, 1, 5)) for c, v in mos_dict(base).items()}
         )
         cfg = SweepConfig(n_values=(40,), repetitions=10, metrics=("validity_rmse",))
         plain = run_sweep(ds, ref, cfg)[0].point_at(40).mean
@@ -247,7 +250,7 @@ class TestRunSweep:
     @pytest.mark.parametrize("shared", [8, 5], ids=["every_condition", "subset"])
     def test_mapped_validity_rmse_is_rmse_of_the_fitted_run_mos(self, shared):
         ds = synthetic_dataset(seed=8, n_conditions=8, n_users=10)
-        base = dataset_mos(ds, "user_balanced").as_dict()
+        base = mos_dict(dataset_mos(ds, "user_balanced"))
         ref = ReferenceMos({c: 0.6 * v + 1.1 for c, v in list(base.items())[:shared]})
         local = [j for j, c in enumerate(ds.conditions) if c in ref]
         ref_values = np.array([ref[ds.conditions[j]] for j in local])
@@ -417,7 +420,7 @@ class TestSrccRankedOnce:
 
         monkeypatch.setattr(simulate.stats, "_centred_ranks", counted)
         ds = synthetic_dataset(seed=9, n_conditions=8, n_users=10)
-        base = dataset_mos(ds, "user_balanced").as_dict()
+        base = mos_dict(dataset_mos(ds, "user_balanced"))
         ref = ReferenceMos({c: 6.0 - v for c, v in list(base.items())[:shared]})
         cfg = SweepConfig(n_values=(5, 10), repetitions=3, metrics=("validity_srcc", "gain_srcc"))
         run_sweep(ds, ref, cfg)
@@ -532,7 +535,8 @@ class TestCiWidthCurve:
             sample = draw_run_sample(ds, n, 0, cfg.master_seed)
             total = 0.0
             for votes, _ in sample.values():
-                total += bootstrap_ci_mos(votes, cfg.ci_level).width
+                low, high = bootstrap_ci_mos(votes, cfg.ci_level)
+                total += high - low
             assert curve.point_at(n).mean == total / len(ds.conditions)
 
 
@@ -579,7 +583,7 @@ class TestEndToEndPipeline:
         rng = np.random.default_rng(5)
         true = dataset_mos(ds, "user_balanced")
         ref = ReferenceMos(
-            {c: float(np.clip(v + rng.normal(0, 0.15), 1, 5)) for c, v in true.as_dict().items()}
+            {c: float(np.clip(v + rng.normal(0, 0.15), 1, 5)) for c, v in mos_dict(true).items()}
         )
         cfg = SweepConfig(
             n_values=tuple(range(10, 201, 10)),
@@ -794,12 +798,17 @@ class TestBatchedIrr:
         ),
     )
     def test_matches_rater_loop_on_flat_pairs(self, pairs):
-        # few distinct values: ties, constant raters and short raters abound
-        users = np.array([p[0] for p in pairs], dtype=np.int64)
-        own = np.array([p[1] for p in pairs])
-        others = np.array([p[2] for p in pairs])
-        want = irr_by_rater_loop(users, own, others)
-        got = _irr(users, own, others)
+        # few distinct values: ties, constant raters and short raters abound.
+        # Pair t is condition t, voted on by its user with mean ``own`` and
+        # by a one-condition user with mean ``others``, who never counts.
+        # The lone "pad" vote is no pair: it makes an empty list a dataset.
+        rows = [("pad", "pad", 3)]
+        for t, (user, own, others) in enumerate(pairs):
+            for rater, mean in ((f"u{user}", own), (f"s{t:02d}", others)):
+                rows += [(f"c{t:02d}", rater, math.floor(mean)), (f"c{t:02d}", rater, math.ceil(mean))]
+        ds = make_dataset(rows)
+        want = irr_by_rater_loop(*zip(*pairs)) if pairs else None
+        got = _pair_irr(ds, np.arange(ds._row_bounds[-1]), ds._user_means)
         assert (got is None) == (want is None)
         if want is not None:
             assert got == pytest.approx(want, abs=1e-12)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_force_ranks, brute_force_srcc, make_dataset, synthetic_dataset
+from conftest import brute_force_ranks, brute_force_srcc, make_dataset, mos_dict, synthetic_dataset
 from qvotes import (
     ConfigError,
     DataError,
@@ -27,7 +27,6 @@ from qvotes import (
     srcc,
 )
 from qvotes.data import _shared_reference
-from qvotes.simulate import _irr
 from qvotes.stats import MOS_METHODS, _centred_ranks, _grouped_ranks, _ranked_srcc, grouped_srcc
 
 finite_floats = st.floats(min_value=-100, max_value=100, allow_nan=False)
@@ -35,7 +34,7 @@ finite_floats = st.floats(min_value=-100, max_value=100, allow_nan=False)
 
 def mos_of_x(ds, method="user_balanced") -> float:
     """The MOS of condition ``x`` by ``dataset_mos``."""
-    return dataset_mos(ds, method).as_dict()["x"]
+    return mos_dict(dataset_mos(ds, method))["x"]
 
 
 class TestMos:
@@ -80,7 +79,7 @@ class TestMos:
         assert balanced.conditions == ("a", "b")
         assert balanced.values[0] == pytest.approx(3.0)
         assert plain.values[0] == pytest.approx(11 / 3)
-        assert balanced.vote_counts.tolist() == [3, 1]
+        assert ds.votes_per_condition().tolist() == [3, 1]
         with pytest.raises(ConfigError):
             dataset_mos(ds, "median")
 
@@ -114,7 +113,7 @@ class TestMos:
         got_balanced = dataset_mos(ds, "user_balanced")
         assert got_plain.values.tolist() == plain
         assert got_balanced.values.tolist() == balanced
-        assert got_plain.vote_counts.tolist() == [sum(c == cond for c, _, _ in rows) for cond in ds.conditions]
+        assert ds.votes_per_condition().tolist() == [sum(c == cond for c, _, _ in rows) for cond in ds.conditions]
 
     def test_balanced_mos_derived_once_per_dataset(self, monkeypatch):
         # A --delta sweep asks for the full-dataset MOS twice: once for the
@@ -139,21 +138,19 @@ class TestMos:
             first = dataset_mos(ds, method)
             want = first.values.copy()
             first.values[:] = 1.0
-            first.vote_counts[:] = 99
             again = dataset_mos(ds, method)
             assert again.values.tolist() == want.tolist()
-            assert again.vote_counts.tolist() == ds.votes_per_condition().tolist()
 
     def test_mos_vector_validation(self):
         with pytest.raises(DataError):
-            MosVector(("a",), np.array([6.0]), np.array([1]))
+            MosVector(("a",), np.array([6.0]))
         with pytest.raises(DataError):
-            MosVector(("a", "b"), np.array([3.0]), np.array([1]))
+            MosVector(("a", "b"), np.array([3.0]))
 
     @pytest.mark.parametrize("values", [[np.nan, 3.0], [3.0, np.nan], [np.nan, np.nan]])
     def test_mos_vector_rejects_nan(self, values):
         with pytest.raises(DataError, match=r"\[1, 5\]"):
-            MosVector(("a", "b"), values, [1, 1])
+            MosVector(("a", "b"), values)
 
 
 class TestSrcc:
@@ -306,16 +303,6 @@ def lexsort_grouped_ranks(groups, values, sizes):
     return ranks
 
 
-def unique_label_irr(users, own, others):
-    """``simulate._irr`` as it was, on labels from ``np.unique``."""
-    if not users.size:
-        return None
-    _, labels = np.unique(users, return_inverse=True)
-    values = grouped_srcc(labels, own, others)
-    values = values[~np.isnan(values)]
-    return float(np.mean(values)) if values.size else None
-
-
 # Heavy ties among signed zeros, infinities and neighbours one ulp apart.
 TIE_POOL = [0.0, -0.0, np.inf, -np.inf, 1.0, np.nextafter(1.0, 2.0), np.nextafter(1.0, 0.0),
             -2.5, np.nextafter(-2.5, 0.0), 3.0, 5e-324, -5e-324]
@@ -371,11 +358,13 @@ class TestRankKernelsBitwise:
         # users absent from the pairs leave gaps below the largest index
         idx = np.array(data.draw(st.lists(st.sampled_from(users), min_size=size, max_size=size)),
                        dtype=np.int64)
-        got = _irr(idx, own, others)
-        want = unique_label_irr(idx, own, others)
-        assert (got is None) == (want is None)
-        if want is not None:
-            assert np.float64(got).tobytes() == np.float64(want).tobytes()
+        # IRR takes user indices as group labels as they are: the groups of
+        # absent users are NaN, and every other entry is the bytes of the
+        # same group under labels from ``np.unique``.
+        got = grouped_srcc(idx, own, others)
+        present, labels = np.unique(idx, return_inverse=True)
+        assert got[present].tobytes() == grouped_srcc(labels, own, others).tobytes()
+        assert np.isnan(np.delete(got, present)).all()
 
 
 def one_call_srcc(a, b):
@@ -457,11 +446,7 @@ class TestRmse:
 class TestFirstOrderMap:
     def _vector(self, values):
         values = np.asarray(values, dtype=float)
-        return MosVector(
-            tuple(f"c{i}" for i in range(values.size)),
-            values,
-            np.ones(values.size, dtype=int),
-        )
+        return MosVector(tuple(f"c{i}" for i in range(values.size)), values)
 
     def _mapping(self, cs, ref):
         return compare_to_reference(cs, ref, with_mapping=True).mapping
@@ -520,7 +505,7 @@ class TestFirstOrderMap:
 class TestCompareToReference:
     def _pair(self, cs_values, ref_values):
         conds = tuple(f"c{i}" for i in range(len(cs_values)))
-        cs = MosVector(conds, np.asarray(cs_values, float), np.ones(len(cs_values), int))
+        cs = MosVector(conds, np.asarray(cs_values, float))
         ref = ReferenceMos(dict(zip(conds, map(float, ref_values))))
         return cs, ref
 
@@ -534,7 +519,7 @@ class TestCompareToReference:
 
     def test_too_few_shared(self):
         conds = ("a", "b", "c")
-        cs = MosVector(conds, np.array([2.0, 3.0, 4.0]), np.ones(3, int))
+        cs = MosVector(conds, np.array([2.0, 3.0, 4.0]))
         ref = ReferenceMos({"a": 2.0, "b": 3.0})
         with pytest.raises(DataError, match="3 shared"):
             compare_to_reference(cs, ref)
