@@ -4,8 +4,9 @@ analytic worst-case MOS width bound built on them.
 
 The bootstrap interval is the ideal bootstrap (Efron and Tibshirani 1993):
 the distribution of a resampled mean of n votes on 1..5 is the n-fold
-convolution of the sample's vote pmf, computed by FFT, so no resampling
-and no random stream are involved.  Each bound is the smallest lattice
+convolution of the sample's vote pmf, computed by FFT on the smallest
+length of the form 2^a * 3^b * 5^c that holds it, so no resampling and no
+random stream are involved.  Each bound is the smallest lattice
 mean whose CDF reaches its quantile less 1e-9 (see ``bootstrap_ci_mos``).
 
 ``bootstrap_ci_mos`` takes one vote multiset as a 1-D array, or k of them
@@ -17,13 +18,31 @@ each group, so row i of a matrix gives bit for bit the interval of row i.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .errors import ConfigError, DataError, _integer
 
-# Spectrum points per batch of rows in ``bootstrap_ci_mos`` (8 rows at
+# Spectrum points per batch of rows in ``bootstrap_ci_mos`` (10 rows at
 # n = 200): small batches keep the temporaries in cache whatever k is.
 _CHUNK_POINTS = 1 << 13
+
+
+@functools.lru_cache(maxsize=1024)
+def _fft_length(m: int) -> int:
+    """The smallest 2^a * 3^b * 5^c >= m, a length pocketfft transforms
+    fast.  A sweep asks for a few lengths many times, hence the cache."""
+    best = 1 << (m - 1).bit_length()
+    odd5 = 1
+    while odd5 < best:
+        odd = odd5
+        while odd < best:
+            # the smallest power-of-two multiple of odd that reaches m
+            best = min(best, odd << (-(-m // odd) - 1).bit_length())
+            odd *= 3
+        odd5 *= 5
+    return best
 
 
 def bootstrap_ci_mos(votes, level: float = 0.95) -> tuple:
@@ -41,11 +60,12 @@ def bootstrap_ci_mos(votes, level: float = 0.95) -> tuple:
     is the n-fold self-convolution of the sample's vote pmf: Efron and
     Tibshirani's (1993) ideal bootstrap, the limit of infinitely many
     resamples.  The convolution is one real FFT of the pmf, trimmed to the
-    [min, max] vote support and zero-padded to the smallest power of two
-    above span * n (the sum has span * n + 1 support points, so nothing
-    wraps), raised to the n-th power by repeated squaring.  Rows are grouped
-    by span, 0 to 4, so each group shares one FFT size and runs as batched
-    FFTs over a few rows at a time; span 0 needs no FFT.
+    [min, max] vote support and zero-padded to the smallest length
+    2^a * 3^b * 5^c of at least span * n + 1 points (the sum has
+    span * n + 1 support points, so nothing wraps), raised to the n-th
+    power by repeated squaring.  Rows are grouped by span, 0 to 4, so each
+    group shares one FFT size and runs as batched FFTs over a few rows at a
+    time; span 0 needs no FFT.
 
     Each bound is the smallest lattice mean whose CDF reaches its quantile,
     q = alpha/2 or 1 - alpha/2, less 1e-9, so low <= high; the slack absorbs
@@ -62,8 +82,11 @@ def bootstrap_ci_mos(votes, level: float = 0.95) -> tuple:
     k, n = rows.shape
     if n < 2:
         raise DataError(f"need at least 2 votes for a CI, got {n}")
-    with np.errstate(invalid="ignore"):  # NaN and inf fail the checks below
-        ints = rows.astype(np.int64)
+    if rows.dtype == np.int64:
+        ints = rows
+    else:
+        with np.errstate(invalid="ignore"):  # NaN and inf fail the checks below
+            ints = rows.astype(np.int64)
     lo, hi = ints.min(axis=1), ints.max(axis=1)
     if (
         (lo < 1).any()
@@ -86,7 +109,7 @@ def bootstrap_ci_mos(votes, level: float = 0.95) -> tuple:
         from numpy import fft
 
         last = s * n
-        size = 1 << last.bit_length()
+        size = _fft_length(last + 1)
         batch = max(1, _CHUNK_POINTS // size)
         for start in range(0, group.size, batch):
             part = group[start : start + batch]

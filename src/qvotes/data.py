@@ -121,8 +121,9 @@ class RatingDataset:
         of ``_vote_scores`` and of ``_vote_rows``, each vote's
         (condition, user) row.  Rows ``_row_bounds[j]:_row_bounds[j + 1]``
         belong to condition j, one per user who rated it, users ascending;
-        ``_user_rows`` names each row's user and ``_user_means`` gives
-        that user's mean score on the condition."""
+        ``_row_conds`` and ``_user_rows`` name each row's condition and
+        user, and ``_user_means`` gives that user's mean score on the
+        condition."""
         n_users = len(self.users)
         key = np.sort(
             (self._cond_idx.astype(np.int64) * n_users + self._user_idx) * NUM_SCORES
@@ -134,7 +135,8 @@ class RatingDataset:
         row_starts = np.flatnonzero(new_row)
         self._vote_rows = np.cumsum(new_row) - 1
         pairs = pair[row_starts]
-        self._row_bounds = np.searchsorted(pairs // n_users, np.arange(len(self.conditions) + 1))
+        self._row_conds = pairs // n_users
+        self._row_bounds = np.searchsorted(self._row_conds, np.arange(len(self.conditions) + 1))
         self._user_rows = (pairs % n_users).astype(np.int32)
         self._cond_totals = np.bincount(self._cond_idx, minlength=len(self.conditions))
         self._vote_bounds = np.concatenate([[0], np.cumsum(self._cond_totals)])

@@ -24,7 +24,8 @@ Metrics
 ``irr``
     inter-rater reliability: each sampled user's per-condition means
     rank-correlated against everyone else's, averaged over users, in one
-    grouped rank correlation per run.  A user counts on at least 3
+    grouped rank correlation per run; others' means within 1e-12 of each
+    other rank as ties (see ``_pair_irr``).  A user counts on at least 3
     conditions shared with someone else: a rank correlation of fewer
     points is undefined.
 
@@ -231,6 +232,10 @@ def draw_run_sample(
 # -- per-run metric evaluation ---------------------------------------------
 
 
+# Others' means closer than this rank as ties (see ``_pair_irr``).
+_IRR_TIE = 1e-12
+
+
 def _pair_irr(ds: RatingDataset, rows: np.ndarray, means: np.ndarray):
     """IRR of the ascending (condition, user) rows ``rows`` with their
     mean scores ``means``: each user's own means rank-correlated with
@@ -241,19 +246,28 @@ def _pair_irr(ds: RatingDataset, rows: np.ndarray, means: np.ndarray):
     (an empty group, fewer than 3 conditions, or constant own or others'
     means) are dropped, and the rest averaged in order of user index;
     None if no user is left.
+
+    Each condition's total is one ``bincount`` sum, and a user's others'
+    mean on it is ``(total - own) / (m - 1)`` over its m rows.  Two
+    others' means of one user within 1e-12 of each other rank as tied,
+    so that float rounding cannot split or join ties of the exact
+    rational means.  Means lie in [1, 5], so rounding moves each computed
+    others' mean by at most about 5·m·2^-53: equal exact means land within
+    1e-12 of each other for m <= 500.  Distinct rationals p/q and p'/q'
+    differ by at least 1/(q·q'), over 1e-12 while q·q' < 1e12, where q is
+    (m - 1) times the lcm of the vote counts of the condition's rows.
+    Own means are one correctly rounded division each and rank exactly.
     """
-    edges = np.searchsorted(rows, ds._row_bounds)
-    sizes = np.diff(edges)
-    # Each condition's total is a sum of its own slice, in numpy's own
-    # summation order, as the others' mean of a per-condition loop has it.
-    totals = np.array([means[a:b].sum() for a, b in zip(edges[:-1].tolist(), edges[1:].tolist())])
-    cond = np.repeat(np.arange(sizes.size), sizes)
-    keep = np.flatnonzero(sizes[cond] >= 2)
+    cond = ds._row_conds[rows]
+    k = len(ds.conditions)
+    sizes = np.bincount(cond, minlength=k)[cond]
+    keep = np.flatnonzero(sizes >= 2)
     if not keep.size:
         return None
-    cond, own = cond[keep], means[keep]
-    others = (totals[cond] - own) / (sizes[cond] - 1)
-    values = stats.grouped_srcc(ds._user_rows[rows[keep]], own, others)
+    totals = np.bincount(cond, weights=means, minlength=k)
+    own = means[keep]
+    others = (totals[cond[keep]] - own) / (sizes[keep] - 1)
+    values = stats._grouped_srcc(ds._user_rows[rows[keep]], own, others, _IRR_TIE)
     values = values[~np.isnan(values)]
     return float(np.mean(values)) if values.size else None
 
@@ -262,7 +276,7 @@ def _sampled_irr(ds: RatingDataset, scores: np.ndarray, rows: np.ndarray):
     """IRR of one run's votes, given with their (condition, user) rows."""
     flat = rows.ravel()
     counts = np.bincount(flat, minlength=ds._row_bounds[-1])
-    sums = np.bincount(flat, weights=scores.ravel().astype(float), minlength=counts.size)
+    sums = np.bincount(flat, weights=scores.ravel(), minlength=counts.size)
     present = np.flatnonzero(counts)
     return _pair_irr(ds, present, sums[present] / counts[present])
 
@@ -329,19 +343,21 @@ def _simulate_run(
 
 
 def _aggregate(values: list[float], level: float) -> tuple[float, float, float, float]:
-    """Mean, Student-t CI bounds and standard deviation across runs.
+    """Mean, Student-t CI bounds and standard deviation across runs; one
+    run is its own mean, with a zero-width CI and a zero spread.
 
     The t quantile comes from ``scipy.special.stdtrit``, the function that
     the ``ppf`` of scipy's Student t distribution wraps, so it is bit for
     bit that ``ppf``.  It is imported here, at first use: a one-run sweep
     never loads scipy.
     """
-    arr = np.asarray(values, dtype=float)
-    mean = float(arr.mean())
-    if arr.size == 1:
+    if len(values) == 1:
+        mean = float(values[0])
         return mean, mean, mean, 0.0
     from scipy.special import stdtrit
 
+    arr = np.asarray(values, dtype=float)
+    mean = float(arr.mean())
     sd = float(arr.std(ddof=1))
     t_quantile = float(stdtrit(arr.size - 1, 1.0 - (1.0 - level) / 2.0))
     half = t_quantile * sd / math.sqrt(arr.size)

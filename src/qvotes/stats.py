@@ -137,16 +137,22 @@ def _ranked_srcc(a: tuple, b: tuple) -> float:
     return float(np.clip((ra @ rb) / np.sqrt(saa * sbb), -1.0, 1.0))
 
 
-def _grouped_ranks(groups: np.ndarray, values: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+def _grouped_ranks(
+    groups: np.ndarray, values: np.ndarray, sizes: np.ndarray, tol: float = 0.0
+) -> np.ndarray:
     """Fractional ranks (1-based) of ``values`` within each group, ties
     receiving their group average, as :func:`average_ranks` per group.
 
     ``values`` must hold no NaN.  The entries are ordered by value with
     numpy's default (unstable) sort, then by group with a stable sort of
     the labels in the narrowest unsigned type that holds them: a radix
-    sort up to 16 bits.  Entries that share both group and value form one
-    tie group with one averaged rank, so how the value sort orders them
-    does not show in the result.
+    sort up to 16 bits.  In that order, an entry starts a new tie group
+    when its group changes or its value exceeds the previous one by more
+    than ``tol``; each tie group gets one averaged rank, so how the value
+    sort orders them does not show in the result.  With ``tol`` 0 the
+    ties are those of equal values, as in :func:`average_ranks`; the
+    comparison adds ``tol`` rather than subtracting neighbours, so that
+    infinities need no inf - inf.
     """
     by_value = np.argsort(values)
     labels = groups[by_value].astype(np.min_scalar_type(sizes.size - 1))
@@ -154,7 +160,7 @@ def _grouped_ranks(groups: np.ndarray, values: np.ndarray, sizes: np.ndarray) ->
     g = groups[order]
     v = values[order]
     boundaries = np.flatnonzero(
-        np.concatenate(([True], (g[1:] != g[:-1]) | (v[1:] != v[:-1]), [True]))
+        np.concatenate(([True], (g[1:] != g[:-1]) | (v[1:] > v[:-1] + tol), [True]))
     )
     tie_ranks = (boundaries[:-1] + boundaries[1:] + 1) / 2.0
     group_starts = np.cumsum(sizes) - sizes
@@ -166,22 +172,37 @@ def _grouped_ranks(groups: np.ndarray, values: np.ndarray, sizes: np.ndarray) ->
 def grouped_srcc(groups, a, b) -> np.ndarray:
     """Spearman rank correlation of ``a`` against ``b`` within each group.
 
-    ``groups`` labels every point with an integer in [0, G).  Entry g of
-    the result equals ``srcc(a[groups == g], b[groups == g])``, or is NaN
-    where that call would raise: fewer than 3 points or a constant
-    vector.  Ranks are half-integers, so their centred sums are exact and
-    each defined entry is bitwise equal to the scalar call's result.
+    ``groups`` labels every point with an integer in [0, G); any other
+    label raises :class:`DataError`.  Entry g of the result equals
+    ``srcc(a[groups == g], b[groups == g])``, or is NaN where that call
+    would raise: fewer than 3 points or a constant vector.  Ranks are
+    half-integers, so their centred sums are exact and each defined entry
+    is bitwise equal to the scalar call's result.
     """
     a, b = _as_pair(a, b, min_len=0)
-    groups = np.asarray(groups, dtype=np.int64)
+    labels = np.asarray(groups)
+    if labels.dtype.kind not in "biuf":
+        raise DataError("group labels must be integers")
+    with np.errstate(invalid="ignore"):  # NaN and inf fail the check below
+        groups = labels.astype(np.int64)
     if groups.shape != a.shape:
         raise DataError(f"length mismatch: {groups.size} group labels for {a.size} points")
+    if labels.dtype.kind == "f" and not np.array_equal(groups, labels):
+        raise DataError("group labels must be integers")
     if groups.size and groups.min() < 0:
         raise DataError("group labels must be non-negative")
+    return _grouped_srcc(groups, a, b)
+
+
+def _grouped_srcc(groups: np.ndarray, a: np.ndarray, b: np.ndarray, b_tol: float = 0.0):
+    """:func:`grouped_srcc` of checked inputs: non-negative integer
+    labels and two float vectors of their length, without NaN.  Values of
+    ``b`` that differ by at most ``b_tol`` rank as ties (see
+    :func:`_grouped_ranks`)."""
     sizes = np.bincount(groups)
     centre = (sizes[groups] + 1) / 2.0
     ra = _grouped_ranks(groups, a, sizes) - centre
-    rb = _grouped_ranks(groups, b, sizes) - centre
+    rb = _grouped_ranks(groups, b, sizes, b_tol) - centre
     saa = np.bincount(groups, ra * ra, minlength=sizes.size)
     sbb = np.bincount(groups, rb * rb, minlength=sizes.size)
     sab = np.bincount(groups, ra * rb, minlength=sizes.size)

@@ -159,7 +159,8 @@ class TestBootstrapCiMos:
 
 def per_row_ci_mos(votes, level):
     """qvotes 0.3.0's one-multiset kernel: the FFT convolution of one row's
-    pmf, and each bound by ``searchsorted`` on its CDF."""
+    pmf on a power-of-two length, and each bound by ``searchsorted`` on its
+    CDF."""
     ints = np.asarray(votes).astype(np.int64)
     n = ints.size
     lo, hi = int(ints.min()), int(ints.max())
@@ -244,6 +245,35 @@ class TestBatchedBootstrapCiMos:
             bootstrap_ci_mos(np.ones((3, 1), dtype=int))
         with pytest.raises(DataError):
             bootstrap_ci_mos(np.ones((2, 2, 2), dtype=int))
+
+
+def is_5_smooth(m):
+    for p in (2, 3, 5):
+        while m % p == 0:
+            m //= p
+    return m == 1
+
+
+class TestFftLength:
+    def test_smallest_5_smooth_length_that_holds_m_points(self):
+        # downward from the first 5-smooth number at or above the top
+        top = 20_000
+        smallest = next(m for m in itertools.count(top) if is_5_smooth(m))
+        for m in range(top, 0, -1):
+            if is_5_smooth(m):
+                smallest = m
+            assert bootstrap._fft_length(m) == smallest, m
+
+    def test_bounds_equal_power_of_two_lengths(self):
+        # 20,000 rows with n from 2 to 400, against the power-of-two kernel
+        rng = np.random.default_rng(2026)
+        ns = rng.integers(2, 401, size=20_000)
+        for n in np.unique(ns).tolist():
+            votes = vote_matrix(n, int((ns == n).sum()), n, np.int64)
+            level = float(rng.choice([0.8, 0.9, 0.95, 0.99]))
+            lows, highs = bootstrap_ci_mos(votes, level)
+            for i, row in enumerate(votes):
+                assert (lows[i], highs[i]) == per_row_ci_mos(row, level), (n, i)
 
 
 class TestClopperPearson:

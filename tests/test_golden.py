@@ -9,7 +9,10 @@ vote as a uniform index into its condition's votes from one stream per
 ``golden_sweep_lown.csv`` (a wide, sparse study at n = 2..20 with
 ``--fom``, no ci_width).  ``golden_fit.json`` holds the ``qvotes fit``
 model of every curve in both files, as written by qvotes 0.6.0, the first
-version to fit by variable projection.
+version to fit by variable projection.  qvotes 0.12.0 re-recorded the
+``irr`` row at n = 20 of ``golden_sweep.csv`` and that file's ``irr`` fit:
+its IRR ranks others' means within 1e-12 as ties, and that row holds the
+one run in which float totals had split a tie of the exact means.
 """
 
 from __future__ import annotations

@@ -6,7 +6,9 @@ import dataclasses
 import io
 import json
 import math
+import random
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
-    make_dataset, mos_dict, raters, synthetic_dataset, two_point_dataset, two_stage_pmf, votes,
+    brute_force_srcc, make_dataset, mos_dict, raters, synthetic_dataset, two_point_dataset,
+    two_stage_pmf, votes,
 )
 from qvotes import (
     ConfigError,
@@ -751,41 +754,72 @@ class TestCurveSerialization:
 
 
 def irr_by_rater_loop(users, own, others):
-    """IRR as one scalar SRCC per rater, over raters with at least 3
-    conditions: the per-rater reference the batched computation must
-    reproduce."""
+    """IRR as one brute-force SRCC per rater, over raters with at least 3
+    conditions whose own and others' means both vary, averaged in order
+    of user index: the per-rater reference the batched computation must
+    reproduce.  The means may be exact fractions, which rank exactly."""
     pairs = {}
     for g, a, b in zip(users, own, others):
         pairs.setdefault(int(g), []).append((a, b))
     values = []
-    for pair_list in pairs.values():
-        if len(pair_list) < 3:
-            continue
-        try:
-            values.append(srcc([p[0] for p in pair_list], [p[1] for p in pair_list]))
-        except DegenerateDataError:
-            continue
+    for g in sorted(pairs):
+        a, b = zip(*pairs[g])
+        if len(a) >= 3 and len(set(a)) > 1 and len(set(b)) > 1:
+            values.append(brute_force_srcc(a, b))
     return float(np.mean(values)) if values else None
 
 
-def run_pairs(ds, n, run_index, seed):
-    """Flat (rater, own mean, others' mean) pairs of one sampled run."""
+def exact_pairs(ds, cells):
+    """Flat (rater, own mean, others' mean) pairs, the means as exact
+    fractions, from ``cells``: per condition, each of its raters' scores
+    as {user id: scores}.  Conditions with one rater give no pair."""
     users, own, others = [], [], []
-    sample = draw_run_sample(ds, n, run_index, seed)
-    for scores, raters in sample.values():
-        present = sorted(set(raters), key=ds.users.index)
-        if len(present) < 2:
+    for by_user in cells:
+        if len(by_user) < 2:
             continue
-        means = np.array([scores[[r == u for r in raters]].mean() for u in present])
+        present = sorted(by_user, key=ds.users.index)
+        means = [Fraction(sum(by_user[u]), len(by_user[u])) for u in present]
+        total = sum(means)
         users += [ds.users.index(u) for u in present]
-        own += means.tolist()
-        others += ((means.sum() - means) / (len(present) - 1)).tolist()
-    return np.array(users, dtype=np.int64), np.array(own), np.array(others)
+        own += means
+        others += [(total - m) / (len(means) - 1) for m in means]
+    return users, own, others
+
+
+def run_pairs(ds, n, run_index, seed):
+    """The exact (rater, own mean, others' mean) pairs of one sampled run."""
+    cells = []
+    for scores, drawn in draw_run_sample(ds, n, run_index, seed).values():
+        by_user = {}
+        for score, user in zip(scores.tolist(), drawn):
+            by_user.setdefault(user, []).append(score)
+        cells.append(by_user)
+    return exact_pairs(ds, cells)
+
+
+def full_pairs(ds):
+    """The exact (rater, own mean, others' mean) pairs of the whole dataset."""
+    cells = {c: {} for c in ds.conditions}
+    for v in votes(ds):
+        cells[v.condition_id].setdefault(v.user_id, []).append(v.score)
+    return exact_pairs(ds, cells.values())
 
 
 small_studies = st.lists(
     st.tuples(st.integers(0, 5), st.integers(0, 6), st.integers(1, 5)), min_size=1, max_size=60
 )
+
+
+def fractional_study(seed):
+    """5 to 29 conditions, each rated by 9 to 25 of 40 raters with 1 to 3
+    votes each: rater means with denominators 1 to 3 make others' means
+    whose exact ties float sums can split."""
+    rng = random.Random(seed)
+    rows = []
+    for c in range(rng.randint(5, 29)):
+        for u in rng.sample(range(40), rng.randint(9, 25)):
+            rows += [(f"c{c:02d}", f"u{u:02d}", rng.randint(1, 5)) for _ in range(rng.randint(1, 3))]
+    return make_dataset(rows)
 
 
 class TestBatchedIrr:
@@ -834,25 +868,27 @@ class TestBatchedIrr:
     @given(rows=small_studies)
     def test_full_dataset_matches_rater_loop(self, rows):
         ds = make_dataset([(f"c{c}", f"u{u}", s) for c, u, s in rows])
-        listed = votes(ds)
-        users, own, others = [], [], []
-        for cond in ds.conditions:
-            rated = raters(ds, cond)
-            if len(rated) < 2:
-                continue
-            means = np.array([
-                np.mean([v.score for v in listed if (v.condition_id, v.user_id) == (cond, u)])
-                for u in rated
-            ])
-            users += [ds.users.index(u) for u in rated]
-            own += means.tolist()
-            others += ((means.sum() - means) / (len(rated) - 1)).tolist()
-        want = irr_by_rater_loop(users, own, others)
+        want = irr_by_rater_loop(*full_pairs(ds))
         if want is None:
             with pytest.raises(DataError):
                 irr_full(ds)
         else:
             assert irr_full(ds) == pytest.approx(want, abs=1e-12)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 40))
+    def test_fractional_means_rank_as_exact_fractions(self, seed, n):
+        # Others' means that are equal as fractions tie, and unequal ones
+        # do not, whatever order their float totals were summed in.
+        ds = fractional_study(seed)
+        assert irr_full(ds) == pytest.approx(irr_by_rater_loop(*full_pairs(ds)), abs=1e-12)
+        want = irr_by_rater_loop(*run_pairs(ds, n, 0, seed))
+        cfg = SweepConfig(n_values=(n,), repetitions=1, master_seed=seed, metrics=("irr",))
+        if want is None:
+            with pytest.raises(DataError):
+                run_sweep(ds, None, cfg)
+        else:
+            assert run_sweep(ds, None, cfg)[0].point_at(n).mean == pytest.approx(want, abs=1e-12)
 
 
 class StubStream:

@@ -269,6 +269,12 @@ class TestGroupedSrcc:
             grouped_srcc([0, 0], [1.0, 2.0, 3.0], [1.0, 2.0, 3.0])
         with pytest.raises(DataError):
             grouped_srcc([0, -1, 0], [1.0, 2.0, 3.0], [1.0, 2.0, 3.0])
+        # fractional labels are refused, not truncated into groups 0, 0, 0, 1
+        for labels in ([0.5, 0.7, 0.9, 1.2], [0, 0, np.nan, 0], [0, 0, np.inf, 0], list("0010")):
+            with pytest.raises(DataError, match="integers"):
+                grouped_srcc(labels, [1, 2, 3, 4], [1, 3, 2, 4])
+        whole = grouped_srcc([0.0, 0.0, 0.0, 1.0], [1, 2, 3, 4], [1, 3, 2, 4])
+        assert whole.tobytes() == grouped_srcc([0, 0, 0, 1], [1, 2, 3, 4], [1, 3, 2, 4]).tobytes()
 
     def test_nan_is_rejected(self):
         groups = [0, 0, 0, 0, 1, 1, 1]
