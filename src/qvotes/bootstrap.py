@@ -82,11 +82,8 @@ def bootstrap_ci_mos(votes, level: float = 0.95) -> tuple:
     k, n = rows.shape
     if n < 2:
         raise DataError(f"need at least 2 votes for a CI, got {n}")
-    if rows.dtype == np.int64:
-        ints = rows
-    else:
-        with np.errstate(invalid="ignore"):  # NaN and inf fail the checks below
-            ints = rows.astype(np.int64)
+    with np.errstate(invalid="ignore"):  # NaN and inf fail the checks below
+        ints = rows.astype(np.int64, copy=False)
     lo, hi = ints.min(axis=1), ints.max(axis=1)
     if (
         (lo < 1).any()

@@ -256,6 +256,9 @@ def _pair_irr(ds: RatingDataset, rows: np.ndarray, means: np.ndarray):
     1e-12 of each other for m <= 500.  Distinct rationals p/q and p'/q'
     differ by at least 1/(q·q'), over 1e-12 while q·q' < 1e12, where q is
     (m - 1) times the lcm of the vote counts of the condition's rows.
+    That bound holds for ``irr_full`` with a few votes per rater, but not
+    in general for a sampled run, whose per-rater vote counts can have a
+    far larger lcm: there, distinct means closer than 1e-12 rank as tied.
     Own means are one correctly rounded division each and rank exactly.
     """
     cond = ds._row_conds[rows]

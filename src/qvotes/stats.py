@@ -181,13 +181,12 @@ def grouped_srcc(groups, a, b) -> np.ndarray:
     """
     a, b = _as_pair(a, b, min_len=0)
     labels = np.asarray(groups)
-    if labels.dtype.kind not in "biuf":
-        raise DataError("group labels must be integers")
     with np.errstate(invalid="ignore"):  # NaN and inf fail the check below
         groups = labels.astype(np.int64)
     if groups.shape != a.shape:
         raise DataError(f"length mismatch: {groups.size} group labels for {a.size} points")
-    if labels.dtype.kind == "f" and not np.array_equal(groups, labels):
+    # Digit strings are parsed by the cast; any other label must equal it.
+    if labels.dtype.kind not in "SU" and not np.array_equal(groups, labels):
         raise DataError("group labels must be integers")
     if groups.size and groups.min() < 0:
         raise DataError("group labels must be non-negative")

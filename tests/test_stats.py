@@ -270,11 +270,18 @@ class TestGroupedSrcc:
         with pytest.raises(DataError):
             grouped_srcc([0, -1, 0], [1.0, 2.0, 3.0], [1.0, 2.0, 3.0])
         # fractional labels are refused, not truncated into groups 0, 0, 0, 1
-        for labels in ([0.5, 0.7, 0.9, 1.2], [0, 0, np.nan, 0], [0, 0, np.inf, 0], list("0010")):
+        for labels in (
+            [0.5, 0.7, 0.9, 1.2],
+            [0, 0, np.nan, 0],
+            [0, 0, np.inf, 0],
+            np.array([0, 0, 0.5, 1], dtype=object),
+        ):
             with pytest.raises(DataError, match="integers"):
                 grouped_srcc(labels, [1, 2, 3, 4], [1, 3, 2, 4])
-        whole = grouped_srcc([0.0, 0.0, 0.0, 1.0], [1, 2, 3, 4], [1, 3, 2, 4])
-        assert whole.tobytes() == grouped_srcc([0, 0, 0, 1], [1, 2, 3, 4], [1, 3, 2, 4]).tobytes()
+        # integer-valued labels of any dtype are the integer labels
+        expected = grouped_srcc([0, 0, 0, 1], [1, 2, 3, 4], [1, 3, 2, 4]).tobytes()
+        for labels in ([0.0, 0.0, 0.0, 1.0], np.array([0, 0, 0, 1], dtype=object), list("0001")):
+            assert grouped_srcc(labels, [1, 2, 3, 4], [1, 3, 2, 4]).tobytes() == expected
 
     def test_nan_is_rejected(self):
         groups = [0, 0, 0, 0, 1, 1, 1]
