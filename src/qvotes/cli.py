@@ -323,12 +323,12 @@ def cmd_fit(args) -> int:
 
 
 def cmd_maxci(args) -> int:
+    _prepare_outputs(args.out, [])
     text = "n,max_ci_width\n" + "".join(
         f"{n},{max_ci_width(args.mos, n, args.level):.6g}\n" for n in parse_sweep(args.n)
     )
     print(text, end="")
     if args.out:
-        _prepare_outputs(args.out, [])
         Path(args.out).write_text(text, encoding="utf-8", newline="")
         write_manifest(_out_base(args.out), args.argv, None, {})
     return EXIT_OK

@@ -10,6 +10,7 @@ around the best grid point.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,8 +22,6 @@ from .errors import DataError, DegenerateDataError
 B_GRID = -np.geomspace(8.0, 0.001, 64)
 B_RELATIVE_WIDTH = 1e-12
 INVERSE_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-# Integer window checked below the analytic solution in votes_for_target.
-SEARCH_MARGIN = 4
 
 
 @dataclass(frozen=True)
@@ -135,19 +134,14 @@ def votes_for_target(model: PowerModel, target: float) -> int | None:
         value = float(model.predict(n))
         return value >= target if rising else value <= target
 
-    if met(1):
-        return 1
-    # Monotone curve: invert analytically, then verify on a small integer
-    # window around the float solution.
-    try:
-        exact = ((target - model.c) / model.a) ** (1.0 / model.b)
-    except (OverflowError, ZeroDivisionError):
-        raise DataError(
-            f"vote target {target} needs more votes than can be represented"
-        ) from None
-    n = max(1, int(math.floor(exact)) - SEARCH_MARGIN)
-    while not met(n):
-        n += 1
-        if n > exact + 10 * SEARCH_MARGIN + 10:
-            raise DataError("vote target search failed to bracket the solution")
-    return n
+    # Double n until the target is met, then bisect between the last
+    # count that misses it and the first that meets it.
+    miss, hit = 0, 1
+    while not met(hit):
+        miss, hit = hit, 2 * hit
+        if hit > sys.float_info.max:
+            raise DataError(f"vote target {target} needs more votes than can be represented")
+    while hit - miss > 1:
+        mid = (miss + hit) // 2
+        miss, hit = (miss, mid) if met(mid) else (mid, hit)
+    return hit

@@ -241,11 +241,11 @@ def _pair_irr(ds: RatingDataset, rows: np.ndarray, means: np.ndarray):
     mean scores ``means``: each user's own means rank-correlated with
     everyone else's, on conditions where at least two users have a row.
 
-    The user indices are the group labels as they are, so a user with no
-    pair has an empty group.  Users whose rank correlation is undefined
-    (an empty group, fewer than 3 conditions, or constant own or others'
-    means) are dropped, and the rest averaged in order of user index;
-    None if no user is left.
+    The user indices are ``stats._grouped_srcc``'s group labels as they
+    are, so a user with no pair has an empty group.  Users whose rank
+    correlation is undefined (an empty group, fewer than 3 conditions, or
+    constant own or others' means) are dropped, and the rest averaged in
+    order of user index; None if no user is left.
 
     Each condition's total is one ``bincount`` sum, and a user's others'
     mean on it is ``(total - own) / (m - 1)`` over its m rows.  Two

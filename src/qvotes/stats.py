@@ -82,11 +82,16 @@ def average_ranks(values) -> np.ndarray:
     _require_no_nan(a)
     order = np.argsort(a)
     s = a[order]
-    boundaries = np.flatnonzero(np.concatenate(([True], s[1:] != s[:-1], [True])))
-    group_sizes = np.diff(boundaries)
-    group_ranks = (boundaries[:-1] + boundaries[1:] + 1) / 2.0
-    ranks = np.empty(a.size)
-    ranks[order] = np.repeat(group_ranks, group_sizes)
+    return _tie_ranks(order, s[1:] != s[:-1])
+
+
+def _tie_ranks(order: np.ndarray, breaks: np.ndarray) -> np.ndarray:
+    """Ranks (1-based) of the entries that ``order`` sorts, each tie group
+    receiving its average rank, where ``breaks[i]`` says that the entry
+    after the i-th in that order starts a new tie group."""
+    boundaries = np.flatnonzero(np.concatenate(([True], breaks, [True])))
+    ranks = np.empty(order.size)
+    ranks[order] = np.repeat((boundaries[:-1] + boundaries[1:] + 1) / 2.0, np.diff(boundaries))
     return ranks
 
 
@@ -112,8 +117,8 @@ def _as_pair(a, b, min_len: int):
 def srcc(a, b) -> float:
     """Spearman rank correlation: Pearson correlation of average ranks.
 
-    Raises :class:`DataError` on NaN, as do :func:`grouped_srcc`,
-    :func:`rmse` and :func:`fit_line`.
+    Raises :class:`DataError` on NaN, as do :func:`rmse` and
+    :func:`fit_line`.
     """
     a, b = _as_pair(a, b, min_len=3)
     if np.all(a == a[0]) or np.all(b == b[0]):
@@ -159,45 +164,23 @@ def _grouped_ranks(
     order = by_value[np.argsort(labels, kind="stable")]
     g = groups[order]
     v = values[order]
-    boundaries = np.flatnonzero(
-        np.concatenate(([True], (g[1:] != g[:-1]) | (v[1:] > v[:-1] + tol), [True]))
-    )
-    tie_ranks = (boundaries[:-1] + boundaries[1:] + 1) / 2.0
-    group_starts = np.cumsum(sizes) - sizes
-    ranks = np.empty(values.size)
-    ranks[order] = np.repeat(tie_ranks, np.diff(boundaries)) - group_starts[g]
+    ranks = _tie_ranks(order, (g[1:] != g[:-1]) | (v[1:] > v[:-1] + tol))
+    ranks -= (np.cumsum(sizes) - sizes)[groups]
     return ranks
 
 
-def grouped_srcc(groups, a, b) -> np.ndarray:
+def _grouped_srcc(groups: np.ndarray, a: np.ndarray, b: np.ndarray, b_tol: float = 0.0):
     """Spearman rank correlation of ``a`` against ``b`` within each group.
 
-    ``groups`` labels every point with an integer in [0, G); any other
-    label raises :class:`DataError`.  Entry g of the result equals
-    ``srcc(a[groups == g], b[groups == g])``, or is NaN where that call
-    would raise: fewer than 3 points or a constant vector.  Ranks are
-    half-integers, so their centred sums are exact and each defined entry
-    is bitwise equal to the scalar call's result.
+    ``groups`` labels every point with a non-negative int64, and ``a`` and
+    ``b`` are float vectors of its length without NaN; nothing is checked.
+    Entry g of the result equals ``srcc(a[groups == g], b[groups == g])``,
+    or is NaN where that call would raise: fewer than 3 points or a
+    constant vector.  With ``b_tol`` 0, ranks are half-integers, so their
+    centred sums are exact and each defined entry is bitwise equal to the
+    scalar call's result.  Values of ``b`` that differ by at most ``b_tol``
+    rank as ties (see :func:`_grouped_ranks`).
     """
-    a, b = _as_pair(a, b, min_len=0)
-    labels = np.asarray(groups)
-    with np.errstate(invalid="ignore"):  # NaN and inf fail the check below
-        groups = labels.astype(np.int64)
-    if groups.shape != a.shape:
-        raise DataError(f"length mismatch: {groups.size} group labels for {a.size} points")
-    # Digit strings are parsed by the cast; any other label must equal it.
-    if labels.dtype.kind not in "SU" and not np.array_equal(groups, labels):
-        raise DataError("group labels must be integers")
-    if groups.size and groups.min() < 0:
-        raise DataError("group labels must be non-negative")
-    return _grouped_srcc(groups, a, b)
-
-
-def _grouped_srcc(groups: np.ndarray, a: np.ndarray, b: np.ndarray, b_tol: float = 0.0):
-    """:func:`grouped_srcc` of checked inputs: non-negative integer
-    labels and two float vectors of their length, without NaN.  Values of
-    ``b`` that differ by at most ``b_tol`` rank as ties (see
-    :func:`_grouped_ranks`)."""
     sizes = np.bincount(groups)
     centre = (sizes[groups] + 1) / 2.0
     ra = _grouped_ranks(groups, a, sizes) - centre

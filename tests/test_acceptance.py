@@ -307,7 +307,7 @@ def test_criterion_10_power_fit_round_trip():
     assert ok
 
 
-def test_criterion_11_determinism_across_workers(tmp_path):
+def test_criterion_11_determinism_across_grid_splits(tmp_path):
     # Each curve point depends only on (dataset, n, runs, seed, config): the
     # rows of a split n grid match the whole grid's byte for byte, and a
     # repeat of the same invocation writes the same bytes.

@@ -753,6 +753,14 @@ class TestOutputPaths:
         assert out.is_file()
         assert (out.parent / "widths.manifest.json").is_file()
 
+    def test_maxci_unwritable_out_prints_nothing(self, tmp_path, capsys):
+        # The output directory is checked before the table is printed.
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        out = blocker / "sub" / "x.csv"
+        assert main(["maxci", "--mos", "3", "--n", "10:30:10", "--out", str(out)]) == 1
+        assert capsys.readouterr().out == ""
+
 
 COLD_START_SCRIPT = """
 import json, sys

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qvotes import (
@@ -16,6 +19,7 @@ from qvotes import (
 )
 
 SWEEP_X = tuple(range(10, 201, 10))
+DATA = Path(__file__).resolve().parent / "data"
 
 # Published coefficient triples for the benchmark curves; the mapped RMSE
 # variants exercise different shapes.
@@ -231,6 +235,50 @@ class TestVotesForTarget:
         # 0.1 ** -1000 used to escape as OverflowError
         with pytest.raises(DataError, match="more votes than can be represented"):
             votes_for_target(model, target)
+
+    @staticmethod
+    def _assert_smallest(model, target):
+        """``votes_for_target`` is the first count that meets ``target`` in
+        a scan of ``predict`` from 1, or from 2000 counts below its answer
+        where that answer is larger, since a scan to 10^12 would not end."""
+        got = votes_for_target(model, target)
+        if got is None:
+            # predict rounds to the asymptote, which counts as unreachable
+            assert target == model.c
+            return None
+        for n in range(max(1, got - 2000), got + 1):
+            value = float(model.predict(n))
+            if (value >= target) if model.a < 0.0 else (value <= target):
+                break
+        assert got == n
+        return got
+
+    @given(
+        a=st.one_of(st.floats(-10.0, -1e-3), st.floats(1e-3, 10.0)),
+        b=st.floats(-8.0, -0.001),
+        c=st.floats(-1.0, 1.0),
+        n=st.integers(1, 10**12),
+    )
+    # qvotes 0.12's analytic inverse answered 24221; 23296 is the smallest.
+    @example(a=-0.0067410478710634835, b=-3.006480916796439, c=-0.6675134975310228, n=23796)
+    @example(a=-0.5, b=-8.0, c=0.9, n=3)
+    @example(a=0.5, b=-8.0, c=0.1, n=2)
+    @example(a=-0.5, b=-0.001, c=0.9, n=10**12)
+    @example(a=0.5, b=-0.001, c=0.1, n=10**9)
+    @settings(max_examples=300, deadline=None)
+    def test_smallest_count_against_scan(self, a, b, c, n):
+        model = PowerModel(a=a, b=b, c=c, rmse_of_fit=0.0, n_points=5)
+        got = self._assert_smallest(model, float(model.predict(n)))
+        assert got is None or got <= n
+
+    def test_golden_fits_against_scan(self):
+        # qvotes 0.12's answer was not the smallest in 14 of these cases.
+        fits = json.loads((DATA / "golden_fit.json").read_text())
+        for models in fits.values():
+            for fit in models.values():
+                model = PowerModel(fit["a"], fit["b"], fit["c"], fit["rmse_of_fit"], 20)
+                for k in range(6, 13):
+                    self._assert_smallest(model, float(model.predict(10**k)))
 
     def test_degenerate_model_rejected(self):
         flat = PowerModel(a=0.0, b=-1.0, c=0.5, rmse_of_fit=0.0, n_points=4)

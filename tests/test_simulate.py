@@ -183,7 +183,7 @@ class TestRunSweep:
         scores, _ = draw_run_sample(ds, 12, 0, 0)["x"]
         assert np.mean(scores) == 3.0
 
-    def test_bitwise_deterministic_across_workers(self):
+    def test_bitwise_deterministic_across_grid_splits(self):
         # Splitting the n grid into separate sweeps gives the same points.
         ds = synthetic_dataset(seed=2, n_conditions=6, n_users=10)
         cfg = SweepConfig(
