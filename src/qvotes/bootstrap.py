@@ -22,6 +22,7 @@ import functools
 
 import numpy as np
 
+from .data import NUM_SCORES, SCORE_MAX, SCORE_MIN
 from .errors import ConfigError, DataError, _integer
 
 # Spectrum points per batch of rows in ``bootstrap_ci_mos`` (10 rows at
@@ -86,19 +87,19 @@ def bootstrap_ci_mos(votes, level: float = 0.95) -> tuple:
         ints = rows.astype(np.int64, copy=False)
     lo, hi = ints.min(axis=1), ints.max(axis=1)
     if (
-        (lo < 1).any()
-        or (hi > 5).any()
+        (lo < SCORE_MIN).any()
+        or (hi > SCORE_MAX).any()
         or (rows.dtype.kind not in "iu" and not np.array_equal(ints, rows))
     ):
-        raise DataError("votes must be integers in 1..5")
+        raise DataError(f"votes must be integers in {SCORE_MIN}..{SCORE_MAX}")
     # Each row's vote counts on its own support [lo, hi], in one bincount.
-    offsets = ints - lo[:, None] + 5 * np.arange(k)[:, None]
-    counts = np.bincount(offsets.ravel(), minlength=5 * k).reshape(k, 5)
+    offsets = ints - lo[:, None] + NUM_SCORES * np.arange(k)[:, None]
+    counts = np.bincount(offsets.ravel(), minlength=NUM_SCORES * k).reshape(k, NUM_SCORES)
     q = (1.0 - level) / 2.0
     targets = (q - 1e-9, 1.0 - q - 1e-9)
     steps = np.zeros((2, k), np.int64)
     span = hi - lo
-    for s in range(1, 5):
+    for s in range(1, NUM_SCORES):
         group = np.flatnonzero(span == s)
         if not group.size:
             continue
@@ -172,9 +173,9 @@ def max_ci_width(mos: float, n: int, level: float = 0.95) -> float:
     bound symmetric in mos around 3 for even vote counts.
     """
     n = _integer("n", n)
-    if not 1.0 <= mos <= 5.0:
-        raise DataError(f"mos must lie in [1, 5], got {mos}")
-    p = (mos - 1.0) / 4.0
+    if not SCORE_MIN <= mos <= SCORE_MAX:
+        raise DataError(f"mos must lie in [{SCORE_MIN}, {SCORE_MAX}], got {mos}")
+    p = (mos - SCORE_MIN) / (SCORE_MAX - SCORE_MIN)
     successes = int(round(p * n))
     low, high = clopper_pearson(successes, n, level)
-    return 4.0 * (high - low)
+    return (SCORE_MAX - SCORE_MIN) * (high - low)

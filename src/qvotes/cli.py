@@ -11,7 +11,6 @@ byte.
 from __future__ import annotations
 
 import argparse
-import codecs
 import dataclasses
 import hashlib
 import io
@@ -167,13 +166,15 @@ def _out_base(out: str) -> str:
 
 def _prepare_outputs(out: str | None, inputs, files=None) -> None:
     """Refuse to write ``out`` (or the ``files`` of its base) or its
-    manifest over one of the ``inputs`` (None for one not given), and
-    create their directory.  Called before any input is read."""
+    manifest over a directory or one of the ``inputs`` (None for one not
+    given), and create their directory.  Called before any input is read."""
     if out is None:
         return
     base = _out_base(out)
     inputs = [path for path in inputs if path is not None and os.path.exists(path)]
     for target in (*(files or [out]), f"{base}.manifest.json"):
+        if os.path.isdir(target):
+            raise ConfigError(f"output {target} is a directory")
         for path in inputs:
             if os.path.exists(target) and os.path.samefile(target, path):
                 raise ConfigError(f"output {target} would overwrite the input {path}")
@@ -287,11 +288,7 @@ def cmd_fit(args) -> int:
     _prepare_outputs(args.out, [args.curves])
     path = Path(args.curves)
     digests: dict[str, str] = {}
-    stream = _read_input(args.curves, digests)
-    # A curve JSON is an object; any other text is read as a curve CSV.
-    is_json = stream.getvalue().removeprefix(codecs.BOM_UTF8).lstrip()[:1] == b"{"
-    read = simulate.read_curves_json if is_json else simulate.read_curves_csv
-    curves = read(stream)
+    curves = simulate._read_curves(_read_input(args.curves, digests))
     metric = METRIC_ALIASES.get(args.metric, args.metric)
     matching = [c for c in curves if c.metric == metric]
     if not matching:

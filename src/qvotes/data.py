@@ -13,23 +13,21 @@ Input files are UTF-8 delimited text (comma by default) with a header
 row.  Ratings need ``condition_id,user_id,score`` columns (plus an
 optional ``stimulus_id``), reference tables need ``condition_id,mos``.
 Unknown extra columns are ignored; ``column_map`` renames the canonical
-columns to whatever the file actually uses.  A leading UTF-8 byte-order
-mark, as spreadsheet programs write, is dropped: paths and binary
-streams are decoded as ``utf-8-sig``, and a text stream loses a leading
-U+FEFF before its first row is parsed.
+columns to whatever the file actually uses, and a column it names is
+required.  A leading UTF-8 byte-order mark, as spreadsheet programs
+write, is dropped: paths and binary streams are decoded as
+``utf-8-sig``, and a text stream loses a leading U+FEFF before its
+first row is parsed.
 
-Both loaders, like the curve readers of :mod:`qvotes.simulate`, read
-their source into one string with :func:`_read_text`; its lines end at
-LF, CRLF or a bare CR for paths and streams alike.  The ratings loader
-parses plain text (no ``"``, NUL or bare CR, every body line with the
-header's field count, non-blank ids and valid scores) by numpy scans of
-its UTF-8 bytes, without one Python string per cell, and strips, codes
-and checks each distinct cell value once.  Any other ratings text,
-quoted or irregular, and every reference table go through ``csv``,
-which checks each row as it is read and names the first bad row's line;
-both paths give the same ids, stripped of surrounding whitespace.  A
-field over ``csv.field_size_limit()`` raises :class:`DataError` naming
-its line.
+Every input, here and the curve files of :mod:`qvotes.simulate`, is read
+into one string by :func:`_read_text`; its lines end at LF, CRLF or a
+bare CR for paths and streams alike.  Plain ratings text (no ``"``, NUL
+or bare CR, every body line with the header's field count, non-blank ids
+and valid scores) is parsed by numpy scans of its UTF-8 bytes, each
+distinct cell value stripped, coded and checked once.  Other ratings
+text, every reference table and every curve CSV go through
+:func:`_csv_table`, the one ``csv`` reader, which names the line of a
+short row, a bad quote or a field over ``csv.field_size_limit()``.
 """
 
 from __future__ import annotations
@@ -196,8 +194,8 @@ class ReferenceMos:
 
     def __post_init__(self):
         for cond, value in self.mos.items():
-            if not 1.0 <= value <= 5.0:
-                raise DataError(f"reference MOS for {cond!r} outside [1, 5]: {value}")
+            if not SCORE_MIN <= value <= SCORE_MAX:
+                raise DataError(f"reference MOS for {cond!r} outside [{SCORE_MIN}, {SCORE_MAX}]: {value}")
 
     def __len__(self) -> int:
         return len(self.mos)
@@ -225,11 +223,11 @@ def _shared_reference(
 def reference_coverage(
     ref: ReferenceMos, ds: RatingDataset
 ) -> tuple[tuple[str, ...], tuple[str, ...], tuple[str, ...]]:
-    """Returns (shared, reference-only, dataset-only) condition ids."""
+    """Returns (shared, reference-only, dataset-only) condition ids, each sorted."""
     ds_set = set(ds.conditions)
     ref_set = set(ref.mos)
     shared = tuple(c for c in ds.conditions if c in ref_set)
-    ref_only = tuple(c for c in ref.mos if c not in ds_set)
+    ref_only = tuple(sorted(c for c in ref.mos if c not in ds_set))
     ds_only = tuple(c for c in ds.conditions if c not in ref_set)
     return shared, ref_only, ds_only
 
@@ -306,7 +304,7 @@ def _resolve_columns(header, wanted, column_map, required):
         actual = column_map.get(canonical, canonical)
         if actual in names:
             index[canonical] = names.index(actual)
-        elif canonical in required:
+        elif canonical in required or canonical in column_map:
             missing.append(actual)
     if missing:
         raise DataError(f"missing required column(s): {', '.join(missing)}")
@@ -520,7 +518,7 @@ def load_reference(
             value = float(raw)
         except ValueError:
             raise DataError(f"non-numeric mos {raw!r} at line {line}") from None
-        if not 1.0 <= value <= 5.0:
+        if not SCORE_MIN <= value <= SCORE_MAX:
             raise DataError(f"mos out of range at line {line}: {raw}")
         mos[cond] = value
     if not mos:

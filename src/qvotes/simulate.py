@@ -55,7 +55,6 @@ from __future__ import annotations
 
 import csv
 import dataclasses
-import io
 import json
 import math
 from dataclasses import dataclass
@@ -65,7 +64,7 @@ import numpy as np
 
 from . import stats
 from .bootstrap import bootstrap_ci_mos
-from .data import RatingDataset, ReferenceMos, _read_text, _shared_reference
+from .data import RatingDataset, ReferenceMos, _csv_table, _read_text, _shared_reference
 from .errors import ConfigError, DataError, DegenerateDataError, _integer
 
 VALIDITY_SRCC = "validity_srcc"
@@ -505,11 +504,6 @@ def _write_json(path, doc) -> None:
         fh.write(json.dumps(doc, indent=2) + "\n")
 
 
-def _csv_point(row) -> CurvePoint:
-    """A curve point from the text cells of a CSV row."""
-    return CurvePoint(int(row["n"]), *(float(row[f]) for f in CurvePoint._fields[1:]))
-
-
 def _json_point(obj) -> CurvePoint:
     """A curve point from a JSON point object.  ``n`` is checked to be an
     integer by :class:`MetricCurve`; every other field must be a JSON
@@ -522,32 +516,42 @@ def _json_point(obj) -> CurvePoint:
 
 
 def read_curves_csv(source) -> list[MetricCurve]:
-    """The curves of a curve CSV, as :func:`write_curves_csv` writes it.
-    ``source`` is a path or an open text or binary stream, decoded as the
-    rating loaders decode theirs."""
-    reader = csv.DictReader(io.StringIO(_read_text(source), newline=""))
-    grouped: dict[tuple[str, str], list[CurvePoint]] = {}
-    try:
-        missing = set(CURVE_CSV_COLUMNS) - set(reader.fieldnames or ())
-        if missing:
-            raise DataError(f"curve file missing column(s): {', '.join(sorted(missing))}")
-        for row in reader:
-            grouped.setdefault((row["metric"], row["dataset"]), []).append(_csv_point(row))
-    except (TypeError, ValueError) as exc:
-        raise DataError(f"malformed curve CSV at line {reader.line_num}: {exc}") from None
-    if not grouped:
-        raise DataError("curve file has no rows")
-    return [
-        MetricCurve(metric=m, dataset_label=d, points=tuple(pts))
-        for (m, d), pts in grouped.items()
-    ]
+    """The curves of a curve CSV, as :func:`write_curves_csv` writes it, from
+    a path or an open text or binary stream, decoded as the loaders do."""
+    return _csv_curves(_read_text(source))
 
 
 def read_curves_json(source) -> list[MetricCurve]:
-    """The curves of a curve JSON bundle, as :func:`write_curves_json`
-    writes it.  ``source`` is a path or an open text or binary stream,
-    decoded as the rating loaders decode theirs."""
+    """The curves of a curve JSON bundle, as :func:`write_curves_json` writes
+    it, from a path or an open text or binary stream, decoded likewise."""
+    return _json_curves(_read_text(source))
+
+
+def _read_curves(source) -> list[MetricCurve]:
+    """The curves of a curve file: JSON if its first character, after an
+    optional byte-order mark and whitespace, is ``{``, else CSV."""
     text = _read_text(source)
+    return (_json_curves if text.lstrip()[:1] == "{" else _csv_curves)(text)
+
+
+def _csv_curves(text: str) -> list[MetricCurve]:
+    """The curves of curve CSV ``text``, its ``metric`` and ``dataset`` cells verbatim."""
+    rows = _csv_table(text, ",", CURVE_CSV_COLUMNS, {}, CURVE_CSV_COLUMNS)
+    index = next(rows)
+    grouped: dict[tuple[str, str], list[CurvePoint]] = {}
+    for line, row in rows:
+        metric, dataset, n, *values = (row[index[c]] for c in CURVE_CSV_COLUMNS)
+        try:
+            grouped.setdefault((metric, dataset), []).append(CurvePoint(int(n), *map(float, values)))
+        except ValueError as exc:
+            raise DataError(f"malformed curve CSV at line {line}: {exc}") from None
+    if not grouped:
+        raise DataError("curve file has no rows")
+    return [MetricCurve(m, d, tuple(points)) for (m, d), points in grouped.items()]
+
+
+def _json_curves(text: str) -> list[MetricCurve]:
+    """The curves of curve JSON ``text``; too deep a nesting is malformed."""
     try:
         curves = [
             MetricCurve(
@@ -557,7 +561,7 @@ def read_curves_json(source) -> list[MetricCurve]:
             )
             for c in json.loads(text)["curves"]
         ]
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
         raise DataError(f"malformed curve JSON: {exc}") from None
     if not curves:
         raise DataError("curve file has no curves")

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import RatingDataset, ReferenceMos, _shared_reference
+from .data import SCORE_MAX, SCORE_MIN, RatingDataset, ReferenceMos, _shared_reference
 from .errors import ConfigError, DataError, DegenerateDataError
 
 MOS_METHODS = ("user_balanced", "plain")
@@ -24,8 +24,8 @@ class MosVector:
         object.__setattr__(self, "values", values)
         if len(self.conditions) != values.size:
             raise DataError("conditions and values must align")
-        if values.size and not ((values >= 1.0) & (values <= 5.0)).all():
-            raise DataError("MOS values must lie in [1, 5]")
+        if values.size and not ((values >= SCORE_MIN) & (values <= SCORE_MAX)).all():
+            raise DataError(f"MOS values must lie in [{SCORE_MIN}, {SCORE_MAX}]")
 
 
 @dataclass(frozen=True)
@@ -38,7 +38,7 @@ class LinearMap:
 
     def apply(self, values) -> np.ndarray:
         values = np.asarray(values, dtype=float)
-        return np.clip(self.slope * values + self.intercept, 1.0, 5.0)
+        return np.clip(self.slope * values + self.intercept, SCORE_MIN, SCORE_MAX)
 
 
 @dataclass(frozen=True)

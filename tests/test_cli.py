@@ -145,6 +145,20 @@ class TestValidate:
     def test_unreadable_file(self, tmp_path, capsys):
         assert main(["validate", str(tmp_path / "none.csv")]) == 1
 
+    def test_reference_only_ids_sorted(self, toy_files, capsys):
+        ratings, _ = toy_files
+        ref = ratings.parent / "orphans.csv"
+        ref.write_text("condition_id,mos\nzz2,2.0\nzz1,3.0\n")
+        assert main(["validate", str(ratings), "--ref", str(ref)]) == 0
+        assert "never rated: zz1, zz2\n" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("quote", ["", '"'], ids=["plain", "quoted"])
+    def test_mapped_stimulus_column_must_exist(self, toy_files, capsys, quote):
+        ratings, _ = toy_files
+        ratings.write_text(ratings.read_text().replace("condition_id", f"{quote}condition_id{quote}", 1))
+        assert main(["validate", str(ratings), "--col", "stimulus=stim"]) == 1
+        assert capsys.readouterr().err == "error: missing required column(s): stim\n"
+
     def test_two_keys_on_one_column_exits_two(self, toy_files, capsys):
         ratings, _ = toy_files
         assert main(["validate", str(ratings), "--col", "user=condition_id"]) == 2
@@ -508,6 +522,27 @@ class TestFit:
 
 
     @pytest.mark.parametrize(
+        "name, text, message",
+        [
+            ("big.csv", "metric,dataset,n,mean,ci_low,ci_high,std_dev\n"
+             f"irr,toy,10,0.5,0.5,0.5,{'0' * 200_000}\n",
+             f"malformed CSV at line 2: field larger than field limit ({csv.field_size_limit()})"),
+            ("short.csv", "metric,dataset,n,mean,ci_low,ci_high,std_dev\nirr,toy,10,0.5\n",
+             "missing field at line 2"),
+            ("nested.json", '{"curves": ' + "[" * 100_000 + "]" * 100_000 + "}",
+             "malformed curve JSON: maximum recursion depth exceeded"),
+        ],
+        ids=["long_field", "short_row", "nested_json"],
+    )
+    def test_reader_fault_is_one_error_line(self, tmp_path, capsys, name, text, message):
+        path = tmp_path / name
+        path.write_text(text)
+        assert main(["fit", str(path), "--metric", "irr"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
         "points, message",
         [
             ([], "irr curve of dataset 'toy' has no points"),
@@ -752,6 +787,20 @@ class TestOutputPaths:
         assert main(["maxci", "--mos", "3", "--n", "10:30:10", "--out", str(out)]) == 0
         assert out.is_file()
         assert (out.parent / "widths.manifest.json").is_file()
+
+    @pytest.mark.parametrize("command", ["compare", "fit", "maxci"])
+    def test_out_naming_a_directory(self, toy_files, tmp_path, monkeypatch, capsys, command):
+        folder = tmp_path / "results"
+        folder.mkdir()
+        argv = {
+            "compare": ["compare", *map(str, toy_files), "--json", str(folder)],
+            "fit": ["fit", str(toy_files[0]), "--metric", "irr", "--out", str(folder)],
+            "maxci": ["maxci", "--mos", "3", "--n", "10:30:10", "--out", str(folder)],
+        }[command]
+        monkeypatch.setattr(cli, "_read_input", lambda *args: pytest.fail("an input was read"))
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", f"error: output {folder} is a directory\n")
+        assert list(folder.iterdir()) == []
 
     def test_maxci_unwritable_out_prints_nothing(self, tmp_path, capsys):
         # The output directory is checked before the table is printed.

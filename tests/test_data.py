@@ -115,6 +115,14 @@ class TestLoadRatings:
         with pytest.raises(ConfigError, match="condition_id and user_id both map to column"):
             load_ratings(ratings_csv(text), column_map={"user_id": "condition_id"})
 
+    @pytest.mark.parametrize("text", [
+        "condition_id,user_id,score\nc1,u1,4\n",
+        '"condition_id",user_id,score\nc1,u1,4\n',  # the csv path
+    ])
+    def test_column_map_names_a_required_column(self, text):
+        with pytest.raises(DataError, match=r"^missing required column\(s\): stim$"):
+            load_ratings(ratings_csv(text), column_map={"stimulus_id": "stim"})
+
     def test_alternate_delimiter(self):
         ds = load_ratings(
             ratings_csv("condition_id;user_id;score\nc1;u1;3\n"), delimiter=";"
@@ -649,6 +657,12 @@ class TestLoadReference:
         assert shared == ("c2",)
         assert ref_only == ("c9",)
         assert ds_only == ("c1",)
+
+    def test_coverage_sorts_reference_only_ids(self):
+        # The reference file's row order must not show.
+        ds = make_dataset([("c1", "u1", 3), ("c2", "u1", 4)])
+        ref = load_reference(ratings_csv("condition_id,mos\nc9,2.0\nc2,4.0\nc8,3.0\n"))
+        assert reference_coverage(ref, ds) == (("c2",), ("c8", "c9"), ("c1",))
 
 
 def user_shares(ds: RatingDataset, condition_id: str) -> dict[str, float]:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import dataclasses
 import io
 import json
@@ -44,7 +45,7 @@ from qvotes import (
 )
 from qvotes import simulate
 from qvotes.cli import main
-from qvotes.simulate import CurvePoint, _aggregate, _pair_irr
+from qvotes.simulate import CurvePoint, _aggregate, _pair_irr, _read_curves
 
 
 def three_user_toy():
@@ -671,8 +672,53 @@ class TestCurveSerialization:
     def test_read_missing_columns(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("metric,n\nx,1\n")
-        with pytest.raises(DataError, match="missing column"):
+        with pytest.raises(
+            DataError, match=r"^missing required column\(s\): dataset, mean, ci_low, ci_high, std_dev$"
+        ):
             read_curves_csv(path)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("metric,dataset,n,mean,ci_low,ci_high,std_dev\nirr,toy,10,0.5,0.4\n",
+             "missing field at line 2"),
+            ("metric,dataset,n,mean,ci_low,ci_high,std_dev\nirr,toy,10,0.5,0.4,0.6,0\n"
+             f"irr,toy,20,{'1' * (csv.field_size_limit() + 1)},0.4,0.6,0\n",
+             rf"malformed CSV at line 3: field larger than field limit \({csv.field_size_limit()}\)"),
+            ('metric,dataset,n,mean,ci_low,ci_high,std_dev\n"irr,toy,10,0.5,0.4,0.6,0\n',
+             "missing field at line 2"),
+            ("metric,dataset,n,mean,ci_low,ci_high,std_dev\nirr,toy,ten,0.5,0.4,0.6,0\n",
+             "malformed curve CSV at line 2: invalid literal for int\\(\\) with base 10: 'ten'"),
+            ("", "empty input: missing header row"),
+        ],
+        ids=["short_row", "long_field", "open_quote", "bad_n", "empty"],
+    )
+    def test_read_csv_fault_names_its_line(self, text, message):
+        with pytest.raises(DataError, match=f"^{message}$"):
+            read_curves_csv(io.StringIO(text))
+
+    def test_read_csv_cells_of_metric_and_dataset_verbatim(self):
+        text = "metric, dataset ,n,mean,ci_low,ci_high,std_dev\n irr , t y ,10, 0.5,0.4,0.6,0\n"
+        (curve,) = read_curves_csv(io.StringIO(text))
+        assert (curve.metric, curve.dataset_label) == (" irr ", " t y ")
+        assert curve.points == (CurvePoint(10, 0.5, 0.4, 0.6, 0.0),)
+
+    def test_read_json_too_deeply_nested(self):
+        text = '{"curves": ' + "[" * 100_000 + "]" * 100_000 + "}"
+        with pytest.raises(DataError, match="^malformed curve JSON: maximum recursion depth"):
+            read_curves_json(io.StringIO(text))
+
+    @pytest.mark.parametrize("bom", [b"", b"\xef\xbb\xbf"])
+    def test_format_told_by_content(self, tmp_path, bom):
+        # JSON is an object, after any whitespace; any other text is CSV.
+        curves = self._curves()
+        write_curves_csv(curves, tmp_path / "curves.csv")
+        write_curves_json(curves, tmp_path / "curves.json")
+        csv_bytes = (tmp_path / "curves.csv").read_bytes()
+        assert _read_curves(io.BytesIO(bom + csv_bytes)) == read_curves_csv(tmp_path / "curves.csv")
+        for space in (b"", b" \r\n\t"):
+            json_bytes = space + (tmp_path / "curves.json").read_bytes()
+            assert _read_curves(io.BytesIO(bom + json_bytes)) == curves
 
     @pytest.mark.parametrize(
         "cells, named",
