@@ -1,13 +1,13 @@
 """Rating data ingestion and cleaning.
 
 The core container is :class:`RatingDataset`: a collection of individual
-1-5 votes, each a (condition, user, score) triple, laid out once sorted
-by that key for resampling.  Conditions, users and stimuli are kept in
-sorted-id order, so downstream vectors have a stable layout that does
-not depend on the order of the input rows.  Only :func:`load_ratings`
-and :func:`remove_outliers_iqr` build datasets, so every vote passes the
-loader's checks; votes held in memory load as CSV text through
-``load_ratings(io.StringIO(text))``.
+1-5 votes, each a (condition, user, score) triple, held once, sorted by
+that key (a stimulus is its last digit) for resampling.  The constructor
+keeps the names some vote uses, in sorted-id order, so downstream vectors
+have a stable layout that does not depend on the order of the input
+rows.  Only :func:`load_ratings` and :func:`remove_outliers_iqr` build
+datasets, so every vote passes the loader's checks; votes held in memory
+load as CSV text through ``load_ratings(io.StringIO(text))``.
 
 Input files are UTF-8 delimited text (comma by default) with a header
 row.  Ratings need ``condition_id,user_id,score`` columns (plus an
@@ -60,30 +60,26 @@ def _codes(column: list) -> tuple[tuple, np.ndarray]:
 
 
 def _sorted(names: tuple, codes: np.ndarray) -> tuple[tuple, np.ndarray]:
-    """``(names, codes)`` renumbered so that the names ascend."""
-    order = sorted(range(len(names)), key=names.__getitem__)
+    """``(names, codes)`` without the names no code uses, renumbered so
+    that the names ascend."""
+    used = np.flatnonzero(np.bincount(codes, minlength=len(names)))
+    order = sorted(used.tolist(), key=names.__getitem__)
     rank = np.empty(len(names), np.int32)
-    rank[order] = np.arange(len(names), dtype=np.int32)
+    rank[order] = np.arange(len(order), dtype=np.int32)
     return tuple(names[i] for i in order), rank[codes]
-
-
-def _recode(names: tuple, codes: np.ndarray) -> tuple[tuple, np.ndarray]:
-    """``(names, codes)`` without the names no code uses."""
-    used, codes = np.unique(codes, return_inverse=True)
-    return tuple(names[i] for i in used.tolist()), codes
 
 
 class RatingDataset:
     """Immutable set of votes, as :func:`load_ratings` and
     :func:`remove_outliers_iqr` build it.
 
-    ``conditions``, ``users`` and ``stimuli`` are per-vote (names, codes)
-    pairs whose names are distinct and all used, ``scores`` the votes'
-    checked integer scores.  A stimulus name is None where a vote has no
-    stimulus id, and ``stimuli`` is None when no vote has one.  The
-    constructor sorts the votes once by (condition, user, score) and
-    derives from that order flat per-vote, per-(condition, user) and
-    per-condition arrays; every accessor reads those arrays.  To build a
+    The constructor takes ``conditions``, ``users`` and ``stimuli`` as
+    per-vote (names, codes) pairs and ``scores`` as the votes' checked
+    integer scores.  It keeps the names some vote uses, sorted, so each
+    name tuple is distinct, ascending and all used.  A stimulus name is
+    None where a vote has no stimulus id, and ``stimuli`` is None when no
+    vote has one.  The votes are held once, in the sorted layout of
+    :meth:`_build_conditions`, which every accessor reads.  To build a
     dataset from values held in memory, pass them as CSV text to
     ``load_ratings(io.StringIO(text))``, which applies the file rules.
     """
@@ -95,25 +91,26 @@ class RatingDataset:
         self.label = label
         self.conditions: tuple[str, ...]
         self.users: tuple[str, ...]
-        self.conditions, self._cond_idx = _sorted(*conditions)
-        self.users, self._user_idx = _sorted(*users)
-        self._scores = scores
+        self.conditions, cond_codes = _sorted(*conditions)
+        self.users, user_codes = _sorted(*users)
         self.stimuli: tuple[str, ...] | None = None
-        self._stim_idx = None
+        stim_codes = None
         if stimuli is not None:
             names, codes = stimuli
             if None not in names:
-                self.stimuli, self._stim_idx = _sorted(names, codes)
+                self.stimuli, stim_codes = _sorted(names, codes)
             elif with_stim := n - int(np.count_nonzero(codes == names.index(None))):
                 raise DataError(
                     "stimulus_id must be present on every vote or on none "
                     f"(found {with_stim} of {n})"
                 )
-        self._build_conditions()
+        self._build_conditions(cond_codes, user_codes, scores, stim_codes)
 
-    def _build_conditions(self) -> None:
-        """The votes ordered by (condition, user, score), from one sort of
-        that key, and what the sweeps read of them.
+    def _build_conditions(self, conds, users, scores, stims) -> None:
+        """The votes ordered by (condition, user, score, stimulus), from one
+        sort of that key, and what the sweeps read of them; the codes and
+        scores passed in are not kept.  The stimulus, the key's last digit,
+        is decoded into ``_vote_stims`` (None without stimuli).
 
         Condition j's votes are entries ``_vote_bounds[j]:_vote_bounds[j + 1]``
         of ``_vote_scores`` and of ``_vote_rows``, each vote's
@@ -123,24 +120,30 @@ class RatingDataset:
         user, and ``_user_means`` gives that user's mean score on the
         condition."""
         n_users = len(self.users)
-        key = np.sort(
-            (self._cond_idx.astype(np.int64) * n_users + self._user_idx) * NUM_SCORES
-            + (self._scores - SCORE_MIN)
-        )
+        key = (conds.astype(np.int64) * n_users + users) * NUM_SCORES + (scores - SCORE_MIN)
+        self._vote_stims = None
+        if stims is None:
+            key = np.sort(key)
+        else:
+            n_stims = len(self.stimuli)
+            if len(self.conditions) * n_users * NUM_SCORES * n_stims > 2**63:
+                raise DataError("too many distinct condition, user and stimulus ids to sort")
+            key, stims = np.divmod(np.sort(key * n_stims + stims), n_stims)
+            self._vote_stims = stims.astype(np.int32)
         pair = key // NUM_SCORES
         self._vote_scores = key - pair * NUM_SCORES + SCORE_MIN
         new_row = np.diff(pair, prepend=-1) != 0
-        row_starts = np.flatnonzero(new_row)
+        row_edges = np.append(np.flatnonzero(new_row), key.size)
         self._vote_rows = np.cumsum(new_row) - 1
-        pairs = pair[row_starts]
+        pairs = pair[row_edges[:-1]]
         self._row_conds = pairs // n_users
         self._row_bounds = np.searchsorted(self._row_conds, np.arange(len(self.conditions) + 1))
         self._user_rows = (pairs % n_users).astype(np.int32)
-        self._cond_totals = np.bincount(self._cond_idx, minlength=len(self.conditions))
-        self._vote_bounds = np.concatenate([[0], np.cumsum(self._cond_totals)])
-        row_sums = np.add.reduceat(self._vote_scores, row_starts)
+        self._vote_bounds = row_edges[self._row_bounds]
+        self._cond_totals = np.diff(self._vote_bounds)
+        row_sums = np.add.reduceat(self._vote_scores, row_edges[:-1])
         self._score_sums = np.add.reduceat(row_sums, self._row_bounds[:-1])
-        self._user_means = row_sums / np.diff(row_starts, append=key.size)
+        self._user_means = row_sums / np.diff(row_edges)
 
     def _equal_size_blocks(self):
         """For each number m of users per condition: the conditions with m
@@ -166,7 +169,7 @@ class RatingDataset:
 
     @property
     def n_votes(self) -> int:
-        return self._scores.size
+        return self._vote_scores.size
 
     def votes_per_condition(self) -> np.ndarray:
         return self._cond_totals.copy()
@@ -550,20 +553,18 @@ def remove_outliers_iqr(
     if not 0 < k < math.inf:
         raise ConfigError(f"k must be positive and finite, got {k}")
     if scope == "condition":
-        group_idx = ds._cond_idx
-        n_groups = len(ds.conditions)
+        groups = ds._row_conds[ds._vote_rows]
     elif scope == "stimulus":
-        if ds._stim_idx is None:
+        if ds.stimuli is None:
             raise DataError("per-stimulus outlier removal needs stimulus ids")
-        group_idx = ds._stim_idx
-        n_groups = len(ds.stimuli)
+        groups = ds._vote_stims
     else:
         raise ConfigError(f"scope must be 'condition' or 'stimulus', got {scope!r}")
 
-    # One grouping: a stable sort lists each group's votes in file order.
-    scores = ds._scores
-    order = np.argsort(group_idx, kind="stable")
-    ends = np.cumsum(np.bincount(group_idx, minlength=n_groups))
+    # One grouping; every group has votes, as every name is used.
+    scores = ds._vote_scores
+    order = np.argsort(groups, kind="stable")
+    ends = np.cumsum(np.bincount(groups))
     keep = np.ones(ds.n_votes, dtype=bool)
     for sel in np.split(order, ends[:-1]):
         votes = scores[sel].astype(float)
@@ -581,12 +582,11 @@ def remove_outliers_iqr(
         return ds, 0
     if not kept:
         raise DataError("outlier removal deleted every vote")
-    stimuli = None if ds.stimuli is None else _recode(ds.stimuli, ds._stim_idx[keep])
+    rows = ds._vote_rows[keep]
     return RatingDataset(
-        _recode(ds.conditions, ds._cond_idx[keep]),
-        _recode(ds.users, ds._user_idx[keep]),
+        (ds.conditions, ds._row_conds[rows]),
+        (ds.users, ds._user_rows[rows]),
         scores[keep],
-        stimuli,
+        None if ds.stimuli is None else (ds.stimuli, ds._vote_stims[keep]),
         label=ds.label,
     ), ds.n_votes - kept
-

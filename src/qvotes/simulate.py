@@ -156,21 +156,25 @@ class MetricCurve:
             CurvePoint(_integer("curve point n", p[0], DataError), *p[1:]) for p in self.points
         )
         object.__setattr__(self, "points", points)
+        curve = f"{self.metric} curve of dataset {self.dataset_label!r}"
         if not points:
-            raise DataError(f"{self.metric} curve of dataset {self.dataset_label!r} has no points")
+            raise DataError(f"{curve} has no points")
         ns = [p.n for p in points]
         if ns[0] < 1:
-            raise DataError(f"curve point n must be positive, got {ns[0]}")
-        if any(b <= a for a, b in zip(ns, ns[1:])):
-            raise DataError("curve points must have strictly increasing n")
+            raise DataError(f"{curve}: curve point n must be positive, got {ns[0]}")
+        for a, b in zip(ns, ns[1:]):
+            if b <= a:
+                raise DataError(
+                    f"{curve}: curve points must have strictly increasing n, got {b} after {a}"
+                )
         for p in points:
             bad = [name for name, value in zip(p._fields[1:], p[1:]) if not math.isfinite(value)]
             if bad:
-                raise DataError(f"curve point at n={p.n} has non-finite {', '.join(bad)}")
+                raise DataError(f"{curve}: curve point at n={p.n} has non-finite {', '.join(bad)}")
             if not p.ci_low <= p.mean <= p.ci_high:
-                raise DataError(f"curve point at n={p.n} has mean outside its CI")
+                raise DataError(f"{curve}: curve point at n={p.n} has mean outside its CI")
             if p.std_dev < 0.0:
-                raise DataError(f"curve point at n={p.n} has negative std_dev")
+                raise DataError(f"{curve}: curve point at n={p.n} has negative std_dev")
 
     @property
     def n_values(self) -> tuple[int, ...]:
@@ -535,16 +539,25 @@ def _read_curves(source) -> list[MetricCurve]:
 
 
 def _csv_curves(text: str) -> list[MetricCurve]:
-    """The curves of curve CSV ``text``, its ``metric`` and ``dataset`` cells verbatim."""
+    """The curves of curve CSV ``text``, its ``metric`` and ``dataset`` cells
+    verbatim.  A row whose n does not exceed the n of its curve's previous
+    row raises :class:`DataError` naming its line."""
     rows = _csv_table(text, ",", CURVE_CSV_COLUMNS, {}, CURVE_CSV_COLUMNS)
     index = next(rows)
     grouped: dict[tuple[str, str], list[CurvePoint]] = {}
     for line, row in rows:
         metric, dataset, n, *values = (row[index[c]] for c in CURVE_CSV_COLUMNS)
         try:
-            grouped.setdefault((metric, dataset), []).append(CurvePoint(int(n), *map(float, values)))
+            point = CurvePoint(int(n), *map(float, values))
         except ValueError as exc:
             raise DataError(f"malformed curve CSV at line {line}: {exc}") from None
+        points = grouped.setdefault((metric, dataset), [])
+        if points and point.n <= points[-1].n:
+            raise DataError(
+                f"malformed curve CSV at line {line}: {metric} curve of dataset {dataset!r} "
+                f"has n={point.n} after n={points[-1].n}; its n must strictly increase"
+            )
+        points.append(point)
     if not grouped:
         raise DataError("curve file has no rows")
     return [MetricCurve(m, d, tuple(points)) for (m, d), points in grouped.items()]

@@ -47,11 +47,15 @@ def make_dataset(rows, label="toy") -> RatingDataset:
 
 
 def votes(ds: RatingDataset) -> list[Vote]:
-    """The dataset's votes, in the order of the rows they were loaded from."""
-    stim = [None] * ds.n_votes if ds._stim_idx is None else ds._stim_idx.tolist()
+    """The dataset's votes as its layout holds them: sorted by condition,
+    user, score and stimulus."""
+    rows = ds._vote_rows
+    stims = [None] * ds.n_votes if ds.stimuli is None else ds._vote_stims.tolist()
     return [
         Vote(ds.conditions[c], ds.users[u], s, None if t is None else ds.stimuli[t])
-        for c, u, s, t in zip(ds._cond_idx.tolist(), ds._user_idx.tolist(), ds._scores.tolist(), stim)
+        for c, u, s, t in zip(
+            ds._row_conds[rows].tolist(), ds._user_rows[rows].tolist(), ds._vote_scores.tolist(), stims
+        )
     ]
 
 

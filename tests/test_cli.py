@@ -479,8 +479,20 @@ class TestFit:
         path.write_text("\n".join([lines[0], ",".join(fields), *lines[2:]]) + "\n")
         assert main(["fit", str(path), "--metric", "validity_srcc"]) == 1
         err = capsys.readouterr().err
-        assert "curve point at n=10 has non-finite mean" in err
+        assert err == (
+            "error: validity_srcc curve of dataset 'toy': curve point at n=10 has non-finite mean\n"
+        )
         assert "outside its CI" not in err
+
+    def test_rows_out_of_order_name_the_curve_and_line(self, tmp_path, capsys):
+        path = self._write_curve(tmp_path)
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join([lines[0], lines[2], lines[1], *lines[3:]]) + "\n")
+        assert main(["fit", str(path), "--metric", "validity_srcc"]) == 1
+        assert capsys.readouterr().err == (
+            "error: malformed curve CSV at line 3: validity_srcc curve of dataset 'toy' "
+            "has n=10 after n=20; its n must strictly increase\n"
+        )
 
     def test_fit_from_json(self, toy_files, tmp_path):
         ratings, _ = toy_files

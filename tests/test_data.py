@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import load_published, make_dataset, published_paths, raters, votes
+from conftest import Vote, load_published, make_dataset, published_paths, raters, votes
 from qvotes import (
     ConfigError,
     DataError,
@@ -228,7 +228,7 @@ def load_ratings_by_row(text: str):
     column code: the reference for both the numpy byte scan and the
     ``csv`` path.  Returns (conditions, users, stimuli, votes), with the
     ids in sorted order and the votes as (condition, user, score,
-    stimulus) tuples in row order."""
+    stimulus) tuples, sorted."""
     reader = csv.reader(io.StringIO(text))
     header = [h.strip() for h in next(reader)]
     cond_col, user_col, score_col = (header.index(c) for c in COLUMNS[:3])
@@ -259,7 +259,7 @@ def load_ratings_by_row(text: str):
         tuple(sorted({r[0] for r in records})),
         tuple(sorted({r[1] for r in records})),
         tuple(sorted({r[3] for r in records})) if with_stim else None,
-        records,
+        sorted(records),
     )
 
 
@@ -336,13 +336,14 @@ class TestLoaderOracle:
             assert str(got.value) == str(exc)
             return
         ds = load_ratings(ratings_csv(text))
-        assert (ds.conditions, ds.users, ds.stimuli, votes(ds)) == want
+        assert (ds.conditions, ds.users, ds.stimuli, sorted(votes(ds))) == want
 
 
 def dataset_state(ds):
-    """Everything a loaded dataset holds, arrays as (dtype, bytes)."""
-    arrays = (ds._cond_idx, ds._user_idx, ds._scores, ds._stim_idx)
-    return (ds.conditions, ds.users, ds.stimuli,
+    """Everything a loaded dataset holds: its names, its sorted votes and
+    its per-vote arrays as (dtype, bytes)."""
+    arrays = (ds._vote_scores, ds._vote_rows, ds._vote_stims)
+    return (ds.conditions, ds.users, ds.stimuli, sorted(votes(ds)),
             [None if a is None else (a.dtype.str, a.tobytes()) for a in arrays])
 
 
@@ -465,7 +466,7 @@ class TestPlainFastPath:
         with fast_path_results() as ran:
             ds = load_ratings(ratings_csv(text))
         assert ran == [True]
-        assert (ds.conditions, ds.users, ds.stimuli, votes(ds)) == load_ratings_by_row(text)
+        assert (ds.conditions, ds.users, ds.stimuli, sorted(votes(ds))) == load_ratings_by_row(text)
 
 
 LIMIT = csv.field_size_limit()
@@ -720,7 +721,7 @@ class TestEmpiricalDistributions:
 
 
 def scores_of(ds: RatingDataset, condition_id: str) -> list[int]:
-    """The scores of one condition's votes, in the order they were loaded."""
+    """The scores of one condition's votes, in the order the dataset holds them."""
     return [v.score for v in votes(ds) if v.condition_id == condition_id]
 
 
@@ -755,6 +756,17 @@ class TestOutlierRemoval:
         # degenerate rule strips all six non-median votes instead
         _, removed_pooled = remove_outliers_iqr(make_dataset(rows), scope="condition")
         assert removed_pooled == 6
+
+    def test_per_stimulus_scope_splits_tied_votes(self):
+        # (x, u0, 1) is cast on f2, among its equals, and on f1, where it is
+        # the one outlier: only f1's copy goes, whichever row comes first.
+        rows = [("x", "u0", 1, "f2")] + [("x", f"w{i}", 1, "f2") for i in range(1, 5)]
+        rows += [("x", "u0", 1, "f1")] + [("x", f"u{i}", 5, "f1") for i in range(1, 5)]
+        for ordered in (rows, rows[::-1]):
+            cleaned, removed = remove_outliers_iqr(make_dataset(ordered), scope="stimulus")
+            assert removed == 1
+            want = sorted(Vote(*row) for row in rows if row != ("x", "u0", 1, "f1"))
+            assert votes(cleaned) == want
 
     def test_per_stimulus_needs_stimuli(self):
         ds = make_dataset([("x", "u1", 3)])
@@ -804,13 +816,18 @@ class TestOutlierRemoval:
 
 
 def outliers_by_group_scan(ds, k, scope):
-    """remove_outliers_iqr as one scan of the votes per group, the survivors
-    loaded again as CSV: the reference for the grouped implementation."""
-    group_idx = ds._cond_idx if scope == "condition" else ds._stim_idx
-    keep = np.ones(ds.n_votes, dtype=bool)
-    for g in range(group_idx.max() + 1):
-        sel = np.flatnonzero(group_idx == g)
-        scores = ds._scores[sel].astype(float)
+    """remove_outliers_iqr as one scan of the votes per group, the groups
+    listed from ``votes(ds)`` and the survivors loaded again as CSV: the
+    reference for the grouped implementation."""
+    listed = votes(ds)
+    field = "condition_id" if scope == "condition" else "stimulus_id"
+    groups = collections.defaultdict(list)
+    for i, vote in enumerate(listed):
+        groups[getattr(vote, field)].append(i)
+    keep = np.ones(len(listed), dtype=bool)
+    for members in groups.values():
+        sel = np.array(members)
+        scores = np.array([listed[i].score for i in members], dtype=float)
         median = np.median(scores)
         q25, q75 = np.percentile(scores, [25.0, 75.0])
         iqr = q75 - q25
@@ -819,10 +836,10 @@ def outliers_by_group_scan(ds, k, scope):
         else:
             outlier = np.abs(scores - median) >= k * iqr
         keep[sel[outlier]] = False
-    removed = int(ds.n_votes - keep.sum())
+    removed = int(len(listed) - keep.sum())
     if removed == 0:
         return ds, 0
-    survivors = [vote for vote, ok in zip(votes(ds), keep) if ok]
+    survivors = [vote for vote, ok in zip(listed, keep) if ok]
     if not survivors:
         raise DataError("outlier removal deleted every vote")
     return make_dataset(survivors, label=ds.label), removed
@@ -857,14 +874,25 @@ class TestOutlierRemovalOracle:
         assert (got.label, got.conditions, got.users, got.stimuli) == (
             want.label, want.conditions, want.users, want.stimuli
         )
-        for attr in ("_cond_idx", "_user_idx", "_stim_idx", "_scores"):
-            assert np.array_equal(getattr(got, attr), getattr(want, attr))
+        assert votes(got) == votes(want)
         for attr in ("_row_bounds", "_user_rows", "_cond_totals", "_score_sums", "_vote_bounds",
-                     "_vote_scores", "_vote_rows", "_user_means"):
+                     "_vote_scores", "_vote_rows", "_vote_stims", "_user_means"):
             assert np.array_equal(getattr(got, attr), getattr(want, attr))
 
 
 class TestDatasetBasics:
+    @pytest.mark.parametrize("with_stimuli", [False, True])
+    def test_holds_one_copy_of_the_votes(self, with_stimuli):
+        # 6 votes, 5 (condition, user) rows, 2 conditions: only per-vote
+        # arrays are as long as the votes.
+        rows = [("c1", "u1", 3, "f1"), ("c1", "u1", 3, "f2"), ("c1", "u2", 5, "f1"),
+                ("c2", "u1", 2, "f2"), ("c2", "u2", 1, "f1"), ("c2", "u3", 4, "f2")]
+        ds = make_dataset([row if with_stimuli else row[:3] for row in rows])
+        per_vote = {name for name, value in vars(ds).items()
+                    if isinstance(value, np.ndarray) and len(value) == ds.n_votes}
+        want = {"_vote_scores", "_vote_rows"} | ({"_vote_stims"} if with_stimuli else set())
+        assert per_vote == want
+
     def test_needs_votes(self):
         no_ids = ((), np.empty(0, np.int32))
         with pytest.raises(DataError, match="at least one rating"):

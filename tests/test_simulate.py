@@ -690,8 +690,17 @@ class TestCurveSerialization:
             ("metric,dataset,n,mean,ci_low,ci_high,std_dev\nirr,toy,ten,0.5,0.4,0.6,0\n",
              "malformed curve CSV at line 2: invalid literal for int\\(\\) with base 10: 'ten'"),
             ("", "empty input: missing header row"),
+            ("metric,dataset,n,mean,ci_low,ci_high,std_dev\nirr,toy,20,0.5,0.4,0.6,0\n"
+             "irr,other,10,0.5,0.4,0.6,0\nirr,toy,10,0.5,0.4,0.6,0\n",
+             "malformed curve CSV at line 4: irr curve of dataset 'toy' has n=10 after n=20; "
+             "its n must strictly increase"),
+            ("metric,dataset,n,mean,ci_low,ci_high,std_dev\nirr,toy,10,0.5,0.4,0.6,0\n"
+             "irr,toy,20,0.5,0.4,0.6,0\nirr,toy,20,0.5,0.4,0.6,0\n",
+             "malformed curve CSV at line 4: irr curve of dataset 'toy' has n=20 after n=20; "
+             "its n must strictly increase"),
         ],
-        ids=["short_row", "long_field", "open_quote", "bad_n", "empty"],
+        ids=["short_row", "long_field", "open_quote", "bad_n", "empty", "swapped_rows",
+             "repeated_row"],
     )
     def test_read_csv_fault_names_its_line(self, text, message):
         with pytest.raises(DataError, match=f"^{message}$"):
@@ -727,7 +736,8 @@ class TestCurveSerialization:
     def test_read_non_finite_field(self, tmp_path, cells, named):
         path = tmp_path / "nan.csv"
         path.write_text(f"metric,dataset,n,mean,ci_low,ci_high,std_dev\nirr,toy,10,{cells}\n")
-        with pytest.raises(DataError, match=f"^curve point at n=10 has non-finite {named}$"):
+        message = f"^irr curve of dataset 'toy': curve point at n=10 has non-finite {named}$"
+        with pytest.raises(DataError, match=message):
             read_curves_csv(path)
 
     @pytest.mark.parametrize(
@@ -735,8 +745,8 @@ class TestCurveSerialization:
         [
             ("n", 10.7, "curve point n must be an integer, got 10.7"),
             ("n", True, "curve point n must be an integer, got True"),
-            ("n", -5, "curve point n must be positive, got -5"),
-            ("std_dev", -3, "curve point at n=10 has negative std_dev"),
+            ("n", -5, "irr curve of dataset 'toy': curve point n must be positive, got -5"),
+            ("std_dev", -3, "irr curve of dataset 'toy': curve point at n=10 has negative std_dev"),
             ("n", "10", "curve point n must be an integer, got '10'"),
             ("mean", True, "curve point mean must be a number, got True"),
             ("ci_low", "0.4", "curve point ci_low must be a number, got '0.4'"),
@@ -783,9 +793,12 @@ class TestCurveSerialization:
             read_curves_json(path)
 
     def test_curve_validation(self):
-        with pytest.raises(DataError):
+        with pytest.raises(
+            DataError, match="^m curve of dataset 'd': curve point at n=10 has mean outside its CI$"
+        ):
             MetricCurve("m", "d", (CurvePoint(10, 1.0, 2.0, 3.0, 0.1),))
-        with pytest.raises(DataError):
+        with pytest.raises(DataError, match="^m curve of dataset 'd': curve points must have "
+                           "strictly increasing n, got 10 after 20$"):
             MetricCurve(
                 "m",
                 "d",
