@@ -29,6 +29,21 @@ from .errors import ConfigError, DataError, _integer
 # n = 200): small batches keep the temporaries in cache whatever k is.
 _CHUNK_POINTS = 1 << 13
 
+# Each bound is the first lattice mean whose CDF reaches its quantile less
+# this slack, which absorbs FFT rounding.  Every CDF reaches a tail of this
+# much or less at once, which would put each lower bound on the lowest vote.
+_CDF_SLACK = 1e-9
+
+
+def _check_tail(level: float, name: str = "level") -> None:
+    """Raise :class:`ConfigError` unless ``level`` leaves more than
+    ``_CDF_SLACK`` in each tail, as a bootstrap bound needs."""
+    if (1.0 - level) / 2.0 <= _CDF_SLACK:
+        raise ConfigError(
+            f"{name} must leave more than {_CDF_SLACK:g} in each tail for a "
+            f"bootstrap CI, got {level}"
+        )
+
 
 @functools.lru_cache(maxsize=1024)
 def _fft_length(m: int) -> int:
@@ -54,7 +69,8 @@ def bootstrap_ci_mos(votes, level: float = 0.95) -> tuple:
     for one multiset of n votes, shape (n,), or two (k,) arrays for k
     multisets as the rows of a (k, n) matrix, whose entry i is bit for bit
     the bound of row i alone.  Every vote of every row must be an integer
-    in 1..5, and n at least 2.
+    in 1..5, and n at least 2.  ``level`` must leave more than 1e-9 in each
+    tail, (1 - level) / 2 > 1e-9, else :class:`ConfigError` is raised.
 
     Votes are integers in 1..5, so the mean of n votes resampled with
     replacement lies on the lattice min(votes) + i/n, and its distribution
@@ -76,6 +92,7 @@ def bootstrap_ci_mos(votes, level: float = 0.95) -> tuple:
     """
     if not 0.0 < level < 1.0:
         raise ConfigError(f"level must be in (0, 1), got {level}")
+    _check_tail(level)
     arr = np.asarray(votes)
     if arr.ndim > 2:
         raise DataError(f"votes must be one multiset or a matrix of them, got shape {arr.shape}")
@@ -96,7 +113,7 @@ def bootstrap_ci_mos(votes, level: float = 0.95) -> tuple:
     offsets = ints - lo[:, None] + NUM_SCORES * np.arange(k)[:, None]
     counts = np.bincount(offsets.ravel(), minlength=NUM_SCORES * k).reshape(k, NUM_SCORES)
     q = (1.0 - level) / 2.0
-    targets = (q - 1e-9, 1.0 - q - 1e-9)
+    targets = (q - _CDF_SLACK, 1.0 - q - _CDF_SLACK)
     steps = np.zeros((2, k), np.int64)
     span = hi - lo
     for s in range(1, NUM_SCORES):

@@ -216,11 +216,11 @@ def _shared_reference(
     """The ascending indices into ``conditions`` of those ``ref`` rates,
     and their reference MOS.  Fewer than 3 raise :class:`DataError`:
     validity needs a rank correlation and a fitted line over them."""
-    index = [j for j, c in enumerate(conditions) if c in ref]
-    if len(index) < 3:
-        raise DataError(f"need at least 3 shared conditions, got {len(index)}")
-    mos = np.array([ref[conditions[j]] for j in index], dtype=float)
-    return np.array(index, dtype=np.int64), mos
+    mos = ref.mos
+    shared = {j: mos[c] for j, c in enumerate(conditions) if c in mos}
+    if len(shared) < 3:
+        raise DataError(f"need at least 3 shared conditions, got {len(shared)}")
+    return np.fromiter(shared, np.int64), np.fromiter(shared.values(), float)
 
 
 def reference_coverage(
@@ -541,8 +541,9 @@ def remove_outliers_iqr(
     group median.
 
     Groups are conditions by default, or stimuli with ``scope="stimulus"``
-    (requires stimulus ids).  Quartiles use linear interpolation between
-    order statistics.  When a group's IQR is zero the literal rule would
+    (requires stimulus ids).  Each group's median and quartiles come from
+    its per-score vote counts, by numpy's linear rule (interpolation between
+    order statistics).  When a group's IQR is zero the literal rule would
     delete the whole group, so the criterion degenerates to removing only
     votes different from the median.
 
@@ -561,21 +562,20 @@ def remove_outliers_iqr(
     else:
         raise ConfigError(f"scope must be 'condition' or 'stimulus', got {scope!r}")
 
-    # One grouping; every group has votes, as every name is used.
-    scores = ds._vote_scores
-    order = np.argsort(groups, kind="stable")
-    ends = np.cumsum(np.bincount(groups))
-    keep = np.ones(ds.n_votes, dtype=bool)
-    for sel in np.split(order, ends[:-1]):
-        votes = scores[sel].astype(float)
-        median = np.median(votes)
-        q25, q75 = np.percentile(votes, [25.0, 75.0])
-        iqr = q75 - q25
-        if iqr == 0.0:
-            outlier = votes != median
-        else:
-            outlier = np.abs(votes - median) >= k * iqr
-        keep[sel[outlier]] = False
+    # Whether a vote is kept depends only on its (group, score) cell.  From
+    # running counts per cell, a group's i-th smallest vote is SCORE_MIN plus
+    # the number of scores whose running count is <= i; votes are integers
+    # and positions multiples of 1/4, so the quartiles are exact.
+    cell = groups * NUM_SCORES + (ds._vote_scores - SCORE_MIN)
+    running = np.bincount(cell, minlength=NUM_SCORES * (groups.max() + 1))
+    running = running.reshape(-1, NUM_SCORES).cumsum(axis=1)
+    position = (running[:, -1:] - 1) * np.array([0.25, 0.5, 0.75])
+    below = np.floor(position)
+    lo, hi = (SCORE_MIN + (running[:, None] <= below[..., None] + i).sum(axis=-1) for i in (0, 1))
+    q25, median, q75 = (lo + (hi - lo) * (position - below)).T[..., None]
+    iqr = q75 - q25
+    score = np.arange(SCORE_MIN, SCORE_MAX + 1)
+    keep = np.where(iqr == 0.0, score == median, np.abs(score - median) < k * iqr).ravel()[cell]
 
     kept = int(keep.sum())
     if kept == ds.n_votes:
@@ -586,7 +586,7 @@ def remove_outliers_iqr(
     return RatingDataset(
         (ds.conditions, ds._row_conds[rows]),
         (ds.users, ds._user_rows[rows]),
-        scores[keep],
+        ds._vote_scores[keep],
         None if ds.stimuli is None else (ds.stimuli, ds._vote_stims[keep]),
         label=ds.label,
     ), ds.n_votes - kept

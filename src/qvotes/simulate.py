@@ -63,7 +63,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import stats
-from .bootstrap import bootstrap_ci_mos
+from .bootstrap import _check_tail, bootstrap_ci_mos
 from .data import RatingDataset, ReferenceMos, _csv_table, _read_text, _shared_reference
 from .errors import ConfigError, DataError, DegenerateDataError, _integer
 
@@ -122,6 +122,8 @@ class SweepConfig:
             raise ConfigError("metrics must not repeat")
         if not 0.0 < self.ci_level < 1.0:
             raise ConfigError(f"ci_level must be in (0, 1), got {self.ci_level}")
+        if CI_WIDTH in self.metrics:
+            _check_tail(self.ci_level, "ci_level")
         # One vote per condition has no spread to bootstrap and gives no
         # rater another on the same condition to compare with.
         needs_two = [m for m in (CI_WIDTH, IRR) if m in self.metrics]

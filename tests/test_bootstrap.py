@@ -105,6 +105,19 @@ class TestBootstrapCiMos:
             with pytest.raises(ConfigError):
                 bootstrap_ci_mos([1, 5], level=level)
 
+    def test_level_must_leave_more_than_the_slack_in_each_tail(self):
+        # With (1 - level) / 2 <= 1e-9 the lower target is <= 0, every CDF
+        # reaches it at the first lattice point, and the lower bound used
+        # to fall to the lowest vote: (1.0, 4.23) at level 0.999999999.
+        votes = [1] * 20 + [3] * 90 + [5] * 90
+        assert bootstrap_ci_mos(votes, 0.99999999) == (3.15, 4.21)
+        for level in (0.999999999, 1.0 - 1e-12):
+            for arg in (votes, np.array([votes, votes[::-1]])):
+                with pytest.raises(ConfigError, match=(
+                    rf"^level must leave more than 1e-09 in each tail for a bootstrap CI, got {level}$"
+                )):
+                    bootstrap_ci_mos(arg, level)
+
     def test_two_point_width_matches_normal_theory(self):
         # {1,5} half and half at n=100: sigma = 2, normal-theory 95% width
         # is 2 * 1.96 * 2 / sqrt(100) = 0.784

@@ -359,6 +359,16 @@ class TestSimulate:
         assert "at least 2 votes" in capsys.readouterr().err
         assert not list(tmp_path.glob("x*"))
 
+    def test_extreme_level_without_ci_width_runs(self, toy_files, tmp_path):
+        # Only the bootstrap needs a tail above 1e-9; the curve points'
+        # across-run t intervals take any level in (0, 1).
+        ratings, _ = toy_files
+        code = main(
+            ["simulate", str(ratings), "--n", "2:4:2", "--runs", "3", "--metrics", "gain_rmse,irr",
+             "--ci-level", "0.999999999", "--out", str(tmp_path / "x")]
+        )
+        assert code == 0
+
     def test_out_of_memory_is_config_error(self, toy_files, tmp_path, monkeypatch, capsys):
         # A grid too large for memory: numpy's allocation error is a
         # MemoryError, and a smaller --n or --runs is the fix.
@@ -394,7 +404,8 @@ class TestSimulate:
 
     @pytest.mark.parametrize("bad", [
         ("--n", "20:10:1"), ("--runs", "0"), ("--metrics", "bogus"), ("--n", "20:40:10", "--delta"),
-        ("--n", "1:5:1"), ("--metrics", "srcc"),
+        ("--n", "1:5:1"), ("--metrics", "srcc"), ("--metrics", "ci_width", "--ci-level", "0.999999999"),
+        ("--ci-level", "0.999999999"),
     ])
     def test_configuration_is_checked_before_any_input(self, tmp_path, capsys, bad):
         missing = tmp_path / "nope.csv"

@@ -845,12 +845,29 @@ def outliers_by_group_scan(ds, k, scope):
     return make_dataset(survivors, label=ds.label), removed
 
 
+def assert_same_cleaning(got, removed, want, want_removed):
+    assert removed == want_removed
+    assert (got.label, got.conditions, got.users, got.stimuli) == (
+        want.label, want.conditions, want.users, want.stimuli
+    )
+    assert votes(got) == votes(want)
+    for attr in ("_row_bounds", "_user_rows", "_cond_totals", "_score_sums", "_vote_bounds",
+                 "_vote_scores", "_vote_rows", "_vote_stims", "_user_means"):
+        assert np.array_equal(getattr(got, attr), getattr(want, attr))
+
+
 class TestOutlierRemovalOracle:
     @given(
-        rows=st.lists(
-            st.tuples(st.integers(0, 3), st.integers(0, 6), st.integers(1, 5), st.integers(0, 2)),
-            min_size=1,
-            max_size=80,
+        # Up to 30 conditions and 300 rows, both drawn first, as hypothesis
+        # keeps free-sized lists short: groups of 1 vote to 300, so groups of
+        # 20+ votes and every quartile position fraction (0, 1/4, 1/2, 3/4) occur.
+        rows=st.tuples(st.integers(1, 30), st.integers(1, 300)).flatmap(
+            lambda shape: st.lists(
+                st.tuples(st.integers(0, shape[0] - 1), st.integers(0, 19), st.integers(1, 5),
+                          st.integers(0, 2)),
+                min_size=shape[1],
+                max_size=shape[1],
+            )
         ),
         k=st.sampled_from([0.25, 0.5, 1.0, 1.5, 3.0]),
         scope=st.sampled_from(["condition", "stimulus", None]),
@@ -870,14 +887,26 @@ class TestOutlierRemovalOracle:
                 remove_outliers_iqr(ds, k=k, scope=scope)
             return
         got, removed = remove_outliers_iqr(ds, k=k, scope=scope)
-        assert removed == want_removed
-        assert (got.label, got.conditions, got.users, got.stimuli) == (
-            want.label, want.conditions, want.users, want.stimuli
-        )
-        assert votes(got) == votes(want)
-        for attr in ("_row_bounds", "_user_rows", "_cond_totals", "_score_sums", "_vote_bounds",
-                     "_vote_scores", "_vote_rows", "_vote_stims", "_user_means"):
-            assert np.array_equal(getattr(got, attr), getattr(want, attr))
+        assert_same_cleaning(got, removed, want, want_removed)
+
+    @pytest.mark.parametrize("scope", ["condition", "stimulus"])
+    def test_matches_per_group_scan_on_many_groups(self, scope):
+        # 600 conditions of 2-40 votes around a per-condition quality, each
+        # vote on one of its condition's 3 stimuli: many small groups of
+        # every size, as in a wide crowdsourcing study.
+        rng = np.random.default_rng(30)
+        rows = []
+        for c in range(600):
+            quality = rng.uniform(1.3, 4.7)
+            for _ in range(rng.integers(2, 41)):
+                score = int(np.clip(np.rint(quality + rng.normal(0.0, 0.9)), 1, 5))
+                rows.append((f"c{c:03d}", f"u{rng.integers(120):03d}", score, f"c{c:03d}s{rng.integers(3)}"))
+        ds = make_dataset(rows, label="many")
+        for k in (0.5, 1.0, 1.5, 3.0):
+            want, want_removed = outliers_by_group_scan(ds, k, scope)
+            got, removed = remove_outliers_iqr(ds, k=k, scope=scope)
+            assert want_removed > 0
+            assert_same_cleaning(got, removed, want, want_removed)
 
 
 class TestDatasetBasics:

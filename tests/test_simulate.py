@@ -89,6 +89,16 @@ class TestSweepConfig:
         with pytest.raises(ConfigError):
             SweepConfig(master_seed=-1)
 
+    def test_ci_width_level_must_leave_more_than_the_slack_in_each_tail(self):
+        # The bootstrap's limit, checked before any input is read; the
+        # across-run t intervals alone take the same level.
+        with pytest.raises(ConfigError, match=(
+            r"^ci_level must leave more than 1e-09 in each tail for a bootstrap CI, got 0.999999999$"
+        )):
+            SweepConfig(ci_level=0.999999999)
+        cfg = SweepConfig(ci_level=0.999999999, metrics=("gain_srcc", "irr"))
+        assert cfg.ci_level == 0.999999999
+
     @pytest.mark.parametrize("kwargs", [
         {"n_values": (2.7, 3.2)},
         {"n_values": (10.0, 20.0)},
