@@ -31,8 +31,10 @@ Metrics
 
 Results
 -------
-A sweep gives a list of :class:`MetricCurve`, one per metric in the
-configuration's order, which the curve writers and readers take.
+A sweep holds the runs of each vote count n in one (metrics, runs) float
+array, NaN where a run's statistic is undefined, and gives a list of
+:class:`MetricCurve`, one per metric in the configuration's order, which
+the curve writers and readers take.
 
 Reproducibility
 ---------------
@@ -250,7 +252,7 @@ def _pair_irr(ds: RatingDataset, rows: np.ndarray, means: np.ndarray):
     are, so a user with no pair has an empty group.  Users whose rank
     correlation is undefined (an empty group, fewer than 3 conditions, or
     constant own or others' means) are dropped, and the rest averaged in
-    order of user index; None if no user is left.
+    order of user index; NaN if no user is left.
 
     Each condition's total is one ``bincount`` sum, and a user's others'
     mean on it is ``(total - own) / (m - 1)`` over its m rows.  Two
@@ -271,13 +273,13 @@ def _pair_irr(ds: RatingDataset, rows: np.ndarray, means: np.ndarray):
     sizes = np.bincount(cond, minlength=k)[cond]
     keep = np.flatnonzero(sizes >= 2)
     if not keep.size:
-        return None
+        return math.nan
     totals = np.bincount(cond, weights=means, minlength=k)
     own = means[keep]
     others = (totals[cond[keep]] - own) / (sizes[keep] - 1)
     values = stats._grouped_srcc(ds._user_rows[rows[keep]], own, others, _IRR_TIE)
     values = values[~np.isnan(values)]
-    return float(np.mean(values)) if values.size else None
+    return float(np.mean(values)) if values.size else math.nan
 
 
 def _sampled_irr(ds: RatingDataset, scores: np.ndarray, rows: np.ndarray):
@@ -313,44 +315,44 @@ def _target(
     return _Target(srcc, rmse, index, values, ranks, mapped)
 
 
-def _simulate_run(
-    ds: RatingDataset, cfg: SweepConfig, n: int, run_index: int, targets: list[_Target]
-) -> dict[str, float | None]:
-    metrics = cfg.metrics
-    k = len(ds.conditions)
-    scores, rows = _draw_votes(ds, n, _run_stream(cfg.master_seed, n, run_index))
-    # The integer sums are exact, so these are the float means of the votes.
-    means = scores.sum(axis=1) / n
-    # A statistic undefined for this run's votes (a constant MOS vector) is
-    # a missing value, as for IRR: run_sweep averages the runs that have one.
-    out: dict[str, float | None] = {}
+def _runs_at(ds: RatingDataset, cfg: SweepConfig, n: int, targets: list[_Target]) -> np.ndarray:
+    """Every run at vote count ``n``: a (metrics, runs) float array whose
+    row m is metric ``cfg.metrics[m]`` and column i run i.  An entry is
+    NaN where the run's statistic is undefined: a constant run MOS, no
+    line for ``--fom`` to fit, or no eligible IRR rater."""
+    row = {metric: m for m, metric in enumerate(cfg.metrics)}
+    out = np.full((len(row), cfg.repetitions), np.nan)
     # Every target over all conditions shares one ranking of the run's MOS.
-    whole_ranks = None
-    if any(t.index is None and t.srcc in metrics for t in targets):
-        whole_ranks = stats._centred_ranks(means)
-    for t in targets:
-        sub = means if t.index is None else means[t.index]
-        if t.srcc in metrics:
-            ranks = whole_ranks if t.index is None else stats._centred_ranks(sub)
-            out[t.srcc] = None if ranks[1] == 0.0 else stats._ranked_srcc(ranks, t.ranks)
-        if t.rmse in metrics:
-            try:
-                if t.mapped:
-                    sub = stats.fit_line(sub, t.values).apply(sub)
-                out[t.rmse] = stats.rmse(sub, t.values)
-            except DegenerateDataError:  # no line maps a constant run MOS
-                out[t.rmse] = None
-    if CI_WIDTH in metrics:
-        # cumsum adds left to right, as one call per condition did, where
-        # np.sum adds pairwise: so ci_width keeps its bytes.
-        low, high = bootstrap_ci_mos(scores, cfg.ci_level)
-        out[CI_WIDTH] = float(np.cumsum(high - low)[-1]) / k
-    if IRR in metrics:
-        out[IRR] = _sampled_irr(ds, scores, rows)
+    whole = any(t.index is None and t.ranks is not None for t in targets)
+    for i in range(cfg.repetitions):
+        scores, rows = _draw_votes(ds, n, _run_stream(cfg.master_seed, n, i))
+        # The integer sums are exact, so these are the float means of the votes.
+        means = scores.sum(axis=1) / n
+        whole_ranks = stats._centred_ranks(means) if whole else None
+        for t in targets:
+            sub = means if t.index is None else means[t.index]
+            if t.ranks is not None:
+                ranks = whole_ranks if t.index is None else stats._centred_ranks(sub)
+                if ranks[1] != 0.0:
+                    out[row[t.srcc], i] = stats._ranked_srcc(ranks, t.ranks)
+            if t.rmse in row:
+                try:
+                    if t.mapped:
+                        sub = stats.fit_line(sub, t.values).apply(sub)
+                    out[row[t.rmse], i] = stats.rmse(sub, t.values)
+                except DegenerateDataError:  # no line maps a constant run MOS
+                    pass
+        if CI_WIDTH in row:
+            # cumsum adds left to right, as one call per condition did, where
+            # np.sum adds pairwise: so ci_width keeps its bytes.
+            low, high = bootstrap_ci_mos(scores, cfg.ci_level)
+            out[row[CI_WIDTH], i] = float(np.cumsum(high - low)[-1]) / len(ds.conditions)
+        if IRR in row:
+            out[row[IRR], i] = _sampled_irr(ds, scores, rows)
     return out
 
 
-def _aggregate(values: list[float], level: float) -> tuple[float, float, float, float]:
+def _aggregate(values: np.ndarray | list, level: float) -> tuple[float, float, float, float]:
     """Mean, Student-t CI bounds and standard deviation across runs; one
     run is its own mean, with a zero-width CI and a zero spread.
 
@@ -378,11 +380,12 @@ def run_sweep(
     """Run the full sweep and return one curve per configured metric.
 
     Validity metrics require ``ref`` (see :func:`require_reference`); the
-    sweep is rejected before any sampling happens otherwise.  A run whose
-    statistic is undefined (a constant MOS vector, no eligible IRR rater)
-    is left out of that point.  The sweep goes one n at a time and stops at the first point
-    with no valid run for some metric: it raises :class:`DataError`
-    before any later n is sampled.
+    sweep is rejected before any sampling happens otherwise.  The runs of
+    each n form one (metrics, runs) array, NaN where a run's statistic is
+    undefined (a constant MOS vector, no eligible IRR rater); a point
+    aggregates the rest of its row in run order.  The sweep stops at the
+    first point with no valid run for some metric: it raises
+    :class:`DataError` before any later n is sampled.
     A rank correlation against a constant reference or full-dataset MOS
     is undefined for every run and raises :class:`DegenerateDataError`
     before any sampling.
@@ -406,18 +409,14 @@ def run_sweep(
             "every condition has the same full-dataset MOS",
         ))
 
-    points: dict[str, list[CurvePoint]] = {m: [] for m in cfg.metrics}
+    points: list[list[CurvePoint]] = [[] for _ in cfg.metrics]
     for n in cfg.n_values:
-        runs = [_simulate_run(ds, cfg, n, i, targets) for i in range(cfg.repetitions)]
-        for metric, curve_points in points.items():
-            values = [run[metric] for run in runs if run[metric] is not None]
-            if not values:
+        for metric, curve, runs in zip(cfg.metrics, points, _runs_at(ds, cfg, n, targets)):
+            values = runs[~np.isnan(runs)]
+            if not values.size:
                 raise DataError(f"no run produced a value for {metric} at n={n}")
-            curve_points.append(CurvePoint(n, *_aggregate(values, cfg.ci_level)))
-    return [
-        MetricCurve(metric=metric, dataset_label=ds.label, points=tuple(curve_points))
-        for metric, curve_points in points.items()
-    ]
+            curve.append(CurvePoint(n, *_aggregate(values, cfg.ci_level)))
+    return [MetricCurve(m, ds.label, tuple(p)) for m, p in zip(cfg.metrics, points)]
 
 
 def require_reference(cfg: SweepConfig, given: bool) -> None:
@@ -466,7 +465,7 @@ def irr_full(ds: RatingDataset) -> float:
     """
     rows = np.arange(ds._row_bounds[-1])
     value = _pair_irr(ds, rows, ds._user_means)
-    if value is None:
+    if math.isnan(value):
         raise DataError("no user has enough rated conditions for reliability")
     return value
 

@@ -278,6 +278,36 @@ class TestRunSweep:
             want = rmse(fit_line(sub, ref_values).apply(sub), ref_values)
             assert np.float64(curve.point_at(n).mean).tobytes() == np.float64(want).tobytes()
 
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_rmse_curves_match_their_closed_form(self, seed):
+        # Without --fom, E[rmse^2](n) = mean_j((m_j - t_j)^2 + s_j^2 / n),
+        # m_j and s_j^2 the plain mean and population variance of condition
+        # j's votes.  Raters cast 1-3 votes on a condition, so m_j is not
+        # the user-balanced MOS that gain targets; the reference covers 4 of
+        # the 6 conditions.  mean^2 + std_dev^2 (r - 1) / r estimates
+        # E[rmse^2] from a point, with standard error 2 mean std_dev / sqrt(r).
+        rng = random.Random(seed)
+        cells = {(f"c{c}", f"u{u}"): [rng.randint(max(1, c - 1), min(5, c + 2))
+                                      for _ in range(rng.randint(1, 3))]
+                 for c in range(6) for u in range(5)}
+        ds = make_dataset([(c, u, v) for (c, u), vs in cells.items() for v in vs])
+        ref = {f"c{c}": 1.0 + 0.7 * c for c in (0, 2, 3, 5)}
+        by_cond = {c: [v for (cc, _), vs in cells.items() if cc == c for v in vs]
+                   for c in ds.conditions}
+        plain = {c: np.mean(vs) for c, vs in by_cond.items()}
+        var = {c: np.var(vs) for c, vs in by_cond.items()}
+        balanced = {c: np.mean([np.mean(cells[c, u]) for u in ds.users])
+                    for c in ds.conditions}
+        assert max(abs(plain[c] - balanced[c]) for c in ds.conditions) > 0.05
+        r = 400
+        cfg = SweepConfig(n_values=(2, 5, 20), repetitions=r, master_seed=seed,
+                          metrics=("validity_rmse", "gain_rmse"))
+        for curve, target in zip(run_sweep(ds, ReferenceMos(ref), cfg), (ref, balanced)):
+            for p in curve.points:
+                want = np.mean([(plain[c] - t) ** 2 + var[c] / p.n for c, t in target.items()])
+                got = p.mean**2 + p.std_dev**2 * (r - 1) / r
+                assert abs(got - want) <= 4 * 2 * p.mean * p.std_dev / math.sqrt(r)
+
 
 def near_unanimous_dataset():
     """Six raters vote 3 on a, b and c; a seventh votes 4 on a and 2 on c.
@@ -300,14 +330,17 @@ class TestDegenerateRuns:
         gain_srcc, gain_rmse = run_sweep(ds, None, cfg)
         assert gain_srcc.n_values == gain_rmse.n_values == (1, 2, 3, 4)
         # rmse is defined for every run; at n=1 the runs that drew only 3s
-        # are missing from srcc, so the two curves average different runs
+        # are missing from srcc, so the two curves average different runs.
+        # Each point aggregates exactly its valid runs, in run order.
         full = dataset_mos(ds).values
-        runs = [run_mos(ds, 1, i, 0) for i in range(20)]
-        rmses = [float(np.sqrt(np.mean((m - full) ** 2))) for m in runs]
-        srccs = [srcc(m, full) for m in runs if np.ptp(m) > 0]
-        assert 0 < len(srccs) < len(runs)
-        assert gain_rmse.point_at(1).mean == pytest.approx(np.mean(rmses), abs=1e-12)
-        assert gain_srcc.point_at(1).mean == pytest.approx(np.mean(srccs), abs=1e-12)
+        for n in cfg.n_values:
+            runs = [run_mos(ds, n, i, 0) for i in range(20)]
+            srccs = [srcc(m, full) for m in runs if np.ptp(m) > 0]
+            if n == 1:
+                assert 0 < len(srccs) < len(runs)
+            rmses = [rmse(m, full) for m in runs]
+            assert gain_rmse.point_at(n)[1:] == _aggregate(rmses, cfg.ci_level)
+            assert gain_srcc.point_at(n)[1:] == _aggregate(srccs, cfg.ci_level)
 
     def test_validity_with_mapping_skips_constant_runs(self):
         ds = near_unanimous_dataset()
@@ -364,7 +397,7 @@ class TestDegenerateRuns:
         def no_sampling(*args):
             raise AssertionError("sampled a run")
 
-        monkeypatch.setattr(simulate, "_simulate_run", no_sampling)
+        monkeypatch.setattr(simulate, "_draw_votes", no_sampling)
         cfg = SweepConfig(n_values=(2,), repetitions=3, metrics=(metric,))
         with pytest.raises(DegenerateDataError, match=f"{metric} is undefined: .*{message}"):
             run_sweep(make_dataset(rows), ref, cfg)
@@ -374,7 +407,7 @@ class TestDegenerateRuns:
         def no_sampling(*args):
             raise AssertionError("sampled a run")
 
-        monkeypatch.setattr(simulate, "_simulate_run", no_sampling)
+        monkeypatch.setattr(simulate, "_draw_votes", no_sampling)
         ds = make_dataset([("a", "u1", 1), ("b", "u1", 5), ("a", "u2", 2)])
         cfg = SweepConfig(n_values=(2,), repetitions=3, metrics=(metric,))
         with pytest.raises(DataError, match="^gain metrics need at least 3 conditions$"):
@@ -912,7 +945,7 @@ class TestBatchedIrr:
         ds = make_dataset(rows)
         want = irr_by_rater_loop(*zip(*pairs)) if pairs else None
         got = _pair_irr(ds, np.arange(ds._row_bounds[-1]), ds._user_means)
-        assert (got is None) == (want is None)
+        assert math.isnan(got) == (want is None)
         if want is not None:
             assert got == pytest.approx(want, abs=1e-12)
 
