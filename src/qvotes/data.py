@@ -15,8 +15,8 @@ optional ``stimulus_id``), reference tables need ``condition_id,mos``.
 Unknown extra columns are ignored; ``column_map`` renames the canonical
 columns to whatever the file actually uses, and a column it names is
 required.  A leading UTF-8 byte-order mark, as spreadsheet programs
-write, is dropped: paths and binary streams are decoded as
-``utf-8-sig``, and a text stream loses a leading U+FEFF before its
+write, is dropped: paths and binary streams lose its three bytes and are
+decoded as UTF-8, and a text stream loses a leading U+FEFF before its
 first row is parsed.
 
 Every input, here and the curve files of :mod:`qvotes.simulate`, is read
@@ -32,6 +32,7 @@ short row, a bad quote or a field over ``csv.field_size_limit()``.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import io
 import math
@@ -254,8 +255,11 @@ def _read_text(source) -> str:
         else:
             raise ConfigError(f"unsupported source type: {type(source).__name__}")
         # A text stream keeps a byte-order mark as U+FEFF; dropped before
-        # parsing, it cannot hide a quote that opens the first cell.
-        return data.removeprefix("\ufeff") if isinstance(data, str) else data.decode("utf-8-sig")
+        # parsing, it cannot hide a quote that opens the first cell.  Bytes
+        # drop it themselves: the utf-8-sig codec is a module import away.
+        if isinstance(data, str):
+            return data.removeprefix("\ufeff")
+        return data.removeprefix(codecs.BOM_UTF8).decode("utf-8")
     except UnicodeDecodeError as exc:
         name = os.fspath(source) if is_path else getattr(source, "name", "input")
         raise DataError(f"{name} is not UTF-8 text: {exc.reason}") from None

@@ -197,13 +197,14 @@ class MetricCurve:
 def _draw_votes(ds: RatingDataset, n: int, rng: np.random.Generator):
     """``n`` votes for each of the k conditions, each one uniform over its
     condition's votes, from one ``rng.random((k, n))`` call.  Returns
-    (scores, vote rows), each a (k, n) matrix; a vote's row is its
-    (condition, user) row of the dataset."""
+    (scores, positions), each a (k, n) matrix; a vote's position indexes
+    the dataset's votes, so ``ds._vote_rows[positions]`` are the votes'
+    (condition, user) rows, gathered only by the metrics that read them."""
     sizes = ds._cond_totals
     # u < 1 and N below 2^53, so the rounded product stays below N.
     index = (rng.random((sizes.size, n)) * sizes[:, None]).astype(np.intp)
     index += ds._vote_bounds[:-1, None]
-    return ds._vote_scores[index], ds._vote_rows[index]
+    return ds._vote_scores[index], index
 
 
 def _run_stream(master_seed: int, n: int, run_index: int) -> np.random.Generator:
@@ -228,8 +229,8 @@ def draw_run_sample(
     master_seed = _integer("master_seed", master_seed)
     if n < 1:
         raise ConfigError(f"n must be positive, got {n}")
-    scores, rows = _draw_votes(ds, n, _run_stream(master_seed, n, run_index))
-    user_rows = ds._user_rows[rows].tolist()
+    scores, positions = _draw_votes(ds, n, _run_stream(master_seed, n, run_index))
+    user_rows = ds._user_rows[ds._vote_rows[positions]].tolist()
     return {
         condition: (scores[j], tuple(map(ds.users.__getitem__, user_rows[j])))
         for j, condition in enumerate(ds.conditions)
@@ -282,9 +283,10 @@ def _pair_irr(ds: RatingDataset, rows: np.ndarray, means: np.ndarray):
     return float(np.mean(values)) if values.size else math.nan
 
 
-def _sampled_irr(ds: RatingDataset, scores: np.ndarray, rows: np.ndarray):
-    """IRR of one run's votes, given with their (condition, user) rows."""
-    flat = rows.ravel()
+def _sampled_irr(ds: RatingDataset, scores: np.ndarray, positions: np.ndarray):
+    """IRR of one run's votes, given with their positions among the
+    dataset's votes."""
+    flat = ds._vote_rows[positions].ravel()
     counts = np.bincount(flat, minlength=ds._row_bounds[-1])
     sums = np.bincount(flat, weights=scores.ravel(), minlength=counts.size)
     present = np.flatnonzero(counts)
@@ -325,7 +327,7 @@ def _runs_at(ds: RatingDataset, cfg: SweepConfig, n: int, targets: list[_Target]
     # Every target over all conditions shares one ranking of the run's MOS.
     whole = any(t.index is None and t.ranks is not None for t in targets)
     for i in range(cfg.repetitions):
-        scores, rows = _draw_votes(ds, n, _run_stream(cfg.master_seed, n, i))
+        scores, positions = _draw_votes(ds, n, _run_stream(cfg.master_seed, n, i))
         # The integer sums are exact, so these are the float means of the votes.
         means = scores.sum(axis=1) / n
         whole_ranks = stats._centred_ranks(means) if whole else None
@@ -348,7 +350,7 @@ def _runs_at(ds: RatingDataset, cfg: SweepConfig, n: int, targets: list[_Target]
             low, high = bootstrap_ci_mos(scores, cfg.ci_level)
             out[row[CI_WIDTH], i] = float(np.cumsum(high - low)[-1]) / len(ds.conditions)
         if IRR in row:
-            out[row[IRR], i] = _sampled_irr(ds, scores, rows)
+            out[row[IRR], i] = _sampled_irr(ds, scores, positions)
     return out
 
 
@@ -478,28 +480,59 @@ def write_curves_csv(curves: list[MetricCurve], path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(CURVE_CSV_COLUMNS)
-        for curve in curves:
-            for p in curve.points:
-                writer.writerow(
-                    [curve.metric, curve.dataset_label, p.n, *(f"{v:.6g}" for v in p[1:])]
-                )
+        writer.writerows(
+            [curve.metric, curve.dataset_label, p.n, *(f"{v:.6g}" for v in p[1:])]
+            for curve in curves
+            for p in curve.points
+        )
+
+
+# One curve and one point of the curve JSON, as ``json.dumps(doc, indent=2)``
+# lays them out at their depth in the document.
+_JSON_CURVE = (
+    '{\n      "metric": %s,\n      "dataset": %s,\n'
+    '      "points": [\n        %s\n      ]\n    }'
+)
+_JSON_POINT = (
+    '{\n          "n": %d,\n          "mean": %s,\n          "ci_low": %s,\n'
+    '          "ci_high": %s,\n          "std_dev": %s\n        }'
+)
+
+
+def _json_number(value) -> str:
+    """``value`` as ``json`` writes it: a float, numpy's included, by
+    ``float.__repr__`` (``%r`` would print ``np.float64(...)``), anything
+    else by ``json`` itself."""
+    return float.__repr__(value) if isinstance(value, float) else json.dumps(value)
 
 
 def write_curves_json(
     curves: list[MetricCurve], path, config: SweepConfig | None = None
 ) -> None:
-    """Full-precision JSON bundle with the sweep configuration echoed."""
-    _write_json(path, {
-        "config": dataclasses.asdict(config) if config is not None else None,
-        "curves": [
-            {
-                "metric": c.metric,
-                "dataset": c.dataset_label,
-                "points": [p._asdict() for p in c.points],
-            }
-            for c in curves
-        ],
-    })
+    """Full-precision JSON bundle with the sweep configuration echoed.
+
+    The file is ``json.dumps(doc, indent=2)`` and a newline, for ``doc``
+    ``{"config": dataclasses.asdict(config) or None, "curves": [{"metric",
+    "dataset", "points": [CurvePoint._asdict(), ...]}, ...]}``.  ``json``
+    indents through its pure-Python encoder, so each point is formatted
+    here in one step; ``json`` still writes the config and the labels.
+    """
+    config_text = json.dumps(dataclasses.asdict(config) if config is not None else None, indent=2)
+    blocks = [
+        _JSON_CURVE % (
+            json.dumps(c.metric),
+            json.dumps(c.dataset_label),
+            ",\n        ".join(_JSON_POINT % (p.n, *map(_json_number, p[1:])) for p in c.points),
+        )
+        for c in curves
+    ]
+    curves_text = "[\n    " + ",\n    ".join(blocks) + "\n  ]" if blocks else "[]"
+    # json escapes every newline inside a string, so each "\n" in
+    # config_text ends a line, which nesting indents by 2 more.
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write('{\n  "config": %s,\n  "curves": %s\n}\n' % (
+            config_text.replace("\n", "\n  "), curves_text
+        ))
 
 
 def _write_json(path, doc) -> None:

@@ -39,6 +39,15 @@ def toy_files(tmp_path):
     return ratings, reference
 
 
+def child_env() -> dict[str, str]:
+    """This environment, with the tested package first on a child
+    interpreter's import path."""
+    env = dict(os.environ)
+    src = str(Path(qvotes.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
 SURFACE = json.loads((Path(__file__).resolve().parent / "data" / "cli_surface.json").read_text("utf-8"))
 
 
@@ -72,9 +81,7 @@ class TestSurface:
 
     def test_python_m_qvotes(self, toy_files, tmp_path):
         ratings, _ = toy_files
-        env = dict(os.environ)
-        src = str(Path(qvotes.__file__).resolve().parents[1])
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        env = child_env()
         out = tmp_path / "sweep"
         proc = subprocess.run(
             [sys.executable, "-m", "qvotes", "simulate", str(ratings), "--n", "10:20:10",
@@ -870,9 +877,7 @@ class TestColdStart:
         ratings, reference = toy_files
         curves = Path(__file__).resolve().parent / "data" / "golden_sweep.csv"
         report = tmp_path / "modules.json"
-        env = dict(os.environ)
-        src = str(Path(qvotes.__file__).resolve().parents[1])
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        env = child_env()
         proc = subprocess.run(
             [sys.executable, "-c", COLD_START_SCRIPT, str(ratings), str(reference),
              str(curves), str(tmp_path / "sweep"), str(report)],
@@ -914,3 +919,36 @@ class TestColdStart:
         loaded = self._loaded(toy_files, tmp_path)
         for step in ("import qvotes.cli", "validate", "compare", "fit"):
             assert not loaded[step][4], step
+
+
+BYTE_ORDER_MARK_SCRIPT = """
+import sys
+import qvotes.cli
+ratings, reference, out = sys.argv[1:]
+before = "encodings.utf_8_sig" in sys.modules
+code = qvotes.cli.main(["simulate", ratings, "--ref", reference, "--n", "2:6:2", "--runs", "3",
+                        "--seed", "5", "--out", out])
+print(code, before, "encodings.utf_8_sig" in sys.modules)
+"""
+
+
+def test_byte_order_marks_are_dropped_without_the_utf_8_sig_codec(toy_files, tmp_path):
+    # Bytes lose a leading mark by hand and decode as plain UTF-8, so a
+    # sweep of marked inputs imports no codec module of its own, in a fresh
+    # interpreter, and writes the curves of the unmarked inputs.
+    (tmp_path / "marked").mkdir()
+    marked = [tmp_path / "marked" / path.name for path in toy_files]
+    for path, copy in zip(toy_files, marked):
+        copy.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    proc = subprocess.run(
+        [sys.executable, "-c", BYTE_ORDER_MARK_SCRIPT, *map(str, marked), str(tmp_path / "marked" / "out")],
+        env=child_env(), capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 False False"
+    ratings, reference = toy_files
+    assert main(["simulate", str(ratings), "--ref", str(reference), "--n", "2:6:2", "--runs", "3",
+                 "--seed", "5", "--out", str(tmp_path / "plain")]) == 0
+    for suffix in (".csv", ".json"):
+        marked_bytes = (tmp_path / "marked" / f"out{suffix}").read_bytes()
+        assert marked_bytes == (tmp_path / f"plain{suffix}").read_bytes(), suffix

@@ -130,10 +130,10 @@ class TestSampleCondition:
 
     def test_deterministic_given_stream(self):
         ds = three_user_toy()
-        s1, r1 = simulate._draw_votes(ds, 50, np.random.default_rng(123))
-        s2, r2 = simulate._draw_votes(ds, 50, np.random.default_rng(123))
+        s1, p1 = simulate._draw_votes(ds, 50, np.random.default_rng(123))
+        s2, p2 = simulate._draw_votes(ds, 50, np.random.default_rng(123))
         assert np.array_equal(s1, s2)
-        assert np.array_equal(r1, r2)
+        assert np.array_equal(p1, p2)
 
     def test_needs_positive_n(self):
         ds = three_user_toy()
@@ -664,6 +664,11 @@ class TestEndToEndPipeline:
         assert delta_rmse.point_at(60).mean <= -0.1
 
 
+# A quote, a backslash, a newline, a non-ASCII and a non-BMP character.
+ODD_LABEL = 'say "hi"\\\n\u00e9\U0001f600'
+TWO_POINTS = (CurvePoint(10, 0.5, 0.25, 0.75, 0.125), CurvePoint(20, 0.1 + 0.2, 0.1, 0.7, 1 / 3))
+
+
 class TestCurveSerialization:
     def _curves(self):
         points = tuple(
@@ -693,6 +698,36 @@ class TestCurveSerialization:
         write_curves_json(curves, path, cfg)
         back = read_curves_json(path)
         assert back == curves
+
+    @pytest.mark.parametrize("config", [SweepConfig(n_values=(10, 20, 30), repetitions=3), None])
+    @pytest.mark.parametrize(
+        "curves",
+        [
+            [],
+            [MetricCurve(ODD_LABEL, ODD_LABEL, TWO_POINTS), MetricCurve("irr", "toy", TWO_POINTS)],
+            [MetricCurve("irr", "toy", (
+                CurvePoint(np.int64(10), *map(np.float64, (0.3, 0.1, 0.7, 0.2))),
+                CurvePoint(np.int64(20), np.float64(1.0), 1, 2, 0),
+            ))],
+            [MetricCurve("irr", "toy", (
+                CurvePoint(10, 1e-300, -0.0, 1e16, 1e-300), CurvePoint(20, 1e16, 1e16, 1e16, -0.0),
+            ))],
+        ],
+        ids=["no_curves", "odd_labels", "numpy_values", "extreme_floats"],
+    )
+    def test_json_is_json_dumps_indented(self, tmp_path, curves, config):
+        # The writer lays out the points itself; the oracle is json's own
+        # indented encoder on the same document.
+        doc = {
+            "config": dataclasses.asdict(config) if config is not None else None,
+            "curves": [
+                {"metric": c.metric, "dataset": c.dataset_label,
+                 "points": [p._asdict() for p in c.points]}
+                for c in curves
+            ],
+        }
+        write_curves_json(curves, tmp_path / "curves.json", config)
+        assert (tmp_path / "curves.json").read_bytes() == (json.dumps(doc, indent=2) + "\n").encode()
 
     @pytest.mark.parametrize("kind", ["bytes", "text"])
     def test_read_streams_behind_a_byte_order_mark(self, tmp_path, kind):
@@ -1029,7 +1064,8 @@ class TestConditionSampler:
 
         ds = make_dataset(uneven_study)
         n = 20_000
-        scores, rows = simulate._draw_votes(ds, n, np.random.default_rng(2024))
+        scores, positions = simulate._draw_votes(ds, n, np.random.default_rng(2024))
+        rows = ds._vote_rows[positions]
         for j in range(len(ds.conditions)):
             observed = drawn_cells(ds, j, scores[j], rows[j])
             expected = n * vote_shares(ds, j)
@@ -1045,7 +1081,8 @@ class TestConditionSampler:
         for j in range(len(ds.conditions)):
             m = 7 * int(ds._cond_totals[j])
             grid = (np.arange(m) + 0.5) / m
-            scores, rows = simulate._draw_votes(ds, m, StubStream(grid))
+            scores, positions = simulate._draw_votes(ds, m, StubStream(grid))
+            rows = ds._vote_rows[positions]
             assert np.array_equal(drawn_cells(ds, j, scores[j], rows[j]), m * vote_shares(ds, j))
 
     def test_samples_are_scores_of_actual_votes(self):
@@ -1080,20 +1117,23 @@ class TestInversion:
 
     def test_index_stays_below_vote_count(self):
         # the largest uniform, 1 - 2^-53, picks each condition's last vote
-        # (its largest user row and score) and 0.0 its first
+        # (its largest position, user row and score) and 0.0 its first
         sizes = (1, 2, 3, 5, 7, 8, 1000, 4097)
         rows = [(f"c{j}", f"u{v % 3}", 1 + v % 5) for j, size in enumerate(sizes) for v in range(size)]
         ds = make_dataset(rows)
         last = ds._vote_bounds[1:] - 1
         for u, want in ((1.0 - 2.0**-53, last), (0.0, ds._vote_bounds[:-1])):
             scores, picked = simulate._draw_votes(ds, 3, StubStream(u))
-            assert np.array_equal(picked, np.repeat(ds._vote_rows[want][:, None], 3, axis=1))
+            assert np.array_equal(picked, np.repeat(want[:, None], 3, axis=1))
+            assert np.array_equal(
+                ds._vote_rows[picked], np.repeat(ds._vote_rows[want][:, None], 3, axis=1)
+            )
             assert np.array_equal(scores, np.repeat(ds._vote_scores[want][:, None], 3, axis=1))
 
     def test_single_user_condition(self):
         ds = make_dataset([("a", "u0", 4), ("a", "u0", 2), ("b", "u1", 1), ("b", "u0", 5)])
-        scores, rows = simulate._draw_votes(ds, 30, np.random.default_rng(5))
-        users = ds._user_rows[rows]
+        scores, positions = simulate._draw_votes(ds, 30, np.random.default_rng(5))
+        users = ds._user_rows[ds._vote_rows[positions]]
         assert not users[0].any()
         assert set(scores[0]) == {2, 4}
         assert set(users[1]) == {0, 1}
@@ -1121,8 +1161,9 @@ class TestInversion:
                 rows += [(f"c{c}", f"u{u}", s) for s in rng.integers(1, 6, size=rng.integers(1, 3))]
         ds = make_dataset(rows)
         n, run = 3, 2
-        scores, picked = simulate._draw_votes(ds, n, simulate._run_stream(seed, n, run))
-        assert scores.shape == picked.shape == (1100, n)
+        scores, positions = simulate._draw_votes(ds, n, simulate._run_stream(seed, n, run))
+        assert scores.shape == positions.shape == (1100, n)
+        picked = ds._vote_rows[positions]
         decoded = decoded_votes(ds, run_uniforms(seed, n, run, 1100))
         for j, want in enumerate(decoded):
             assert scores[j].tolist() == [s for _, s in want], j
