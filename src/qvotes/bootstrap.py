@@ -109,8 +109,9 @@ def bootstrap_ci_mos(votes, level: float = 0.95) -> tuple:
         or (rows.dtype.kind not in "iu" and not np.array_equal(ints, rows))
     ):
         raise DataError(f"votes must be integers in {SCORE_MIN}..{SCORE_MAX}")
-    # Each row's vote counts on its own support [lo, hi], in one bincount.
-    offsets = ints - lo[:, None] + NUM_SCORES * np.arange(k)[:, None]
+    # Each row's vote counts on its own support [lo, hi], in one bincount:
+    # row i's votes less lo[i], plus NUM_SCORES * i, in one subtraction.
+    offsets = ints - (lo - NUM_SCORES * np.arange(k))[:, None]
     counts = np.bincount(offsets.ravel(), minlength=NUM_SCORES * k).reshape(k, NUM_SCORES)
     q = (1.0 - level) / 2.0
     targets = (q - _CDF_SLACK, 1.0 - q - _CDF_SLACK)

@@ -272,13 +272,17 @@ def _pair_irr(ds: RatingDataset, rows: np.ndarray, means: np.ndarray):
     cond = ds._row_conds[rows]
     k = len(ds.conditions)
     sizes = np.bincount(cond, minlength=k)[cond]
-    keep = np.flatnonzero(sizes >= 2)
-    if not keep.size:
-        return math.nan
+    # Rows alone on their condition drop out; most runs have none.
+    if sizes.min(initial=2) < 2:
+        keep = np.flatnonzero(sizes >= 2)
+        if not keep.size:
+            return math.nan
+        rows, cond, sizes, means = rows[keep], cond[keep], sizes[keep], means[keep]
+    # The dropped rows are their conditions' only ones, so the totals of
+    # the others hold the same terms, in the same order, either way.
     totals = np.bincount(cond, weights=means, minlength=k)
-    own = means[keep]
-    others = (totals[cond[keep]] - own) / (sizes[keep] - 1)
-    values = stats._grouped_srcc(ds._user_rows[rows[keep]], own, others, _IRR_TIE)
+    others = (totals[cond] - means) / (sizes - 1)
+    values = stats._grouped_srcc(ds._user_rows[rows], means, others, _IRR_TIE)
     values = values[~np.isnan(values)]
     return float(np.mean(values)) if values.size else math.nan
 
@@ -302,19 +306,31 @@ class _Target(NamedTuple):
     values: np.ndarray
     ranks: tuple | None  # stats._centred_ranks(values), when srcc is asked for
     mapped: bool  # map the run's MOS onto values first (--fom)
+    mean: np.float64  # values.mean(), and values less it, for the map
+    centred: np.ndarray
 
 
 def _target(
     cfg: SweepConfig, srcc: str, rmse: str, index, values, constant: str, mapped: bool = False
 ) -> _Target:
     """The comparison with ``values``.  A rank correlation against a
-    constant vector is undefined for every run: an error before sampling."""
+    constant vector is undefined for every run: an error before sampling.
+
+    Every statistic of a run against ``values`` skips the input checks of
+    the public :mod:`qvotes.stats` functions, because the sweep guarantees
+    what they check: ``values`` holds at least 3 entries and no NaN
+    (``load_reference``, ``ReferenceMos`` and ``_shared_reference`` see to
+    that for a reference, and ``run_sweep`` for the full-dataset MOS), and
+    a run's MOS is finite and in [1, 5], one entry per condition.  What
+    depends on ``values`` alone is computed here, once per sweep.
+    """
     ranks = None
     if srcc in cfg.metrics:
         if np.ptp(values) == 0.0:
             raise DegenerateDataError(f"{srcc} is undefined: {constant}")
         ranks = stats._centred_ranks(values)
-    return _Target(srcc, rmse, index, values, ranks, mapped)
+    mean = values.mean()
+    return _Target(srcc, rmse, index, values, ranks, mapped, mean, values - mean)
 
 
 def _runs_at(ds: RatingDataset, cfg: SweepConfig, n: int, targets: list[_Target]) -> np.ndarray:
@@ -338,12 +354,11 @@ def _runs_at(ds: RatingDataset, cfg: SweepConfig, n: int, targets: list[_Target]
                 if ranks[1] != 0.0:
                     out[row[t.srcc], i] = stats._ranked_srcc(ranks, t.ranks)
             if t.rmse in row:
-                try:
-                    if t.mapped:
-                        sub = stats.fit_line(sub, t.values).apply(sub)
-                    out[row[t.rmse], i] = stats.rmse(sub, t.values)
-                except DegenerateDataError:  # no line maps a constant run MOS
-                    pass
+                if t.mapped:
+                    if sub.max() == sub.min():  # no line maps a constant run MOS
+                        continue
+                    sub = stats.LinearMap(*stats._line_fit(sub, t.mean, t.centred)).apply(sub)
+                out[row[t.rmse], i] = stats._rmse(sub, t.values)
         if CI_WIDTH in row:
             # cumsum adds left to right, as one call per condition did, where
             # np.sum adds pairwise: so ci_width keeps its bytes.

@@ -85,13 +85,18 @@ def average_ranks(values) -> np.ndarray:
     return _tie_ranks(order, s[1:] != s[:-1])
 
 
-def _tie_ranks(order: np.ndarray, breaks: np.ndarray) -> np.ndarray:
+def _tie_ranks(order: np.ndarray, breaks: np.ndarray, shift=None, labels=None) -> np.ndarray:
     """Ranks (1-based) of the entries that ``order`` sorts, each tie group
     receiving its average rank, where ``breaks[i]`` says that the entry
-    after the i-th in that order starts a new tie group."""
+    after the i-th in that order starts a new tie group.  With ``shift``,
+    a tie group whose first entry is the i-th in that order receives
+    ``shift[labels[i]]`` less, one subtraction per tie group."""
     boundaries = np.flatnonzero(np.concatenate(([True], breaks, [True])))
+    ties = (boundaries[:-1] + boundaries[1:] + 1) / 2.0
+    if shift is not None:
+        ties -= shift[labels[boundaries[:-1]]]
     ranks = np.empty(order.size)
-    ranks[order] = np.repeat((boundaries[:-1] + boundaries[1:] + 1) / 2.0, np.diff(boundaries))
+    ranks[order] = np.repeat(ties, np.diff(boundaries))
     return ranks
 
 
@@ -139,34 +144,38 @@ def _ranked_srcc(a: tuple, b: tuple) -> float:
     """:func:`srcc` of two vectors of one length from their
     :func:`_centred_ranks`, neither of them constant."""
     (ra, saa), (rb, sbb) = a, b
-    return float(np.clip((ra @ rb) / np.sqrt(saa * sbb), -1.0, 1.0))
+    return min(1.0, max(-1.0, float((ra @ rb) / np.sqrt(saa * sbb))))
 
 
 def _grouped_ranks(
-    groups: np.ndarray, values: np.ndarray, sizes: np.ndarray, tol: float = 0.0
+    groups: np.ndarray, values: np.ndarray, shift: np.ndarray, tol: float = 0.0
 ) -> np.ndarray:
     """Fractional ranks (1-based) of ``values`` within each group, ties
-    receiving their group average, as :func:`average_ranks` per group.
+    receiving their group average, as :func:`average_ranks` per group,
+    less ``shift[g]`` for an entry of group g.
 
-    ``values`` must hold no NaN.  The entries are ordered by value with
-    numpy's default (unstable) sort, then by group with a stable sort of
-    the labels in the narrowest unsigned type that holds them: a radix
-    sort up to 16 bits.  In that order, an entry starts a new tie group
-    when its group changes or its value exceeds the previous one by more
-    than ``tol``; each tie group gets one averaged rank, so how the value
-    sort orders them does not show in the result.  With ``tol`` 0 the
-    ties are those of equal values, as in :func:`average_ranks`; the
-    comparison adds ``tol`` rather than subtracting neighbours, so that
-    infinities need no inf - inf.
+    ``values`` must hold no NaN, and ``shift`` has one entry per group
+    label.  The entries are ordered by value with numpy's default
+    (unstable) sort, then by group with a stable sort of the labels in
+    the narrowest unsigned type that holds them: a radix sort up to 16
+    bits.  In that order, group g's entries follow those of every lower
+    label, so a rank there counts them too; ``shift`` takes them off once
+    per tie group, before the ranks are spread over its entries.  An entry
+    starts a new tie group when its group changes or its value exceeds the
+    previous one by more than ``tol``; each tie group gets one averaged
+    rank, so how the value sort orders them does not show in the result.
+    With ``tol`` 0 the ties are those of equal values, as in
+    :func:`average_ranks`; the comparison adds ``tol`` rather than
+    subtracting neighbours, so that infinities need no inf - inf.
     """
+    if not values.size:
+        return np.empty(0)
     by_value = np.argsort(values)
-    labels = groups[by_value].astype(np.min_scalar_type(sizes.size - 1))
+    labels = groups[by_value].astype(np.min_scalar_type(shift.size - 1))
     order = by_value[np.argsort(labels, kind="stable")]
     g = groups[order]
     v = values[order]
-    ranks = _tie_ranks(order, (g[1:] != g[:-1]) | (v[1:] > v[:-1] + tol))
-    ranks -= (np.cumsum(sizes) - sizes)[groups]
-    return ranks
+    return _tie_ranks(order, (g[1:] != g[:-1]) | (v[1:] > v[:-1] + tol), shift, g)
 
 
 def _grouped_srcc(groups: np.ndarray, a: np.ndarray, b: np.ndarray, b_tol: float = 0.0):
@@ -174,17 +183,23 @@ def _grouped_srcc(groups: np.ndarray, a: np.ndarray, b: np.ndarray, b_tol: float
 
     ``groups`` labels every point with a non-negative int64, and ``a`` and
     ``b`` are float vectors of its length without NaN; nothing is checked.
-    Entry g of the result equals ``srcc(a[groups == g], b[groups == g])``,
-    or is NaN where that call would raise: fewer than 3 points or a
-    constant vector.  With ``b_tol`` 0, ranks are half-integers, so their
-    centred sums are exact and each defined entry is bitwise equal to the
-    scalar call's result.  Values of ``b`` that differ by at most ``b_tol``
-    rank as ties (see :func:`_grouped_ranks`).
+    IRR's are: its group labels are user indices, and its two vectors are
+    means of votes in [1, 5].  Entry g of the result equals
+    ``srcc(a[groups == g], b[groups == g])``, or is NaN where that call
+    would raise: fewer than 3 points or a constant vector.
+
+    Both vectors are ranked with one shift per group, the entries of the
+    lower labels plus the group's mean rank (size + 1) / 2, which
+    :func:`_grouped_ranks` takes off each tie group, so the ranks come out
+    centred.  Ranks and shifts are half-integers, so the centred ranks
+    and their sums are exact; with ``b_tol`` 0, each defined entry is
+    bitwise equal to the scalar call's result.  Values of ``b`` that
+    differ by at most ``b_tol`` rank as ties (see :func:`_grouped_ranks`).
     """
     sizes = np.bincount(groups)
-    centre = (sizes[groups] + 1) / 2.0
-    ra = _grouped_ranks(groups, a, sizes) - centre
-    rb = _grouped_ranks(groups, b, sizes, b_tol) - centre
+    shift = (np.cumsum(sizes) - sizes) + (sizes + 1) / 2.0
+    ra = _grouped_ranks(groups, a, shift)
+    rb = _grouped_ranks(groups, b, shift, b_tol)
     saa = np.bincount(groups, ra * ra, minlength=sizes.size)
     sbb = np.bincount(groups, rb * rb, minlength=sizes.size)
     sab = np.bincount(groups, ra * rb, minlength=sizes.size)
@@ -199,6 +214,13 @@ def _grouped_srcc(groups: np.ndarray, a: np.ndarray, b: np.ndarray, b_tol: float
 def rmse(a, b) -> float:
     """Root mean squared difference of two equally long vectors."""
     a, b = _as_pair(a, b, min_len=1)
+    return _rmse(a, b)
+
+
+def _rmse(a: np.ndarray, b: np.ndarray) -> float:
+    """:func:`rmse` of two float vectors of one non-zero length, unchecked.
+    A sweep's are: a run's MOS is finite and in [1, 5], and a target
+    holds no NaN."""
     return float(np.sqrt(np.mean((a - b) ** 2)))
 
 
@@ -207,11 +229,21 @@ def fit_line(x, y) -> LinearMap:
     x, y = _as_pair(x, y, min_len=2)
     if np.ptp(x) == 0.0:
         raise DegenerateDataError("cannot fit a line to constant x values")
-    dx = x - x.mean()
-    dy = y - y.mean()
+    y_mean = y.mean()
+    return LinearMap(*_line_fit(x, y_mean, y - y_mean))
+
+
+def _line_fit(x: np.ndarray, y_mean, dy: np.ndarray) -> tuple[float, float]:
+    """The (slope, intercept) of :func:`fit_line`, given the mean of ``y``
+    and ``y`` less it, unchecked: ``x`` must be finite and not constant,
+    and ``dy`` as long as ``x``.  A sweep's are: a run's MOS is finite and
+    in [1, 5], it skips a constant one, and it takes the target's mean and
+    centred values once.
+    """
+    x_mean = x.mean()
+    dx = x - x_mean
     slope = float((dx @ dy) / (dx @ dx))
-    intercept = float(y.mean() - slope * x.mean())
-    return LinearMap(slope=slope, intercept=intercept)
+    return slope, float(y_mean - slope * x_mean)
 
 
 def compare_to_reference(

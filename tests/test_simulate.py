@@ -263,20 +263,28 @@ class TestRunSweep:
 
     @pytest.mark.parametrize("shared", [8, 5], ids=["every_condition", "subset"])
     def test_mapped_validity_rmse_is_rmse_of_the_fitted_run_mos(self, shared):
+        # The sweep maps and measures each run without the public functions'
+        # checks, from the target's mean and centred values taken once: every
+        # point must still be the bytes of the public calls' runs aggregated.
         ds = synthetic_dataset(seed=8, n_conditions=8, n_users=10)
-        base = mos_dict(dataset_mos(ds, "user_balanced"))
+        full = dataset_mos(ds, "user_balanced")
+        base = mos_dict(full)
         ref = ReferenceMos({c: 0.6 * v + 1.1 for c, v in list(base.items())[:shared]})
         local = [j for j, c in enumerate(ds.conditions) if c in ref]
         ref_values = np.array([ref[ds.conditions[j]] for j in local])
-        cfg = SweepConfig(
-            n_values=(5, 20), repetitions=1, master_seed=3, metrics=("validity_rmse",),
-            apply_first_order_map=True,
-        )
-        curve = run_sweep(ds, ref, cfg)[0]
-        for n in cfg.n_values:
-            sub = run_mos(ds, n, 0, cfg.master_seed)[local]
-            want = rmse(fit_line(sub, ref_values).apply(sub), ref_values)
-            assert np.float64(curve.point_at(n).mean).tobytes() == np.float64(want).tobytes()
+        for seed in (3, 17):
+            cfg = SweepConfig(
+                n_values=(5, 20), repetitions=5, master_seed=seed,
+                metrics=("validity_rmse", "gain_rmse"), apply_first_order_map=True,
+            )
+            validity, gain = run_sweep(ds, ref, cfg)
+            for n in cfg.n_values:
+                mos = [run_mos(ds, n, i, seed) for i in range(cfg.repetitions)]
+                mapped = [rmse(fit_line(m[local], ref_values).apply(m[local]), ref_values)
+                          for m in mos]
+                for curve, runs in ((validity, mapped), (gain, [rmse(m, full.values) for m in mos])):
+                    want = CurvePoint(n, *_aggregate(runs, cfg.ci_level))
+                    assert np.array(curve.point_at(n)).tobytes() == np.array(want).tobytes()
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_rmse_curves_match_their_closed_form(self, seed):
@@ -947,16 +955,33 @@ small_studies = st.lists(
 )
 
 
-def fractional_study(seed):
+def fractional_study(seed, extra=()):
     """5 to 29 conditions, each rated by 9 to 25 of 40 raters with 1 to 3
     votes each: rater means with denominators 1 to 3 make others' means
-    whose exact ties float sums can split."""
+    whose exact ties float sums can split.  ``extra`` votes are added."""
     rng = random.Random(seed)
     rows = []
     for c in range(rng.randint(5, 29)):
         for u in rng.sample(range(40), rng.randint(9, 25)):
             rows += [(f"c{c:02d}", f"u{u:02d}", rng.randint(1, 5)) for _ in range(rng.randint(1, 3))]
-    return make_dataset(rows)
+    return make_dataset([*rows, *extra])
+
+
+def pair_irr_as_it_was(ds, rows, means):
+    """``simulate._pair_irr`` as it was, taking its subsets of the rows on
+    conditions with at least two of them whether or not any is alone."""
+    cond = ds._row_conds[rows]
+    k = len(ds.conditions)
+    sizes = np.bincount(cond, minlength=k)[cond]
+    keep = np.flatnonzero(sizes >= 2)
+    if not keep.size:
+        return math.nan
+    totals = np.bincount(cond, weights=means, minlength=k)
+    own = means[keep]
+    others = (totals[cond[keep]] - own) / (sizes[keep] - 1)
+    values = simulate.stats._grouped_srcc(ds._user_rows[rows[keep]], own, others, 1e-12)
+    values = values[~np.isnan(values)]
+    return float(np.mean(values)) if values.size else math.nan
 
 
 class TestBatchedIrr:
@@ -1026,6 +1051,27 @@ class TestBatchedIrr:
                 run_sweep(ds, None, cfg)
         else:
             assert run_sweep(ds, None, cfg)[0].point_at(n).mean == pytest.approx(want, abs=1e-12)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), lone=st.sampled_from(["c", "zz"]),
+           scores=st.lists(st.integers(1, 5), min_size=1, max_size=3))
+    def test_rows_alone_on_their_condition_drop_out_bitwise(self, seed, lone, scores):
+        # Rater u00 alone on condition ``lone``, first or last in the row
+        # order, and every other condition rated by 9 or more: with that row,
+        # ``_pair_irr`` drops it and must give the bytes of the rows without
+        # it, where it takes no subsets; both must give the bytes of the
+        # code that always took them.
+        ds = fractional_study(seed, extra=[(lone, "u00", s) for s in scores])
+        rows = np.arange(ds._row_bounds[-1])
+        alone = np.bincount(ds._row_conds)[ds._row_conds] == 1
+        assert alone.sum() == 1
+        kept = rows[~alone]
+        means = ds._user_means
+        got = np.float64(_pair_irr(ds, rows, means)).tobytes()
+        without = np.float64(_pair_irr(ds, kept, means[kept])).tobytes()
+        assert got == without
+        assert got == np.float64(pair_irr_as_it_was(ds, rows, means)).tobytes()
+        assert without == np.float64(pair_irr_as_it_was(ds, kept, means[kept])).tobytes()
 
 
 class StubStream:

@@ -279,8 +279,15 @@ def stable_average_ranks(values):
     return ranks
 
 
+def group_shift(sizes):
+    """The per-group shift that ``_grouped_srcc`` hands ``_grouped_ranks``:
+    the entries of the lower labels plus the group's mean rank."""
+    return (np.cumsum(sizes) - sizes) + (sizes + 1) / 2.0
+
+
 def lexsort_grouped_ranks(groups, values, sizes):
-    """``stats._grouped_ranks`` as it was with ``np.lexsort``."""
+    """``stats._grouped_ranks`` as it was with ``np.lexsort``, before it
+    centred the ranks."""
     order = np.lexsort((values, groups))
     g = groups[order]
     v = values[order]
@@ -317,10 +324,12 @@ class TestRankKernelsBitwise:
     @settings(max_examples=200, deadline=None)
     def test_average_ranks_equal_one_group_and_brute_force(self, values, seed):
         # The package's two tie-averaged rankings give the same bytes.
+        # _grouped_ranks centres its ranks: the other two are centred here.
         a = np.random.default_rng(seed).permutation(np.array(values, dtype=float))
-        got = average_ranks(a).tobytes()
-        assert got == _grouped_ranks(np.zeros(a.size, dtype=np.int64), a, np.array([a.size])).tobytes()
-        assert got == np.array(brute_force_ranks(a.tolist()), dtype=float).tobytes()
+        centre = (a.size + 1) / 2.0
+        got = _grouped_ranks(np.zeros(a.size, dtype=np.int64), a, group_shift(np.array([a.size])))
+        assert got.tobytes() == (average_ranks(a) - centre).tobytes()
+        assert got.tobytes() == (np.array(brute_force_ranks(a.tolist()), dtype=float) - centre).tobytes()
 
     @top_labels
     @given(labels=sparse_labels, data=st.data())
@@ -331,8 +340,9 @@ class TestRankKernelsBitwise:
         groups = np.array(data.draw(st.lists(st.sampled_from(labels), min_size=values.size,
                                              max_size=values.size)), dtype=np.int64)
         sizes = np.bincount(groups, minlength=top + 1)
-        got = _grouped_ranks(groups, values, sizes)
-        assert got.tobytes() == lexsort_grouped_ranks(groups, values, sizes).tobytes()
+        got = _grouped_ranks(groups, values, group_shift(sizes))
+        want = lexsort_grouped_ranks(groups, values, sizes) - (sizes[groups] + 1) / 2.0
+        assert got.tobytes() == want.tobytes()
 
     @top_labels
     @given(users=sparse_labels, data=st.data())
