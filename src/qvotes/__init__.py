@@ -6,7 +6,7 @@ MOS confidence width) depend on the number of votes per condition, and
 fits saturating power models to the resulting curves.
 """
 
-__version__ = "0.13.3"
+__version__ = "0.14.0"
 
 from .bootstrap import bootstrap_ci_mos, clopper_pearson, max_ci_width
 from .data import (

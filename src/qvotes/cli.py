@@ -263,6 +263,15 @@ def cmd_simulate(args) -> int:
     simulate.require_reference(cfg, args.reference is not None)
     if args.delta:
         simulate.require_delta_baseline(cfg)
+    # The curve CSV holds the label as UTF-8: one it cannot hold, such as a
+    # non-UTF-8 file name's stem, would fail only after the sweep.
+    args.label = args.label or Path(args.ratings).stem
+    try:
+        args.label.encode("utf-8")
+    except UnicodeEncodeError:
+        raise ConfigError(
+            f"dataset label {args.label!r} is not UTF-8 text; pass a UTF-8 one with --label"
+        ) from None
 
     digests: dict[str, str] = {}
     ds = _load_ratings_from_args(args, digests)

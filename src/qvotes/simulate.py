@@ -502,52 +502,27 @@ def write_curves_csv(curves: list[MetricCurve], path) -> None:
         )
 
 
-# One curve and one point of the curve JSON, as ``json.dumps(doc, indent=2)``
-# lays them out at their depth in the document.
-_JSON_CURVE = (
-    '{\n      "metric": %s,\n      "dataset": %s,\n'
-    '      "points": [\n        %s\n      ]\n    }'
-)
-_JSON_POINT = (
-    '{\n          "n": %d,\n          "mean": %s,\n          "ci_low": %s,\n'
-    '          "ci_high": %s,\n          "std_dev": %s\n        }'
-)
-
-
-def _json_number(value) -> str:
-    """``value`` as ``json`` writes it: a float, numpy's included, by
-    ``float.__repr__`` (``%r`` would print ``np.float64(...)``), anything
-    else by ``json`` itself."""
-    return float.__repr__(value) if isinstance(value, float) else json.dumps(value)
-
-
 def write_curves_json(
     curves: list[MetricCurve], path, config: SweepConfig | None = None
 ) -> None:
     """Full-precision JSON bundle with the sweep configuration echoed.
 
-    The file is ``json.dumps(doc, indent=2)`` and a newline, for ``doc``
+    The file is one line, ``json.dumps(doc)`` and a newline, for ``doc``
     ``{"config": dataclasses.asdict(config) or None, "curves": [{"metric",
-    "dataset", "points": [CurvePoint._asdict(), ...]}, ...]}``.  ``json``
-    indents through its pure-Python encoder, so each point is formatted
-    here in one step; ``json`` still writes the config and the labels.
+    "dataset", "points": [CurvePoint._asdict(), ...]}, ...]}``.  It is not
+    indented as :func:`_write_json`'s small documents are, because ``json``
+    indents only in its pure-Python encoder, twice as slow on curve files.
     """
-    config_text = json.dumps(dataclasses.asdict(config) if config is not None else None, indent=2)
-    blocks = [
-        _JSON_CURVE % (
-            json.dumps(c.metric),
-            json.dumps(c.dataset_label),
-            ",\n        ".join(_JSON_POINT % (p.n, *map(_json_number, p[1:])) for p in c.points),
-        )
-        for c in curves
-    ]
-    curves_text = "[\n    " + ",\n    ".join(blocks) + "\n  ]" if blocks else "[]"
-    # json escapes every newline inside a string, so each "\n" in
-    # config_text ends a line, which nesting indents by 2 more.
+    doc = {
+        "config": dataclasses.asdict(config) if config is not None else None,
+        "curves": [
+            {"metric": c.metric, "dataset": c.dataset_label,
+             "points": [p._asdict() for p in c.points]}
+            for c in curves
+        ],
+    }
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write('{\n  "config": %s,\n  "curves": %s\n}\n' % (
-            config_text.replace("\n", "\n  "), curves_text
-        ))
+        fh.write(json.dumps(doc) + "\n")
 
 
 def _write_json(path, doc) -> None:
@@ -613,18 +588,20 @@ def _csv_curves(text: str) -> list[MetricCurve]:
 
 
 def _json_curves(text: str) -> list[MetricCurve]:
-    """The curves of curve JSON ``text``; too deep a nesting is malformed."""
+    """The curves of curve JSON ``text``; too deep a nesting, or a second
+    curve of one (metric, dataset), is malformed."""
+    curves: dict[tuple, MetricCurve] = {}
     try:
-        curves = [
-            MetricCurve(
-                metric=c["metric"],
-                dataset_label=c["dataset"],
-                points=tuple(_json_point(p) for p in c["points"]),
-            )
-            for c in json.loads(text)["curves"]
-        ]
+        for i, c in enumerate(json.loads(text)["curves"]):
+            key = c["metric"], c["dataset"]
+            if key in curves:
+                raise DataError(
+                    f"malformed curve JSON: curve {i + 1} repeats the {key[0]} curve of "
+                    f"dataset {key[1]!r}"
+                )
+            curves[key] = MetricCurve(*key, tuple(_json_point(p) for p in c["points"]))
     except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
         raise DataError(f"malformed curve JSON: {exc}") from None
     if not curves:
         raise DataError("curve file has no curves")
-    return curves
+    return list(curves.values())

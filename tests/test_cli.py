@@ -327,6 +327,23 @@ class TestSimulate:
         assert code == 2
         assert "reference" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("source", ["label", "file_name"])
+    def test_label_that_is_not_utf8_is_config_error(self, toy_files, tmp_path, capsys, source):
+        # Such a label used to fail in the curve CSV writer after the whole
+        # sweep, as a traceback, leaving a header-only CSV and no JSON.
+        ratings, _ = toy_files
+        extra = ["--label", "r\udcff"]
+        if source == "file_name":
+            ratings = ratings.rename(tmp_path / os.fsdecode(b"r\xff.csv"))
+            extra = []
+        code = main(["simulate", str(ratings), "--n", "10:20:10", "--runs", "1", *extra,
+                     "--out", str(tmp_path / "lab")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: dataset label 'r\\udcff' is not UTF-8 text; pass a UTF-8 one with --label\n"
+        )
+        assert not list(tmp_path.glob("lab*"))
+
     def test_unknown_metric_is_config_error(self, toy_files, tmp_path):
         ratings, _ = toy_files
         code = main(
@@ -460,6 +477,33 @@ class TestFit:
         write_curves_json(curve, path)
         path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
         assert main(["fit", str(path), "--metric", "validity_srcc"]) == 0
+
+    def test_curve_json_of_the_indented_layout(self, tmp_path, capsys):
+        # Curve JSON up to 0.13.3 was json.dumps(doc, indent=2); it reads
+        # to the same curves, and fit reads it the same.
+        curves = read_curves_csv(self._write_curve(tmp_path))
+        path = tmp_path / "curves.json"
+        write_curves_json(curves, path, simulate.SweepConfig(n_values=(10, 20), repetitions=3))
+        indented = tmp_path / "indented.json"
+        indented.write_text(json.dumps(json.loads(path.read_text()), indent=2) + "\n")
+        assert simulate.read_curves_json(indented) == simulate.read_curves_json(path) == curves
+        assert main(["fit", str(path), "--metric", "validity_srcc"]) == 0
+        want = capsys.readouterr().out
+        assert main(["fit", str(indented), "--metric", "validity_srcc"]) == 0
+        assert capsys.readouterr().out == want
+
+    def test_repeated_curve_in_json_is_data_error(self, tmp_path, capsys):
+        # fit used to ask for --dataset here, and --dataset toy picked both
+        # copies again.
+        curves = read_curves_csv(self._write_curve(tmp_path))
+        path = tmp_path / "twice.json"
+        write_curves_json(curves * 2, path)
+        for extra in ([], ["--dataset", "toy"]):
+            assert main(["fit", str(path), "--metric", "srcc", *extra]) == 1
+            assert capsys.readouterr().err == (
+                "error: malformed curve JSON: curve 2 repeats the validity_srcc curve of "
+                "dataset 'toy'\n"
+            )
 
     def test_metric_alias(self, tmp_path):
         path = self._write_curve(tmp_path)

@@ -723,9 +723,7 @@ class TestCurveSerialization:
         ],
         ids=["no_curves", "odd_labels", "numpy_values", "extreme_floats"],
     )
-    def test_json_is_json_dumps_indented(self, tmp_path, curves, config):
-        # The writer lays out the points itself; the oracle is json's own
-        # indented encoder on the same document.
+    def test_json_is_json_dumps(self, tmp_path, curves, config):
         doc = {
             "config": dataclasses.asdict(config) if config is not None else None,
             "curves": [
@@ -735,7 +733,19 @@ class TestCurveSerialization:
             ],
         }
         write_curves_json(curves, tmp_path / "curves.json", config)
-        assert (tmp_path / "curves.json").read_bytes() == (json.dumps(doc, indent=2) + "\n").encode()
+        assert (tmp_path / "curves.json").read_bytes() == (json.dumps(doc) + "\n").encode()
+
+    def test_read_json_repeated_curve(self, tmp_path):
+        # A second curve of one (metric, dataset) used to be read, and fit
+        # then had no --dataset that picked one of the two.
+        curves = self._curves()
+        other = MetricCurve("gain_srcc", "other", TWO_POINTS)
+        path = tmp_path / "curves.json"
+        write_curves_json([*curves, other, *curves], path)
+        with pytest.raises(DataError, match=(
+            "^malformed curve JSON: curve 3 repeats the gain_srcc curve of dataset 'toy'$"
+        )):
+            read_curves_json(path)
 
     @pytest.mark.parametrize("kind", ["bytes", "text"])
     def test_read_streams_behind_a_byte_order_mark(self, tmp_path, kind):
