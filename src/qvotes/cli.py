@@ -25,6 +25,7 @@ from .data import (
     RATING_COLUMNS,
     REFERENCE_COLUMNS,
     STIMULUS_COLUMN,
+    _is_utf8,
     load_ratings,
     load_reference,
     reference_coverage,
@@ -141,9 +142,18 @@ def _col_map_for(args, keys) -> dict[str, str]:
 
 
 def _load_ratings_from_args(args, digests):
+    """The ratings, labelled ``--label``, else by the file's stem.  Output
+    and curve files hold the label as UTF-8: one it cannot hold, such as a
+    non-UTF-8 file name's stem, is a configuration error, raised before
+    the file is read (and, in ``simulate``, before the sweep)."""
+    label = args.label or Path(args.ratings).stem
+    if not _is_utf8(label):
+        raise ConfigError(
+            f"dataset label {label!r} is not UTF-8 text; pass a UTF-8 one with --label"
+        )
     return load_ratings(
         _read_input(args.ratings, digests),
-        label=args.label or Path(args.ratings).stem,
+        label=label,
         delimiter=args.delimiter,
         column_map=_col_map_for(args, (*RATING_COLUMNS, STIMULUS_COLUMN)),
     )
@@ -263,15 +273,6 @@ def cmd_simulate(args) -> int:
     simulate.require_reference(cfg, args.reference is not None)
     if args.delta:
         simulate.require_delta_baseline(cfg)
-    # The curve CSV holds the label as UTF-8: one it cannot hold, such as a
-    # non-UTF-8 file name's stem, would fail only after the sweep.
-    args.label = args.label or Path(args.ratings).stem
-    try:
-        args.label.encode("utf-8")
-    except UnicodeEncodeError:
-        raise ConfigError(
-            f"dataset label {args.label!r} is not UTF-8 text; pass a UTF-8 one with --label"
-        ) from None
 
     digests: dict[str, str] = {}
     ds = _load_ratings_from_args(args, digests)

@@ -239,6 +239,15 @@ def reference_coverage(
 # -- loading -------------------------------------------------------------
 
 
+def _is_utf8(text: str) -> bool:
+    """Whether UTF-8 can encode ``text``: it holds no lone surrogate."""
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
 def _read_text(source) -> str:
     """The whole of ``source`` (a path, any ``os.PathLike`` or an open
     stream) as one string, without a leading byte-order mark: the one

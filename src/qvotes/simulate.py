@@ -17,6 +17,9 @@ Metrics
 ``gain_srcc`` / ``gain_rmse``
     the same two statistics against the full dataset's own
     (user-balanced) MOS vector over every condition, never mapped.
+    Both SRCCs rank the run's MOS by its integer vote sums, from a
+    histogram without a sort, and get the float MOS's ranks bit for bit
+    (see ``stats._counted_ranks``); the two fixed vectors are ranked once.
 ``ci_width``
     average width of the per-condition MOS's percentile-bootstrap CI,
     computed exactly from the votes without resampling; one
@@ -66,7 +69,16 @@ import numpy as np
 
 from . import stats
 from .bootstrap import _check_tail, bootstrap_ci_mos
-from .data import RatingDataset, ReferenceMos, _csv_table, _read_text, _shared_reference
+from .data import (
+    SCORE_MAX,
+    SCORE_MIN,
+    RatingDataset,
+    ReferenceMos,
+    _csv_table,
+    _is_utf8,
+    _read_text,
+    _shared_reference,
+)
 from .errors import ConfigError, DataError, DegenerateDataError, _integer
 
 VALIDITY_SRCC = "validity_srcc"
@@ -337,20 +349,28 @@ def _runs_at(ds: RatingDataset, cfg: SweepConfig, n: int, targets: list[_Target]
     """Every run at vote count ``n``: a (metrics, runs) float array whose
     row m is metric ``cfg.metrics[m]`` and column i run i.  An entry is
     NaN where the run's statistic is undefined: a constant run MOS, no
-    line for ``--fom`` to fit, or no eligible IRR rater."""
+    line for ``--fom`` to fit, or no eligible IRR rater.
+
+    A run's MOS is its conditions' integer vote sums, each in [n, 5n],
+    over n, and ranks as they do: ``stats._counted_ranks`` ranks the sums
+    from a histogram, without a sort, exactly (see its docstring)."""
     row = {metric: m for m, metric in enumerate(cfg.metrics)}
     out = np.full((len(row), cfg.repetitions), np.nan)
     # Every target over all conditions shares one ranking of the run's MOS.
     whole = any(t.index is None and t.ranks is not None for t in targets)
+    lo, hi = SCORE_MIN * n, SCORE_MAX * n
     for i in range(cfg.repetitions):
         scores, positions = _draw_votes(ds, n, _run_stream(cfg.master_seed, n, i))
         # The integer sums are exact, so these are the float means of the votes.
-        means = scores.sum(axis=1) / n
-        whole_ranks = stats._centred_ranks(means) if whole else None
+        sums = scores.sum(axis=1)
+        means = sums / n
+        whole_ranks = stats._counted_ranks(sums, lo, hi) if whole else None
         for t in targets:
             sub = means if t.index is None else means[t.index]
             if t.ranks is not None:
-                ranks = whole_ranks if t.index is None else stats._centred_ranks(sub)
+                ranks = whole_ranks if t.index is None else stats._counted_ranks(
+                    sums[t.index], lo, hi
+                )
                 if ranks[1] != 0.0:
                     out[row[t.srcc], i] = stats._ranked_srcc(ranks, t.ranks)
             if t.rmse in row:
@@ -594,6 +614,13 @@ def _json_curves(text: str) -> list[MetricCurve]:
     try:
         for i, c in enumerate(json.loads(text)["curves"]):
             key = c["metric"], c["dataset"]
+            for field, name in zip(("metric", "dataset"), key):
+                # A \udcff escape is JSON, but no UTF-8 output can hold it.
+                if isinstance(name, str) and not _is_utf8(name):
+                    raise DataError(
+                        f"malformed curve JSON: curve {i + 1} has {field} {name!r}, "
+                        "which is not UTF-8 text"
+                    )
             if key in curves:
                 raise DataError(
                     f"malformed curve JSON: curve {i + 1} repeats the {key[0]} curve of "

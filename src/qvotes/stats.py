@@ -140,9 +140,35 @@ def _centred_ranks(values: np.ndarray) -> tuple[np.ndarray, np.float64]:
     return r, r @ r
 
 
+def _counted_ranks(values: np.ndarray, lo: int, hi: int) -> tuple[np.ndarray, np.float64]:
+    """:func:`_centred_ranks` of integers ``values`` in [lo, hi], from a
+    histogram of them instead of a sort: O(k + hi - lo) for k values, so
+    O(k + 4n) for the k vote sums of a run of n votes per condition,
+    ranked as ``_counted_ranks(sums, n * SCORE_MIN, n * SCORE_MAX)``.
+
+    The values equal to v fill sorted positions [start, end), where end
+    counts the values up to v and start those below it, so their tie
+    group's average rank is (start + end + 1) / 2, the half-integer that
+    :func:`_tie_ranks` computes.  Centring takes off (k + 1) / 2, which is
+    what ``r.mean()`` returns for any k ranks: their sum, k(k + 1) / 2, is
+    exact, and so is its quotient by k.  So each centred rank is the
+    integer (start + end - k) over 2, exact, and the table of them holds
+    one per value in [lo, hi].  Dividing integers of at most 5n by one
+    positive n keeps their order and which of them are equal (their float
+    quotients lie at least 1/n apart), so the ranks and their sum of
+    squares are bit for bit those of ``_centred_ranks(values / n)`` and
+    ``_centred_ranks(values)``.
+    """
+    shifted = values - lo
+    counts = np.bincount(shifted, minlength=hi - lo + 1)
+    r = ((2 * np.cumsum(counts) - counts - values.size) / 2.0)[shifted]
+    return r, r @ r
+
+
 def _ranked_srcc(a: tuple, b: tuple) -> float:
     """:func:`srcc` of two vectors of one length from their
-    :func:`_centred_ranks`, neither of them constant."""
+    :func:`_centred_ranks` (or :func:`_counted_ranks`), neither of them
+    constant."""
     (ra, saa), (rb, sbb) = a, b
     return min(1.0, max(-1.0, float((ra @ rb) / np.sqrt(saa * sbb))))
 

@@ -692,6 +692,45 @@ class TestUnreadableInput:
         err = self._fails(["fit", str(path), "--metric", "irr"], 1, capsys)
         assert "curves.json is not UTF-8" in err
 
+    @staticmethod
+    def _strict_run(argv, cwd):
+        """``qvotes argv`` in a child whose standard streams take UTF-8 only,
+        as a terminal's do: printing a lone surrogate there raises."""
+        return subprocess.run(
+            [sys.executable, "-m", "qvotes", *argv], cwd=cwd, capture_output=True,
+            env={**child_env(), "PYTHONIOENCODING": "utf-8:strict"}, timeout=120,
+        )
+
+    @pytest.mark.parametrize("command", ["validate", "compare"])
+    def test_file_name_label_not_utf8(self, toy_files, tmp_path, command):
+        # The stem of such a file name used to print as a UnicodeEncodeError
+        # traceback (exit 1); simulate already refused it.
+        ratings, reference = toy_files
+        ratings = ratings.rename(tmp_path / os.fsdecode(b"r\xff.csv"))
+        extra = [str(reference)] if command == "compare" else []
+        proc = self._strict_run([command, ratings.name, *extra], tmp_path)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stdout == b""
+        assert proc.stderr == (
+            b"error: dataset label 'r\\udcff' is not UTF-8 text; pass a UTF-8 one with --label\n"
+        )
+
+    @pytest.mark.parametrize("field", ["metric", "dataset"])
+    def test_curve_json_name_not_utf8(self, tmp_path, field):
+        # A \udcff escape is legal JSON; a dataset holding one used to print
+        # as a UnicodeEncodeError traceback after the fit.
+        points = [{"n": n, "mean": 1.0 / n, "ci_low": 1.0 / n, "ci_high": 1.0 / n, "std_dev": 0.0}
+                  for n in (10, 20, 30, 40, 50)]
+        curve = {"metric": "gain_rmse", "dataset": "r", "points": points, field: "r\udcff"}
+        (tmp_path / "c.json").write_text(json.dumps({"curves": [curve]}))
+        proc = self._strict_run(["fit", "c.json", "--metric", "gain_rmse"], tmp_path)
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stdout == b""
+        assert proc.stderr == (
+            f"error: malformed curve JSON: curve 1 has {field} 'r\\udcff', "
+            "which is not UTF-8 text\n"
+        ).encode()
+
 
 @pytest.mark.skipif(
     not hasattr(os, "mkfifo") or not os.path.isdir("/dev/fd"),

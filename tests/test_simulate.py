@@ -463,23 +463,30 @@ class TestSrccRankedOnce:
 
     @pytest.mark.parametrize("shared, per_run", [(8, 1), (6, 2)], ids=["every_condition", "subset"])
     def test_run_mos_ranked_once_per_run(self, monkeypatch, shared, per_run):
-        # The reference and full-dataset MOS are ranked once per sweep.  A
+        # The reference and full-dataset MOS are ranked once per sweep, by
+        # the float ranking; each run's MOS by its vote sums alone.  A
         # reference over every condition shares the run's one ranking with
         # gain_srcc; over a subset, its conditions are ranked on their own.
-        calls = []
-        centred_ranks = simulate.stats._centred_ranks
+        calls = {"_centred_ranks": [], "_counted_ranks": []}
 
-        def counted(values):
-            calls.append(len(values))
-            return centred_ranks(values)
+        def counting(name):
+            kernel = getattr(simulate.stats, name)
 
-        monkeypatch.setattr(simulate.stats, "_centred_ranks", counted)
+            def counted(values, *bounds):
+                calls[name].append(len(values))
+                return kernel(values, *bounds)
+
+            return counted
+
+        for name in calls:
+            monkeypatch.setattr(simulate.stats, name, counting(name))
         ds = synthetic_dataset(seed=9, n_conditions=8, n_users=10)
         base = mos_dict(dataset_mos(ds, "user_balanced"))
         ref = ReferenceMos({c: 6.0 - v for c, v in list(base.items())[:shared]})
         cfg = SweepConfig(n_values=(5, 10), repetitions=3, metrics=("validity_srcc", "gain_srcc"))
         run_sweep(ds, ref, cfg)
-        assert len(calls) == 2 + per_run * cfg.repetitions * len(cfg.n_values)
+        assert sorted(calls["_centred_ranks"]) == sorted([shared, 8])
+        assert len(calls["_counted_ranks"]) == per_run * cfg.repetitions * len(cfg.n_values)
 
 
 class TestAggregate:
@@ -886,6 +893,18 @@ class TestCurveSerialization:
         path = tmp_path / "empty.json"
         path.write_text('{"config": null, "curves": []}')
         with pytest.raises(DataError, match="^curve file has no curves$"):
+            read_curves_json(path)
+
+    @pytest.mark.parametrize("field", ["metric", "dataset"])
+    def test_read_json_name_not_utf8(self, tmp_path, field):
+        # A lone surrogate is legal JSON, but no UTF-8 output can hold it.
+        point = {"n": 10, "mean": 0.5, "ci_low": 0.4, "ci_high": 0.6, "std_dev": 0.1}
+        curve = {"metric": "irr", "dataset": "toy", "points": [point], field: "t\udcffy"}
+        path = tmp_path / "surrogate.json"
+        path.write_text(json.dumps({"curves": [curve]}))
+        with pytest.raises(DataError, match=(
+            rf"^malformed curve JSON: curve 1 has {field} 't\\udcffy', which is not UTF-8 text$"
+        )):
             read_curves_json(path)
 
     def test_curve_validation(self):

@@ -27,7 +27,14 @@ from qvotes import (
     srcc,
 )
 from qvotes.data import _shared_reference
-from qvotes.stats import MOS_METHODS, _centred_ranks, _grouped_ranks, _grouped_srcc, _ranked_srcc
+from qvotes.stats import (
+    MOS_METHODS,
+    _centred_ranks,
+    _counted_ranks,
+    _grouped_ranks,
+    _grouped_srcc,
+    _ranked_srcc,
+)
 
 finite_floats = st.floats(min_value=-100, max_value=100, allow_nan=False)
 
@@ -310,7 +317,8 @@ top_labels = pytest.mark.parametrize("top", [255, 256, 65_535, 65_536])
 
 class TestRankKernelsBitwise:
     """The unstable value sort and the radix group pass give the same
-    bytes as the stable argsort and ``lexsort`` they replace."""
+    bytes as the stable argsort and ``lexsort`` they replace, and the
+    histogram ranks of integers those of the float ranking."""
 
     @given(values=tied_values, seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=200, deadline=None)
@@ -363,6 +371,32 @@ class TestRankKernelsBitwise:
         present, labels = np.unique(idx, return_inverse=True)
         assert got[present].tobytes() == _grouped_srcc(labels, own, others).tobytes()
         assert np.isnan(np.delete(got, present)).all()
+
+    @given(n=st.integers(1, 500), data=st.data())
+    @example(n=1, data=None)  # k = 1
+    @settings(max_examples=300, deadline=None)
+    def test_counted_ranks_equal_centred_ranks(self, n, data):
+        # The vote sums of k conditions, n votes each, lie in [n, 5n]; their
+        # histogram ranks give the float ranking's bytes, of the sums and of
+        # the MOS.  Constant, all-distinct and end-of-range vectors included.
+        lo, hi = n, 5 * n
+        if data is None:
+            sums = np.array([lo])
+        else:
+            k = data.draw(st.integers(1, 120))
+            pool = data.draw(st.sampled_from(["any", "constant", "distinct", "ends"]))
+            if pool == "constant":
+                sums = np.full(k, data.draw(st.sampled_from([lo, hi, (lo + hi) // 2])))
+            elif pool == "distinct":
+                sums = np.array(data.draw(st.lists(st.integers(lo, hi), min_size=1, max_size=k,
+                                                   unique=True)))
+            else:
+                values = st.sampled_from([lo, hi]) if pool == "ends" else st.integers(lo, hi)
+                sums = np.array(data.draw(st.lists(values, min_size=k, max_size=k)))
+        got = _counted_ranks(sums, lo, hi)
+        for want in (_centred_ranks(sums / n), _centred_ranks(sums.astype(float))):
+            assert got[0].tobytes() == want[0].tobytes()
+            assert np.float64(got[1]).tobytes() == np.float64(want[1]).tobytes()
 
 
 def one_call_srcc(a, b):
