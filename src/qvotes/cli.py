@@ -14,6 +14,7 @@ import argparse
 import dataclasses
 import hashlib
 import io
+import json
 import os
 import sys
 from datetime import datetime, timezone
@@ -68,7 +69,7 @@ def write_manifest(out_base, argv, seed, input_digests: dict[str, str]) -> Path:
     """``BASE.manifest.json``: the reproducibility sidecar written next to
     every output, with the ``{path: SHA-256}`` of the inputs read."""
     path = Path(f"{out_base}.manifest.json")
-    simulate._write_json(path, {
+    _write_json(path, {
         "tool_version": __version__,
         "invocation": list(argv),
         "master_seed": seed,
@@ -76,6 +77,11 @@ def write_manifest(out_base, argv, seed, input_digests: dict[str, str]) -> Path:
         "timestamp_utc": datetime.now(timezone.utc).isoformat(),
     })
     return path
+
+
+def _write_json(path, doc) -> None:
+    """``doc`` indented by 2 and a newline, in one write (``json.dump`` makes thousands)."""
+    Path(path).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8", newline="")
 
 
 def parse_sweep(text: str) -> tuple[int, ...]:
@@ -167,28 +173,30 @@ def _load_reference_from_args(args, digests):
     )
 
 
-def _out_base(out: str) -> str:
-    path = Path(out)
-    if path.suffix in {".csv", ".json"}:
-        return str(path.with_suffix(""))
-    return str(path)
-
-
-def _prepare_outputs(out: str | None, inputs, files=None) -> None:
-    """Refuse to write ``out`` (or the ``files`` of its base) or its
-    manifest over a directory or one of the ``inputs`` (None for one not
-    given), and create their directory.  Called before any input is read."""
+def _prepare_outputs(out: str | None, inputs, suffixes=None):
+    """``(BASE, *files)`` for output ``out``, ``(None, None)`` for none: BASE
+    is ``out`` less a ``.csv`` or ``.json`` suffix, and the files are ``out``
+    or ``BASE + suffix`` per ``suffixes``.  Run before any input is read, it
+    refuses an ``out`` that names no file, and a file or manifest that is a
+    directory or an input (None if not given), and makes their directory."""
     if out is None:
-        return
-    base = _out_base(out)
+        return None, None
+    if not out or out[-1] in (os.sep, os.altsep):
+        raise ConfigError(f"output {out!r} does not name a file")
+    if os.path.isdir(out):
+        raise ConfigError(f"output {out} is a directory")
+    out_path = Path(out)
+    base = str(out_path.with_suffix("") if out_path.suffix in {".csv", ".json"} else out_path)
+    files = [out] if suffixes is None else [base + suffix for suffix in suffixes]
     inputs = [path for path in inputs if path is not None and os.path.exists(path)]
-    for target in (*(files or [out]), f"{base}.manifest.json"):
+    for target in (*files, f"{base}.manifest.json"):
         if os.path.isdir(target):
             raise ConfigError(f"output {target} is a directory")
         for path in inputs:
             if os.path.exists(target) and os.path.samefile(target, path):
                 raise ConfigError(f"output {target} would overwrite the input {path}")
     Path(base).parent.mkdir(parents=True, exist_ok=True)
+    return base, *files
 
 
 # -- commands ----------------------------------------------------------------
@@ -231,7 +239,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    _prepare_outputs(args.json, [args.ratings, args.reference])
+    base, json_path = _prepare_outputs(args.json, [args.ratings, args.reference])
     digests: dict[str, str] = {}
     ds = _load_ratings_from_args(args, digests)
     ref = _load_reference_from_args(args, digests)
@@ -247,17 +255,16 @@ def cmd_compare(args) -> int:
             f"first-order map:   slope {result.mapping.slope:.4f}, "
             f"intercept {result.mapping.intercept:.4f}"
         )
-    if args.json:
+    if base:
         doc = {"dataset": ds.label, "mos_method": args.mos_method, **dataclasses.asdict(result)}
-        simulate._write_json(args.json, doc)
-        write_manifest(_out_base(args.json), args.argv, None, digests)
+        _write_json(json_path, doc)
+        write_manifest(base, args.argv, None, digests)
     return EXIT_OK
 
 
 def cmd_simulate(args) -> int:
-    base = _out_base(args.out)
-    csv_path, json_path = f"{base}.csv", f"{base}.json"
-    _prepare_outputs(args.out, [args.ratings, args.reference], [csv_path, json_path])
+    base, csv_path, json_path = _prepare_outputs(
+        args.out, [args.ratings, args.reference], (".csv", ".json"))
     if args.metrics:
         metrics = parse_metrics(args.metrics)
     else:
@@ -288,14 +295,13 @@ def cmd_simulate(args) -> int:
     print(f"dataset: {ds.label} ({len(ds.conditions)} conditions, {ds.n_votes} votes)")
     print(f"curves:  {', '.join(c.metric for c in curves)}")
     print(f"sweep:   n={cfg.n_values[0]}..{cfg.n_values[-1]} ({len(cfg.n_values)} points), r={cfg.repetitions}")
-    print(f"wrote:   {csv_path}")
-    print(f"wrote:   {json_path}")
-    print(f"wrote:   {manifest_path}")
+    for path in (csv_path, json_path, manifest_path):
+        print(f"wrote:   {path}")
     return EXIT_OK
 
 
 def cmd_fit(args) -> int:
-    _prepare_outputs(args.out, [args.curves])
+    base, out_path = _prepare_outputs(args.out, [args.curves])
     path = Path(args.curves)
     digests: dict[str, str] = {}
     curves = simulate._read_curves(_read_input(args.curves, digests))
@@ -322,22 +328,22 @@ def cmd_fit(args) -> int:
     print(f"model:      y = {model.a:.6g} * x^{model.b:.6g} + {model.c:.6g}")
     print(f"asymptote:  {model.c:.6g}")
     print(f"fit RMSE:   {model.rmse_of_fit:.6g}  ({model.n_points} points)")
-    if args.out:
+    if base:
         doc = {"metric": curve.metric, "dataset": curve.dataset_label, **dataclasses.asdict(model)}
-        simulate._write_json(args.out, doc)
-        write_manifest(_out_base(args.out), args.argv, None, digests)
+        _write_json(out_path, doc)
+        write_manifest(base, args.argv, None, digests)
     return EXIT_OK
 
 
 def cmd_maxci(args) -> int:
-    _prepare_outputs(args.out, [])
+    base, out_path = _prepare_outputs(args.out, [])
     text = "n,max_ci_width\n" + "".join(
         f"{n},{max_ci_width(args.mos, n, args.level):.6g}\n" for n in parse_sweep(args.n)
     )
     print(text, end="")
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8", newline="")
-        write_manifest(_out_base(args.out), args.argv, None, {})
+    if base:
+        Path(out_path).write_text(text, encoding="utf-8", newline="")
+        write_manifest(base, args.argv, None, {})
     return EXIT_OK
 
 

@@ -530,7 +530,7 @@ def write_curves_json(
     The file is one line, ``json.dumps(doc)`` and a newline, for ``doc``
     ``{"config": dataclasses.asdict(config) or None, "curves": [{"metric",
     "dataset", "points": [CurvePoint._asdict(), ...]}, ...]}``.  It is not
-    indented as :func:`_write_json`'s small documents are, because ``json``
+    indented as the small documents ``cli`` writes are, because ``json``
     indents only in its pure-Python encoder, twice as slow on curve files.
     """
     doc = {
@@ -543,13 +543,6 @@ def write_curves_json(
     }
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(json.dumps(doc) + "\n")
-
-
-def _write_json(path, doc) -> None:
-    """``doc`` as JSON indented by 2, and a newline, in one write: the
-    bytes ``json.dump`` gives in thousands of small writes."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(json.dumps(doc, indent=2) + "\n")
 
 
 def _json_point(obj) -> CurvePoint:

@@ -842,8 +842,9 @@ class TestMaxci:
 
 class TestOutputPaths:
     """An output, result or manifest, that is the same file as one of the
-    command's inputs is refused with exit 2 before any input is read, and
-    every command creates the directory its output goes in."""
+    command's inputs, or that names no file, is refused with exit 2 before
+    any input is read, and every command creates the directory its output
+    goes in."""
 
     @staticmethod
     def _refused(argv, folder, monkeypatch, capsys):
@@ -901,19 +902,31 @@ class TestOutputPaths:
         assert out.is_file()
         assert (out.parent / "widths.manifest.json").is_file()
 
-    @pytest.mark.parametrize("command", ["compare", "fit", "maxci"])
-    def test_out_naming_a_directory(self, toy_files, tmp_path, monkeypatch, capsys, command):
+    @pytest.mark.parametrize("command, kind", [
+        pytest.param(command, kind, id=command if kind == "directory" else f"{command}-{kind}")
+        for kind in ("directory", "separator", "empty")
+        for command in ("compare", "fit", "maxci", "simulate")
+    ])
+    def test_out_naming_a_directory(self, toy_files, tmp_path, monkeypatch, capsys, command, kind):
+        # An existing directory, a new path ending in a separator and an empty
+        # path each exit 2 before anything is read, printed or created.
         folder = tmp_path / "results"
         folder.mkdir()
+        out = {"directory": str(folder), "separator": f"{tmp_path / 'new'}/", "empty": ""}[kind]
         argv = {
-            "compare": ["compare", *map(str, toy_files), "--json", str(folder)],
-            "fit": ["fit", str(toy_files[0]), "--metric", "irr", "--out", str(folder)],
-            "maxci": ["maxci", "--mos", "3", "--n", "10:30:10", "--out", str(folder)],
+            "compare": ["compare", *map(str, toy_files), "--json", out],
+            "fit": ["fit", str(toy_files[0]), "--metric", "irr", "--out", out],
+            "maxci": ["maxci", "--mos", "3", "--n", "10:30:10", "--out", out],
+            "simulate": ["simulate", str(toy_files[0]), "--n", "10:20:10", "--runs", "2",
+                         "--out", out],
         }[command]
+        monkeypatch.chdir(tmp_path)
         monkeypatch.setattr(cli, "_read_input", lambda *args: pytest.fail("an input was read"))
+        before = sorted(tmp_path.rglob("*"))
         assert main(argv) == 2
-        assert capsys.readouterr() == ("", f"error: output {folder} is a directory\n")
-        assert list(folder.iterdir()) == []
+        error = f"{folder} is a directory" if kind == "directory" else f"{out!r} does not name a file"
+        assert capsys.readouterr() == ("", f"error: output {error}\n")
+        assert sorted(tmp_path.rglob("*")) == before
 
     def test_maxci_unwritable_out_prints_nothing(self, tmp_path, capsys):
         # The output directory is checked before the table is printed.
