@@ -54,12 +54,14 @@ _COL_KEYS = {
 }
 
 
-def _read_input(path, digests: dict[str, str]) -> io.BytesIO:
+def _read_input(path, digests: dict[str, str] | None) -> io.BytesIO:
     """The bytes of input file ``path``, read once, as a binary stream
     named ``path`` for the loaders; their SHA-256 goes into ``digests``
-    for the manifest.  A pipe is recorded with the bytes it gave."""
+    for the manifest, unless the command writes none (``digests`` None).
+    A pipe is recorded with the bytes it gave."""
     data = Path(path).read_bytes()
-    digests[str(path)] = hashlib.sha256(data).hexdigest()
+    if digests is not None:
+        digests[str(path)] = hashlib.sha256(data).hexdigest()
     stream = io.BytesIO(data)
     stream.name = str(path)
     return stream
@@ -203,8 +205,7 @@ def _prepare_outputs(out: str | None, inputs, suffixes=None):
 
 
 def cmd_validate(args) -> int:
-    digests: dict[str, str] = {}
-    ds = _load_ratings_from_args(args, digests)
+    ds = _load_ratings_from_args(args, None)
     info = ds.summary()
     print(f"dataset:              {info['label']}")
     print(f"conditions:           {info['conditions']}")
@@ -220,7 +221,7 @@ def cmd_validate(args) -> int:
     )
 
     if args.reference:
-        ref = _load_reference_from_args(args, digests)
+        ref = _load_reference_from_args(args, None)
         shared, ref_only, ds_only = reference_coverage(ref, ds)
         print(f"reference conditions: {len(ref)} ({len(shared)} shared)")
         if ref_only:
@@ -240,7 +241,7 @@ def cmd_validate(args) -> int:
 
 def cmd_compare(args) -> int:
     base, json_path = _prepare_outputs(args.json, [args.ratings, args.reference])
-    digests: dict[str, str] = {}
+    digests = {} if base else None
     ds = _load_ratings_from_args(args, digests)
     ref = _load_reference_from_args(args, digests)
     mos = dataset_mos(ds, method=args.mos_method)
@@ -303,7 +304,7 @@ def cmd_simulate(args) -> int:
 def cmd_fit(args) -> int:
     base, out_path = _prepare_outputs(args.out, [args.curves])
     path = Path(args.curves)
-    digests: dict[str, str] = {}
+    digests = {} if base else None
     curves = simulate._read_curves(_read_input(args.curves, digests))
     metric = METRIC_ALIASES.get(args.metric, args.metric)
     matching = [c for c in curves if c.metric == metric]

@@ -338,9 +338,9 @@ def _target(
     """
     ranks = None
     if srcc in cfg.metrics:
-        if np.ptp(values) == 0.0:
-            raise DegenerateDataError(f"{srcc} is undefined: {constant}")
         ranks = stats._centred_ranks(values)
+        if ranks[1] == 0.0:
+            raise DegenerateDataError(f"{srcc} is undefined: {constant}")
     mean = values.mean()
     return _Target(srcc, rmse, index, values, ranks, mapped, mean, values - mean)
 

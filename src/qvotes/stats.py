@@ -20,7 +20,7 @@ class MosVector:
     values: np.ndarray
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
+        values = _as_vector(self.values)
         object.__setattr__(self, "values", values)
         if len(self.conditions) != values.size:
             raise DataError("conditions and values must align")
@@ -78,26 +78,16 @@ def average_ranks(values) -> np.ndarray:
     unstable sort gives the same bytes as a stable one.  NaN is the
     exception (NaN != NaN makes each its own tie group), hence the check.
     """
-    a = np.asarray(values, dtype=float)
+    a = _as_vector(values)
     _require_no_nan(a)
-    order = np.argsort(a)
-    s = a[order]
-    return _tie_ranks(order, s[1:] != s[:-1])
+    return _grouped_ranks(np.zeros(a.size, dtype=np.int64), a, np.zeros(1))
 
 
-def _tie_ranks(order: np.ndarray, breaks: np.ndarray, shift=None, labels=None) -> np.ndarray:
-    """Ranks (1-based) of the entries that ``order`` sorts, each tie group
-    receiving its average rank, where ``breaks[i]`` says that the entry
-    after the i-th in that order starts a new tie group.  With ``shift``,
-    a tie group whose first entry is the i-th in that order receives
-    ``shift[labels[i]]`` less, one subtraction per tie group."""
-    boundaries = np.flatnonzero(np.concatenate(([True], breaks, [True])))
-    ties = (boundaries[:-1] + boundaries[1:] + 1) / 2.0
-    if shift is not None:
-        ties -= shift[labels[boundaries[:-1]]]
-    ranks = np.empty(order.size)
-    ranks[order] = np.repeat(ties, np.diff(boundaries))
-    return ranks
+def _as_vector(values) -> np.ndarray:
+    a = np.asarray(values, dtype=float)
+    if a.ndim != 1:
+        raise DataError("inputs must be one-dimensional")
+    return a
 
 
 def _require_no_nan(a: np.ndarray) -> None:
@@ -106,10 +96,8 @@ def _require_no_nan(a: np.ndarray) -> None:
 
 
 def _as_pair(a, b, min_len: int):
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.ndim != 1 or b.ndim != 1:
-        raise DataError("inputs must be one-dimensional")
+    a = _as_vector(a)
+    b = _as_vector(b)
     if a.size != b.size:
         raise DataError(f"length mismatch: {a.size} vs {b.size}")
     if a.size < min_len:
@@ -126,17 +114,19 @@ def srcc(a, b) -> float:
     :func:`fit_line`.
     """
     a, b = _as_pair(a, b, min_len=3)
-    if np.all(a == a[0]) or np.all(b == b[0]):
+    ra, rb = _centred_ranks(a), _centred_ranks(b)
+    if ra[1] == 0.0 or rb[1] == 0.0:
         raise DegenerateDataError("rank correlation undefined for a constant vector")
-    return _ranked_srcc(_centred_ranks(a), _centred_ranks(b))
+    return _ranked_srcc(ra, rb)
 
 
 def _centred_ranks(values: np.ndarray) -> tuple[np.ndarray, np.float64]:
-    """The half of :func:`srcc` that reads one vector: its average ranks
-    minus their mean, and their sum of squares, which is 0 exactly when
-    the vector is constant.  A sweep ranks a fixed vector once."""
-    r = average_ranks(values)
-    r -= r.mean()
+    """The half of :func:`srcc` that reads one vector without NaN: its
+    average ranks less their mean, (size + 1) / 2, and their sum of
+    squares, which is 0 exactly when the vector is constant, so a rank
+    correlation with it is undefined.  A sweep ranks a fixed vector once."""
+    shift = np.full(1, (values.size + 1) / 2.0)
+    r = _grouped_ranks(np.zeros(values.size, dtype=np.int64), values, shift)
     return r, r @ r
 
 
@@ -149,13 +139,12 @@ def _counted_ranks(values: np.ndarray, lo: int, hi: int) -> tuple[np.ndarray, np
     The values equal to v fill sorted positions [start, end), where end
     counts the values up to v and start those below it, so their tie
     group's average rank is (start + end + 1) / 2, the half-integer that
-    :func:`_tie_ranks` computes.  Centring takes off (k + 1) / 2, which is
-    what ``r.mean()`` returns for any k ranks: their sum, k(k + 1) / 2, is
-    exact, and so is its quotient by k.  So each centred rank is the
-    integer (start + end - k) over 2, exact, and the table of them holds
-    one per value in [lo, hi].  Dividing integers of at most 5n by one
-    positive n keeps their order and which of them are equal (their float
-    quotients lie at least 1/n apart), so the ranks and their sum of
+    :func:`_grouped_ranks` computes.  Centring takes off (k + 1) / 2, the
+    mean of any k ranks, as :func:`_centred_ranks` does.  So each centred
+    rank is the integer (start + end - k) over 2, exact, and the table of
+    them holds one per value in [lo, hi].  Dividing integers of at most 5n
+    by one positive n keeps their order and which of them are equal (their
+    float quotients lie at least 1/n apart), so the ranks and their sum of
     squares are bit for bit those of ``_centred_ranks(values / n)`` and
     ``_centred_ranks(values)``.
     """
@@ -177,8 +166,9 @@ def _grouped_ranks(
     groups: np.ndarray, values: np.ndarray, shift: np.ndarray, tol: float = 0.0
 ) -> np.ndarray:
     """Fractional ranks (1-based) of ``values`` within each group, ties
-    receiving their group average, as :func:`average_ranks` per group,
-    less ``shift[g]`` for an entry of group g.
+    receiving their group average, less ``shift[g]`` for an entry of
+    group g.  The one sort-based ranking: :func:`average_ranks` and
+    :func:`_centred_ranks` are its one-group case.
 
     ``values`` must hold no NaN, and ``shift`` has one entry per group
     label.  The entries are ordered by value with numpy's default
@@ -201,7 +191,12 @@ def _grouped_ranks(
     order = by_value[np.argsort(labels, kind="stable")]
     g = groups[order]
     v = values[order]
-    return _tie_ranks(order, (g[1:] != g[:-1]) | (v[1:] > v[:-1] + tol), shift, g)
+    breaks = (g[1:] != g[:-1]) | (v[1:] > v[:-1] + tol)
+    boundaries = np.flatnonzero(np.concatenate(([True], breaks, [True])))
+    ties = (boundaries[:-1] + boundaries[1:] + 1) / 2.0 - shift[g[boundaries[:-1]]]
+    ranks = np.empty(values.size)
+    ranks[order] = np.repeat(ties, np.diff(boundaries))
+    return ranks
 
 
 def _grouped_srcc(groups: np.ndarray, a: np.ndarray, b: np.ndarray, b_tol: float = 0.0):

@@ -810,6 +810,47 @@ class TestPipedInputs:
         assert capsys.readouterr().out == want
 
 
+class TestDigestsOnlyForManifests:
+    """An input is hashed only when a manifest records its digest: once
+    per input for a command that writes one, never for one that does not."""
+
+    CASES = {
+        # command line, with R, F and C for the ratings, reference and
+        # curves files: (arguments, manifest base or None, inputs hashed)
+        "validate": (["validate", "R", "--ref", "F"], None, ()),
+        "compare": (["compare", "R", "F", "--fom"], None, ()),
+        "fit": (["fit", "C", "--metric", "gain_rmse"], None, ()),
+        "compare-json": (["compare", "R", "F", "--json", "cmp.json"], "cmp", "RF"),
+        "fit-out": (["fit", "C", "--metric", "gain_rmse", "--out", "model.json"], "model", "C"),
+        "simulate": (["simulate", "R", "--ref", "F", "--n", "10:20:10", "--runs", "2",
+                      "--out", "run"], "run", "RF"),
+        "maxci-out": (["maxci", "--mos", "3", "--n", "10:20:10", "--out", "ci.csv"], "ci", ""),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_sha256_calls(self, case, toy_files, tmp_path, monkeypatch, capsys):
+        argv, base, hashed = self.CASES[case]
+        monkeypatch.chdir(tmp_path)
+        assert main(["simulate", str(toy_files[0]), "--n", "10:40:10", "--runs", "2",
+                     "--out", "sweep"]) == 0
+        paths = {"R": str(toy_files[0]), "F": str(toy_files[1]), "C": "sweep.csv"}
+        calls = []
+        sha256 = hashlib.sha256
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return sha256(*args, **kwargs)
+
+        monkeypatch.setattr(cli.hashlib, "sha256", counted)
+        assert main([paths.get(a, a) for a in argv]) == 0
+        assert len(calls) == len(hashed)
+        if base is not None:
+            digests = json.loads((tmp_path / f"{base}.manifest.json").read_text())["input_digests"]
+            assert digests == {
+                paths[k]: sha256(Path(paths[k]).read_bytes()).hexdigest() for k in hashed
+            }
+
+
 class TestMaxci:
     def test_single_row_value(self, capsys):
         assert main(["maxci", "--mos", "3", "--n", "10:10:10"]) == 0

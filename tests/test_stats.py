@@ -154,6 +154,12 @@ class TestMos:
         with pytest.raises(DataError):
             MosVector(("a", "b"), np.array([3.0]))
 
+    def test_mos_vector_must_be_one_dimensional(self):
+        # A column of values used to be kept, shape (3, 1), and to fail only
+        # inside compare_to_reference.
+        with pytest.raises(DataError, match="inputs must be one-dimensional"):
+            MosVector(("a", "b", "c"), [[3.0], [4.0], [2.0]])
+
     @pytest.mark.parametrize("values", [[np.nan, 3.0], [3.0, np.nan], [np.nan, np.nan]])
     def test_mos_vector_rejects_nan(self, values):
         with pytest.raises(DataError, match=r"\[1, 5\]"):
@@ -180,6 +186,12 @@ class TestSrcc:
     def test_length_mismatch(self):
         with pytest.raises(DataError, match="length mismatch"):
             srcc([1, 2, 3], [1, 2])
+
+    @pytest.mark.parametrize("values", [[[3, 1], [2, 2]], 5.0], ids=["matrix", "scalar"])
+    def test_average_ranks_of_a_non_vector(self, values):
+        # These used to raise a bare ValueError and an IndexError.
+        with pytest.raises(DataError, match="inputs must be one-dimensional"):
+            average_ranks(values)
 
     def test_nan_is_rejected(self):
         # NaN used to rank as the largest value: srcc gave 0.2 here
@@ -331,8 +343,9 @@ class TestRankKernelsBitwise:
     @example(values=[-np.inf] * 9, seed=0)
     @settings(max_examples=200, deadline=None)
     def test_average_ranks_equal_one_group_and_brute_force(self, values, seed):
-        # The package's two tie-averaged rankings give the same bytes.
-        # _grouped_ranks centres its ranks: the other two are centred here.
+        # average_ranks is the one-group case of _grouped_ranks with no
+        # shift; shifted by the mean rank, each tie group gives the bytes of
+        # the ranks centred entry by entry, and of the brute-force ranks.
         a = np.random.default_rng(seed).permutation(np.array(values, dtype=float))
         centre = (a.size + 1) / 2.0
         got = _grouped_ranks(np.zeros(a.size, dtype=np.int64), a, group_shift(np.array([a.size])))
@@ -447,6 +460,39 @@ class TestRankedSrcc:
                 want = one_call_srcc(a, b)
                 assert np.float64(_ranked_srcc(got, ranked)).tobytes() == np.float64(want).tobytes()
                 assert np.float64(srcc(a, b)).tobytes() == np.float64(want).tobytes()
+
+
+def pool_vectors(size):
+    """``TIE_POOL`` vectors of length ``size``: constant ones (signed zeros
+    mixed among them), and any others."""
+    return st.one_of(
+        st.sampled_from(TIE_POOL).map(lambda v: [v] * size),
+        st.lists(st.sampled_from([0.0, -0.0]), min_size=size, max_size=size),
+        st.lists(st.sampled_from(TIE_POOL), min_size=size, max_size=size),
+    )
+
+
+class TestConstancyRule:
+    """``srcc`` refuses a vector whose centred ranks sum to 0 in square;
+    that is one constant under ``==``, the test it replaces, so signed
+    zeros and infinities keep their behaviour."""
+
+    @given(data=st.data())
+    @example(data=None)
+    @settings(max_examples=300, deadline=None)
+    def test_degenerate_exactly_when_constant(self, data):
+        if data is None:
+            a, b = np.array([0.0, -0.0, 0.0]), np.array([-np.inf, np.inf, np.inf])
+        else:
+            size = data.draw(st.integers(3, 40))
+            a = np.array(data.draw(pool_vectors(size)))
+            b = np.array(data.draw(pool_vectors(size)))
+        if np.all(a == a[0]) or np.all(b == b[0]):
+            with pytest.raises(DegenerateDataError,
+                               match="^rank correlation undefined for a constant vector$"):
+                srcc(a, b)
+        else:
+            assert np.float64(srcc(a, b)).tobytes() == np.float64(one_call_srcc(a, b)).tobytes()
 
 
 class TestRmse:
