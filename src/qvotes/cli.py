@@ -26,6 +26,7 @@ from .data import (
     RATING_COLUMNS,
     REFERENCE_COLUMNS,
     STIMULUS_COLUMN,
+    _csv_reader,
     _is_utf8,
     load_ratings,
     load_reference,
@@ -124,6 +125,8 @@ def parse_metrics(text: str) -> tuple[str, ...]:
 
 
 def parse_col_map(text: str | None) -> dict[str, str]:
+    """``--col``'s ``key=COLUMN`` entries by canonical column name, each
+    key the name or its short form, each column named once."""
     if not text:
         return {}
     mapping = {}
@@ -134,45 +137,35 @@ def parse_col_map(text: str | None) -> dict[str, str]:
         key = key.strip()
         value = value.strip()
         canonical = _COL_KEYS.get(key, key)
-        if canonical not in set(RATING_COLUMNS) | {STIMULUS_COLUMN} | set(REFERENCE_COLUMNS):
+        if canonical not in _COL_KEYS.values():
             raise ConfigError(
                 f"unknown --col key {key!r}; expected one of {', '.join(_COL_KEYS)}"
             )
         if not value:
             raise ConfigError(f"empty column name for --col key {key!r}")
+        if canonical in mapping:
+            raise ConfigError(f"--col names {canonical} more than once")
         mapping[canonical] = value
     return mapping
 
 
-def _col_map_for(args, keys) -> dict[str, str]:
-    """The ``--col`` entries that name one of ``keys``."""
-    return {k: v for k, v in parse_col_map(args.col).items() if k in keys}
-
-
-def _load_ratings_from_args(args, digests):
-    """The ratings, labelled ``--label``, else by the file's stem.  Output
-    and curve files hold the label as UTF-8: one it cannot hold, such as a
-    non-UTF-8 file name's stem, is a configuration error, raised before
-    the file is read (and, in ``simulate``, before the sweep)."""
+def _input_options(args) -> tuple[dict, dict]:
+    """The keyword arguments of ``load_ratings`` and ``load_reference``:
+    the label (``--label``, else the ratings file's stem, in UTF-8 as
+    output files hold it), ``--delimiter`` and ``--col`` are checked
+    before any input is read, and ``--col`` is split between the tables."""
     label = args.label or Path(args.ratings).stem
     if not _is_utf8(label):
         raise ConfigError(
             f"dataset label {label!r} is not UTF-8 text; pass a UTF-8 one with --label"
         )
-    return load_ratings(
-        _read_input(args.ratings, digests),
-        label=label,
-        delimiter=args.delimiter,
-        column_map=_col_map_for(args, (*RATING_COLUMNS, STIMULUS_COLUMN)),
-    )
+    _csv_reader((), args.delimiter)
+    col = parse_col_map(args.col)
 
+    def table(keys):
+        return {"delimiter": args.delimiter, "column_map": {k: col[k] for k in keys if k in col}}
 
-def _load_reference_from_args(args, digests):
-    return load_reference(
-        _read_input(args.reference, digests),
-        delimiter=args.delimiter,
-        column_map=_col_map_for(args, REFERENCE_COLUMNS),
-    )
+    return {"label": label, **table((*RATING_COLUMNS, STIMULUS_COLUMN))}, table(REFERENCE_COLUMNS)
 
 
 def _prepare_outputs(out: str | None, inputs, suffixes=None):
@@ -205,7 +198,8 @@ def _prepare_outputs(out: str | None, inputs, suffixes=None):
 
 
 def cmd_validate(args) -> int:
-    ds = _load_ratings_from_args(args, None)
+    ds_kw, ref_kw = _input_options(args)
+    ds = load_ratings(_read_input(args.ratings, None), **ds_kw)
     info = ds.summary()
     print(f"dataset:              {info['label']}")
     print(f"conditions:           {info['conditions']}")
@@ -221,7 +215,7 @@ def cmd_validate(args) -> int:
     )
 
     if args.reference:
-        ref = _load_reference_from_args(args, None)
+        ref = load_reference(_read_input(args.reference, None), **ref_kw)
         shared, ref_only, ds_only = reference_coverage(ref, ds)
         print(f"reference conditions: {len(ref)} ({len(shared)} shared)")
         if ref_only:
@@ -241,9 +235,10 @@ def cmd_validate(args) -> int:
 
 def cmd_compare(args) -> int:
     base, json_path = _prepare_outputs(args.json, [args.ratings, args.reference])
+    ds_kw, ref_kw = _input_options(args)
     digests = {} if base else None
-    ds = _load_ratings_from_args(args, digests)
-    ref = _load_reference_from_args(args, digests)
+    ds = load_ratings(_read_input(args.ratings, digests), **ds_kw)
+    ref = load_reference(_read_input(args.reference, digests), **ref_kw)
     mos = dataset_mos(ds, method=args.mos_method)
     result = compare_to_reference(mos, ref, with_mapping=args.fom)
     print(f"dataset:           {ds.label}")
@@ -282,9 +277,10 @@ def cmd_simulate(args) -> int:
     if args.delta:
         simulate.require_delta_baseline(cfg)
 
+    ds_kw, ref_kw = _input_options(args)
     digests: dict[str, str] = {}
-    ds = _load_ratings_from_args(args, digests)
-    ref = _load_reference_from_args(args, digests) if args.reference else None
+    ds = load_ratings(_read_input(args.ratings, digests), **ds_kw)
+    ref = load_reference(_read_input(args.reference, digests), **ref_kw) if args.reference else None
     curves = run_sweep(ds, ref, cfg)
 
     if args.delta:

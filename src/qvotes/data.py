@@ -14,10 +14,10 @@ row.  Ratings need ``condition_id,user_id,score`` columns (plus an
 optional ``stimulus_id``), reference tables need ``condition_id,mos``.
 Unknown extra columns are ignored; ``column_map`` renames the canonical
 columns to whatever the file actually uses, and a column it names is
-required.  A leading UTF-8 byte-order mark, as spreadsheet programs
-write, is dropped: paths and binary streams lose its three bytes and are
-decoded as UTF-8, and a text stream loses a leading U+FEFF before its
-first row is parsed.
+required; its keys are checked when the header is read.  A leading
+UTF-8 byte-order mark, as spreadsheet programs write, is dropped: paths
+and binary streams lose its three bytes and are decoded as UTF-8, and a
+text stream loses a leading U+FEFF before its first row is parsed.
 
 Every input, here and the curve files of :mod:`qvotes.simulate`, is read
 into one string by :func:`_read_text`; its lines end at LF, CRLF or a
@@ -292,10 +292,7 @@ def _csv_table(text: str, delimiter: str, wanted, column_map, required):
         io.BytesIO(text.encode("utf-8", "surrogatepass")),
         encoding="utf-8", errors="surrogatepass", newline="",
     )
-    try:
-        reader = csv.reader(lines, delimiter=delimiter)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid delimiter {delimiter!r}: {exc}") from None
+    reader = _csv_reader(lines, delimiter)
     try:
         header = next(reader, None)
         if header is None:
@@ -312,7 +309,26 @@ def _csv_table(text: str, delimiter: str, wanted, column_map, required):
         raise DataError(f"malformed CSV at line {reader.line_num}: {exc}") from None
 
 
+def _csv_reader(lines, delimiter: str):
+    """``csv.reader(lines, delimiter=delimiter)``, or :class:`ConfigError`
+    for a delimiter ``csv`` rejects: the CLI's ``--delimiter`` rule too."""
+    try:
+        return csv.reader(lines, delimiter=delimiter)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid delimiter {delimiter!r}: {exc}") from None
+
+
 def _resolve_columns(header, wanted, column_map, required):
+    """The index in ``header`` of each ``wanted`` column, named there as
+    ``column_map`` (None for none) says: the one check of a column map.
+    An unknown key or two keys on one column raise :class:`ConfigError`,
+    a missing required or mapped column :class:`DataError`."""
+    column_map = dict(column_map or {})
+    if unknown := set(column_map) - set(wanted):
+        raise ConfigError(
+            f"unknown column_map key(s): {', '.join(sorted(unknown))}; "
+            f"expected a subset of {wanted}"
+        )
     names = [h.strip() for h in header]
     index = {}
     missing = []
@@ -330,17 +346,6 @@ def _resolve_columns(header, wanted, column_map, required):
         if other != canonical:
             raise ConfigError(f"{other} and {canonical} both map to column {names[i]!r}")
     return index
-
-
-def _check_column_map(column_map, allowed):
-    column_map = dict(column_map or {})
-    unknown = set(column_map) - set(allowed)
-    if unknown:
-        raise ConfigError(
-            f"unknown column_map key(s): {', '.join(sorted(unknown))}; "
-            f"expected a subset of {allowed}"
-        )
-    return column_map
 
 
 def _parse_score(text: str, line: int) -> int:
@@ -371,7 +376,6 @@ def load_ratings(
     (condition, user, score) rows are separate votes.  Raises :class:`DataError`
     naming the offending line for malformed rows.
     """
-    column_map = _check_column_map(column_map, RATING_COLUMNS + (STIMULUS_COLUMN,))
     text = _read_text(source)
     # A stream that only this call holds, as the CLI passes, frees its
     # bytes here rather than keeping them alive while the text is parsed.
@@ -517,7 +521,6 @@ def load_reference(
 
     Duplicate condition ids and MOS values outside [1, 5] are errors.
     """
-    column_map = _check_column_map(column_map, REFERENCE_COLUMNS)
     rows = _csv_table(
         _read_text(source), delimiter, REFERENCE_COLUMNS, column_map, REFERENCE_COLUMNS
     )

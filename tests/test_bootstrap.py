@@ -327,6 +327,9 @@ class TestClopperPearson:
             clopper_pearson(-1, 4)
         with pytest.raises(ConfigError):
             clopper_pearson(1, 0)
+        for level in (0.0, 1.0, -0.5, 1.5, float("nan")):
+            with pytest.raises(ConfigError, match=r"^level must be in \(0, 1\), got "):
+                clopper_pearson(1, 4, level)
         # Non-integral and bool counts used to be taken as they were.
         for successes, n in [(2.5, 10), (2, 10.0), (True, 4), (1, True)]:
             with pytest.raises(ConfigError, match="must be an integer"):

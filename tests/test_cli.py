@@ -115,6 +115,11 @@ class TestParsers:
         with pytest.raises(ConfigError, match="unknown metric"):
             parse_metrics("kappa")
 
+    def test_metrics_empty_entries(self):
+        assert parse_metrics("irr,,gain_rmse") == ("irr", "gain_rmse")
+        with pytest.raises(ConfigError, match="^no metrics given$"):
+            parse_metrics(",")
+
     def test_col_map(self):
         mapping = parse_col_map("condition=cond,user=worker,score=vote")
         assert mapping == {"condition_id": "cond", "user_id": "worker", "score": "vote"}
@@ -124,6 +129,13 @@ class TestParsers:
             parse_col_map("condition")
         with pytest.raises(ConfigError, match="empty column name for --col key 'user'"):
             parse_col_map("condition=cond,user= ")
+        # A column named twice, by either spelling, used to keep its last entry.
+        for text, column in [("condition=cond,condition_id=xx", "condition_id"),
+                             ("condition_id=xx,condition=cond", "condition_id"),
+                             ("user=a,score=vote,user=b", "user_id"),
+                             ("mos=m,mos=m", "mos")]:
+            with pytest.raises(ConfigError, match=f"^--col names {column} more than once$"):
+                parse_col_map(text)
 
 
 class TestValidate:
@@ -165,6 +177,22 @@ class TestValidate:
         ratings.write_text(ratings.read_text().replace("condition_id", f"{quote}condition_id{quote}", 1))
         assert main(["validate", str(ratings), "--col", "stimulus=stim"]) == 1
         assert capsys.readouterr().err == "error: missing required column(s): stim\n"
+
+    @pytest.mark.parametrize("col", ["condition=condition_id,condition_id=xx",
+                                     "condition_id=xx,condition=condition_id"])
+    def test_column_named_twice_exits_two(self, toy_files, capsys, col):
+        # The first order used to exit 1 with "missing required column(s): xx",
+        # and the second read condition_id without a word.
+        ratings, _ = toy_files
+        assert main(["validate", str(ratings), "--col", col]) == 2
+        assert capsys.readouterr() == ("", "error: --col names condition_id more than once\n")
+
+    def test_stimuli_line(self, tmp_path, capsys):
+        ratings = tmp_path / "ratings.csv"
+        ratings.write_text("condition_id,user_id,score,stimulus_id\nc1,u1,4,s1\nc1,u2,3,s2\n"
+                           "c2,u1,5,s1\n")
+        assert main(["validate", str(ratings)]) == 0
+        assert "\nstimuli:              2\n" in capsys.readouterr().out
 
     def test_two_keys_on_one_column_exits_two(self, toy_files, capsys):
         ratings, _ = toy_files
@@ -527,6 +555,13 @@ class TestFit:
         assert main(["fit", str(path), "--metric", "srcc", "--dataset", "other"]) == 0
         assert "dataset:    other\n" in capsys.readouterr().out
 
+    def test_dataset_not_in_the_file(self, tmp_path, capsys):
+        path = self._write_curve(tmp_path)
+        assert main(["fit", str(path), "--metric", "srcc", "--dataset", "other"]) == 1
+        assert capsys.readouterr().err == (
+            f"error: no validity_srcc curve for dataset 'other' in {path}\n"
+        )
+
     def test_too_few_points(self, tmp_path):
         points = tuple(CurvePoint(n, 0.5, 0.5, 0.5, 0.0) for n in (10, 20, 30))
         path = tmp_path / "short.csv"
@@ -730,6 +765,46 @@ class TestUnreadableInput:
             f"error: malformed curve JSON: curve 1 has {field} 'r\\udcff', "
             "which is not UTF-8 text\n"
         ).encode()
+
+
+class TestInputOptionsFirst:
+    """``validate``, ``compare`` and ``simulate`` check ``--delimiter`` and
+    ``--col`` before they read any input, and parse ``--col`` once."""
+
+    @pytest.mark.parametrize("option, error", [
+        (["--delimiter", ";;"], "error: invalid delimiter ';;': "),
+        (["--col", "bogus=x"], "error: unknown --col key 'bogus'; expected one of "),
+    ], ids=["delimiter", "col"])
+    @pytest.mark.parametrize("command", ["validate", "compare", "simulate"])
+    def test_bad_option_with_the_ratings_missing(self, tmp_path, capsys, command, option, error):
+        # Each used to exit 1 with the missing file's error.
+        missing = str(tmp_path / "missing.csv")
+        argv = {
+            "validate": ["validate", missing],
+            "compare": ["compare", missing, missing],
+            "simulate": ["simulate", missing, "--n", "10:20:10", "--runs", "1",
+                         "--out", str(tmp_path / "sim")],
+        }[command]
+        assert main([*argv, *option]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(error) and err.count("\n") == 1
+
+    def test_col_parsed_once_for_two_tables(self, toy_files, tmp_path, monkeypatch):
+        ratings, reference = toy_files
+        (tmp_path / "ref.csv").write_text(reference.read_text().replace("mos", "lab", 1))
+        calls = []
+
+        def counted(text):
+            calls.append(text)
+            return parse_col_map(text)
+
+        monkeypatch.setattr(cli, "parse_col_map", counted)
+        assert main(["simulate", str(ratings), "--ref", str(tmp_path / "ref.csv"),
+                     "--col", "mos=lab,user=user_id", "--metrics", "srcc,gain_rmse",
+                     "--n", "10:20:10", "--runs", "1", "--out", str(tmp_path / "sim")]) == 0
+        assert calls == ["mos=lab,user=user_id"]
+        assert [c.metric for c in read_curves_csv(tmp_path / "sim.csv")] == [
+            "validity_srcc", "gain_rmse"]
 
 
 @pytest.mark.skipif(
@@ -967,6 +1042,16 @@ class TestOutputPaths:
         assert main(argv) == 2
         error = f"{folder} is a directory" if kind == "directory" else f"{out!r} does not name a file"
         assert capsys.readouterr() == ("", f"error: output {error}\n")
+        assert sorted(tmp_path.rglob("*")) == before
+
+    def test_manifest_naming_a_directory(self, toy_files, tmp_path, monkeypatch, capsys):
+        manifest = tmp_path / "sim.manifest.json"
+        manifest.mkdir()
+        monkeypatch.setattr(cli, "_read_input", lambda *args: pytest.fail("an input was read"))
+        before = sorted(tmp_path.rglob("*"))
+        assert main(["simulate", str(toy_files[0]), "--n", "10:20:10", "--runs", "2",
+                     "--out", str(tmp_path / "sim")]) == 2
+        assert capsys.readouterr() == ("", f"error: output {manifest} is a directory\n")
         assert sorted(tmp_path.rglob("*")) == before
 
     def test_maxci_unwritable_out_prints_nothing(self, tmp_path, capsys):

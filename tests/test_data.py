@@ -106,6 +106,21 @@ class TestLoadRatings:
     def test_column_map_unknown_key(self):
         with pytest.raises(ConfigError, match="unknown column_map key"):
             load_ratings(ratings_csv("a,b,c\n"), column_map={"who": "a"})
+        # The plain and the csv path, each checking the key at the header.
+        for text in ("condition_id,user_id,score\nc1,u1,4\n",
+                     '"condition_id",user_id,score\nc1,u1,4\n'):
+            with pytest.raises(ConfigError, match=(
+                r"^unknown column_map key\(s\): mos; expected a subset of "
+                r"\('condition_id', 'user_id', 'score', 'stimulus_id'\)$"
+            )):
+                load_ratings(ratings_csv(text), column_map={"mos": "score"})
+        # A table without a header fails on that first.
+        with pytest.raises(DataError, match="^empty input: missing header row$"):
+            load_ratings(ratings_csv(""), column_map={"mos": "score"})
+
+    def test_source_neither_path_nor_stream(self):
+        with pytest.raises(ConfigError, match="^unsupported source type: int$"):
+            load_ratings(42)
 
     @pytest.mark.parametrize("text", [
         "condition_id,user_id,score\nc1,u1,4\nc2,u2,3\n",
@@ -453,6 +468,13 @@ class TestPlainFastPath:
     def test_irregular_text_takes_the_csv_path(self, text):
         assert _plain_columns(text, ",", {}) is None
 
+    def test_lone_surrogate_takes_the_csv_path(self):
+        # A text stream may hold a lone surrogate, which the byte scan
+        # cannot encode; csv reads it through unchanged.
+        text = "condition_id,user_id,score\nc\udcff,u1,4\nc2,u1,3\n"
+        assert _plain_columns(text, ",", {}) is None
+        assert load_ratings(ratings_csv(text)).conditions == ("c2", "c\udcff")
+
     def test_gather_is_bounded_by_the_input(self):
         # One long id would make every row's key as wide as it is.
         rows = [f"c{i % 7},u{i % 5},{1 + i % 5}" for i in range(200)] + ["c" * 3000 + ",u1,4"]
@@ -639,6 +661,12 @@ class TestLoadReference:
         with pytest.raises(ConfigError, match="delimiter"):
             load_reference(ratings_csv("condition_id,mos\nc1,3.2\n"), delimiter=";;")
 
+    def test_column_map_unknown_key(self):
+        with pytest.raises(ConfigError, match=(
+            r"^unknown column_map key\(s\): user_id; expected a subset of \('condition_id', 'mos'\)$"
+        )):
+            load_reference(ratings_csv("condition_id,mos\nc1,3.2\n"), column_map={"user_id": "u"})
+
     def test_column_map_two_keys_on_one_column(self):
         with pytest.raises(ConfigError, match="condition_id and mos both map to column"):
             load_reference(
@@ -733,6 +761,12 @@ class TestOutlierRemoval:
         cleaned, removed = remove_outliers_iqr(ds)
         assert removed == 2
         assert sorted(scores_of(cleaned, "x")) == [3] * 6
+
+    def test_deleting_every_vote(self):
+        # median 3, IQR 2, threshold 0.02: both votes lie 2 away
+        ds = make_dataset([("x", "u1", 1), ("x", "u2", 5)])
+        with pytest.raises(DataError, match="^outlier removal deleted every vote$"):
+            remove_outliers_iqr(ds, k=0.01)
 
     def test_wide_spread_nothing_removed(self):
         # median 3, IQR 2, threshold 6: max distance is 2

@@ -54,13 +54,18 @@ def argsorts_called(tree: ast.Module) -> list[str]:
 
 def test_one_csv_reader():
     # Every table goes through data._csv_table, so every one gets its
-    # field limit and its line-numbered errors.
-    calls = {
-        f"{path.stem}.{where}"
-        for path in sorted(SRC.glob("*.py"))
-        for where in csv_readers_called(ast.parse(path.read_text("utf-8")))
+    # field limit and its line-numbered errors.  Its reader comes from
+    # data._csv_reader, which the CLI also calls, on no lines, to check
+    # --delimiter by the same rule before it reads any input.
+    trees = {path.stem: ast.parse(path.read_text("utf-8")) for path in sorted(SRC.glob("*.py"))}
+    calls = {f"{stem}.{where}" for stem, tree in trees.items() for where in csv_readers_called(tree)}
+    assert calls == {"data._csv_reader"}
+    users = {
+        f"{stem}.{where}"
+        for stem, tree in trees.items()
+        for where in calls_where(tree, lambda func: isinstance(func, ast.Name) and func.id == "_csv_reader")
     }
-    assert calls == {"data._csv_table"}
+    assert users == {"data._csv_table", "cli._input_options"}
 
 
 def test_one_ranking_sort():
