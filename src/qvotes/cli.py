@@ -171,9 +171,10 @@ def _input_options(args) -> tuple[dict, dict]:
 def _prepare_outputs(out: str | None, inputs, suffixes=None):
     """``(BASE, *files)`` for output ``out``, ``(None, None)`` for none: BASE
     is ``out`` less a ``.csv`` or ``.json`` suffix, and the files are ``out``
-    or ``BASE + suffix`` per ``suffixes``.  Run before any input is read, it
-    refuses an ``out`` that names no file, and a file or manifest that is a
-    directory or an input (None if not given), and makes their directory."""
+    or ``BASE + suffix`` per ``suffixes``.  Run after every option check and
+    before any input is read, it refuses an ``out`` that names no file, and
+    a file or manifest that is a directory or an input (None if not given),
+    and makes their directory."""
     if out is None:
         return None, None
     if not out or out[-1] in (os.sep, os.altsep):
@@ -234,8 +235,8 @@ def cmd_validate(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    base, json_path = _prepare_outputs(args.json, [args.ratings, args.reference])
     ds_kw, ref_kw = _input_options(args)
+    base, json_path = _prepare_outputs(args.json, [args.ratings, args.reference])
     digests = {} if base else None
     ds = load_ratings(_read_input(args.ratings, digests), **ds_kw)
     ref = load_reference(_read_input(args.reference, digests), **ref_kw)
@@ -259,8 +260,6 @@ def cmd_compare(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    base, csv_path, json_path = _prepare_outputs(
-        args.out, [args.ratings, args.reference], (".csv", ".json"))
     if args.metrics:
         metrics = parse_metrics(args.metrics)
     else:
@@ -278,6 +277,8 @@ def cmd_simulate(args) -> int:
         simulate.require_delta_baseline(cfg)
 
     ds_kw, ref_kw = _input_options(args)
+    base, csv_path, json_path = _prepare_outputs(
+        args.out, [args.ratings, args.reference], (".csv", ".json"))
     digests: dict[str, str] = {}
     ds = load_ratings(_read_input(args.ratings, digests), **ds_kw)
     ref = load_reference(_read_input(args.reference, digests), **ref_kw) if args.reference else None
@@ -333,10 +334,10 @@ def cmd_fit(args) -> int:
 
 
 def cmd_maxci(args) -> int:
-    base, out_path = _prepare_outputs(args.out, [])
     text = "n,max_ci_width\n" + "".join(
         f"{n},{max_ci_width(args.mos, n, args.level):.6g}\n" for n in parse_sweep(args.n)
     )
+    base, out_path = _prepare_outputs(args.out, [])
     print(text, end="")
     if base:
         Path(out_path).write_text(text, encoding="utf-8", newline="")

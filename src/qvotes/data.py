@@ -142,9 +142,7 @@ class RatingDataset:
         self._user_rows = (pairs % n_users).astype(np.int32)
         self._vote_bounds = row_edges[self._row_bounds]
         self._cond_totals = np.diff(self._vote_bounds)
-        row_sums = np.add.reduceat(self._vote_scores, row_edges[:-1])
-        self._score_sums = np.add.reduceat(row_sums, self._row_bounds[:-1])
-        self._user_means = row_sums / np.diff(row_edges)
+        self._user_means = np.add.reduceat(self._vote_scores, row_edges[:-1]) / np.diff(row_edges)
 
     def _equal_size_blocks(self):
         """For each number m of users per condition: the conditions with m

@@ -301,7 +301,7 @@ def _pair_irr(ds: RatingDataset, rows: np.ndarray, means: np.ndarray):
 
 def _sampled_irr(ds: RatingDataset, scores: np.ndarray, positions: np.ndarray):
     """IRR of one run's votes, given with their positions among the
-    dataset's votes."""
+    dataset's votes; :func:`irr_full` draws every vote once."""
     flat = ds._vote_rows[positions].ravel()
     counts = np.bincount(flat, minlength=ds._row_bounds[-1])
     sums = np.bincount(flat, weights=scores.ravel(), minlength=counts.size)
@@ -318,8 +318,6 @@ class _Target(NamedTuple):
     values: np.ndarray
     ranks: tuple | None  # stats._centred_ranks(values), when srcc is asked for
     mapped: bool  # map the run's MOS onto values first (--fom)
-    mean: np.float64  # values.mean(), and values less it, for the map
-    centred: np.ndarray
 
 
 def _target(
@@ -341,8 +339,7 @@ def _target(
         ranks = stats._centred_ranks(values)
         if ranks[1] == 0.0:
             raise DegenerateDataError(f"{srcc} is undefined: {constant}")
-    mean = values.mean()
-    return _Target(srcc, rmse, index, values, ranks, mapped, mean, values - mean)
+    return _Target(srcc, rmse, index, values, ranks, mapped)
 
 
 def _runs_at(ds: RatingDataset, cfg: SweepConfig, n: int, targets: list[_Target]) -> np.ndarray:
@@ -375,9 +372,10 @@ def _runs_at(ds: RatingDataset, cfg: SweepConfig, n: int, targets: list[_Target]
                     out[row[t.srcc], i] = stats._ranked_srcc(ranks, t.ranks)
             if t.rmse in row:
                 if t.mapped:
-                    if sub.max() == sub.min():  # no line maps a constant run MOS
+                    fit = stats._line_fit(sub, t.values)
+                    if fit is None:  # no line maps a constant run MOS
                         continue
-                    sub = stats.LinearMap(*stats._line_fit(sub, t.mean, t.centred)).apply(sub)
+                    sub = fit.apply(sub)
                 out[row[t.rmse], i] = stats._rmse(sub, t.values)
         if CI_WIDTH in row:
             # cumsum adds left to right, as one call per condition did, where
@@ -484,7 +482,7 @@ def certainty_gain(ds: RatingDataset, cfg: SweepConfig) -> list[MetricCurve]:
         # A pure shift of the mean curve; the per-point run spread is unchanged.
         base = curve.point_at(DELTA_BASELINE_N).mean
         points = tuple(
-            CurvePoint(p.n, p.mean - base, p.ci_low - base, p.ci_high - base, p.std_dev)
+            p._replace(mean=p.mean - base, ci_low=p.ci_low - base, ci_high=p.ci_high - base)
             for p in curve.points
         )
         curves.append(MetricCurve(curve.metric + "_delta", curve.dataset_label, points))
@@ -500,8 +498,7 @@ def irr_full(ds: RatingDataset) -> float:
     on at least 3 such conditions, since a rank correlation of fewer
     points is undefined, and only if neither side is constant.
     """
-    rows = np.arange(ds._row_bounds[-1])
-    value = _pair_irr(ds, rows, ds._user_means)
+    value = _sampled_irr(ds, ds._vote_scores, np.arange(ds.n_votes))
     if math.isnan(value):
         raise DataError("no user has enough rated conditions for reliability")
     return value

@@ -63,7 +63,7 @@ def dataset_mos(ds: RatingDataset, method: str = "user_balanced") -> MosVector:
     if method not in MOS_METHODS:
         raise ConfigError(f"method must be one of {MOS_METHODS}, got {method!r}")
     if method == "plain":
-        values = ds._score_sums / ds._cond_totals
+        values = np.add.reduceat(ds._vote_scores, ds._vote_bounds[:-1]) / ds._cond_totals
     else:
         values = ds._balanced_mos.copy()
     return MosVector(conditions=ds.conditions, values=values)
@@ -247,24 +247,23 @@ def _rmse(a: np.ndarray, b: np.ndarray) -> float:
 
 def fit_line(x, y) -> LinearMap:
     """Least-squares line mapping ``x`` onto ``y``."""
-    x, y = _as_pair(x, y, min_len=2)
-    if np.ptp(x) == 0.0:
+    fit = _line_fit(*_as_pair(x, y, min_len=2))
+    if fit is None:
         raise DegenerateDataError("cannot fit a line to constant x values")
-    y_mean = y.mean()
-    return LinearMap(*_line_fit(x, y_mean, y - y_mean))
+    return fit
 
 
-def _line_fit(x: np.ndarray, y_mean, dy: np.ndarray) -> tuple[float, float]:
-    """The (slope, intercept) of :func:`fit_line`, given the mean of ``y``
-    and ``y`` less it, unchecked: ``x`` must be finite and not constant,
-    and ``dy`` as long as ``x``.  A sweep's are: a run's MOS is finite and
-    in [1, 5], it skips a constant one, and it takes the target's mean and
-    centred values once.
-    """
+def _line_fit(x: np.ndarray, y: np.ndarray) -> LinearMap | None:
+    """:func:`fit_line` of two float vectors of one length without NaN,
+    unchecked, as a sweep's are; None for a constant ``x`` (``x.max() ==
+    x.min()``, so a constant infinite one too), which no line maps."""
+    if x.max() == x.min():
+        return None
     x_mean = x.mean()
     dx = x - x_mean
-    slope = float((dx @ dy) / (dx @ dx))
-    return slope, float(y_mean - slope * x_mean)
+    y_mean = y.mean()
+    slope = float((dx @ (y - y_mean)) / (dx @ dx))
+    return LinearMap(slope, float(y_mean - slope * x_mean))
 
 
 def compare_to_reference(

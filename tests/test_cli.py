@@ -1054,6 +1054,25 @@ class TestOutputPaths:
         assert capsys.readouterr() == ("", f"error: output {manifest} is a directory\n")
         assert sorted(tmp_path.rglob("*")) == before
 
+    @pytest.mark.parametrize("argv, code", [
+        (["simulate", "ratings.csv", "--metrics", "kappa", "--out", "new/sub/x"], 2),
+        (["simulate", "ratings.csv", "--runs", "0", "--out", "new/sub/x"], 2),
+        (["compare", "ratings.csv", "missing.csv", "--delimiter", ";;", "--json",
+          "new/sub/x.json"], 2),
+        (["maxci", "--mos", "3", "--level", "2", "--out", "new/sub/x"], 2),
+        (["maxci", "--mos", "3", "--n", "0:5:1", "--out", "new/sub/x"], 2),
+        (["maxci", "--mos", "7", "--out", "new/sub/x"], 1),
+    ], ids=["simulate-metrics", "simulate-runs", "compare-delimiter", "maxci-level",
+            "maxci-n", "maxci-mos"])
+    def test_bad_option_creates_no_directory(self, toy_files, tmp_path, monkeypatch, capsys,
+                                             argv, code):
+        # Every option is checked before the output directory is made.
+        monkeypatch.chdir(tmp_path)
+        before = sorted(tmp_path.rglob("*"))
+        assert main(argv) == code
+        assert capsys.readouterr().err.startswith("error: ")
+        assert sorted(tmp_path.rglob("*")) == before
+
     def test_maxci_unwritable_out_prints_nothing(self, tmp_path, capsys):
         # The output directory is checked before the table is printed.
         blocker = tmp_path / "file"

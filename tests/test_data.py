@@ -22,6 +22,7 @@ from qvotes import (
     QvotesError,
     RatingDataset,
     ReferenceMos,
+    dataset_mos,
     load_ratings,
     load_reference,
     reference_coverage,
@@ -194,9 +195,11 @@ class TestLoadRatings:
         shuffled = list(rows)
         rng.shuffle(shuffled)
         ds, again = make_dataset(rows), make_dataset(shuffled)
-        for attr in ("_vote_scores", "_vote_rows", "_user_means", "_score_sums"):
+        for attr in ("_vote_scores", "_vote_rows", "_user_means"):
             got, want = getattr(again, attr), getattr(ds, attr)
             assert (got.dtype, got.tobytes()) == (want.dtype, want.tobytes()), attr
+        got, want = dataset_mos(again, "plain").values, dataset_mos(ds, "plain").values
+        assert got.tobytes() == want.tobytes()
 
 
 BOM = "\ufeff"
@@ -608,6 +611,7 @@ class TestConditionCaches:
     def test_grouped_build_matches_per_condition_scan(self, rows):
         labelled = [(f"c{c}", f"u{u}", s) for c, u, s in rows]
         ds = make_dataset(labelled)
+        plain = dataset_mos(ds, "plain").values
         for j, cond in enumerate(ds.conditions):
             # the condition's votes as (user index, score)
             votes = [(ds.users.index(u), s) for c, u, s in labelled if c == cond]
@@ -623,7 +627,7 @@ class TestConditionCaches:
             assert np.all((a <= vote_rows) & (vote_rows < b))
             assert list(zip(ds._user_rows[vote_rows].tolist(), scores.tolist())) == sorted(votes)
             assert ds._cond_totals[j] == len(votes)
-            assert ds._score_sums[j] == sum(s for _, s in votes)
+            assert plain[j] == sum(s for _, s in votes) / len(votes)
         assert ds._vote_bounds[-1] == len(labelled)
 
 
@@ -885,9 +889,10 @@ def assert_same_cleaning(got, removed, want, want_removed):
         want.label, want.conditions, want.users, want.stimuli
     )
     assert votes(got) == votes(want)
-    for attr in ("_row_bounds", "_user_rows", "_cond_totals", "_score_sums", "_vote_bounds",
+    for attr in ("_row_bounds", "_user_rows", "_cond_totals", "_vote_bounds",
                  "_vote_scores", "_vote_rows", "_vote_stims", "_user_means"):
         assert np.array_equal(getattr(got, attr), getattr(want, attr))
+    assert np.array_equal(dataset_mos(got, "plain").values, dataset_mos(want, "plain").values)
 
 
 class TestOutlierRemovalOracle:

@@ -44,12 +44,12 @@ def csv_readers_called(tree: ast.Module) -> list[str]:
     ) or (isinstance(func, ast.Name) and func.id in imported))
 
 
-def argsorts_called(tree: ast.Module) -> list[str]:
-    """Where ``argsort`` is called in ``tree``: ``np.argsort``, an array's
-    ``.argsort()`` or a bare imported ``argsort``."""
+def named_calls(tree: ast.Module, name: str) -> list[str]:
+    """Where a function called ``name`` is called in ``tree``, bare or as
+    an attribute (``name(...)``, ``module.name(...)``, ``a.name()``)."""
     return calls_where(tree, lambda func: (
-        isinstance(func, ast.Attribute) and func.attr == "argsort"
-    ) or (isinstance(func, ast.Name) and func.id == "argsort"))
+        isinstance(func, ast.Attribute) and func.attr == name
+    ) or (isinstance(func, ast.Name) and func.id == name))
 
 
 def test_one_csv_reader():
@@ -75,9 +75,20 @@ def test_one_ranking_sort():
     calls = [
         f"{path.stem}.{where}"
         for path in sorted(SRC.glob("*.py"))
-        for where in argsorts_called(ast.parse(path.read_text("utf-8")))
+        for where in named_calls(ast.parse(path.read_text("utf-8")), "argsort")
     ]
     assert calls == ["stats._grouped_ranks"] * 2
+
+
+def test_one_line_fit():
+    # The public fit and each --fom run fit their line, and test x for
+    # constancy, in stats._line_fit alone; np.ptp, which gives NaN for a
+    # constant infinite x, is not used.
+    trees = {path.stem: ast.parse(path.read_text("utf-8")) for path in sorted(SRC.glob("*.py"))}
+    fits = {f"{stem}.{where}" for stem, tree in trees.items()
+            for where in named_calls(tree, "_line_fit")}
+    assert fits == {"stats.fit_line", "simulate._runs_at"}
+    assert [where for tree in trees.values() for where in named_calls(tree, "ptp")] == []
 
 
 def test_finder_sees_each_spelling():
@@ -97,4 +108,4 @@ def test_finder_sees_each_spelling():
         "def f(a):\n"
         "    return a.argsort(), argsort(a)\n"
     )
-    assert argsorts_called(tree) == ["<module>", "f", "f"]
+    assert named_calls(tree, "argsort") == ["<module>", "f", "f"]

@@ -569,8 +569,10 @@ class TestFirstOrderMap:
         assert rmse(line.apply(cs_values), ref_values) <= rmse(cs_values, ref_values) + 1e-12
 
     def test_fit_line_constant_x(self):
-        with pytest.raises(DegenerateDataError):
-            fit_line([2.0, 2.0, 2.0], [1.0, 2.0, 3.0])
+        # A constant infinite x too: its spread, inf - inf, is NaN, not 0.
+        for x in (2.0, np.inf, -np.inf):
+            with pytest.raises(DegenerateDataError, match="constant x"):
+                fit_line([x, x, x], [1.0, 2.0, 3.0])
 
     def test_fit_line_rejects_nan(self):
         # used to return a NaN slope
