@@ -46,13 +46,7 @@ METRIC_ALIASES = {
     "rmse": simulate.VALIDITY_RMSE,
 }
 
-_COL_KEYS = {
-    "condition": "condition_id",
-    "user": "user_id",
-    "score": "score",
-    "stimulus": "stimulus_id",
-    "mos": "mos",
-}
+_COL_KEYS = {c.removesuffix("_id"): c for c in (*RATING_COLUMNS, STIMULUS_COLUMN, *REFERENCE_COLUMNS)}
 
 
 def _read_input(path, digests: dict[str, str] | None) -> io.BytesIO:
@@ -219,18 +213,10 @@ def cmd_validate(args) -> int:
         ref = load_reference(_read_input(args.reference, None), **ref_kw)
         shared, ref_only, ds_only = reference_coverage(ref, ds)
         print(f"reference conditions: {len(ref)} ({len(shared)} shared)")
-        if ref_only:
-            print(
-                f"warning: {len(ref_only)} reference condition(s) never rated: "
-                + ", ".join(ref_only),
-                file=sys.stderr,
-            )
-        if ds_only:
-            print(
-                f"warning: {len(ds_only)} rated condition(s) missing from reference: "
-                + ", ".join(ds_only),
-                file=sys.stderr,
-            )
+        for ids, wording in ((ref_only, "reference condition(s) never rated"),
+                             (ds_only, "rated condition(s) missing from reference")):
+            if ids:
+                print(f"warning: {len(ids)} {wording}: {', '.join(ids)}", file=sys.stderr)
     return EXIT_OK
 
 

@@ -144,22 +144,17 @@ class RatingDataset:
         self._cond_totals = np.diff(self._vote_bounds)
         self._user_means = np.add.reduceat(self._vote_scores, row_edges[:-1]) / np.diff(row_edges)
 
-    def _equal_size_blocks(self):
-        """For each number m of users per condition: the conditions with m
-        users and the (conditions, m) matrix of their rows."""
-        sizes = np.diff(self._row_bounds)
-        for m in np.flatnonzero(np.bincount(sizes)).tolist():
-            group = np.flatnonzero(sizes == m)
-            yield group, self._row_bounds[group][:, None] + np.arange(m)
-
     @cached_property
     def _balanced_mos(self) -> np.ndarray:
         """Each condition's mean of its users' mean scores, read-only.  It
         is derived on first use and kept, as the votes never change."""
         values = np.empty(len(self.conditions))
-        # A row's mean along axis 1 sums pairwise in the same order as the
-        # mean of that condition's users alone.
-        for group, rows in self._equal_size_blocks():
+        sizes = np.diff(self._row_bounds)
+        # The conditions with m users go at once, as a (conditions, m) matrix: a
+        # row's mean along axis 1 sums pairwise as that condition's alone would.
+        for m in np.flatnonzero(np.bincount(sizes)).tolist():
+            group = np.flatnonzero(sizes == m)
+            rows = self._row_bounds[group][:, None] + np.arange(m)
             values[group] = self._user_means[rows].mean(axis=1)
         values.flags.writeable = False
         return values

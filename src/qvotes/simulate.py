@@ -387,26 +387,29 @@ def _runs_at(ds: RatingDataset, cfg: SweepConfig, n: int, targets: list[_Target]
     return out
 
 
-def _aggregate(values: np.ndarray | list, level: float) -> tuple[float, float, float, float]:
-    """Mean, Student-t CI bounds and standard deviation across runs; one
-    run is its own mean, with a zero-width CI and a zero spread.
+def _aggregate(metric: str, n: int, runs: np.ndarray, level: float) -> CurvePoint:
+    """``metric``'s point at vote count ``n`` from its (runs,) row, NaN where
+    a run's statistic is undefined: the mean, Student-t CI bounds and
+    standard deviation of the rest, in run order.  One left is its own mean,
+    with a zero-width CI and a zero spread; none raises :class:`DataError`.
 
     The t quantile comes from ``scipy.special.stdtrit``, the function that
     the ``ppf`` of scipy's Student t distribution wraps, so it is bit for
     bit that ``ppf``.  It is imported here, at first use: a one-run sweep
     never loads scipy.
     """
-    if len(values) == 1:
-        mean = float(values[0])
-        return mean, mean, mean, 0.0
+    values = runs[~np.isnan(runs)]
+    if not values.size:
+        raise DataError(f"no run produced a value for {metric} at n={n}")
+    mean = float(values.mean())
+    if values.size == 1:
+        return CurvePoint(n, mean, mean, mean, 0.0)
     from scipy.special import stdtrit
 
-    arr = np.asarray(values, dtype=float)
-    mean = float(arr.mean())
-    sd = float(arr.std(ddof=1))
-    t_quantile = float(stdtrit(arr.size - 1, 1.0 - (1.0 - level) / 2.0))
-    half = t_quantile * sd / math.sqrt(arr.size)
-    return mean, mean - half, mean + half, sd
+    sd = float(values.std(ddof=1))
+    t_quantile = float(stdtrit(values.size - 1, 1.0 - (1.0 - level) / 2.0))
+    half = t_quantile * sd / math.sqrt(values.size)
+    return CurvePoint(n, mean, mean - half, mean + half, sd)
 
 
 def run_sweep(
@@ -447,10 +450,7 @@ def run_sweep(
     points: list[list[CurvePoint]] = [[] for _ in cfg.metrics]
     for n in cfg.n_values:
         for metric, curve, runs in zip(cfg.metrics, points, _runs_at(ds, cfg, n, targets)):
-            values = runs[~np.isnan(runs)]
-            if not values.size:
-                raise DataError(f"no run produced a value for {metric} at n={n}")
-            curve.append(CurvePoint(n, *_aggregate(values, cfg.ci_level)))
+            curve.append(_aggregate(metric, n, runs, cfg.ci_level))
     return [MetricCurve(m, ds.label, tuple(p)) for m, p in zip(cfg.metrics, points)]
 
 

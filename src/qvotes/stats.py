@@ -95,6 +95,11 @@ def _require_no_nan(a: np.ndarray) -> None:
         raise DataError("inputs must not contain NaN")
 
 
+def _require_finite(*arrays: np.ndarray) -> None:
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise DataError("inputs must not contain ±inf")
+
+
 def _as_pair(a, b, min_len: int):
     a = _as_vector(a)
     b = _as_vector(b)
@@ -111,7 +116,7 @@ def srcc(a, b) -> float:
     """Spearman rank correlation: Pearson correlation of average ranks.
 
     Raises :class:`DataError` on NaN, as do :func:`rmse` and
-    :func:`fit_line`.
+    :func:`fit_line`; ±inf ranks as :func:`average_ranks` ranks it.
     """
     a, b = _as_pair(a, b, min_len=3)
     ra, rb = _centred_ranks(a), _centred_ranks(b)
@@ -233,8 +238,9 @@ def _grouped_srcc(groups: np.ndarray, a: np.ndarray, b: np.ndarray, b_tol: float
 
 
 def rmse(a, b) -> float:
-    """Root mean squared difference of two equally long vectors."""
+    """Root mean squared difference of two equally long finite vectors."""
     a, b = _as_pair(a, b, min_len=1)
+    _require_finite(a, b)
     return _rmse(a, b)
 
 
@@ -246,8 +252,12 @@ def _rmse(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def fit_line(x, y) -> LinearMap:
-    """Least-squares line mapping ``x`` onto ``y``."""
-    fit = _line_fit(*_as_pair(x, y, min_len=2))
+    """Least-squares line mapping finite ``x`` onto finite ``y``; a constant
+    ``x``, infinite or not, raises :class:`DegenerateDataError` first."""
+    x, y = _as_pair(x, y, min_len=2)
+    if x.max() > x.min():  # else _line_fit finds x constant
+        _require_finite(x, y)
+    fit = _line_fit(x, y)
     if fit is None:
         raise DegenerateDataError("cannot fit a line to constant x values")
     return fit

@@ -161,6 +161,16 @@ class TestValidate:
         err = capsys.readouterr().err
         assert "warning" in err and "zz1" in err
 
+    def test_both_coverage_warnings_exactly(self, toy_files, capsys):
+        ratings, reference = toy_files
+        kept = reference.read_text().splitlines()[:5]  # the header, c00..c03
+        reference.write_text("\n".join([*kept, "zz2,2.0", "zz1,3.0"]) + "\n")
+        assert main(["validate", str(ratings), "--ref", str(reference)]) == 0
+        assert capsys.readouterr().err == (
+            "warning: 2 reference condition(s) never rated: zz1, zz2\n"
+            "warning: 2 rated condition(s) missing from reference: c04, c05\n"
+        )
+
     def test_unreadable_file(self, tmp_path, capsys):
         assert main(["validate", str(tmp_path / "none.csv")]) == 1
 
@@ -773,7 +783,8 @@ class TestInputOptionsFirst:
 
     @pytest.mark.parametrize("option, error", [
         (["--delimiter", ";;"], "error: invalid delimiter ';;': "),
-        (["--col", "bogus=x"], "error: unknown --col key 'bogus'; expected one of "),
+        (["--col", "bogus=x"], "error: unknown --col key 'bogus'; "
+                               "expected one of condition, user, score, stimulus, mos\n"),
     ], ids=["delimiter", "col"])
     @pytest.mark.parametrize("command", ["validate", "compare", "simulate"])
     def test_bad_option_with_the_ratings_missing(self, tmp_path, capsys, command, option, error):

@@ -283,7 +283,7 @@ class TestRunSweep:
                 mapped = [rmse(fit_line(m[local], ref_values).apply(m[local]), ref_values)
                           for m in mos]
                 for curve, runs in ((validity, mapped), (gain, [rmse(m, full.values) for m in mos])):
-                    want = CurvePoint(n, *_aggregate(runs, cfg.ci_level))
+                    want = _aggregate(curve.metric, n, np.array(runs), cfg.ci_level)
                     assert np.array(curve.point_at(n)).tobytes() == np.array(want).tobytes()
 
     @pytest.mark.parametrize("seed", [0, 1])
@@ -343,12 +343,12 @@ class TestDegenerateRuns:
         full = dataset_mos(ds).values
         for n in cfg.n_values:
             runs = [run_mos(ds, n, i, 0) for i in range(20)]
-            srccs = [srcc(m, full) for m in runs if np.ptp(m) > 0]
+            srccs = np.array([srcc(m, full) if np.ptp(m) > 0 else np.nan for m in runs])
             if n == 1:
-                assert 0 < len(srccs) < len(runs)
-            rmses = [rmse(m, full) for m in runs]
-            assert gain_rmse.point_at(n)[1:] == _aggregate(rmses, cfg.ci_level)
-            assert gain_srcc.point_at(n)[1:] == _aggregate(srccs, cfg.ci_level)
+                assert 0 < np.isnan(srccs).sum() < len(runs)
+            rmses = np.array([rmse(m, full) for m in runs])
+            assert gain_rmse.point_at(n) == _aggregate("gain_rmse", n, rmses, cfg.ci_level)
+            assert gain_srcc.point_at(n) == _aggregate("gain_srcc", n, srccs, cfg.ci_level)
 
     def test_validity_with_mapping_skips_constant_runs(self):
         ds = near_unanimous_dataset()
@@ -496,11 +496,11 @@ class TestAggregate:
 
         rng = np.random.default_rng(5)
         for df in range(1, 301):
-            values = rng.normal(0.5, 0.2, size=df + 1).tolist()
-            arr = np.asarray(values)
-            mean, sd = float(arr.mean()), float(arr.std(ddof=1))
+            values = rng.normal(0.5, 0.2, size=df + 1)
+            mean, sd = float(values.mean()), float(values.std(ddof=1))
             half = float(t.ppf(1.0 - (1.0 - level) / 2.0, df)) * sd / np.sqrt(df + 1)
-            assert _aggregate(values, level) == (mean, mean - half, mean + half, sd)
+            want = CurvePoint(df, mean, mean - half, mean + half, sd)
+            assert _aggregate("irr", df, values, level) == want
 
 
 class TestCertaintyGain:

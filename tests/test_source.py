@@ -91,6 +91,18 @@ def test_one_line_fit():
     assert [where for tree in trees.values() for where in named_calls(tree, "ptp")] == []
 
 
+def test_one_point_rule():
+    # A curve point is built from its runs in simulate._aggregate alone, which
+    # drops the undefined runs; the other calls check, parse or read points.
+    tree = ast.parse((SRC / "simulate.py").read_text("utf-8"))
+    assert sorted(named_calls(tree, "CurvePoint")) == [
+        "MetricCurve.__post_init__", "_aggregate", "_aggregate", "_csv_curves", "_json_point",
+    ]
+    sweep = next(node for node in tree.body
+                 if isinstance(node, ast.FunctionDef) and node.name == "run_sweep")
+    assert named_calls(ast.Module([sweep], []), "isnan") == []
+
+
 def test_finder_sees_each_spelling():
     tree = ast.parse(
         "import csv\n"

@@ -127,13 +127,14 @@ class TestMos:
         # main sweep's gain target and once inside certainty_gain.
         ds = synthetic_dataset(seed=4, n_conditions=8, n_users=12)
         derived = []
-        blocks = RatingDataset._equal_size_blocks
+        prop = RatingDataset.__dict__["_balanced_mos"]
+        derive = prop.func
 
         def counted(self):
             derived.append(self)
-            return blocks(self)
+            return derive(self)
 
-        monkeypatch.setattr(RatingDataset, "_equal_size_blocks", counted)
+        monkeypatch.setattr(prop, "func", counted)
         cfg = SweepConfig(n_values=(10, 20), repetitions=2, metrics=("gain_srcc", "gain_rmse"))
         run_sweep(ds, None, cfg)
         certainty_gain(ds, cfg)
@@ -509,6 +510,15 @@ class TestRmse:
         with pytest.raises(DataError, match="NaN"):
             rmse([1.0, np.nan], [1.0, 2.0])
 
+    @pytest.mark.parametrize("a, b", [
+        ([np.inf, 1.0], [np.inf, 1.0]),  # used to give NaN
+        ([np.inf], [1.0]),  # used to give inf
+        ([1.0, 2.0], [1.0, -np.inf]),
+    ])
+    def test_infinity_is_rejected(self, a, b):
+        with pytest.raises(DataError, match="inf"):
+            rmse(a, b)
+
     @given(st.lists(finite_floats, min_size=1, max_size=20), st.data())
     @settings(max_examples=80, deadline=None)
     def test_symmetry_and_identity(self, a, data):
@@ -575,11 +585,18 @@ class TestFirstOrderMap:
                 fit_line([x, x, x], [1.0, 2.0, 3.0])
 
     def test_fit_line_rejects_nan(self):
-        # used to return a NaN slope
-        with pytest.raises(DataError, match="NaN"):
-            fit_line([1.0, 2.0, np.nan], [1.0, 2.0, 3.0])
-        with pytest.raises(DataError, match="NaN"):
-            fit_line([1.0, 2.0, 3.0], [np.nan, 2.0, 3.0])
+        # Each used to return a NaN slope, the infinite ones with a warning.
+        for x, y, match in [
+            ([1.0, 2.0, np.nan], [1.0, 2.0, 3.0], "NaN"),
+            ([1.0, 2.0, 3.0], [np.nan, 2.0, 3.0], "NaN"),
+            ([np.inf, 1.0, 2.0], [1.0, 2.0, 3.0], "inf"),
+            ([1.0, 2.0, 3.0], [np.inf, 2.0, 3.0], "inf"),
+            ([1.0, 2.0, -np.inf], [1.0, 2.0, 3.0], "inf"),
+            ([1.0, 2.0, 3.0], [1.0, 2.0, -np.inf], "inf"),
+        ]:
+            with pytest.raises(DataError, match=match) as raised:
+                fit_line(x, y)
+            assert not isinstance(raised.value, DegenerateDataError)
 
 
 class TestCompareToReference:
